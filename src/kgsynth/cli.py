@@ -8,7 +8,6 @@ error, 3 infeasibility (derangement/uniqueness/sampling), 4 internal error.
 
 from __future__ import annotations
 
-import os
 import sys
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -219,8 +218,8 @@ def leakage(input_dir: str, output: str | None) -> None:
 @click.option("--epochs", type=click.IntRange(min=0), default=100, show_default=True)
 @click.option("--negatives", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=click.IntRange(min=1), default=lambda: os.cpu_count() or 1,
-              help="Worker threads; 1 guarantees bit-exact reproducibility.")
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Worker threads; only 1 guarantees bit-exact reproducibility.")
 @click.option("--eval-split", type=click.Choice(["none", "valid", "test"]), default="none",
               show_default=True)
 def train_baseline(input_dir: str, output_dir: str, dim: int, margin: float, norm: str,

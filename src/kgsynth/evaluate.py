@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .kg import KnowledgeGraph
+from .kg import SPLITS, KnowledgeGraph
 
 HITS_KS = (1, 3, 10)
 
@@ -83,16 +83,23 @@ def rank_gold(
     excluded: frozenset[str] = frozenset()
     if filtered:
         excluded = kg.answer_index.get((query.direction, known_entity, relation), frozenset())
-    # rank = 1 + |{e != gold, e not excluded : score(e) >= gold_score}|; counted
-    # in bulk, then the gold itself and the (few) excluded rivals are backed out.
     values = np.fromiter(scores.values(), dtype=float, count=len(scores))
-    at_or_above = int((values >= gold_score).sum())
-    excluded_at_or_above = sum(
-        1
-        for entity in excluded
-        if entity != query.gold and scores.get(entity, float("-inf")) >= gold_score
+    rivals = np.array(
+        [scores.get(entity, float("-inf")) for entity in excluded if entity != query.gold],
+        dtype=float,
     )
-    return RankingRecord(query=query, gold_rank=at_or_above - excluded_at_or_above)
+    return RankingRecord(query=query, gold_rank=pessimistic_rank(values, gold_score, rivals))
+
+
+def pessimistic_rank(scores: np.ndarray, gold_score: float, excluded_scores: np.ndarray) -> int:
+    """1 + the number of surviving rivals scoring >= the gold score.
+
+    ``scores`` holds every candidate, the gold included; ``excluded_scores``
+    holds the filtered-out rivals (never the gold). Counted in bulk, then
+    the (few) excluded rivals at or above the gold are backed out.
+    """
+    at_or_above = int((scores >= gold_score).sum())
+    return at_or_above - int((excluded_scores >= gold_score).sum())
 
 
 def compute_metrics(
@@ -119,6 +126,33 @@ def split_queries(kg: KnowledgeGraph, split: str = "test") -> list[Query]:
     return queries
 
 
+def filter_rows(kg: KnowledgeGraph, queries: list[Query]) -> list[np.ndarray]:
+    """Per query, the entity rows of every known-true answer in any split.
+
+    The row-space form of ``answer_index``, built from ``kg.split_rows``
+    and covering only the keys these queries use. The gold is among its
+    own query's answers whenever the query comes from a split triple.
+    """
+    n_entities, n_relations = len(kg.entities), len(kg.relations)
+    # key = (known entity * |R| + relation) * 2 + (0 for tail, 1 for head)
+    h, r, t = np.concatenate([kg.split_rows[name] for name in SPLITS]).astype(np.int64).T
+    fact_keys = np.concatenate([(h * n_relations + r) * 2, (t * n_relations + r) * 2 + 1])
+    fact_answers = np.concatenate([t, h])
+    entity_row, relation_row = kg.entity_row, kg.relation_row
+    query_keys = np.array(
+        [(entity_row[q.known[0]] * n_relations + relation_row[q.known[1]]) * 2
+         + (q.direction == "head") for q in queries],
+        dtype=np.int64,
+    )
+    keep = np.isin(fact_keys, query_keys)
+    # sorted distinct (key, answer) pairs, so each key's answers are one slice
+    keys, answers = np.divmod(np.unique(fact_keys[keep] * n_entities + fact_answers[keep]),
+                              n_entities)
+    starts = np.searchsorted(keys, query_keys, side="left").tolist()
+    ends = np.searchsorted(keys, query_keys, side="right").tolist()
+    return [answers[a:b] for a, b in zip(starts, ends)]
+
+
 def evaluate_predictions(kg: KnowledgeGraph, predictions_file: str | Path) -> MetricsReport:
     """Score an external system's ranked candidate lists against the test split.
 
@@ -130,7 +164,7 @@ def evaluate_predictions(kg: KnowledgeGraph, predictions_file: str | Path) -> Me
     path = Path(predictions_file)
     entity_ids = set(kg.entity_ids)
     relation_ids = set(kg.relation_ids)
-    ranked: dict[tuple[str, str, str, str], list[str]] = {}
+    ranked: dict[Query, list[str]] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -148,19 +182,25 @@ def evaluate_predictions(kg: KnowledgeGraph, predictions_file: str | Path) -> Me
             if r not in relation_ids:
                 raise ValidationError(f"{path.name}:{lineno}: unknown relation {r!r}")
             candidates = candidate_cell.split(",") if candidate_cell else []
+            seen: set[str] = set()
             for c in candidates:
                 if c not in entity_ids:
                     raise ValidationError(f"{path.name}:{lineno}: unknown candidate {c!r}")
-            key = (h, r, t, direction)
-            if key in ranked:
-                raise ValidationError(f"{path.name}:{lineno}: duplicate prediction for {key}")
-            ranked[key] = candidates
+                if c in seen:
+                    raise ValidationError(f"{path.name}:{lineno}: duplicate candidate {c!r}")
+                seen.add(c)
+            if direction == "tail":
+                query = Query(known=(h, r), direction="tail", gold=t)
+            else:
+                query = Query(known=(t, r), direction="head", gold=h)
+            if query in ranked:
+                raise ValidationError(
+                    f"{path.name}:{lineno}: duplicate prediction for {(h, r, t, direction)}"
+                )
+            ranked[query] = candidates
 
-    missing = []
-    for h, r, t in kg.test:
-        for direction in ("tail", "head"):
-            if (h, r, t, direction) not in ranked:
-                missing.append((h, r, t, direction))
+    queries = split_queries(kg, "test")
+    missing = [query for query in queries if query not in ranked]
     if missing:
         shown = ", ".join(map(str, missing[:5]))
         raise ValidationError(
@@ -169,19 +209,8 @@ def evaluate_predictions(kg: KnowledgeGraph, predictions_file: str | Path) -> Me
 
     worst = len(kg.entities)
     records = []
-    for h, r, t in kg.test:
-        for direction in ("tail", "head"):
-            candidates = ranked[(h, r, t, direction)]
-            gold = t if direction == "tail" else h
-            known = (h, r) if direction == "tail" else (t, r)
-            try:
-                rank = candidates.index(gold) + 1
-            except ValueError:
-                rank = worst
-            records.append(
-                RankingRecord(
-                    query=Query(known=known, direction=direction, gold=gold),
-                    gold_rank=rank,
-                )
-            )
+    for query in queries:
+        candidates = ranked[query]
+        rank = candidates.index(query.gold) + 1 if query.gold in candidates else worst
+        records.append(RankingRecord(query=query, gold_rank=rank))
     return compute_metrics(records, filtered=False, tie_policy=CANDIDATE_ORDER)

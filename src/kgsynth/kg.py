@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from .errors import LoadError, ValidationError
 
 Triple = tuple[str, str, str]
@@ -67,6 +69,27 @@ class KnowledgeGraph:
     @cached_property
     def relation_names(self) -> dict[str, str]:
         return dict(self.relations)
+
+    @cached_property
+    def entity_row(self) -> dict[str, int]:
+        return {eid: i for i, eid in enumerate(self.entity_ids)}
+
+    @cached_property
+    def relation_row(self) -> dict[str, int]:
+        return {rid: i for i, rid in enumerate(self.relation_ids)}
+
+    @cached_property
+    def split_rows(self) -> dict[str, np.ndarray]:
+        """Each split as an int32 ``(n, 3)`` array of (head, relation, tail)
+        rows into ``entity_ids`` / ``relation_ids``, built on first use."""
+        entity_row, relation_row = self.entity_row, self.relation_row
+        return {
+            name: np.array(
+                [(entity_row[h], relation_row[r], entity_row[t]) for h, r, t in self.split(name)],
+                dtype=np.int32,
+            ).reshape(-1, 3)
+            for name in SPLITS
+        }
 
     def split(self, name: str) -> tuple[Triple, ...]:
         if name not in SPLITS:

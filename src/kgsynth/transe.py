@@ -17,7 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import KgsynthError, ValidationError
-from .evaluate import MetricsReport, Query, compute_metrics, rank_gold
+from .evaluate import (
+    MetricsReport,
+    RankingRecord,
+    compute_metrics,
+    filter_rows,
+    pessimistic_rank,
+    split_queries,
+)
 from .kg import KnowledgeGraph
 
 _EPS = 1e-12
@@ -164,11 +171,8 @@ def train(kg: KnowledgeGraph, config: TrainConfig = TrainConfig()) -> EmbeddingM
     if not kg.train:
         raise ValueError("train split is empty")
     model = init_model(kg, config.dim, config.seed, norm=config.norm, margin=config.margin)
-    entity_row = model.entity_row
-    relation_row = model.relation_row
-    h_idx = np.array([entity_row[h] for h, _, _ in kg.train], dtype=np.int64)
-    r_idx = np.array([relation_row[r] for _, r, _ in kg.train], dtype=np.int64)
-    t_idx = np.array([entity_row[t] for _, _, t in kg.train], dtype=np.int64)
+    # init_model orders the model's rows as the graph's
+    h_idx, r_idx, t_idx = kg.split_rows["train"].T
 
     entities = model.entity_vectors
     relations = model.relation_vectors
@@ -279,6 +283,29 @@ def probe_loss(model: EmbeddingModel, kg: KnowledgeGraph, seed: int = 0,
     return total / n
 
 
+def _scores_into(buf: np.ndarray, entities: np.ndarray, known: np.ndarray, rel: np.ndarray,
+                 direction: str, norm: str) -> np.ndarray:
+    """Negative translation distance of every entity row as the unknown end.
+
+    ``buf`` has the shape of ``entities`` and is overwritten; the in-place
+    ops reuse it, since this runs once per query over the full entity table.
+    """
+    if direction == "tail":
+        np.subtract(known + rel, entities, out=buf)
+    else:
+        np.add(entities, rel, out=buf)
+        np.subtract(buf, known, out=buf)
+    if norm == "L1":
+        np.abs(buf, out=buf)
+        dists = buf.sum(axis=1)
+    else:
+        np.multiply(buf, buf, out=buf)
+        dists = buf.sum(axis=1)
+        np.sqrt(dists, out=dists)
+    np.negative(dists, out=dists)
+    return dists
+
+
 def score_all(model: EmbeddingModel, known_id: str, relation_id: str,
               direction: str) -> dict[str, float]:
     """score_triple against every entity at once, as a scores table.
@@ -288,35 +315,53 @@ def score_all(model: EmbeddingModel, known_id: str, relation_id: str,
     """
     known = model.entity_vector(known_id)
     rel = model.relation_vector(relation_id)
-    if direction == "tail":
-        diff = (known + rel) - model.entity_vectors
-    elif direction == "head":
-        diff = (model.entity_vectors + rel) - known
-    else:
+    if direction not in ("tail", "head"):
         raise ValueError(f"direction must be 'tail' or 'head', got {direction!r}")
-    # in-place ops reuse the (n_entities, dim) buffer; this path runs once per
-    # query over the full entity table, so allocation churn matters
-    if model.norm == "L1":
-        np.abs(diff, out=diff)
-        dists = diff.sum(axis=1)
+    entities = model.entity_vectors
+    scores = _scores_into(np.empty_like(entities), entities, known, rel, direction, model.norm)
+    return dict(zip(model.entity_ids, scores.tolist()))
+
+
+def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
+                 filtered: bool = True) -> list[RankingRecord]:
+    """Gold rank of every split query, in split order, computed in row space.
+
+    Equal, query by query, to ``rank_gold`` over ``score_all``: the same
+    distances and tie policy, without building a scores table per query.
+    The model must cover exactly the graph's entities, in any order.
+    """
+    entity_row = model.entity_row
+    missing = [e for e in kg.entity_ids if e not in entity_row]
+    if missing or len(model.entity_ids) != len(kg.entities):
+        raise ValidationError(
+            f"model covers {len(model.entity_ids)} entities, expected the graph's "
+            f"{len(kg.entities)} (missing: {missing[:3]})"
+        )
+    queries = split_queries(kg, split)
+    if filtered:
+        answers = filter_rows(kg, queries)
     else:
-        np.multiply(diff, diff, out=diff)
-        dists = diff.sum(axis=1)
-        np.sqrt(dists, out=dists)
-    np.negative(dists, out=dists)
-    return dict(zip(model.entity_ids, dists.tolist()))
+        answers = [np.empty(0, dtype=np.int64)] * len(queries)
+    to_model = np.array([entity_row[e] for e in kg.entity_ids], dtype=np.intp)
+    entities = model.entity_vectors
+    buf = np.empty_like(entities)
+    records = []
+    for query, answer_rows in zip(queries, answers):
+        known_id, relation_id = query.known
+        scores = _scores_into(buf, entities, entities[entity_row[known_id]],
+                              model.relation_vector(relation_id), query.direction, model.norm)
+        gold = entity_row[query.gold]
+        rivals = to_model[answer_rows]
+        rivals = rivals[rivals != gold]
+        rank = pessimistic_rank(scores, scores[gold], scores[rivals])
+        records.append(RankingRecord(query=query, gold_rank=rank))
+    return records
 
 
 def evaluate_model(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
                    filtered: bool = True) -> MetricsReport:
     """Rank every split triple in both directions and aggregate the metrics."""
-    records = []
-    for h, r, t in kg.split(split):
-        for direction, known, gold in (("tail", h, t), ("head", t, h)):
-            scores = score_all(model, known, r, direction)
-            query = Query(known=(known, r), direction=direction, gold=gold)
-            records.append(rank_gold(scores, query, kg, filtered=filtered))
-    return compute_metrics(records, filtered=filtered)
+    return compute_metrics(rank_queries(model, kg, split, filtered), filtered=filtered)
 
 
 def save_model(model: EmbeddingModel, directory: str | Path) -> None:

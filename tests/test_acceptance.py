@@ -360,24 +360,25 @@ def test_criterion_09_transe_keystone_invariance(family_kg, tmp_path):
     start = time.monotonic()
     config = TrainConfig(dim=8, epochs=15, learning_rate=0.05, seed=77, workers=1)
 
-    def invariance(kg, label):
+    def invariance(kg, label, train_config):
         results = generate_suite(kg, seed=13, output_dir=tmp_path / label)
         base_report = None
         for result in results:
             assert result.ok, (result.label, result.error)
             variant = load_dataset(result.path)
-            report = evaluate_model(train(variant, config), variant, "test")
+            report = evaluate_model(train(variant, train_config), variant, "test")
             if result.label == "base":
                 base_report = report
             else:
                 assert report == base_report, (label, result.label)
 
-    invariance(family_kg, "family")
+    invariance(family_kg, "family", config)
     rng = random.Random(99)
     invariance(
         random_kg(rng, n_entities=14, n_relations=5, n_train=30, n_valid=4, n_test=4,
                   unique_pairs=True),
         "random",
+        config,
     )
     elapsed = time.monotonic() - start
     assert elapsed < 60, elapsed
@@ -387,7 +388,7 @@ def test_criterion_09_transe_keystone_invariance(family_kg, tmp_path):
         wn_kg = load_dataset(_real("wn18rr"))
         wn_config = TrainConfig(dim=50, epochs=20, learning_rate=0.01, seed=5, workers=1)
         wn_start = time.monotonic()
-        invariance(wn_kg, "wn-full")
+        invariance(wn_kg, "wn-full", wn_config)
         wn_elapsed = time.monotonic() - wn_start
         assert wn_elapsed < 7200, wn_elapsed
         timing = f"; wn18rr-scale in {wn_elapsed:.0f}s"

@@ -192,6 +192,17 @@ def test_train_baseline_writes_checkpoint_and_metrics(dataset_dir, tmp_path, cap
     assert "mrr\t" in capsys.readouterr().out
 
 
+def test_train_baseline_defaults_to_one_thread(dataset_dir, tmp_path):
+    out = tmp_path / "model"
+    code = main([
+        "train-baseline", "--input", str(dataset_dir), "--output", str(out),
+        "--dim", "4", "--epochs", "1",
+    ])
+    assert code == 0
+    manifest = (out / "manifest.tsv").read_text(encoding="utf-8").splitlines()
+    assert "threads\t1" in manifest
+
+
 def test_output_file_gets_sibling_manifest(dataset_dir, tmp_path):
     target = tmp_path / "stats.tsv"
     assert main(["stats", "--input", str(dataset_dir), "--output", str(target)]) == 0

@@ -153,7 +153,7 @@ def _write_predictions(path, rows):
 def test_predictions_gold_first_everywhere(six_entity_kg, tmp_path):
     rows = []
     for h, r, t in six_entity_kg.test:
-        rows.append((h, r, t, "tail", [t, "e0"]))
+        rows.append((h, r, t, "tail", [t, "e1"]))
         rows.append((h, r, t, "head", [h, "e1"]))
     path = tmp_path / "preds.tsv"
     _write_predictions(path, rows)
@@ -216,6 +216,18 @@ def test_predictions_duplicate_line_rejected(six_entity_kg, tmp_path):
     path = tmp_path / "preds.tsv"
     _write_predictions(path, rows)
     with pytest.raises(ValidationError, match="duplicate"):
+        evaluate_predictions(six_entity_kg, path)
+
+
+def test_predictions_duplicate_candidate_rejected(six_entity_kg, tmp_path):
+    # a rival listed twice ahead of the gold would push the gold's rank down
+    rows = []
+    for h, r, t in six_entity_kg.test:
+        rows.append((h, r, t, "tail", ["e1", "e1", t]))
+        rows.append((h, r, t, "head", [h]))
+    path = tmp_path / "preds.tsv"
+    _write_predictions(path, rows)
+    with pytest.raises(ValidationError, match="preds.tsv:1: duplicate candidate 'e1'"):
         evaluate_predictions(six_entity_kg, path)
 
 

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from kgsynth.evaluate import Query, rank_gold
+from kgsynth.errors import ValidationError
+from kgsynth.evaluate import Query, compute_metrics, rank_gold, split_queries
 from kgsynth.transe import (
     DivergenceError,
     EmbeddingModel,
@@ -13,6 +14,7 @@ from kgsynth.transe import (
     load_model,
     margin_loss_and_grads,
     probe_loss,
+    rank_queries,
     save_model,
     score_all,
     score_triple,
@@ -21,7 +23,7 @@ from kgsynth.transe import (
 from kgsynth.transform import generate_suite
 from kgsynth.kg import load_dataset
 
-from conftest import make_kg
+from conftest import make_kg, random_kg
 
 
 @pytest.fixture
@@ -287,6 +289,56 @@ def test_keystone_invariance_on_fixture_suite(family_kg, tmp_path):
             base = report
         else:
             assert report == base, result.label
+
+
+def _dict_path_records(model, kg, split, filtered):
+    return [
+        rank_gold(score_all(model, *q.known, q.direction), q, kg, filtered=filtered)
+        for q in split_queries(kg, split)
+    ]
+
+
+def test_row_space_ranks_equal_dict_path():
+    rng = random.Random(17)
+    tied = 0
+    for trial in range(6):
+        kg = random_kg(rng, n_entities=rng.randint(8, 25), n_relations=rng.randint(1, 3),
+                       n_train=20, n_valid=4, n_test=6)
+        n = len(kg.entities)
+        nprng = np.random.default_rng(trial)
+        vectors = nprng.normal(size=(n, 4))
+        # duplicated entity vectors force exact score ties (pessimistic policy)
+        vectors[[1, 3, 5]] = vectors[0]
+        relations = nprng.normal(size=(len(kg.relations), 4))
+        perm = rng.sample(range(n), n)
+        for norm in ("L1", "L2"):
+            model = EmbeddingModel(kg.entity_ids, kg.relation_ids, vectors, relations, norm=norm)
+            permuted = EmbeddingModel(tuple(kg.entity_ids[i] for i in perm), kg.relation_ids,
+                                      vectors[perm], relations, norm=norm)
+            for split in ("test", "valid"):
+                for filtered in (True, False):
+                    expected = _dict_path_records(model, kg, split, filtered)
+                    for candidate in (model, permuted):
+                        got = rank_queries(candidate, kg, split, filtered)
+                        assert got == expected, (trial, norm, split, filtered)
+                        assert evaluate_model(candidate, kg, split, filtered) == compute_metrics(
+                            expected, filtered=filtered)
+                    for rec in expected:
+                        scores = score_all(model, *rec.query.known, rec.query.direction)
+                        tied += list(scores.values()).count(scores[rec.query.gold]) > 1
+    assert tied > 0
+
+
+def test_model_missing_an_entity_rejected():
+    kg = random_kg(random.Random(3))
+    full = init_model(kg, dim=4, seed=0)
+    model = EmbeddingModel(full.entity_ids[:-1], full.relation_ids,
+                           full.entity_vectors[:-1], full.relation_vectors)
+    with pytest.raises(ValidationError):
+        evaluate_model(model, kg, "test")
+    query = next(q for q in split_queries(kg) if q.known[0] in model.entity_row)
+    with pytest.raises(ValidationError):
+        rank_gold(score_all(model, *query.known, query.direction), query, kg)
 
 
 # --- checkpointing --------------------------------------------------------------------
