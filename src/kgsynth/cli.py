@@ -218,26 +218,27 @@ def leakage(input_dir: str, output: str | None) -> None:
 @click.option("--epochs", type=click.IntRange(min=0), default=100, show_default=True)
 @click.option("--negatives", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Worker threads; only 1 guarantees bit-exact reproducibility.")
+@click.option("--batch-size", type=click.IntRange(min=1), default=1024, show_default=True,
+              help="(triple, negative) pairs per update; 1 is per-triple SGD.")
 @click.option("--eval-split", type=click.Choice(["none", "valid", "test"]), default="none",
               show_default=True)
 def train_baseline(input_dir: str, output_dir: str, dim: int, margin: float, norm: str,
                    learning_rate: float, epochs: int, negatives: int, seed: int,
-                   threads: int, eval_split: str) -> None:
+                   batch_size: int, eval_split: str) -> None:
     """Train the structure-only baseline and checkpoint it."""
     manifest = RunManifest(
         "train-baseline", input_dir, output_dir, seed=seed, started_at=_now(),
         params={
             "dim": str(dim), "margin": repr(margin), "norm": norm,
             "learning_rate": repr(learning_rate), "epochs": str(epochs),
-            "negatives": str(negatives), "threads": str(threads), "eval_split": eval_split,
+            "negatives": str(negatives), "batch_size": str(batch_size),
+            "eval_split": eval_split,
         },
     )
     graph = kg.load_dataset(input_dir)
     config = transe.TrainConfig(
         dim=dim, margin=margin, norm=norm, learning_rate=learning_rate,
-        epochs=epochs, negatives_per_positive=negatives, seed=seed, workers=threads,
+        epochs=epochs, negatives_per_positive=negatives, seed=seed, batch_size=batch_size,
     )
     model = transe.train(graph, config)
     out = Path(output_dir)

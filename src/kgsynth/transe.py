@@ -2,10 +2,11 @@
 
 Entities and relations live in R^d; a triple (h, r, t) scores the negative
 distance ||v_h + v_r - v_t|| under L1 or L2. Training minimizes the margin
-ranking loss max(0, margin + d_pos - d_neg) with uniform negative sampling,
-one corrupted head or tail per positive. The model consumes ids only, never
-surface text, which is exactly what makes it a perturbation-invariance
-oracle for the transform suite.
+ranking loss max(0, margin + d_pos - d_neg) with uniform negative sampling
+(a corrupted head or tail per negative) by minibatch SGD: one update per
+batch of (triple, negative) pairs, from their summed gradients. The model
+consumes ids only, never surface text, which is exactly what makes it a
+perturbation-invariance oracle for the transform suite.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class TrainConfig:
     epochs: int = 100
     negatives_per_positive: int = 1
     seed: int = 0
-    workers: int = 1  # >1 trades bit-exact reproducibility for speed
+    batch_size: int = 1024
 
 
 @dataclass(frozen=True)
@@ -80,20 +81,19 @@ class EmbeddingModel:
         return self.relation_vectors[row]
 
 
-def _distance(diff: np.ndarray, norm: str) -> float:
+def _distance(diff: np.ndarray, norm: str) -> np.ndarray:
+    """Translation distance along the last axis: one per row of ``diff``."""
     if norm == "L1":
-        return float(np.abs(diff).sum())
-    return float(np.sqrt((diff * diff).sum()))
+        return np.abs(diff).sum(axis=-1)
+    return np.sqrt((diff * diff).sum(axis=-1))
 
 
 def _distance_grad(diff: np.ndarray, norm: str) -> np.ndarray:
     # Subgradient at kinks: sign(0) = 0 for L1, zero vector at d = 0 for L2.
     if norm == "L1":
         return np.sign(diff)
-    d = np.sqrt((diff * diff).sum())
-    if d < _EPS:
-        return np.zeros_like(diff)
-    return diff / d
+    d = _distance(diff, norm)[..., None]
+    return np.divide(diff, d, out=np.zeros_like(diff), where=d >= _EPS)
 
 
 def init_model(kg: KnowledgeGraph, dim: int, seed: int, norm: str = "L1",
@@ -132,7 +132,7 @@ def _normalize_rows(matrix: np.ndarray) -> None:
 def score_triple(model: EmbeddingModel, h: str, r: str, t: str) -> float:
     """Negative translation distance; higher means more plausible."""
     diff = model.entity_vector(h) + model.relation_vector(r) - model.entity_vector(t)
-    return -_distance(diff, model.norm)
+    return -float(_distance(diff, model.norm))
 
 
 def margin_loss_and_grads(
@@ -161,18 +161,24 @@ def margin_loss_and_grads(
 
 
 def train(kg: KnowledgeGraph, config: TrainConfig = TrainConfig()) -> EmbeddingModel:
-    """Margin-ranking SGD over the train split.
+    """Margin-ranking minibatch SGD over the train split.
 
-    Deterministic for a fixed seed when ``workers == 1``; with more workers,
-    disjoint minibatches update the shared vectors last-write-wins and only
-    statistical reproducibility is claimed. Entity vectors are renormalized
-    to unit L2 norm after every epoch.
+    Each epoch pairs every train triple, in a seeded random order, with
+    ``negatives_per_positive`` corruptions, and cuts the (triple, negative)
+    pairs into batches of ``batch_size``. One update per batch applies the
+    hinge gradients of its active pairs, all taken from the vectors as they
+    stood before the batch, in pair order; ``batch_size=1`` is per-triple
+    SGD. Every run is bit-reproducible for a fixed config. Entity vectors
+    are renormalized to unit L2 norm after every epoch.
     """
     if not kg.train:
         raise ValueError("train split is empty")
+    for name, low in (("negatives_per_positive", 1), ("batch_size", 1), ("epochs", 0)):
+        if getattr(config, name) < low:
+            raise ValueError(f"{name} must be >= {low}, got {getattr(config, name)}")
     model = init_model(kg, config.dim, config.seed, norm=config.norm, margin=config.margin)
     # init_model orders the model's rows as the graph's
-    h_idx, r_idx, t_idx = kg.split_rows["train"].T
+    rows = kg.split_rows["train"]
 
     entities = model.entity_vectors
     relations = model.relation_vectors
@@ -188,99 +194,85 @@ def train(kg: KnowledgeGraph, config: TrainConfig = TrainConfig()) -> EmbeddingM
             repeats = config.negatives_per_positive
             corrupt_tail = rng.random((n_train, repeats)) < 0.5
             corrupt_with = rng.integers(0, n_entities, size=(n_train, repeats))
-            if config.workers > 1:
-                _run_epoch_threaded(
-                    entities, relations, h_idx, r_idx, t_idx,
-                    order, corrupt_tail, corrupt_with, config,
-                )
-            else:
-                _run_epoch(
-                    entities, relations, h_idx, r_idx, t_idx,
-                    order, corrupt_tail, corrupt_with, config,
-                )
+            # (h, r, t, h_neg, t_neg) pairs: triples in order, each one's negatives in turn
+            triples = rows[np.repeat(order, repeats)]
+            tail, other = corrupt_tail[order].ravel(), corrupt_with[order].ravel()
+            pairs = np.column_stack([triples, np.where(tail, triples[:, 0], other),
+                                     np.where(tail, other, triples[:, 2])])
+            for start in range(0, len(pairs), config.batch_size):
+                _step(entities, relations, pairs[start:start + config.batch_size], config)
             _normalize_rows(entities)
             if not (np.isfinite(entities).all() and np.isfinite(relations).all()):
                 raise DivergenceError(f"non-finite embeddings after epoch {epoch + 1}")
     return model
 
 
-def _run_epoch(entities, relations, h_idx, r_idx, t_idx,
-               order, corrupt_tail, corrupt_with, config) -> None:
+def _hinge(entities, relations, h, r, t, h_neg, t_neg, margin, norm):
+    """Per-pair ``margin + d_pos - d_neg`` and the two translation residuals."""
+    rel = relations[r]
+    diff_pos = entities[h] + rel - entities[t]
+    diff_neg = entities[h_neg] + rel - entities[t_neg]
+    loss = margin + _distance(diff_pos, norm) - _distance(diff_neg, norm)
+    return loss, diff_pos, diff_neg
+
+
+def _step(entities, relations, pairs: np.ndarray, config: TrainConfig) -> None:
+    """One update from the summed hinge gradients of (h, r, t, h_neg, t_neg) pairs.
+
+    ``subtract.at`` applies them in pair order (h, t, h_neg, t_neg within a
+    pair), as per-triple SGD on ``margin_loss_and_grads`` does, so a one-pair
+    batch is bit-identical to it.
+    """
+    loss, diff_pos, diff_neg = _hinge(entities, relations, *pairs.T, config.margin, config.norm)
+    active = ~(loss <= 0.0)  # a NaN loss updates, as in the scalar path
+    if not active.any():
+        return
+    g_pos = _distance_grad(diff_pos[active], config.norm)
+    g_neg = _distance_grad(diff_neg[active], config.norm)
     lr = config.learning_rate
-    margin = config.margin
-    norm = config.norm
-    for i in order:
-        h, r, t = h_idx[i], r_idx[i], t_idx[i]
-        for k in range(corrupt_tail.shape[1]):
-            if corrupt_tail[i, k]:
-                h_neg, t_neg = h, corrupt_with[i, k]
-            else:
-                h_neg, t_neg = corrupt_with[i, k], t
-            loss, grads = margin_loss_and_grads(
-                entities[h], relations[r], entities[t],
-                entities[h_neg], entities[t_neg], margin, norm,
-            )
-            if loss <= 0.0:
-                continue
-            g_h, g_r, g_t, g_h_neg, g_t_neg = grads
-            entities[h] -= lr * g_h
-            relations[r] -= lr * g_r
-            entities[t] -= lr * g_t
-            entities[h_neg] -= lr * g_h_neg
-            entities[t_neg] -= lr * g_t_neg
+    pairs = pairs[active]
+    _subtract_rows_at(relations, pairs[:, 1], lr * (g_pos - g_neg))
+    step_pos, step_neg = lr * g_pos, lr * g_neg
+    steps = np.stack([step_pos, -step_pos, -step_neg, step_neg], axis=1)
+    _subtract_rows_at(entities, pairs[:, [0, 2, 3, 4]].ravel(), steps)
 
 
-def _run_epoch_threaded(entities, relations, h_idx, r_idx, t_idx,
-                        order, corrupt_tail, corrupt_with, config) -> None:
-    from concurrent.futures import ThreadPoolExecutor
+def _subtract_rows_at(matrix: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``np.subtract.at(matrix, rows, values)`` bit for bit, on numpy's faster 1-D path.
 
-    chunks = np.array_split(order, config.workers)
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        futures = [
-            pool.submit(
-                _run_epoch, entities, relations, h_idx, r_idx, t_idx,
-                chunk, corrupt_tail, corrupt_with, config,
-            )
-            for chunk in chunks
-            if len(chunk)
-        ]
-        for future in futures:
-            future.result()
+    ``matrix`` must be C-contiguous, so that ``reshape`` returns a view.
+    """
+    dim = matrix.shape[1]
+    flat = (rows[:, None] * dim + np.arange(dim)).ravel()
+    np.subtract.at(matrix.reshape(-1), flat, values.ravel())
 
 
 def probe_loss(model: EmbeddingModel, kg: KnowledgeGraph, seed: int = 0,
                batch_size: int = 1000) -> float:
     """Mean hinge loss over a fixed probe batch with fixed negatives.
 
-    Depends only on (kg, seed, batch_size) for the batch, so successive
-    models from a deterministic training run are directly comparable.
+    Depends only on (kg, seed, batch_size) for the batch, which names its
+    entities by id, so any two models over the graph are directly comparable.
     """
     n = min(batch_size, len(kg.train))
     if n == 0:
         raise ValueError("train split is empty")
     rng = np.random.default_rng([seed, 2])
-    entity_row = model.entity_row
-    triples = kg.train[:n]
     corrupt_tail = rng.random(n) < 0.5
-    corrupt_with = rng.integers(0, len(kg.entity_ids), size=n)
-    total = 0.0
-    for i, (h, r, t) in enumerate(triples):
-        h_row, t_row = entity_row[h], entity_row[t]
-        if corrupt_tail[i]:
-            h_neg, t_neg = h_row, int(corrupt_with[i])
-        else:
-            h_neg, t_neg = int(corrupt_with[i]), t_row
-        loss, _ = margin_loss_and_grads(
-            model.entity_vectors[h_row],
-            model.relation_vector(r),
-            model.entity_vectors[t_row],
-            model.entity_vectors[h_neg],
-            model.entity_vectors[t_neg],
-            model.margin,
-            model.norm,
-        )
-        total += loss
-    return total / n
+    to_entity = _row_map(model.entity_row, kg.entity_ids)
+    corrupt_with = to_entity[rng.integers(0, len(kg.entity_ids), size=n)]
+    h, r, t = kg.split_rows["train"][:n].T
+    h, r, t = to_entity[h], _row_map(model.relation_row, kg.relation_ids)[r], to_entity[t]
+    h_neg = np.where(corrupt_tail, h, corrupt_with)
+    t_neg = np.where(corrupt_tail, corrupt_with, t)
+    loss, _, _ = _hinge(model.entity_vectors, model.relation_vectors, h, r, t, h_neg, t_neg,
+                        model.margin, model.norm)
+    return float(np.maximum(loss, 0.0).sum()) / n
+
+
+def _row_map(model_row: dict[str, int], graph_ids: tuple[str, ...]) -> np.ndarray:
+    """Model row of each graph row, for the same ids."""
+    return np.array([model_row[i] for i in graph_ids], dtype=np.intp)
 
 
 def _scores_into(buf: np.ndarray, entities: np.ndarray, known: np.ndarray, rel: np.ndarray,
@@ -342,7 +334,7 @@ def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
         answers = filter_rows(kg, queries)
     else:
         answers = [np.empty(0, dtype=np.int64)] * len(queries)
-    to_model = np.array([entity_row[e] for e in kg.entity_ids], dtype=np.intp)
+    to_model = _row_map(entity_row, kg.entity_ids)
     entities = model.entity_vectors
     buf = np.empty_like(entities)
     records = []

@@ -358,7 +358,7 @@ def test_criterion_08_metrics_oracle():
 
 def test_criterion_09_transe_keystone_invariance(family_kg, tmp_path):
     start = time.monotonic()
-    config = TrainConfig(dim=8, epochs=15, learning_rate=0.05, seed=77, workers=1)
+    config = TrainConfig(dim=8, epochs=15, learning_rate=0.05, seed=77)
 
     def invariance(kg, label, train_config):
         results = generate_suite(kg, seed=13, output_dir=tmp_path / label)
@@ -386,7 +386,7 @@ def test_criterion_09_transe_keystone_invariance(family_kg, tmp_path):
     timing = ""
     if _real("wn18rr") is not None and os.environ.get("KGSYNTH_FULL_TRANSE") == "1":
         wn_kg = load_dataset(_real("wn18rr"))
-        wn_config = TrainConfig(dim=50, epochs=20, learning_rate=0.01, seed=5, workers=1)
+        wn_config = TrainConfig(dim=50, epochs=20, learning_rate=0.01, seed=5)
         wn_start = time.monotonic()
         invariance(wn_kg, "wn-full", wn_config)
         wn_elapsed = time.monotonic() - wn_start

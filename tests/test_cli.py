@@ -181,7 +181,7 @@ def test_train_baseline_writes_checkpoint_and_metrics(dataset_dir, tmp_path, cap
     out = tmp_path / "model"
     code = main([
         "train-baseline", "--input", str(dataset_dir), "--output", str(out),
-        "--dim", "4", "--epochs", "2", "--seed", "1", "--threads", "1",
+        "--dim", "4", "--epochs", "2", "--seed", "1",
         "--eval-split", "test",
     ])
     assert code == 0
@@ -192,15 +192,18 @@ def test_train_baseline_writes_checkpoint_and_metrics(dataset_dir, tmp_path, cap
     assert "mrr\t" in capsys.readouterr().out
 
 
-def test_train_baseline_defaults_to_one_thread(dataset_dir, tmp_path):
-    out = tmp_path / "model"
-    code = main([
-        "train-baseline", "--input", str(dataset_dir), "--output", str(out),
-        "--dim", "4", "--epochs", "1",
-    ])
-    assert code == 0
-    manifest = (out / "manifest.tsv").read_text(encoding="utf-8").splitlines()
-    assert "threads\t1" in manifest
+def test_train_baseline_is_reproducible(dataset_dir, tmp_path):
+    vectors = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main([
+            "train-baseline", "--input", str(dataset_dir), "--output", str(out),
+            "--dim", "4", "--epochs", "3",
+        ]) == 0
+        vectors.append((out / "entity_vectors.tsv").read_bytes())
+    assert vectors[0] == vectors[1]
+    manifest = (tmp_path / "a" / "manifest.tsv").read_text(encoding="utf-8").splitlines()
+    assert "batch_size\t1024" in manifest
 
 
 def test_output_file_gets_sibling_manifest(dataset_dir, tmp_path):

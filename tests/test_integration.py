@@ -60,7 +60,7 @@ def test_full_cli_session(tmp_path, capsys):
         assert main([
             "train-baseline", "--input", str(suite_dir / label), "--output", str(out),
             "--dim", "8", "--epochs", "10", "--learning-rate", "0.05",
-            "--seed", "11", "--threads", "1", "--eval-split", "test",
+            "--seed", "11", "--eval-split", "test",
         ]) == 0
         metrics[label] = (out / "metrics.tsv").read_bytes()
     capsys.readouterr()

@@ -9,6 +9,7 @@ from kgsynth.transe import (
     DivergenceError,
     EmbeddingModel,
     TrainConfig,
+    _normalize_rows,
     evaluate_model,
     init_model,
     load_model,
@@ -187,7 +188,7 @@ def test_zero_learning_rate_keeps_init(pattern_kg):
 
 
 def test_training_deterministic_single_worker(pattern_kg):
-    config = TrainConfig(dim=8, epochs=10, learning_rate=0.05, seed=6, workers=1)
+    config = TrainConfig(dim=8, epochs=10, learning_rate=0.05, seed=6)
     a = train(pattern_kg, config)
     b = train(pattern_kg, config)
     assert np.array_equal(a.entity_vectors, b.entity_vectors)
@@ -238,10 +239,100 @@ def test_divergence_error_names_epoch(pattern_kg):
         train(pattern_kg, config)
 
 
-def test_multiworker_mode_runs(pattern_kg):
-    config = TrainConfig(dim=8, epochs=3, learning_rate=0.05, seed=3, workers=3)
-    model = train(pattern_kg, config)
-    assert np.isfinite(model.entity_vectors).all()
+def _per_triple_reference(kg, config):
+    """Per-triple SGD on the scalar margin_loss_and_grads, with train's draws."""
+    model = init_model(kg, config.dim, config.seed, norm=config.norm, margin=config.margin)
+    entities, relations = model.entity_vectors, model.relation_vectors
+    rows = kg.split_rows["train"]
+    rng = np.random.default_rng([config.seed, 1])
+    lr, k = config.learning_rate, config.negatives_per_positive
+    for _ in range(config.epochs):
+        order = rng.permutation(len(rows))
+        corrupt_tail = rng.random((len(rows), k)) < 0.5
+        corrupt_with = rng.integers(0, len(kg.entity_ids), size=(len(rows), k))
+        for i in order:
+            h, r, t = rows[i]
+            for tail, other in zip(corrupt_tail[i], corrupt_with[i]):
+                h_neg, t_neg = (h, other) if tail else (other, t)
+                loss, (g_h, g_r, g_t, g_h_neg, g_t_neg) = margin_loss_and_grads(
+                    entities[h], relations[r], entities[t], entities[h_neg], entities[t_neg],
+                    config.margin, config.norm)
+                if loss <= 0.0:
+                    continue
+                entities[h] -= lr * g_h
+                relations[r] -= lr * g_r
+                entities[t] -= lr * g_t
+                entities[h_neg] -= lr * g_h_neg
+                entities[t_neg] -= lr * g_t_neg
+        _normalize_rows(entities)
+    return model
+
+
+def test_batch_of_one_is_bit_identical_to_per_triple_sgd(pattern_kg):
+    rng = random.Random(23)
+    # a self-loop repeats one entity row within a pair
+    loop_kg = make_kg(entities=list("abcd"), relations=["r"],
+                      train=[("a", "r", "a"), ("a", "r", "b"), ("c", "r", "d")],
+                      test=[("b", "r", "c")])
+    graphs = [pattern_kg, loop_kg] + [
+        random_kg(rng, n_entities=rng.randint(5, 12), n_relations=rng.randint(1, 3), n_train=15)
+        for _ in range(3)
+    ]
+    for kg in graphs:
+        for norm in ("L1", "L2"):
+            for negatives in (1, 3):
+                config = TrainConfig(dim=6, epochs=4, learning_rate=0.05, norm=norm, seed=8,
+                                     negatives_per_positive=negatives, batch_size=1)
+                got, expected = train(kg, config), _per_triple_reference(kg, config)
+                case = (kg.train, norm, negatives)
+                assert np.array_equal(got.entity_vectors, expected.entity_vectors), case
+                assert np.array_equal(got.relation_vectors, expected.relation_vectors), case
+
+
+def test_batch_larger_than_train_split(pattern_kg):
+    # one step per epoch over every (triple, negative) pair
+    config = TrainConfig(dim=8, epochs=6, learning_rate=0.05, seed=2, negatives_per_positive=2,
+                         batch_size=10 * len(pattern_kg.train))
+    a, b = train(pattern_kg, config), train(pattern_kg, config)
+    assert np.isfinite(a.entity_vectors).all() and np.isfinite(a.relation_vectors).all()
+    assert np.array_equal(a.entity_vectors, b.entity_vectors)
+    assert np.array_equal(a.relation_vectors, b.relation_vectors)
+    init = init_model(pattern_kg, dim=8, seed=2)
+    assert not np.array_equal(a.entity_vectors, init.entity_vectors)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("negatives_per_positive", 0), ("batch_size", 0), ("epochs", -1),
+])
+def test_train_rejects_out_of_range_config(pattern_kg, field, value):
+    with pytest.raises(ValueError, match=field):
+        train(pattern_kg, TrainConfig(dim=4, **{field: value}))
+
+
+@pytest.mark.parametrize("norm", ["L1", "L2"])
+def test_probe_loss_equals_scalar_mean(norm):
+    kg = random_kg(random.Random(5), n_entities=12, n_relations=3, n_train=30)
+    model = init_model(kg, dim=6, seed=1, norm=norm, margin=2.0)
+    n = 20
+    rng = np.random.default_rng([4, 2])
+    corrupt_tail = rng.random(n) < 0.5
+    corrupt_with = rng.integers(0, len(kg.entity_ids), size=n)
+    losses = []
+    for i, (h, r, t) in enumerate(kg.train[:n]):
+        other = kg.entity_ids[corrupt_with[i]]
+        h_neg, t_neg = (h, other) if corrupt_tail[i] else (other, t)
+        vectors = [model.entity_vector(h), model.relation_vector(r), model.entity_vector(t),
+                   model.entity_vector(h_neg), model.entity_vector(t_neg)]
+        losses.append(margin_loss_and_grads(*vectors, 2.0, norm)[0])
+    assert sum(losses) > 0
+    # the probe names entities and relations by id, whatever the model's row order
+    perm = random.Random(1).sample(range(len(kg.entities)), len(kg.entities))
+    permuted = EmbeddingModel(tuple(kg.entity_ids[i] for i in perm), kg.relation_ids[::-1],
+                              model.entity_vectors[perm], model.relation_vectors[::-1],
+                              norm=norm, margin=2.0)
+    for candidate in (model, permuted):
+        assert probe_loss(candidate, kg, seed=4, batch_size=n) == pytest.approx(
+            sum(losses) / n, rel=1e-12, abs=0)
 
 
 # --- evaluation ---------------------------------------------------------------------
@@ -280,7 +371,7 @@ def test_untrained_model_near_chance():
 
 def test_keystone_invariance_on_fixture_suite(family_kg, tmp_path):
     results = generate_suite(family_kg, seed=5, output_dir=tmp_path)
-    config = TrainConfig(dim=8, epochs=15, learning_rate=0.05, seed=9, workers=1)
+    config = TrainConfig(dim=8, epochs=15, learning_rate=0.05, seed=9)
     base = None
     for result in results:
         variant = load_dataset(result.path)
