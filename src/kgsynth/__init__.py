@@ -46,12 +46,8 @@ from .transform import (
     SUITE_VARIANTS,
     TransformMapping,
     TransformRecipe,
-    anonymized_entities,
     apply_recipe,
-    fully_anonymized,
     generate_suite,
-    inconsistent_descriptions,
-    virtual_world,
 )
 from .transe import (
     EmbeddingModel,

@@ -25,12 +25,7 @@ from .errors import (
     ValidationError,
 )
 
-_RECIPE_NAMES = {
-    "virtual-world": "virtual_world",
-    "anonymized-entities": "anonymized_entities",
-    "inconsistent-descriptions": "inconsistent_descriptions",
-    "fully-anonymized": "fully_anonymized",
-}
+_RECIPE_NAMES = {kind.replace("_", "-"): kind for kind in transform.RECIPES if kind != "base"}
 
 
 @dataclass
@@ -153,16 +148,12 @@ def transform_cmd(input_dir: str, output_dir: str, recipe: str, targets: str, se
     manifest = RunManifest("transform", input_dir, output_dir, seed=seed, started_at=_now(),
                            params={"recipe": recipe, "targets": ",".join(sorted(target_set))})
     graph = kg.load_dataset(input_dir)
-    kind = _RECIPE_NAMES[recipe]
     try:
-        out_kg, mapping = transform.apply_recipe(graph, kind, target_set, seed)
+        out_kg, mapping = transform.apply_recipe(graph, _RECIPE_NAMES[recipe], target_set, seed)
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from exc
     out = Path(output_dir)
-    kg.write_dataset(out_kg, out)
-    transform.write_mapping(graph, out_kg, mapping, out / transform.MAPPING_FILE)
-    recipe_targets = mapping.recipe.targets
-    transform.write_recipe(recipe, kind, recipe_targets, seed, out / transform.RECIPE_FILE)
+    transform.write_variant(graph, out_kg, mapping, recipe, out)
     _finish(manifest, out)
     click.echo(f"wrote variant to {out}")
 

@@ -9,14 +9,17 @@ A dataset directory holds six UTF-8, LF-terminated files:
 
 Names and descriptions must not contain tabs or newlines; such values are
 rejected rather than escaped so files stay greppable and round-trips stay
-byte-exact. ``descriptions.tsv`` may omit entities (missing means empty).
-Entity and relation iteration order is file order; every seeded algorithm
-downstream indexes against this order, which is what makes runs reproducible.
+byte-exact. A split must not list the same triple twice, since evaluation
+would rank and weight it twice. ``descriptions.tsv`` may omit entities
+(missing means empty). Entity and relation iteration order is file order;
+every seeded algorithm downstream indexes against this order, which is what
+makes runs reproducible.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -140,7 +143,7 @@ class KnowledgeGraph:
                 f"descriptions out of sync with entities "
                 f"(unknown ids: {extra[:3]}, missing ids: {missing[:3]})"
             )
-        train, valid, test = set(self.train), set(self.valid), set(self.test)
+        train, valid, test = (self._split_set(split) for split in SPLITS)
         if train & valid or train & test or valid & test:
             overlap = (train & valid) | (train & test) | (valid & test)
             raise ValidationError(f"splits share triples, e.g. {next(iter(overlap))}")
@@ -148,6 +151,14 @@ class KnowledgeGraph:
             _check_cell(text, "name")
         for text in self.descriptions.values():
             _check_cell(text, "description")
+
+    def _split_set(self, split: str) -> set[Triple]:
+        triples = self.split(split)
+        unique = set(triples)
+        if len(unique) != len(triples):
+            duplicate = next(triple for triple, n in Counter(triples).items() if n > 1)
+            raise ValidationError(f"{split}: duplicate triple {duplicate!r}")
+        return unique
 
 
 @dataclass(frozen=True)
@@ -202,6 +213,19 @@ def _read_triples(path: Path, entity_ids: set[str], relation_ids: set[str]) -> l
     return triples
 
 
+def _raise_repeated_triple(path: Path) -> None:
+    """Name the file line of the first triple that repeats an earlier one."""
+    seen: set[str] = set()
+    with open(path, encoding="utf-8", newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if line in seen:
+                triple = tuple(line.split("\t"))
+                raise ValidationError(f"{path.name}:{lineno}: duplicate triple {triple!r}")
+            if line:
+                seen.add(line)
+
+
 def load_dataset(directory: str | os.PathLike) -> KnowledgeGraph:
     """Load and validate a dataset directory.
 
@@ -250,7 +274,15 @@ def load_dataset(directory: str | os.PathLike) -> KnowledgeGraph:
         test=tuple(_read_triples(root / "test.tsv", entity_ids, relation_ids)),
         descriptions=descriptions,
     )
-    kg.validate()
+    try:
+        kg.validate()
+    except ValidationError:
+        # validate spots a repeated triple from the split sets it builds
+        # anyway, so loading builds no set of its own; only on an error are
+        # the files scanned, to name the line of a repeat if there is one.
+        for split in SPLITS:
+            _raise_repeated_triple(root / f"{split}.tsv")
+        raise
     return kg
 
 

@@ -1,21 +1,36 @@
 """Structure-preserving text perturbations and the full variant suite.
 
-Four recipes rewrite a knowledge graph's surface text while leaving the id
-structure of every triple untouched:
+Every recipe rewrites a knowledge graph's surface text while leaving the id
+structure of every triple untouched. A recipe kind is one row of ``RECIPES``:
+how the targeted names are made, and what then happens to descriptions.
+``base`` has no operations and copies the input; the others are
 
-- ``virtual_world``: derange entity and/or relation names; with entities
-  targeted, in-description mentions move to the post-shuffle names.
-- ``anonymized_entities``: replace targeted names with unique random strings
-  from a character unigram model fitted on the original names; mentions
-  follow.
-- ``inconsistent_descriptions``: break the text-to-structure link, either by
-  deranging the description assignment alone or by shuffling names with each
-  description traveling along (mentions left as-is).
-- ``fully_anonymized``: replace every description with an independent unique
-  random string, optionally anonymizing names too.
+- ``virtual_world``: derange names, rewrite mentions;
+- ``anonymized_entities``: sample names, rewrite mentions;
+- ``inconsistent_descriptions``: derange names, reassign descriptions;
+- ``fully_anonymized``: sample names, regenerate descriptions.
 
+The operations:
+
+- ``derange``: shuffle the targeted name table so no name stays put;
+  relation names avoid the removed edges, so no swap leaves a triple
+  unchanged.
+- ``sample``: unique random strings from a character unigram model fitted
+  on the original entity and relation names. Entities, then relations, then
+  regenerated descriptions draw from one forbidden set, seeded with every
+  original name and description, so all strings are distinct.
+- ``rewrite``: when entities are renamed, in-description mentions move to
+  the new names.
+- ``reassign``: derange which entity each description belongs to; with
+  entities targeted, each description travels with its name and its
+  mentions are left as-is, which is the point.
+- ``regenerate``: replace every description with an independent unique
+  random string.
+
+The two kinds that reassign or regenerate always replace descriptions, so
+``descriptions`` is implied among their targets; ``base`` takes no targets.
 Randomness is derived per (seed, kind, field) with a stable 64-bit mix, so
-results are reproducible regardless of execution order or thread count.
+results are reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -23,6 +38,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import derangement as drg
 from .errors import InfeasibleError, KgsynthError
@@ -30,12 +46,20 @@ from .kg import KnowledgeGraph, write_dataset
 from .rewriter import NameMap, rewrite_descriptions
 from .textgen import fit_unigram, sample_unique_strings
 
-KINDS = (
-    "virtual_world",
-    "anonymized_entities",
-    "inconsistent_descriptions",
-    "fully_anonymized",
-)
+
+class RecipeOps(NamedTuple):
+    names: str | None  # "derange" or "sample"
+    descriptions: str | None  # "rewrite", "reassign" or "regenerate"
+
+
+RECIPES: dict[str, RecipeOps] = {
+    "base": RecipeOps(None, None),
+    "virtual_world": RecipeOps("derange", "rewrite"),
+    "anonymized_entities": RecipeOps("sample", "rewrite"),
+    "inconsistent_descriptions": RecipeOps("derange", "reassign"),
+    "fully_anonymized": RecipeOps("sample", "regenerate"),
+}
+_REPLACES_DESCRIPTIONS = ("reassign", "regenerate")
 NAME_TARGETS = frozenset({"entities", "relations"})
 ALL_TARGETS = frozenset({"entities", "relations", "descriptions"})
 _TARGET_ORDER = ("entities", "relations", "descriptions")
@@ -51,17 +75,19 @@ class TransformRecipe:
     seed: int
 
     def validate(self) -> None:
-        if self.kind not in KINDS:
+        ops = RECIPES.get(self.kind)
+        if ops is None:
             raise ValueError(f"unknown recipe kind {self.kind!r}")
         if not self.targets <= ALL_TARGETS:
             raise ValueError(f"unknown targets: {sorted(self.targets - ALL_TARGETS)}")
-        if self.kind in ("virtual_world", "anonymized_entities"):
-            if not self.targets or not self.targets <= NAME_TARGETS:
-                raise ValueError(
-                    f"{self.kind} requires a nonempty subset of {sorted(NAME_TARGETS)}"
-                )
-        elif "descriptions" not in self.targets:
-            raise ValueError(f"{self.kind} requires 'descriptions' among its targets")
+        if ops.names is None:
+            if self.targets:
+                raise ValueError(f"{self.kind} takes no targets")
+        elif ops.descriptions in _REPLACES_DESCRIPTIONS:
+            if "descriptions" not in self.targets:
+                raise ValueError(f"{self.kind} requires 'descriptions' among its targets")
+        elif not self.targets or not self.targets <= NAME_TARGETS:
+            raise ValueError(f"{self.kind} requires a nonempty subset of {sorted(NAME_TARGETS)}")
 
 
 @dataclass(frozen=True)
@@ -96,256 +122,94 @@ def _rewrite_map(kg: KnowledgeGraph, new_names: list[str]) -> NameMap:
     return name_map
 
 
-def _deranged_entity_names(kg: KnowledgeGraph, seed: int) -> drg.DerangementResult:
-    names = [name for _, name in kg.entities]
+def _derange_names(kg: KnowledgeGraph, part: str, seed: int) -> drg.DerangementResult:
+    """Derange one name table; relation names also avoid the removed edges."""
+    if part == "entities":
+        what, names, removed = "entity", [name for _, name in kg.entities], None
+    else:
+        what, names = "relation", [name for _, name in kg.relations]
+        removed = drg.build_removed_edges(kg)
     try:
-        return drg.derange(names, seed)
-    except InfeasibleError as exc:
-        raise InfeasibleError(f"entity-name derangement failed: {exc}") from exc
-
-
-def _deranged_relation_names(kg: KnowledgeGraph, seed: int) -> drg.DerangementResult:
-    names = [name for _, name in kg.relations]
-    removed = drg.build_removed_edges(kg)
-    try:
+        if removed is None:
+            return drg.derange(names, seed)
         return drg.bipartite_derange(names, removed, seed)
     except InfeasibleError as exc:
-        raise InfeasibleError(f"relation-name derangement failed: {exc}") from exc
-
-
-def virtual_world(
-    kg: KnowledgeGraph, targets: set[str] | frozenset[str], seed: int
-) -> tuple[KnowledgeGraph, TransformMapping]:
-    """Shuffle targeted name tables; graph structure and ids stay put.
-
-    Entity names are deranged; relation names are deranged under the
-    removed-edge constraint so no swap can leave a triple unchanged. When
-    entities are targeted, descriptions are rewritten to mention the
-    post-shuffle names.
-    """
-    recipe = TransformRecipe("virtual_world", frozenset(targets), seed)
-    recipe.validate()
-
-    new_entities = kg.entities
-    new_relations = kg.relations
-    descriptions = dict(kg.descriptions)
-    entity_map: dict[str, str] = {}
-    relation_map: dict[str, str] = {}
-
-    if "entities" in recipe.targets:
-        result = _deranged_entity_names(kg, _field_seed(seed, recipe.kind, "entities"))
-        new_entities = tuple(
-            (eid, result.res[i]) for i, (eid, _) in enumerate(kg.entities)
-        )
-        entity_map = {eid: name for (eid, _), name in zip(kg.entities, result.res)}
-        descriptions = rewrite_descriptions(kg, _rewrite_map(kg, list(result.res)))
-    if "relations" in recipe.targets:
-        result = _deranged_relation_names(kg, _field_seed(seed, recipe.kind, "relations"))
-        new_relations = tuple(
-            (rid, result.res[i]) for i, (rid, _) in enumerate(kg.relations)
-        )
-        relation_map = {rid: name for (rid, _), name in zip(kg.relations, result.res)}
-
-    out = KnowledgeGraph(
-        entities=new_entities,
-        relations=new_relations,
-        train=kg.train,
-        valid=kg.valid,
-        test=kg.test,
-        descriptions=descriptions,
-    )
-    return out, TransformMapping(recipe=recipe, entity_map=entity_map, relation_map=relation_map)
-
-
-def _names_model_and_forbidden(kg: KnowledgeGraph):
-    corpus = [name for _, name in kg.entities] + [name for _, name in kg.relations]
-    model = fit_unigram(corpus)
-    forbidden = set(corpus) | set(kg.descriptions.values())
-    return model, forbidden
-
-
-def anonymized_entities(
-    kg: KnowledgeGraph, targets: set[str] | frozenset[str], seed: int
-) -> tuple[KnowledgeGraph, TransformMapping]:
-    """Replace targeted names with unique random strings; mentions follow.
-
-    Strings come from a character unigram model fitted on the original entity
-    and relation names, and are globally unique: distinct from each other and
-    from every original surface form.
-    """
-    recipe = TransformRecipe("anonymized_entities", frozenset(targets), seed)
-    recipe.validate()
-
-    model, forbidden = _names_model_and_forbidden(kg)
-    new_entities = kg.entities
-    new_relations = kg.relations
-    descriptions = dict(kg.descriptions)
-    entity_map: dict[str, str] = {}
-    relation_map: dict[str, str] = {}
-
-    if "entities" in recipe.targets:
-        sampled = sample_unique_strings(
-            model, len(kg.entities), forbidden, _field_seed(seed, recipe.kind, "entities")
-        )
-        forbidden.update(sampled)
-        new_entities = tuple((eid, sampled[i]) for i, (eid, _) in enumerate(kg.entities))
-        entity_map = {eid: name for (eid, _), name in zip(kg.entities, sampled)}
-        descriptions = rewrite_descriptions(kg, _rewrite_map(kg, sampled))
-    if "relations" in recipe.targets:
-        sampled = sample_unique_strings(
-            model, len(kg.relations), forbidden, _field_seed(seed, recipe.kind, "relations")
-        )
-        forbidden.update(sampled)
-        new_relations = tuple((rid, sampled[i]) for i, (rid, _) in enumerate(kg.relations))
-        relation_map = {rid: name for (rid, _), name in zip(kg.relations, sampled)}
-
-    out = KnowledgeGraph(
-        entities=new_entities,
-        relations=new_relations,
-        train=kg.train,
-        valid=kg.valid,
-        test=kg.test,
-        descriptions=descriptions,
-    )
-    return out, TransformMapping(recipe=recipe, entity_map=entity_map, relation_map=relation_map)
-
-
-def inconsistent_descriptions(
-    kg: KnowledgeGraph, also_shuffle: set[str] | frozenset[str], seed: int
-) -> tuple[KnowledgeGraph, TransformMapping]:
-    """Break the entity-description correspondence.
-
-    With ``also_shuffle`` empty, descriptions alone are reassigned by a
-    derangement and names stay put. With entities in ``also_shuffle``, names
-    are shuffled as in virtual_world and each description travels with its
-    name; in-description mentions are left unchanged, which is the point.
-    Relations in ``also_shuffle`` are shuffled as in virtual_world either way.
-    """
-    recipe = TransformRecipe(
-        "inconsistent_descriptions", frozenset(also_shuffle) | {"descriptions"}, seed
-    )
-    recipe.validate()
-
-    entity_ids = list(kg.entity_ids)
-    new_entities = kg.entities
-    new_relations = kg.relations
-    entity_map: dict[str, str] = {}
-    relation_map: dict[str, str] = {}
-
-    if "entities" in recipe.targets:
-        result = _deranged_entity_names(kg, _field_seed(seed, recipe.kind, "entities"))
-        source = result.permutation
-        new_entities = tuple(
-            (eid, result.res[i]) for i, (eid, _) in enumerate(kg.entities)
-        )
-        entity_map = {eid: name for (eid, _), name in zip(kg.entities, result.res)}
-    else:
-        # Descriptions alone move; an index derangement cannot have repeats,
-        # so plain rejection sampling always applies.
-        source = drg.derange(
-            list(range(len(entity_ids))), _field_seed(seed, recipe.kind, "descriptions")
-        ).permutation
-
-    descriptions = {
-        eid: kg.descriptions[entity_ids[source[i]]] for i, eid in enumerate(entity_ids)
-    }
-    description_map = {eid: entity_ids[source[i]] for i, eid in enumerate(entity_ids)}
-
-    if "relations" in recipe.targets:
-        result = _deranged_relation_names(kg, _field_seed(seed, recipe.kind, "relations"))
-        new_relations = tuple(
-            (rid, result.res[i]) for i, (rid, _) in enumerate(kg.relations)
-        )
-        relation_map = {rid: name for (rid, _), name in zip(kg.relations, result.res)}
-
-    out = KnowledgeGraph(
-        entities=new_entities,
-        relations=new_relations,
-        train=kg.train,
-        valid=kg.valid,
-        test=kg.test,
-        descriptions=descriptions,
-    )
-    return out, TransformMapping(
-        recipe=recipe,
-        entity_map=entity_map,
-        relation_map=relation_map,
-        description_map=description_map,
-    )
-
-
-def fully_anonymized(
-    kg: KnowledgeGraph, also_anonymize: set[str] | frozenset[str], seed: int
-) -> tuple[KnowledgeGraph, TransformMapping]:
-    """Replace every description with an independent unique random string.
-
-    Optionally anonymizes entity/relation names the same way. All strings
-    share one uniqueness scope (fitted model and forbidden set as in
-    anonymized_entities); nothing is rewritten inside the new descriptions,
-    which are opaque noise by design.
-    """
-    recipe = TransformRecipe(
-        "fully_anonymized", frozenset(also_anonymize) | {"descriptions"}, seed
-    )
-    recipe.validate()
-
-    model, forbidden = _names_model_and_forbidden(kg)
-    new_entities = kg.entities
-    new_relations = kg.relations
-    entity_map: dict[str, str] = {}
-    relation_map: dict[str, str] = {}
-
-    if "entities" in recipe.targets:
-        sampled = sample_unique_strings(
-            model, len(kg.entities), forbidden, _field_seed(seed, recipe.kind, "entities")
-        )
-        forbidden.update(sampled)
-        new_entities = tuple((eid, sampled[i]) for i, (eid, _) in enumerate(kg.entities))
-        entity_map = {eid: name for (eid, _), name in zip(kg.entities, sampled)}
-    if "relations" in recipe.targets:
-        sampled = sample_unique_strings(
-            model, len(kg.relations), forbidden, _field_seed(seed, recipe.kind, "relations")
-        )
-        forbidden.update(sampled)
-        new_relations = tuple((rid, sampled[i]) for i, (rid, _) in enumerate(kg.relations))
-        relation_map = {rid: name for (rid, _), name in zip(kg.relations, sampled)}
-
-    sampled = sample_unique_strings(
-        model, len(kg.entities), forbidden, _field_seed(seed, recipe.kind, "descriptions")
-    )
-    descriptions = {eid: sampled[i] for i, (eid, _) in enumerate(kg.entities)}
-    description_map = dict(descriptions)
-
-    out = KnowledgeGraph(
-        entities=new_entities,
-        relations=new_relations,
-        train=kg.train,
-        valid=kg.valid,
-        test=kg.test,
-        descriptions=descriptions,
-    )
-    return out, TransformMapping(
-        recipe=recipe,
-        entity_map=entity_map,
-        relation_map=relation_map,
-        description_map=description_map,
-    )
+        raise InfeasibleError(f"{what}-name derangement failed: {exc}") from exc
 
 
 def apply_recipe(
     kg: KnowledgeGraph, kind: str, targets: set[str] | frozenset[str], seed: int
 ) -> tuple[KnowledgeGraph, TransformMapping]:
-    """Dispatch one recipe by kind; targets follow the recipe's own convention."""
+    """Run the ``RECIPES`` row of ``kind`` on the targeted fields.
+
+    ``descriptions`` may be left out of ``targets`` for the kinds that always
+    replace descriptions. The input graph is never modified.
+    """
+    ops = RECIPES.get(kind)
     targets = frozenset(targets)
-    if kind == "virtual_world":
-        return virtual_world(kg, targets, seed)
-    if kind == "anonymized_entities":
-        return anonymized_entities(kg, targets, seed)
-    if kind == "inconsistent_descriptions":
-        return inconsistent_descriptions(kg, targets - {"descriptions"}, seed)
-    if kind == "fully_anonymized":
-        return fully_anonymized(kg, targets - {"descriptions"}, seed)
-    raise ValueError(f"unknown recipe kind {kind!r}")
+    if ops is not None and ops.descriptions in _REPLACES_DESCRIPTIONS:
+        targets |= {"descriptions"}
+    recipe = TransformRecipe(kind, targets, seed)
+    recipe.validate()
+
+    if ops.names == "sample":
+        corpus = [name for _, name in kg.entities] + [name for _, name in kg.relations]
+        model = fit_unigram(corpus)
+        forbidden = set(corpus) | set(kg.descriptions.values())
+
+        def sample(part: str, count: int) -> list[str]:
+            strings = sample_unique_strings(model, count, forbidden, _field_seed(seed, kind, part))
+            forbidden.update(strings)
+            return strings
+
+    tables = {"entities": kg.entities, "relations": kg.relations}
+    maps: dict[str, dict[str, str]] = {"entities": {}, "relations": {}}
+    source = None  # per entity row, the row its description comes from
+    for part in ("entities", "relations"):
+        if part not in targets:
+            continue
+        if ops.names == "derange":
+            result = _derange_names(kg, part, _field_seed(seed, kind, part))
+            names = result.res
+            if part == "entities":
+                source = result.permutation
+        else:
+            names = sample(part, len(tables[part]))
+        tables[part] = tuple((key, name) for (key, _), name in zip(tables[part], names))
+        maps[part] = dict(tables[part])
+
+    descriptions = dict(kg.descriptions)
+    description_map: dict[str, str] = {}
+    if ops.descriptions == "rewrite" and "entities" in targets:
+        descriptions = rewrite_descriptions(kg, _rewrite_map(kg, list(maps["entities"].values())))
+    elif ops.descriptions == "reassign":
+        ids = kg.entity_ids
+        if source is None:
+            # Descriptions alone move; an index derangement cannot have
+            # repeats, so plain rejection sampling always applies.
+            source = drg.derange(
+                list(range(len(ids))), _field_seed(seed, kind, "descriptions")
+            ).permutation
+        description_map = {eid: ids[row] for eid, row in zip(ids, source)}
+        descriptions = {eid: kg.descriptions[src] for eid, src in description_map.items()}
+    elif ops.descriptions == "regenerate":
+        description_map = dict(zip(kg.entity_ids, sample("descriptions", len(kg.entities))))
+        descriptions = dict(description_map)
+
+    out = KnowledgeGraph(
+        entities=tables["entities"],
+        relations=tables["relations"],
+        train=kg.train,
+        valid=kg.valid,
+        test=kg.test,
+        descriptions=descriptions,
+    )
+    return out, TransformMapping(
+        recipe=recipe,
+        entity_map=maps["entities"],
+        relation_map=maps["relations"],
+        description_map=description_map,
+    )
 
 
 # (label, kind, targets); "base" is the canonical rewrite of the input.
@@ -426,6 +290,23 @@ def write_recipe(label: str, kind: str, targets: frozenset[str], seed: int, path
         fh.write(f"seed\t{seed}\n")
 
 
+def write_variant(
+    kg_before: KnowledgeGraph,
+    kg_after: KnowledgeGraph,
+    mapping: TransformMapping,
+    label: str,
+    path: Path,
+) -> None:
+    """Write the dataset files, mapping.tsv and recipe.tsv of one variant.
+
+    The recipe file takes its kind, targets and seed from ``mapping.recipe``.
+    """
+    write_dataset(kg_after, path)
+    write_mapping(kg_before, kg_after, mapping, path / MAPPING_FILE)
+    recipe = mapping.recipe
+    write_recipe(label, recipe.kind, recipe.targets, recipe.seed, path / RECIPE_FILE)
+
+
 def generate_suite(
     kg: KnowledgeGraph,
     seed: int,
@@ -442,27 +323,11 @@ def generate_suite(
     root.mkdir(parents=True, exist_ok=True)
     results: list[VariantResult] = []
     for label, kind, targets in variants:
-        variant_seed = _field_seed(seed, "suite", label)
-        variant_dir = root / label
         try:
-            if kind == "base":
-                # Canonical rewrite of the input; empty mapping by construction.
-                out_kg = kg
-                mapping = TransformMapping(recipe=TransformRecipe("base", frozenset(), variant_seed))
-                write_dataset(out_kg, variant_dir)
-                (variant_dir / MAPPING_FILE).write_text("", encoding="utf-8")
-            else:
-                out_kg, mapping = apply_recipe(kg, kind, targets, variant_seed)
-                write_dataset(out_kg, variant_dir)
-                write_mapping(kg, out_kg, mapping, variant_dir / MAPPING_FILE)
-            write_recipe(label, kind, targets, variant_seed, variant_dir / RECIPE_FILE)
-            results.append(
-                VariantResult(label=label, kind=kind, targets=targets, path=variant_dir,
-                              mapping=mapping, error=None)
-            )
+            out_kg, mapping = apply_recipe(kg, kind, targets, _field_seed(seed, "suite", label))
+            write_variant(kg, out_kg, mapping, label, root / label)
         except KgsynthError as exc:
-            results.append(
-                VariantResult(label=label, kind=kind, targets=targets, path=None,
-                              mapping=None, error=str(exc))
-            )
+            results.append(VariantResult(label, kind, targets, None, None, str(exc)))
+        else:
+            results.append(VariantResult(label, kind, targets, root / label, mapping))
     return results

@@ -39,7 +39,7 @@ from kgsynth.kg import (
 from kgsynth.rewriter import build_index, find_keys, rewrite_text
 from kgsynth.textgen import EOS, fit_unigram, sample_unique_strings
 from kgsynth.transe import TrainConfig, evaluate_model, margin_loss_and_grads, train
-from kgsynth.transform import SUITE_VARIANTS, anonymized_entities, generate_suite
+from kgsynth.transform import SUITE_VARIANTS, apply_recipe, generate_suite
 
 from conftest import make_kg, random_kg
 from test_derangement import brute_force_satisfiable, check_result
@@ -242,7 +242,7 @@ def test_criterion_05_structure_preservation(family_kg, tmp_path):
             f"e{i}": f"{names[i]} sits beside {names[(i * 7 + 3) % n]}" for i in range(n)
         },
     )
-    out, mapping = anonymized_entities(big, {"entities", "relations"}, seed=3)
+    out, mapping = apply_recipe(big, "anonymized_entities", {"entities", "relations"}, 3)
     assert len(set(mapping.entity_map.values())) == n
     assert out.train == big.train
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024 / 1024
@@ -293,7 +293,7 @@ def test_criterion_07_rewriter_oracle(tmp_path):
         assert rewrite_text(index, text) == quadratic_rewrite(mapping, text), (mapping, text)
 
     def residual_check(kg):
-        shuffled, mapping = anonymized_entities(kg, {"entities"}, seed=11)
+        shuffled, mapping = apply_recipe(kg, "anonymized_entities", {"entities"}, 11)
         multiword = {
             name for _, name in kg.entities if len(name.split()) > 1
         }

@@ -11,7 +11,7 @@ from kgsynth.analysis import (
     relation_distribution,
 )
 from kgsynth.kg import SPLITS
-from kgsynth.transform import virtual_world
+from kgsynth.transform import apply_recipe
 
 from conftest import make_kg, random_kg
 
@@ -108,7 +108,7 @@ def test_leakage_uses_token_boundaries():
 
 def test_leakage_invariant_under_virtual_world(family_kg):
     before = description_leakage(family_kg)
-    shuffled, _ = virtual_world(family_kg, {"entities", "relations"}, seed=17)
+    shuffled, _ = apply_recipe(family_kg, "virtual_world", {"entities", "relations"}, 17)
     after = description_leakage(shuffled)
     assert after == before
 
@@ -117,7 +117,7 @@ def test_leakage_invariance_on_random_fixtures():
     rng = random.Random(2025)
     for trial in range(8):
         kg = random_kg(rng, n_entities=9, n_relations=3, n_train=12, n_valid=2, n_test=2)
-        shuffled, _ = virtual_world(kg, {"entities"}, seed=trial)
+        shuffled, _ = apply_recipe(kg, "virtual_world", {"entities"}, trial)
         assert description_leakage(shuffled) == description_leakage(kg)
 
 

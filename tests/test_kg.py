@@ -169,3 +169,22 @@ def test_duplicated_triple_across_splits_rejected(tmp_path):
         fh.write(first_train + "\n")
     with pytest.raises(ValidationError, match="share triples"):
         load_dataset(tmp_path)
+
+
+def test_duplicate_triple_in_split_file_rejected(family_kg, tmp_path):
+    write_dataset(family_kg, tmp_path)
+    with open(tmp_path / "test.tsv", "a", encoding="utf-8") as fh:
+        fh.write("e2\tr3\te1\n")
+    with pytest.raises(ValidationError,
+                       match=r"test.tsv:2: duplicate triple \('e2', 'r3', 'e1'\)"):
+        load_dataset(tmp_path)
+
+
+def test_duplicate_triple_in_memory_rejected():
+    with pytest.raises(ValidationError, match=r"test: duplicate triple \('b', 'r', 'c'\)"):
+        make_kg(
+            entities=["a", "b", "c"],
+            relations=["r"],
+            train=[("a", "r", "b")],
+            test=[("b", "r", "c"), ("b", "r", "c")],
+        )

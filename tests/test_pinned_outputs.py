@@ -1,0 +1,69 @@
+"""Byte-level pins of the variant files for fixed seeds.
+
+``generate_suite`` runs on two graphs: the ``family_kg`` fixture, and a
+``random_kg`` graph whose constrained relation derangements are infeasible,
+so three of its variants fail. Every file the suite writes (dataset files,
+``mapping.tsv``, ``recipe.tsv``) is pinned by its sha256, keyed by
+``<label>/<file>``, and so is each failed variant's error text. The files of
+one ``kgsynth transform`` run are pinned the same way, except its manifest,
+which holds paths and timestamps. The pins live in
+``data/pinned_outputs.json``; a change that alters any of these bytes must
+say why and update them.
+"""
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from kgsynth.cli import main
+from kgsynth.kg import write_dataset
+from kgsynth.transform import generate_suite
+
+from conftest import random_kg
+
+PINS = json.loads((Path(__file__).parent / "data" / "pinned_outputs.json").read_text(
+    encoding="utf-8"))
+
+
+def tree_digests(root: Path, skip=()) -> dict[str, str]:
+    return {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name not in skip
+    }
+
+
+def infeasible_random_kg():
+    # The third graph drawn from this stream admits no constrained relation
+    # derangement.
+    rng = random.Random(3)
+    for _ in range(2):
+        random_kg(rng)
+    return random_kg(rng)
+
+
+def suite_outputs(kg, seed: int, root: Path) -> dict:
+    results = generate_suite(kg, seed=seed, output_dir=root)
+    return {
+        "files": tree_digests(root),
+        "errors": {r.label: r.error for r in results if not r.ok},
+    }
+
+
+@pytest.mark.parametrize("name,seed", [("family_kg", 11), ("random_kg", 2)])
+def test_suite_bytes_are_pinned(name, seed, family_kg, tmp_path):
+    kg = family_kg if name == "family_kg" else infeasible_random_kg()
+    assert suite_outputs(kg, seed, tmp_path) == PINS[name]
+
+
+def test_transform_command_bytes_are_pinned(family_kg, tmp_path):
+    write_dataset(family_kg, tmp_path / "data")
+    out = tmp_path / "variant"
+    assert main([
+        "transform", "--input", str(tmp_path / "data"), "--output", str(out),
+        "--recipe", "inconsistent-descriptions", "--targets", "entities", "--seed", "7",
+    ]) == 0
+    assert tree_digests(out, skip={"manifest.tsv"}) == PINS["transform_command"]

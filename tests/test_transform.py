@@ -5,14 +5,11 @@ import pytest
 from kgsynth.derangement import build_removed_edges
 from kgsynth.kg import SPLITS, load_dataset, write_dataset
 from kgsynth.transform import (
+    RECIPES,
     SUITE_VARIANTS,
     TransformRecipe,
-    anonymized_entities,
     apply_recipe,
-    fully_anonymized,
     generate_suite,
-    inconsistent_descriptions,
-    virtual_world,
 )
 
 from conftest import make_kg, random_kg
@@ -49,7 +46,7 @@ def assert_no_fixed_points(before, mapping):
 # --- virtual_world -------------------------------------------------------------
 
 def test_virtual_world_entities_swaps_names_and_mentions(family_kg):
-    out, mapping = virtual_world(family_kg, {"entities"}, seed=3)
+    out, mapping = apply_recipe(family_kg, "virtual_world", {"entities"}, 3)
     assert_structure_preserved(family_kg, out, mapping)
     assert_no_fixed_points(family_kg, mapping)
     assert sorted(mapping.entity_map.values()) == sorted(n for _, n in family_kg.entities)
@@ -66,7 +63,7 @@ def test_virtual_world_relations_respect_removed_edges(family_kg):
     removed = build_removed_edges(family_kg)
     assert ("wasBornIn", "diedIn") in removed
     for seed in range(8):
-        out, mapping = virtual_world(family_kg, {"relations"}, seed=seed)
+        out, mapping = apply_recipe(family_kg, "virtual_world", {"relations"}, seed)
         assert_structure_preserved(family_kg, out, mapping)
         assert_no_fixed_points(family_kg, mapping)
         for rid, new_name in mapping.relation_map.items():
@@ -76,21 +73,21 @@ def test_virtual_world_relations_respect_removed_edges(family_kg):
 
 
 def test_virtual_world_triples_untouched(family_kg):
-    out, _ = virtual_world(family_kg, {"entities", "relations"}, seed=1)
+    out, _ = apply_recipe(family_kg, "virtual_world", {"entities", "relations"}, 1)
     assert (out.train, out.valid, out.test) == (family_kg.train, family_kg.valid, family_kg.test)
 
 
 def test_virtual_world_requires_name_targets(family_kg):
     with pytest.raises(ValueError):
-        virtual_world(family_kg, set(), seed=0)
+        apply_recipe(family_kg, "virtual_world", set(), 0)
     with pytest.raises(ValueError):
-        virtual_world(family_kg, {"descriptions"}, seed=0)
+        apply_recipe(family_kg, "virtual_world", {"descriptions"}, 0)
 
 
 # --- anonymized_entities ---------------------------------------------------------
 
 def test_anonymized_names_are_fresh_random_strings(family_kg):
-    out, mapping = anonymized_entities(family_kg, {"entities", "relations"}, seed=5)
+    out, mapping = apply_recipe(family_kg, "anonymized_entities", {"entities", "relations"}, 5)
     assert_structure_preserved(family_kg, out, mapping)
     originals = {n for _, n in family_kg.entities} | {n for _, n in family_kg.relations}
     new_names = list(mapping.entity_map.values()) + list(mapping.relation_map.values())
@@ -102,8 +99,8 @@ def test_anonymized_names_are_fresh_random_strings(family_kg):
 
 
 def test_anonymized_deterministic_byte_for_byte(family_kg, tmp_path):
-    a, _ = anonymized_entities(family_kg, {"entities"}, seed=42)
-    b, _ = anonymized_entities(family_kg, {"entities"}, seed=42)
+    a, _ = apply_recipe(family_kg, "anonymized_entities", {"entities"}, 42)
+    b, _ = apply_recipe(family_kg, "anonymized_entities", {"entities"}, 42)
     write_dataset(a, tmp_path / "a")
     write_dataset(b, tmp_path / "b")
     for name in ("entities.tsv", "descriptions.tsv", "train.tsv"):
@@ -111,8 +108,8 @@ def test_anonymized_deterministic_byte_for_byte(family_kg, tmp_path):
 
 
 def test_anonymized_distinct_seeds_differ(family_kg):
-    a, _ = anonymized_entities(family_kg, {"entities"}, seed=1)
-    b, _ = anonymized_entities(family_kg, {"entities"}, seed=2)
+    a, _ = apply_recipe(family_kg, "anonymized_entities", {"entities"}, 1)
+    b, _ = apply_recipe(family_kg, "anonymized_entities", {"entities"}, 2)
     assert a.entities != b.entities
 
 
@@ -125,14 +122,16 @@ def test_inconsistent_swap_on_two_entities():
         train=[("e1", "r1", "e2")],
         descriptions={"e1": "first text", "e2": "second text"},
     )
-    out, mapping = inconsistent_descriptions(kg, set(), seed=0)
+    out, mapping = apply_recipe(kg, "inconsistent_descriptions", {"descriptions"}, 0)
     assert out.descriptions == {"e1": "second text", "e2": "first text"}
     assert out.entities == kg.entities
     assert mapping.description_map == {"e1": "e2", "e2": "e1"}
 
 
 def test_inconsistent_descriptions_travel_with_names(family_kg):
-    out, mapping = inconsistent_descriptions(family_kg, {"entities"}, seed=4)
+    out, mapping = apply_recipe(
+        family_kg, "inconsistent_descriptions", {"descriptions", "entities"}, 4
+    )
     assert_structure_preserved(family_kg, out, mapping)
     original_names = family_kg.entity_names
     original_descs = family_kg.descriptions
@@ -149,12 +148,14 @@ def test_inconsistent_descriptions_travel_with_names(family_kg):
 
 def test_inconsistent_assignment_never_identity(family_kg):
     for seed in range(10):
-        _, mapping = inconsistent_descriptions(family_kg, set(), seed=seed)
+        _, mapping = apply_recipe(family_kg, "inconsistent_descriptions", {"descriptions"}, seed)
         assert all(src != eid for eid, src in mapping.description_map.items())
 
 
 def test_inconsistent_with_relations_only_still_deranges_descriptions(family_kg):
-    out, mapping = inconsistent_descriptions(family_kg, {"relations"}, seed=6)
+    out, mapping = apply_recipe(
+        family_kg, "inconsistent_descriptions", {"descriptions", "relations"}, 6
+    )
     assert out.entities == family_kg.entities
     assert all(src != eid for eid, src in mapping.description_map.items())
     assert mapping.relation_map
@@ -164,7 +165,7 @@ def test_inconsistent_with_relations_only_still_deranges_descriptions(family_kg)
 # --- fully_anonymized ---------------------------------------------------------------
 
 def test_fully_anonymized_descriptions_are_opaque(family_kg):
-    out, mapping = fully_anonymized(family_kg, {"entities"}, seed=8)
+    out, mapping = apply_recipe(family_kg, "fully_anonymized", {"descriptions", "entities"}, 8)
     assert_structure_preserved(family_kg, out, mapping)
     names = {n for _, n in out.entities} | {n for _, n in out.relations}
     descs = list(out.descriptions.values())
@@ -176,7 +177,7 @@ def test_fully_anonymized_descriptions_are_opaque(family_kg):
 
 
 def test_fully_anonymized_structure_unchanged(family_kg):
-    out, _ = fully_anonymized(family_kg, set(), seed=9)
+    out, _ = apply_recipe(family_kg, "fully_anonymized", {"descriptions"}, 9)
     assert (out.train, out.valid, out.test) == (family_kg.train, family_kg.valid, family_kg.test)
     assert out.entities == family_kg.entities
     assert out.relations == family_kg.relations
@@ -192,6 +193,9 @@ def test_recipe_validation_rules():
         TransformRecipe("fully_anonymized", frozenset({"entities"}), 0).validate()
     with pytest.raises(ValueError):
         TransformRecipe("nope", frozenset({"entities"}), 0).validate()
+    TransformRecipe("base", frozenset(), 0).validate()
+    with pytest.raises(ValueError):
+        TransformRecipe("base", frozenset({"entities"}), 0).validate()
 
 
 def test_apply_recipe_dispatch(family_kg):
@@ -307,10 +311,11 @@ def test_mapping_file_description_rows(family_kg, tmp_path):
 
 
 def test_recipes_leave_input_untouched(family_kg):
-    before = (family_kg.entities, dict(family_kg.descriptions))
-    virtual_world(family_kg, {"entities"}, seed=0)
-    fully_anonymized(family_kg, {"entities", "relations"}, seed=0)
-    assert (family_kg.entities, family_kg.descriptions) == before
+    before = (family_kg.entities, family_kg.relations, dict(family_kg.descriptions))
+    for kind in RECIPES:
+        targets = set() if kind == "base" else {"entities", "relations"}
+        apply_recipe(family_kg, kind, targets, 0)
+        assert (family_kg.entities, family_kg.relations, family_kg.descriptions) == before, kind
 
 
 def test_recipes_on_random_kgs_preserve_structure():
