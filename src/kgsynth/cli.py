@@ -50,9 +50,7 @@ class RunManifest:
         rows.extend(sorted(self.params.items()))
         rows.append(("started_at", self.started_at))
         rows.append(("finished_at", self.finished_at))
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            for key, value in rows:
-                fh.write(f"{key}\t{value}\n")
+        kg.write_rows(path, rows)
 
 
 def _now() -> str:
@@ -265,18 +263,12 @@ def evaluate_cmd(input_dir: str, predictions: str, filtered: bool, output: str |
 def correlate(input_file: str, output: str | None) -> None:
     """Pairwise Pearson correlation matrix over named series."""
     manifest = RunManifest("correlate", input_file, output or "-", started_at=_now())
-    with open(input_file, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        series: dict[str, list[float]] = {name: [] for name in header}
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != len(header):
-                raise ValidationError(f"{input_file}:{lineno}: expected {len(header)} cells")
-            for name, cell in zip(header, cells):
-                series[name].append(float(cell))
+    rows = kg.read_rows(input_file)
+    _, header = next(rows, (0, []))
+    series: dict[str, list[float]] = {name: [] for name in header}
+    for lineno, cells in rows:
+        for name, value in zip(header, kg.float_cells(input_file, lineno, cells)):
+            series[name].append(value)
     try:
         matrix = analysis.pearson_matrix(series)
     except ValueError as exc:
@@ -293,8 +285,8 @@ def outliers(values: tuple[float, ...], input_file: str | None, output: str | No
     """IQR outlier detection over a list of values."""
     data = list(values)
     if input_file:
-        with open(input_file, encoding="utf-8") as fh:
-            data.extend(float(line) for line in fh if line.strip())
+        for lineno, cells in kg.read_rows(input_file, 1):
+            data.extend(kg.float_cells(input_file, lineno, cells))
     if len(data) < 4:
         raise click.BadParameter("need at least 4 values")
     manifest = RunManifest("outliers", input_file or "-", output or "-", started_at=_now())

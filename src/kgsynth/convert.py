@@ -12,9 +12,11 @@ Two source layouts are understood:
   relations are restricted to those appearing in the triples, in first
   appearance order, since the alias files cover a superset.
 
-Conversion streams the triple files, so multi-million-triple dumps convert
-without materializing the graph. Tabs and newlines inside source text are
-replaced by spaces to fit the strict TSV cell rules.
+Conversion streams the triple files, holding only the set of triples seen,
+so that it rejects a triple listed twice as ``load_dataset`` would. Text
+files are read whole; a text line without a tab or with a repeated id is
+rejected. Tabs and newlines inside source text are replaced by spaces to fit
+the strict TSV cell rules.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import LoadError, ValidationError
-from .kg import DatasetStats
+from .kg import DatasetStats, Triple, read_rows, write_rows
 
 FORMATS = ("kgbert", "wikidata5m")
 
@@ -88,9 +90,9 @@ def convert_kgbert(
     counts = _stream_triples(split_files, out, known_entities=set(entity_text),
                              known_relations=set(relation_text))
 
-    _write_pairs(out / "entities.tsv", names.items())
-    _write_pairs(out / "relations.tsv", ((rid, _clean(t)) for rid, t in relation_text.items()))
-    _write_pairs(out / "descriptions.tsv", descriptions.items())
+    write_rows(out / "entities.tsv", names.items())
+    write_rows(out / "relations.tsv", ((rid, _clean(t)) for rid, t in relation_text.items()))
+    write_rows(out / "descriptions.tsv", descriptions.items())
     return DatasetStats(
         n_entities=len(names), n_relations=len(relation_text),
         n_train=counts["train"], n_valid=counts["valid"], n_test=counts["test"],
@@ -116,26 +118,21 @@ def convert_wikidata5m(input_dir: str | Path, output_dir: str | Path) -> Dataset
 
     entity_alias = _read_first_alias(_find_file(src, ["wikidata5m_entity.txt"]))
     relation_alias = _read_first_alias(_find_file(src, ["wikidata5m_relation.txt"]))
-    _write_pairs(
+    write_rows(
         out / "entities.tsv",
         ((eid, _clean(entity_alias.get(eid, eid))) for eid in seen_entities),
     )
-    _write_pairs(
+    write_rows(
         out / "relations.tsv",
         ((rid, _clean(relation_alias.get(rid, rid))) for rid in seen_relations),
     )
 
     text_path = src / "wikidata5m_text.txt"
-    with open(out / "descriptions.tsv", "w", encoding="utf-8", newline="") as dst:
-        if text_path.is_file():
-            with open(text_path, encoding="utf-8", newline="") as fh:
-                for line in fh:
-                    line = line.rstrip("\n")
-                    if not line or "\t" not in line:
-                        continue
-                    eid, text = line.split("\t", 1)
-                    if eid in seen_entities:
-                        dst.write(f"{eid}\t{_clean(text)}\n")
+    texts = _read_text_map(text_path) if text_path.is_file() else {}
+    write_rows(
+        out / "descriptions.tsv",
+        ((eid, _clean(text)) for eid, text in texts.items() if eid in seen_entities),
+    )
     return DatasetStats(
         n_entities=len(seen_entities), n_relations=len(seen_relations),
         n_train=counts["train"], n_valid=counts["valid"], n_test=counts["test"],
@@ -160,35 +157,32 @@ def _stream_triples(
     collect_entities: dict[str, None] | None = None,
     collect_relations: dict[str, None] | None = None,
 ) -> dict[str, int]:
+    """Copy each split's triples to ``out`` and count them.
+
+    As ``load_dataset`` does, rejects a triple that repeats one of its own
+    split or of an earlier one; the triples seen so far are held in memory.
+    """
+    seen: set[Triple] = set()
+
+    def checked(path: Path):
+        for lineno, (h, r, t) in read_rows(path, 3):
+            if known_entities is not None and (h not in known_entities or t not in known_entities):
+                raise ValidationError(f"{path.name}:{lineno}: entity without text entry")
+            if known_relations is not None and r not in known_relations:
+                raise ValidationError(f"{path.name}:{lineno}: relation without text entry")
+            if (h, r, t) in seen:
+                raise ValidationError(f"{path.name}:{lineno}: duplicate triple {(h, r, t)!r}")
+            seen.add((h, r, t))
+            if collect_entities is not None:
+                collect_entities.setdefault(h)
+                collect_entities.setdefault(t)
+            if collect_relations is not None:
+                collect_relations.setdefault(r)
+            yield h, r, t
+
     counts = {}
     for split, path in split_files.items():
-        n = 0
-        with open(path, encoding="utf-8", newline="") as fh, \
-                open(out / f"{split}.tsv", "w", encoding="utf-8", newline="") as dst:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                cells = line.split("\t")
-                if len(cells) != 3:
-                    raise ValidationError(f"{path.name}:{lineno}: expected 3 fields")
-                h, r, t = cells
-                if known_entities is not None and (h not in known_entities or t not in known_entities):
-                    raise ValidationError(f"{path.name}:{lineno}: entity without text entry")
-                if known_relations is not None and r not in known_relations:
-                    raise ValidationError(f"{path.name}:{lineno}: relation without text entry")
-                if collect_entities is not None:
-                    collect_entities.setdefault(h)
-                    collect_entities.setdefault(t)
-                if collect_relations is not None:
-                    collect_relations.setdefault(r)
-                dst.write(line + "\n")
-                n += 1
-        counts[split] = n
+        before = len(seen)
+        write_rows(out / f"{split}.tsv", checked(path))
+        counts[split] = len(seen) - before
     return counts
-
-
-def _write_pairs(path: Path, pairs) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for key, value in pairs:
-            fh.write(f"{key}\t{value}\n")

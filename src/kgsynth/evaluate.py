@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .kg import SPLITS, KnowledgeGraph
+from .kg import SPLITS, KnowledgeGraph, read_rows
 
 HITS_KS = (1, 3, 10)
 
@@ -165,39 +165,31 @@ def evaluate_predictions(kg: KnowledgeGraph, predictions_file: str | Path) -> Me
     entity_ids = set(kg.entity_ids)
     relation_ids = set(kg.relation_ids)
     ranked: dict[Query, list[str]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != 5:
-                raise ValidationError(f"{path.name}:{lineno}: expected 5 tab-separated fields")
-            h, r, t, direction, candidate_cell = cells
-            if direction not in ("tail", "head"):
-                raise ValidationError(f"{path.name}:{lineno}: bad direction {direction!r}")
-            for eid in (h, t):
-                if eid not in entity_ids:
-                    raise ValidationError(f"{path.name}:{lineno}: unknown entity {eid!r}")
-            if r not in relation_ids:
-                raise ValidationError(f"{path.name}:{lineno}: unknown relation {r!r}")
-            candidates = candidate_cell.split(",") if candidate_cell else []
-            seen: set[str] = set()
-            for c in candidates:
-                if c not in entity_ids:
-                    raise ValidationError(f"{path.name}:{lineno}: unknown candidate {c!r}")
-                if c in seen:
-                    raise ValidationError(f"{path.name}:{lineno}: duplicate candidate {c!r}")
-                seen.add(c)
-            if direction == "tail":
-                query = Query(known=(h, r), direction="tail", gold=t)
-            else:
-                query = Query(known=(t, r), direction="head", gold=h)
-            if query in ranked:
-                raise ValidationError(
-                    f"{path.name}:{lineno}: duplicate prediction for {(h, r, t, direction)}"
-                )
-            ranked[query] = candidates
+    for lineno, (h, r, t, direction, candidate_cell) in read_rows(path, 5):
+        if direction not in ("tail", "head"):
+            raise ValidationError(f"{path.name}:{lineno}: bad direction {direction!r}")
+        for eid in (h, t):
+            if eid not in entity_ids:
+                raise ValidationError(f"{path.name}:{lineno}: unknown entity {eid!r}")
+        if r not in relation_ids:
+            raise ValidationError(f"{path.name}:{lineno}: unknown relation {r!r}")
+        candidates = candidate_cell.split(",") if candidate_cell else []
+        seen: set[str] = set()
+        for c in candidates:
+            if c not in entity_ids:
+                raise ValidationError(f"{path.name}:{lineno}: unknown candidate {c!r}")
+            if c in seen:
+                raise ValidationError(f"{path.name}:{lineno}: duplicate candidate {c!r}")
+            seen.add(c)
+        if direction == "tail":
+            query = Query(known=(h, r), direction="tail", gold=t)
+        else:
+            query = Query(known=(t, r), direction="head", gold=h)
+        if query in ranked:
+            raise ValidationError(
+                f"{path.name}:{lineno}: duplicate prediction for {(h, r, t, direction)}"
+            )
+        ranked[query] = candidates
 
     queries = split_queries(kg, "test")
     missing = [query for query in queries if query not in ranked]

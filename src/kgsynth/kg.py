@@ -1,6 +1,13 @@
 """Knowledge-graph data model and bit-exact TSV I/O.
 
-A dataset directory holds six UTF-8, LF-terminated files:
+``read_rows`` and ``write_rows`` are the one row codec of the toolkit: every
+row file it reads or writes (datasets, mappings, recipes, manifests,
+checkpoints, predictions; not the source text files ``convert`` reads) is
+UTF-8, one LF-terminated row per line, cells joined by tabs. Readers skip
+blank lines and reject a row with the wrong number of cells as
+``<file>:<line>: expected N tab-separated fields``.
+
+A dataset directory holds six such files:
 
     train.tsv / valid.tsv / test.tsv   head_id<TAB>relation_id<TAB>tail_id
     entities.tsv                       entity_id<TAB>name
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -178,52 +186,56 @@ def _check_cell(text: str, what: str) -> None:
         raise ValidationError(f"{what} contains a tab or newline: {text!r}")
 
 
-def _read_pairs(path: Path) -> list[tuple[str, str]]:
-    pairs = []
+def read_rows(path: str | os.PathLike, width: int | None = None) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(lineno, cells)`` for each non-empty line of the row file at ``path``.
+
+    Every row must have ``width`` cells (with ``width=None``, as many as the
+    first row); one that does not raises ValidationError at ``<file>:<line>``.
+    """
+    path = Path(path)
     with open(path, encoding="utf-8", newline="") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             cells = line.split("\t")
-            if len(cells) != 2:
-                raise ValidationError(f"{path.name}:{lineno}: expected 2 tab-separated fields")
-            pairs.append((cells[0], cells[1]))
-    return pairs
+            if len(cells) != width:
+                if width is not None:
+                    raise ValidationError(
+                        f"{path.name}:{lineno}: expected {width} tab-separated fields"
+                    )
+                width = len(cells)
+            yield lineno, cells
 
 
-def _read_triples(path: Path, entity_ids: set[str], relation_ids: set[str]) -> list[Triple]:
-    triples = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != 3:
-                raise ValidationError(f"{path.name}:{lineno}: expected 3 tab-separated fields")
-            h, r, t = cells
-            if h not in entity_ids:
-                raise ValidationError(f"{path.name}:{lineno}: unknown head entity {h!r}")
-            if r not in relation_ids:
-                raise ValidationError(f"{path.name}:{lineno}: unknown relation {r!r}")
-            if t not in entity_ids:
-                raise ValidationError(f"{path.name}:{lineno}: unknown tail entity {t!r}")
-            triples.append((h, r, t))
-    return triples
+def write_rows(path: str | os.PathLike, rows: Iterable[Sequence[str]]) -> None:
+    """Write each row as its tab-joined cells plus LF, the layout ``read_rows`` reads."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for row in rows:
+            fh.write("\t".join(row) + "\n")
 
 
-def _raise_repeated_triple(path: Path) -> None:
-    """Name the file line of the first triple that repeats an earlier one."""
-    seen: set[str] = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if line in seen:
-                triple = tuple(line.split("\t"))
-                raise ValidationError(f"{path.name}:{lineno}: duplicate triple {triple!r}")
-            if line:
-                seen.add(line)
+def float_cells(path: str | os.PathLike, lineno: int, cells: Iterable[str]) -> list[float]:
+    """``cells`` as floats; a cell that is no number is a ValidationError at ``<file>:<line>``."""
+    try:
+        return [float(cell) for cell in cells]
+    except ValueError as exc:
+        raise ValidationError(f"{Path(path).name}:{lineno}: {exc}") from exc
+
+
+def _raise_bad_triple(path: Path, entity_ids: set[str], relation_ids: set[str]) -> None:
+    """Name the file line of the first triple with an unknown id or that repeats an earlier one."""
+    seen: set[Triple] = set()
+    for lineno, (h, r, t) in read_rows(path, 3):
+        if h not in entity_ids:
+            raise ValidationError(f"{path.name}:{lineno}: unknown head entity {h!r}")
+        if r not in relation_ids:
+            raise ValidationError(f"{path.name}:{lineno}: unknown relation {r!r}")
+        if t not in entity_ids:
+            raise ValidationError(f"{path.name}:{lineno}: unknown tail entity {t!r}")
+        if (h, r, t) in seen:
+            raise ValidationError(f"{path.name}:{lineno}: duplicate triple {(h, r, t)!r}")
+        seen.add((h, r, t))
 
 
 def load_dataset(directory: str | os.PathLike) -> KnowledgeGraph:
@@ -239,8 +251,8 @@ def load_dataset(directory: str | os.PathLike) -> KnowledgeGraph:
         if not (root / name).is_file():
             raise LoadError(f"missing dataset file: {root / name}")
 
-    entities = _read_pairs(root / "entities.tsv")
-    relations = _read_pairs(root / "relations.tsv")
+    entities = tuple([(eid, name) for _, (eid, name) in read_rows(root / "entities.tsv", 2)])
+    relations = tuple([(rid, name) for _, (rid, name) in read_rows(root / "relations.tsv", 2)])
     entity_ids = {eid for eid, _ in entities}
     relation_ids = {rid for rid, _ in relations}
 
@@ -248,40 +260,31 @@ def load_dataset(directory: str | os.PathLike) -> KnowledgeGraph:
     desc_path = root / "descriptions.tsv"
     if desc_path.is_file():
         described: set[str] = set()
-        with open(desc_path, encoding="utf-8", newline="") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                cells = line.split("\t")
-                if len(cells) != 2:
-                    raise ValidationError(
-                        f"descriptions.tsv:{lineno}: expected 2 tab-separated fields"
-                    )
-                eid, text = cells
-                if eid not in entity_ids:
-                    raise ValidationError(f"descriptions.tsv:{lineno}: unknown entity {eid!r}")
-                if eid in described:
-                    raise ValidationError(f"descriptions.tsv:{lineno}: duplicate entity {eid!r}")
-                described.add(eid)
-                descriptions[eid] = text
+        for lineno, (eid, text) in read_rows(desc_path, 2):
+            if eid not in entity_ids:
+                raise ValidationError(f"descriptions.tsv:{lineno}: unknown entity {eid!r}")
+            if eid in described:
+                raise ValidationError(f"descriptions.tsv:{lineno}: duplicate entity {eid!r}")
+            described.add(eid)
+            descriptions[eid] = text
 
     kg = KnowledgeGraph(
-        entities=tuple(entities),
-        relations=tuple(relations),
-        train=tuple(_read_triples(root / "train.tsv", entity_ids, relation_ids)),
-        valid=tuple(_read_triples(root / "valid.tsv", entity_ids, relation_ids)),
-        test=tuple(_read_triples(root / "test.tsv", entity_ids, relation_ids)),
+        entities=entities,
+        relations=relations,
         descriptions=descriptions,
+        **{
+            split: tuple([(h, r, t) for _, (h, r, t) in read_rows(root / f"{split}.tsv", 3)])
+            for split in SPLITS
+        },
     )
     try:
         kg.validate()
     except ValidationError:
-        # validate spots a repeated triple from the split sets it builds
-        # anyway, so loading builds no set of its own; only on an error are
-        # the files scanned, to name the line of a repeat if there is one.
+        # validate spots an unknown id or a repeated triple anyway, so loading
+        # checks no triple of its own; only on an error are the split files
+        # scanned, to name the line of the first bad triple if there is one.
         for split in SPLITS:
-            _raise_repeated_triple(root / f"{split}.tsv")
+            _raise_bad_triple(root / f"{split}.tsv", entity_ids, relation_ids)
         raise
     return kg
 
@@ -292,19 +295,14 @@ def write_dataset(kg: KnowledgeGraph, directory: str | os.PathLike) -> None:
     root = Path(directory)
     try:
         root.mkdir(parents=True, exist_ok=True)
-        _write_rows(root / "entities.tsv", kg.entities)
-        _write_rows(root / "relations.tsv", kg.relations)
-        _write_rows(root / "descriptions.tsv", [(eid, kg.descriptions[eid]) for eid, _ in kg.entities])
+        write_rows(root / "entities.tsv", kg.entities)
+        write_rows(root / "relations.tsv", kg.relations)
+        write_rows(root / "descriptions.tsv",
+                   ((eid, kg.descriptions[eid]) for eid, _ in kg.entities))
         for split in SPLITS:
-            _write_rows(root / f"{split}.tsv", kg.split(split))
+            write_rows(root / f"{split}.tsv", kg.split(split))
     except OSError as exc:
         raise LoadError(f"cannot write dataset under {root}: {exc}") from exc
-
-
-def _write_rows(path: Path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row in rows:
-            fh.write("\t".join(row) + "\n")
 
 
 def compute_stats(kg: KnowledgeGraph) -> DatasetStats:

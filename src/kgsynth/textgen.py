@@ -17,6 +17,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import SamplingError, UniquenessError
+from .kg import write_rows
 
 EOS = "<EOS>"
 
@@ -143,7 +144,5 @@ def log_probability(model: UnigramModel, text: str) -> float:
 
 def dump_unigram(model: UnigramModel, path: str | Path) -> None:
     """Write the model as ``char<TAB>probability`` rows plus an ``<EOS>`` row."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for char, prob in model.probabilities.items():
-            fh.write(f"{char}\t{prob!r}\n")
-        fh.write(f"{EOS}\t{model.eos_probability!r}\n")
+    rows = [(char, repr(prob)) for char, prob in model.probabilities.items()]
+    write_rows(path, rows + [(EOS, repr(model.eos_probability))])

@@ -26,9 +26,10 @@ from .evaluate import (
     pessimistic_rank,
     split_queries,
 )
-from .kg import KnowledgeGraph
+from .kg import KnowledgeGraph, float_cells, read_rows, write_rows
 
 _EPS = 1e-12
+NORMS = ("L1", "L2")
 
 
 class DivergenceError(KgsynthError):
@@ -101,7 +102,7 @@ def init_model(kg: KnowledgeGraph, dim: int, seed: int, norm: str = "L1",
     """Uniform(-6/sqrt(dim), 6/sqrt(dim)) init; all vectors L2-normalized."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if norm not in ("L1", "L2"):
+    if norm not in NORMS:
         raise ValueError(f"norm must be 'L1' or 'L2', got {norm!r}")
     rng = np.random.default_rng(seed)
     bound = 6.0 / np.sqrt(dim)
@@ -360,47 +361,47 @@ def save_model(model: EmbeddingModel, directory: str | Path) -> None:
     """TSV checkpoint: id<TAB>comma-joined components, plus a manifest."""
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
-    _dump_vectors(root / "entity_vectors.tsv", model.entity_ids, model.entity_vectors)
-    _dump_vectors(root / "relation_vectors.tsv", model.relation_ids, model.relation_vectors)
-    with open(root / "model.tsv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"dim\t{model.dim}\n")
-        fh.write(f"norm\t{model.norm}\n")
-        fh.write(f"margin\t{model.margin!r}\n")
-
-
-def _dump_vectors(path: Path, ids: tuple[str, ...], matrix: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row_id, row in zip(ids, matrix):
-            fh.write(row_id + "\t" + ",".join(repr(float(v)) for v in row) + "\n")
+    for name, ids, matrix in (("entity_vectors.tsv", model.entity_ids, model.entity_vectors),
+                              ("relation_vectors.tsv", model.relation_ids, model.relation_vectors)):
+        write_rows(root / name, ((row_id, ",".join(map(repr, row)))
+                                 for row_id, row in zip(ids, matrix.tolist())))
+    write_rows(root / "model.tsv",
+               [("dim", str(model.dim)), ("norm", model.norm), ("margin", repr(model.margin))])
 
 
 def load_model(directory: str | Path) -> EmbeddingModel:
+    """Read a ``save_model`` checkpoint; raise ValidationError if it is malformed."""
     root = Path(directory)
-    meta = {}
-    with open(root / "model.tsv", encoding="utf-8") as fh:
-        for line in fh:
-            key, value = line.rstrip("\n").split("\t")
-            meta[key] = value
-    entity_ids, entity_vectors = _load_vectors(root / "entity_vectors.tsv")
-    relation_ids, relation_vectors = _load_vectors(root / "relation_vectors.tsv")
+    meta = dict(cells for _, cells in read_rows(root / "model.tsv", 2))
+    try:
+        dim, norm, margin = int(meta["dim"]), meta["norm"], float(meta["margin"])
+    except (KeyError, ValueError) as exc:
+        raise ValidationError(f"model.tsv: missing or malformed field: {exc}") from exc
+    if norm not in NORMS:
+        raise ValidationError(f"model.tsv: unknown norm {norm!r}, expected one of {NORMS}")
+    entity_ids, entity_vectors = _load_vectors(root / "entity_vectors.tsv", dim)
+    relation_ids, relation_vectors = _load_vectors(root / "relation_vectors.tsv", dim)
     return EmbeddingModel(
         entity_ids=entity_ids,
         relation_ids=relation_ids,
         entity_vectors=entity_vectors,
         relation_vectors=relation_vectors,
-        norm=meta["norm"],
-        margin=float(meta["margin"]),
+        norm=norm,
+        margin=margin,
     )
 
 
-def _load_vectors(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
+def _load_vectors(path: Path, dim: int) -> tuple[tuple[str, ...], np.ndarray]:
     ids = []
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            row_id, cells = line.rstrip("\n").split("\t")
-            ids.append(row_id)
-            rows.append([float(v) for v in cells.split(",")])
+    for lineno, (row_id, cells) in read_rows(path, 2):
+        row = float_cells(path, lineno, cells.split(","))
+        if len(row) != dim:
+            raise ValidationError(
+                f"{path.name}:{lineno}: expected {dim} components, got {len(row)}"
+            )
+        ids.append(row_id)
+        rows.append(row)
     if not rows:
         raise ValidationError(f"{path} holds no vectors")
     return tuple(ids), np.array(rows, dtype=float)

@@ -37,12 +37,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
 from . import derangement as drg
 from .errors import InfeasibleError, KgsynthError
-from .kg import KnowledgeGraph, write_dataset
+from .kg import KnowledgeGraph, write_dataset, write_rows
 from .rewriter import NameMap, rewrite_descriptions
 from .textgen import fit_unigram, sample_unique_strings
 
@@ -263,31 +264,19 @@ def write_mapping(
     path: Path,
 ) -> None:
     """Dump old->new rows as ``kind<TAB>id<TAB>old_text<TAB>new_text``."""
-    old_entity_names = kg_before.entity_names
-    old_relation_names = kg_before.relation_names
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for eid, _ in kg_before.entities:
-            if eid in mapping.entity_map:
-                fh.write(f"entity\t{eid}\t{old_entity_names[eid]}\t{mapping.entity_map[eid]}\n")
-        for rid, _ in kg_before.relations:
-            if rid in mapping.relation_map:
-                fh.write(
-                    f"relation\t{rid}\t{old_relation_names[rid]}\t{mapping.relation_map[rid]}\n"
-                )
-        for eid, _ in kg_before.entities:
-            if eid in mapping.description_map:
-                fh.write(
-                    f"description\t{eid}\t{kg_before.descriptions[eid]}"
-                    f"\t{kg_after.descriptions[eid]}\n"
-                )
+    write_rows(path, chain(
+        (("entity", eid, name, mapping.entity_map[eid])
+         for eid, name in kg_before.entities if eid in mapping.entity_map),
+        (("relation", rid, name, mapping.relation_map[rid])
+         for rid, name in kg_before.relations if rid in mapping.relation_map),
+        (("description", eid, kg_before.descriptions[eid], kg_after.descriptions[eid])
+         for eid, _ in kg_before.entities if eid in mapping.description_map),
+    ))
 
 
 def write_recipe(label: str, kind: str, targets: frozenset[str], seed: int, path: Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"label\t{label}\n")
-        fh.write(f"kind\t{kind}\n")
-        fh.write(f"targets\t{_targets_text(targets)}\n")
-        fh.write(f"seed\t{seed}\n")
+    write_rows(path, [("label", label), ("kind", kind), ("targets", _targets_text(targets)),
+                      ("seed", str(seed))])
 
 
 def write_variant(

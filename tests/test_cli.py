@@ -167,6 +167,20 @@ def test_correlate_zero_variance_is_data_error(tmp_path, capsys):
     assert "b" in capsys.readouterr().err
 
 
+def test_correlate_non_numeric_cell_is_data_error(tmp_path, capsys):
+    series = tmp_path / "series.tsv"
+    series.write_text("a\tb\n1\t2\n2\tx\n3\t6\n", encoding="utf-8")
+    assert main(["correlate", "--input", str(series)]) == 2
+    assert "series.tsv:3: could not convert string to float: 'x'" in capsys.readouterr().err
+
+
+def test_correlate_ragged_row_is_data_error(tmp_path, capsys):
+    series = tmp_path / "series.tsv"
+    series.write_text("a\tb\n1\t2\n2\n3\t6\n", encoding="utf-8")
+    assert main(["correlate", "--input", str(series)]) == 2
+    assert "series.tsv:3: expected 2 tab-separated fields" in capsys.readouterr().err
+
+
 def test_outliers_command(capsys):
     assert main(["outliers", "1", "2", "3", "4", "100"]) == 0
     out = capsys.readouterr().out
@@ -175,6 +189,20 @@ def test_outliers_command(capsys):
 
 def test_outliers_too_few_values(capsys):
     assert main(["outliers", "1", "2"]) == 1
+
+
+def test_outliers_input_file(tmp_path, capsys):
+    values = tmp_path / "values.txt"
+    values.write_text("1\n2\n\n3\n4\n", encoding="utf-8")
+    assert main(["outliers", "100", "--input", str(values)]) == 0
+    assert "outliers\t100.0" in capsys.readouterr().out
+
+
+def test_outliers_non_numeric_input_is_data_error(tmp_path, capsys):
+    values = tmp_path / "values.txt"
+    values.write_text("1\n2\n\nx\n4\n", encoding="utf-8")
+    assert main(["outliers", "--input", str(values)]) == 2
+    assert "values.txt:4: could not convert string to float: 'x'" in capsys.readouterr().err
 
 
 def test_train_baseline_writes_checkpoint_and_metrics(dataset_dir, tmp_path, capsys):
@@ -244,6 +272,15 @@ def test_convert_kgbert_with_gloss_split(tmp_path):
     assert kg.descriptions["e1"] == "the first letter of the alphabet"
 
 
+def test_convert_kgbert_rejects_a_triple_listed_twice(tmp_path, capsys):
+    src = tmp_path / "src"
+    _kgbert_fixture(src)
+    (src / "train.tsv").write_text("e1\tr1\te2\ne1\tr1\te2\n", encoding="utf-8")
+    assert main(["convert", "--format", "kgbert", "--input", str(src),
+                 "--output", str(tmp_path / "out")]) == 2
+    assert "train.tsv:2: duplicate triple ('e1', 'r1', 'e2')" in capsys.readouterr().err
+
+
 def test_convert_kgbert_without_gloss_split(tmp_path):
     src = tmp_path / "src"
     _kgbert_fixture(src)
@@ -275,3 +312,19 @@ def test_convert_wikidata5m_layout(tmp_path):
     assert kg.entity_names == {"Q2": "Earth", "Q1": "universe"}
     assert kg.descriptions["Q1"] == "all of space and time"  # embedded tab flattened
     assert "Q9" not in kg.entity_names  # alias entries outside the triples are dropped
+
+
+def test_convert_wikidata5m_rejects_a_triple_in_two_splits(tmp_path, capsys):
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "wikidata5m_entity.txt").write_text("Q1\tuniverse\nQ2\tEarth\n", encoding="utf-8")
+    (src / "wikidata5m_relation.txt").write_text("P1\tpart of\n", encoding="utf-8")
+    (src / "wikidata5m_transductive_train.txt").write_text("Q2\tP1\tQ1\n", encoding="utf-8")
+    (src / "wikidata5m_transductive_valid.txt").write_text("Q1\tP1\tQ1\n", encoding="utf-8")
+    (src / "wikidata5m_transductive_test.txt").write_text(
+        "Q1\tP1\tQ2\n\nQ2\tP1\tQ1\n", encoding="utf-8"
+    )
+    assert main(["convert", "--format", "wikidata5m", "--input", str(src),
+                 "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "wikidata5m_transductive_test.txt:3: duplicate triple ('Q2', 'P1', 'Q1')" in err

@@ -1,15 +1,20 @@
 import random
+from functools import partial
 
 import pytest
 
 from kgsynth.errors import LoadError, ValidationError
+from kgsynth.evaluate import evaluate_predictions
 from kgsynth.kg import (
     DATASET_FILES,
     compute_stats,
     load_dataset,
+    read_rows,
     stream_stats,
     write_dataset,
+    write_rows,
 )
+from kgsynth.transe import init_model, load_model, save_model
 
 from conftest import make_kg, random_kg
 
@@ -188,3 +193,74 @@ def test_duplicate_triple_in_memory_rejected():
             train=[("a", "r", "b")],
             test=[("b", "r", "c"), ("b", "r", "c")],
         )
+
+
+# --- the row codec ----------------------------------------------------------------------
+
+def test_read_rows_skips_blank_lines_and_numbers_file_lines(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_text("a\tb\n\nc\t\n", encoding="utf-8")
+    assert list(read_rows(path, 2)) == [(1, ["a", "b"]), (3, ["c", ""])]
+
+
+def test_read_rows_without_width_takes_the_first_rows_width(tmp_path):
+    path = tmp_path / "rows.tsv"
+    path.write_text("x\ty\tz\n1\t2\t3\n4\t5\n", encoding="utf-8")
+    rows = read_rows(path)
+    assert next(rows) == (1, ["x", "y", "z"])
+    assert next(rows) == (2, ["1", "2", "3"])
+    with pytest.raises(ValidationError, match=r"^rows.tsv:3: expected 3 tab-separated fields$"):
+        next(rows)
+
+
+def test_write_rows_then_read_rows_round_trips_bytes(tmp_path):
+    rows = [("e1", "Alpha beta"), ("e2", ""), ("é", "ünï ☃")]
+    path = tmp_path / "rows.tsv"
+    write_rows(path, rows)
+    assert path.read_bytes() == "e1\tAlpha beta\ne2\t\né\tünï ☃\n".encode("utf-8")
+    assert [tuple(cells) for _, cells in read_rows(path, 2)] == rows
+
+
+def _dataset_file(name, root, kg):
+    write_dataset(kg, root)
+    return root / name, lambda: load_dataset(root)
+
+
+def _predictions_file(root, kg):
+    write_dataset(kg, root)
+    path = root / "preds.tsv"
+    write_rows(path, [(h, r, t, direction, t if direction == "tail" else h)
+                      for h, r, t in kg.test for direction in ("tail", "head")])
+    return path, lambda: evaluate_predictions(load_dataset(root), path)
+
+
+def _checkpoint_file(root, kg):
+    save_model(init_model(kg, dim=3, seed=0), root)
+    return root / "entity_vectors.tsv", lambda: load_model(root)
+
+
+# each writes a valid row file and returns it with the call that reads it
+ROW_FILES = {
+    "entities.tsv": partial(_dataset_file, "entities.tsv"),
+    "descriptions.tsv": partial(_dataset_file, "descriptions.tsv"),
+    "valid.tsv": partial(_dataset_file, "valid.tsv"),
+    "preds.tsv": _predictions_file,
+    "entity_vectors.tsv": _checkpoint_file,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_FILES))
+@pytest.mark.parametrize("change", [1, -1])
+def test_row_files_reject_a_row_of_the_wrong_width(name, change, family_kg, tmp_path):
+    path, read = ROW_FILES[name](tmp_path, family_kg)
+    read()  # the file as written is valid
+    lines = path.read_text(encoding="utf-8").splitlines()
+    width = len(lines[0].split("\t"))
+    bad = lines[-1].split("\t")
+    bad = bad + ["extra"] if change > 0 else bad[:-1]
+    # a blank line (skipped, but counted) and then the bad row
+    path.write_text("\n".join(lines + ["", "\t".join(bad)]) + "\n", encoding="utf-8")
+    bad_line = len(lines) + 2
+    with pytest.raises(ValidationError,
+                       match=rf"^{name}:{bad_line}: expected {width} tab-separated fields$"):
+        read()

@@ -442,3 +442,62 @@ def test_checkpoint_roundtrip(pattern_kg, tmp_path):
     assert loaded.norm == model.norm
     assert np.array_equal(loaded.entity_vectors, model.entity_vectors)
     assert np.array_equal(loaded.relation_vectors, model.relation_vectors)
+
+
+def _saved_l1_model(tmp_path):
+    kg = random_kg(random.Random(5))
+    model = init_model(kg, dim=4, seed=2, norm="L1")
+    save_model(model, tmp_path)
+    return model
+
+
+def test_checkpoint_with_unknown_norm_rejected(tmp_path):
+    _saved_l1_model(tmp_path)
+    (tmp_path / "model.tsv").write_text("dim\t4\nnorm\tl1\nmargin\t1.0\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="model.tsv: unknown norm 'l1'"):
+        load_model(tmp_path)
+
+
+@pytest.mark.parametrize("meta", ["dim\t4\nnorm\tL1\n", "dim\tfour\nnorm\tL1\nmargin\t1.0\n"])
+def test_checkpoint_with_missing_or_malformed_field_rejected(meta, tmp_path):
+    _saved_l1_model(tmp_path)
+    (tmp_path / "model.tsv").write_text(meta, encoding="utf-8")
+    with pytest.raises(ValidationError, match="model.tsv: missing or malformed field"):
+        load_model(tmp_path)
+
+
+def test_checkpoint_dim_must_match_the_vectors(tmp_path):
+    _saved_l1_model(tmp_path)
+    (tmp_path / "model.tsv").write_text("dim\t5\nnorm\tL1\nmargin\t1.0\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="entity_vectors.tsv:1: expected 5 components, got 4"):
+        load_model(tmp_path)
+
+
+def test_checkpoint_with_ragged_vectors_rejected(tmp_path):
+    _saved_l1_model(tmp_path)
+    path = tmp_path / "relation_vectors.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError,
+                       match="relation_vectors.tsv:2: expected 4 components, got 3"):
+        load_model(tmp_path)
+
+
+def test_checkpoint_with_non_numeric_component_rejected(tmp_path):
+    _saved_l1_model(tmp_path)
+    path = tmp_path / "entity_vectors.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].split("\t")[0] + "\t0.5,x,0.5,0.5"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="entity_vectors.tsv:3: could not convert"):
+        load_model(tmp_path)
+
+
+def test_checkpoint_blank_lines_are_skipped(tmp_path):
+    model = _saved_l1_model(tmp_path)
+    path = tmp_path / "entity_vectors.tsv"
+    path.write_text(path.read_text(encoding="utf-8").replace("\n", "\n\n"), encoding="utf-8")
+    loaded = load_model(tmp_path)
+    assert loaded.entity_ids == model.entity_ids
+    assert np.array_equal(loaded.entity_vectors, model.entity_vectors)
