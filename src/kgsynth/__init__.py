@@ -31,6 +31,7 @@ from .evaluate import (
     compute_metrics,
     evaluate_predictions,
     rank_gold,
+    rank_split,
 )
 from .kg import (
     DatasetStats,

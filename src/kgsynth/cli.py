@@ -9,7 +9,7 @@ error, 3 infeasibility (derangement/uniqueness/sampling), 4 internal error.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -244,15 +244,15 @@ def train_baseline(input_dir: str, output_dir: str, dim: int, margin: float, nor
 @click.option("--input", "input_dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--predictions", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--filtered/--raw", "filtered", default=True, show_default=True,
-              help="Annotation of how the external candidates were produced.")
+              help="Drop known-true rivals (any split) before ranking the gold; "
+                   "--raw ranks by list position.")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def evaluate_cmd(input_dir: str, predictions: str, filtered: bool, output: str | None) -> None:
     """Score an external system's ranked predictions on the test split."""
     manifest = RunManifest("evaluate", input_dir, output or "-", started_at=_now(),
                            params={"predictions": predictions, "filtered": str(filtered).lower()})
     graph = kg.load_dataset(input_dir)
-    report = evaluate.evaluate_predictions(graph, predictions)
-    report = replace(report, filtered=filtered)
+    report = evaluate.evaluate_predictions(graph, predictions, filtered)
     _echo_text(report.to_text(), Path(output) if output else None, manifest)
 
 
@@ -264,8 +264,14 @@ def correlate(input_file: str, output: str | None) -> None:
     """Pairwise Pearson correlation matrix over named series."""
     manifest = RunManifest("correlate", input_file, output or "-", started_at=_now())
     rows = kg.read_rows(input_file)
-    _, header = next(rows, (0, []))
-    series: dict[str, list[float]] = {name: [] for name in header}
+    header_line, header = next(rows, (0, []))
+    series: dict[str, list[float]] = {}
+    for name in header:
+        if name in series:
+            raise ValidationError(
+                f"{Path(input_file).name}:{header_line}: repeated column name {name!r}"
+            )
+        series[name] = []
     for lineno, cells in rows:
         for name, value in zip(header, kg.float_cells(input_file, lineno, cells)):
             series[name].append(value)

@@ -12,11 +12,12 @@ Two source layouts are understood:
   relations are restricted to those appearing in the triples, in first
   appearance order, since the alias files cover a superset.
 
-Conversion streams the triple files, holding only the set of triples seen,
-so that it rejects a triple listed twice as ``load_dataset`` would. Text
-files are read whole; a text line without a tab or with a repeated id is
-rejected. Tabs and newlines inside source text are replaced by spaces to fit
-the strict TSV cell rules.
+Conversion reads and checks every source file before it creates the output
+directory or writes any file, so a rejected source leaves no partial
+dataset behind. Triples are held in memory, which lets it reject a triple
+listed twice as ``load_dataset`` would; a text line without a tab or with a
+repeated id is rejected too. Tabs and newlines inside source text are
+replaced by spaces to fit the strict TSV cell rules.
 """
 
 from __future__ import annotations
@@ -62,8 +63,6 @@ def convert_kgbert(
 ) -> DatasetStats:
     """Convert a kgbert-style directory; returns the converted stats."""
     src = Path(input_dir)
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     entity_text = _read_text_map(_find_file(src, ["entity2text.txt", "entity2text.tsv"]))
     relation_text = _read_text_map(_find_file(src, ["relation2text.txt", "relation2text.tsv"]))
@@ -87,55 +86,55 @@ def convert_kgbert(
         "valid": _find_file(src, ["valid.tsv", "dev.tsv", "valid.txt", "dev.txt"]),
         "test": _find_file(src, ["test.tsv", "test.txt"]),
     }
-    counts = _stream_triples(split_files, out, known_entities=set(entity_text),
-                             known_relations=set(relation_text))
+    triples = _read_triples(split_files, known_entities=set(entity_text),
+                            known_relations=set(relation_text))
 
-    write_rows(out / "entities.tsv", names.items())
-    write_rows(out / "relations.tsv", ((rid, _clean(t)) for rid, t in relation_text.items()))
-    write_rows(out / "descriptions.tsv", descriptions.items())
-    return DatasetStats(
-        n_entities=len(names), n_relations=len(relation_text),
-        n_train=counts["train"], n_valid=counts["valid"], n_test=counts["test"],
-    )
+    relations = {rid: _clean(text) for rid, text in relation_text.items()}
+    return _write(Path(output_dir), triples, names, relations, descriptions)
 
 
 def convert_wikidata5m(input_dir: str | Path, output_dir: str | Path) -> DatasetStats:
     """Convert a wikidata5m transductive dump; returns the converted stats."""
     src = Path(input_dir)
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     split_files = {
         "train": _find_file(src, ["wikidata5m_transductive_train.txt", "train.txt"]),
         "valid": _find_file(src, ["wikidata5m_transductive_valid.txt", "valid.txt"]),
         "test": _find_file(src, ["wikidata5m_transductive_test.txt", "test.txt"]),
     }
-
-    seen_entities: dict[str, None] = {}
-    seen_relations: dict[str, None] = {}
-    counts = _stream_triples(split_files, out, collect_entities=seen_entities,
-                             collect_relations=seen_relations)
+    triples = _read_triples(split_files)
+    seen_entities = dict.fromkeys(e for rows in triples.values()
+                                  for h, _, t in rows for e in (h, t))
+    seen_relations = dict.fromkeys(r for rows in triples.values() for _, r, _ in rows)
 
     entity_alias = _read_first_alias(_find_file(src, ["wikidata5m_entity.txt"]))
     relation_alias = _read_first_alias(_find_file(src, ["wikidata5m_relation.txt"]))
-    write_rows(
-        out / "entities.tsv",
-        ((eid, _clean(entity_alias.get(eid, eid))) for eid in seen_entities),
-    )
-    write_rows(
-        out / "relations.tsv",
-        ((rid, _clean(relation_alias.get(rid, rid))) for rid in seen_relations),
-    )
-
     text_path = src / "wikidata5m_text.txt"
     texts = _read_text_map(text_path) if text_path.is_file() else {}
-    write_rows(
-        out / "descriptions.tsv",
-        ((eid, _clean(text)) for eid, text in texts.items() if eid in seen_entities),
-    )
+
+    names = {eid: _clean(entity_alias.get(eid, eid)) for eid in seen_entities}
+    relations = {rid: _clean(relation_alias.get(rid, rid)) for rid in seen_relations}
+    descriptions = {eid: _clean(text) for eid, text in texts.items() if eid in seen_entities}
+    return _write(Path(output_dir), triples, names, relations, descriptions)
+
+
+def _write(
+    out: Path,
+    triples: dict[str, list[Triple]],
+    names: dict[str, str],
+    relations: dict[str, str],
+    descriptions: dict[str, str],
+) -> DatasetStats:
+    """Create ``out`` and write the six dataset files from checked inputs."""
+    out.mkdir(parents=True, exist_ok=True)
+    for split, rows in triples.items():
+        write_rows(out / f"{split}.tsv", rows)
+    write_rows(out / "entities.tsv", names.items())
+    write_rows(out / "relations.tsv", relations.items())
+    write_rows(out / "descriptions.tsv", descriptions.items())
     return DatasetStats(
-        n_entities=len(seen_entities), n_relations=len(seen_relations),
-        n_train=counts["train"], n_valid=counts["valid"], n_test=counts["test"],
+        n_entities=len(names), n_relations=len(relations),
+        n_train=len(triples["train"]), n_valid=len(triples["valid"]), n_test=len(triples["test"]),
     )
 
 
@@ -149,22 +148,20 @@ def _read_first_alias(path: Path) -> dict[str, str]:
     return aliases
 
 
-def _stream_triples(
+def _read_triples(
     split_files: dict[str, Path],
-    out: Path,
     known_entities: set[str] | None = None,
     known_relations: set[str] | None = None,
-    collect_entities: dict[str, None] | None = None,
-    collect_relations: dict[str, None] | None = None,
-) -> dict[str, int]:
-    """Copy each split's triples to ``out`` and count them.
+) -> dict[str, list[Triple]]:
+    """Each split's triples, in file order, after checking every line.
 
     As ``load_dataset`` does, rejects a triple that repeats one of its own
-    split or of an earlier one; the triples seen so far are held in memory.
+    split or of an earlier one.
     """
     seen: set[Triple] = set()
-
-    def checked(path: Path):
+    triples: dict[str, list[Triple]] = {}
+    for split, path in split_files.items():
+        rows = triples[split] = []
         for lineno, (h, r, t) in read_rows(path, 3):
             if known_entities is not None and (h not in known_entities or t not in known_entities):
                 raise ValidationError(f"{path.name}:{lineno}: entity without text entry")
@@ -173,16 +170,5 @@ def _stream_triples(
             if (h, r, t) in seen:
                 raise ValidationError(f"{path.name}:{lineno}: duplicate triple {(h, r, t)!r}")
             seen.add((h, r, t))
-            if collect_entities is not None:
-                collect_entities.setdefault(h)
-                collect_entities.setdefault(t)
-            if collect_relations is not None:
-                collect_relations.setdefault(r)
-            yield h, r, t
-
-    counts = {}
-    for split, path in split_files.items():
-        before = len(seen)
-        write_rows(out / f"{split}.tsv", checked(path))
-        counts[split] = len(seen) - before
-    return counts
+            rows.append((h, r, t))
+    return triples

@@ -5,10 +5,14 @@ head prediction. Ranking is pessimistic on ties (the gold entity ranks below
 every rival with an equal score) and filtered by default: candidates that
 form other known-true triples for the same query, in any split, are removed
 before ranking. Both choices are stamped into every MetricsReport.
+
+Every report ranks through ``rank_split``; ``rank_gold``, over one scores
+table per query, stays as the test oracle of that row-space loop.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -153,34 +157,67 @@ def filter_rows(kg: KnowledgeGraph, queries: list[Query]) -> list[np.ndarray]:
     return [answers[a:b] for a, b in zip(starts, ends)]
 
 
-def evaluate_predictions(kg: KnowledgeGraph, predictions_file: str | Path) -> MetricsReport:
+def rank_split(
+    kg: KnowledgeGraph,
+    split: str,
+    filtered: bool,
+    scores_of: Callable[[Query], np.ndarray],
+) -> list[RankingRecord]:
+    """Gold rank of every split query, in split order: the one ranking loop.
+
+    ``scores_of(query)`` gives one score per entity row of ``kg`` (higher is
+    better); with ``filtered``, the query's other known-true answers
+    (``filter_rows``) are dropped before the pessimistic count.
+    """
+    queries = split_queries(kg, split)
+    if filtered:
+        answers = filter_rows(kg, queries)
+    else:
+        answers = [np.empty(0, dtype=np.int64)] * len(queries)
+    entity_row = kg.entity_row
+    records = []
+    for query, answer_rows in zip(queries, answers):
+        scores = scores_of(query)
+        gold = entity_row[query.gold]
+        rivals = answer_rows[answer_rows != gold]
+        rank = pessimistic_rank(scores, scores[gold], scores[rivals])
+        records.append(RankingRecord(query=query, gold_rank=rank))
+    return records
+
+
+def evaluate_predictions(
+    kg: KnowledgeGraph, predictions_file: str | Path, filtered: bool = True
+) -> MetricsReport:
     """Score an external system's ranked candidate lists against the test split.
 
     File format, one line per (triple, direction):
     ``head<TAB>relation<TAB>tail<TAB>direction<TAB>candidate,candidate,...``
-    with candidates best-first. The gold rank is its 1-based list position;
-    a gold entity absent from its list is ranked |E| (worst case).
+    with candidates best-first. Raw, the gold rank is its 1-based list
+    position, and a gold entity absent from its list is ranked |E| (worst
+    case). Filtered (the default), known-true rivals listed before the gold
+    are not counted, and an absent gold ranks last among the candidates
+    that survive the filter.
     """
     path = Path(predictions_file)
-    entity_ids = set(kg.entity_ids)
+    entity_row = kg.entity_row
     relation_ids = set(kg.relation_ids)
-    ranked: dict[Query, list[str]] = {}
+    ranked: dict[Query, np.ndarray] = {}
     for lineno, (h, r, t, direction, candidate_cell) in read_rows(path, 5):
         if direction not in ("tail", "head"):
             raise ValidationError(f"{path.name}:{lineno}: bad direction {direction!r}")
         for eid in (h, t):
-            if eid not in entity_ids:
+            if eid not in entity_row:
                 raise ValidationError(f"{path.name}:{lineno}: unknown entity {eid!r}")
         if r not in relation_ids:
             raise ValidationError(f"{path.name}:{lineno}: unknown relation {r!r}")
         candidates = candidate_cell.split(",") if candidate_cell else []
-        seen: set[str] = set()
+        rows: dict[str, int] = {}
         for c in candidates:
-            if c not in entity_ids:
+            if c not in entity_row:
                 raise ValidationError(f"{path.name}:{lineno}: unknown candidate {c!r}")
-            if c in seen:
+            if c in rows:
                 raise ValidationError(f"{path.name}:{lineno}: duplicate candidate {c!r}")
-            seen.add(c)
+            rows[c] = entity_row[c]
         if direction == "tail":
             query = Query(known=(h, r), direction="tail", gold=t)
         else:
@@ -189,20 +226,21 @@ def evaluate_predictions(kg: KnowledgeGraph, predictions_file: str | Path) -> Me
             raise ValidationError(
                 f"{path.name}:{lineno}: duplicate prediction for {(h, r, t, direction)}"
             )
-        ranked[query] = candidates
+        ranked[query] = np.fromiter(rows.values(), dtype=np.intp, count=len(rows))
 
-    queries = split_queries(kg, "test")
-    missing = [query for query in queries if query not in ranked]
+    missing = [query for query in split_queries(kg, "test") if query not in ranked]
     if missing:
         shown = ", ".join(map(str, missing[:5]))
         raise ValidationError(
             f"predictions missing for {len(missing)} (triple, direction) queries: {shown}"
         )
 
-    worst = len(kg.entities)
-    records = []
-    for query in queries:
-        candidates = ranked[query]
-        rank = candidates.index(query.gold) + 1 if query.gold in candidates else worst
-        records.append(RankingRecord(query=query, gold_rank=rank))
-    return compute_metrics(records, filtered=False, tie_policy=CANDIDATE_ORDER)
+    def scores_of(query: Query) -> np.ndarray:
+        # minus the list position; unlisted entities tie below every listed one
+        listed = ranked[query]
+        scores = np.full(len(entity_row), -np.inf)
+        scores[listed] = -np.arange(len(listed), dtype=float)
+        return scores
+
+    records = rank_split(kg, "test", filtered, scores_of)
+    return compute_metrics(records, filtered=filtered, tie_policy=CANDIDATE_ORDER)

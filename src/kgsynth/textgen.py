@@ -8,16 +8,13 @@ without carrying any character co-occurrence information.
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 from .errors import SamplingError, UniquenessError
-from .kg import write_rows
 
 EOS = "<EOS>"
 
@@ -129,20 +126,3 @@ def sample_unique_strings(
         taken.add(candidate)
         out.append(candidate)
     return out
-
-
-def log_probability(model: UnigramModel, text: str) -> float:
-    """log p(text): sum of per-character log probabilities plus log p(EOS)."""
-    logp = math.log(model.eos_probability)
-    for char in text:
-        p = model.probabilities.get(char, 0.0)
-        if p == 0.0:
-            return float("-inf")
-        logp += math.log(p)
-    return logp
-
-
-def dump_unigram(model: UnigramModel, path: str | Path) -> None:
-    """Write the model as ``char<TAB>probability`` rows plus an ``<EOS>`` row."""
-    rows = [(char, repr(prob)) for char, prob in model.probabilities.items()]
-    write_rows(path, rows + [(EOS, repr(model.eos_probability))])

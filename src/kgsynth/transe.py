@@ -18,14 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import KgsynthError, ValidationError
-from .evaluate import (
-    MetricsReport,
-    RankingRecord,
-    compute_metrics,
-    filter_rows,
-    pessimistic_rank,
-    split_queries,
-)
+from .evaluate import MetricsReport, Query, RankingRecord, compute_metrics, rank_split
 from .kg import KnowledgeGraph, float_cells, read_rows, write_rows
 
 _EPS = 1e-12
@@ -317,7 +310,7 @@ def score_all(model: EmbeddingModel, known_id: str, relation_id: str,
 
 def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
                  filtered: bool = True) -> list[RankingRecord]:
-    """Gold rank of every split query, in split order, computed in row space.
+    """Gold rank of every split query, in split order, through ``rank_split``.
 
     Equal, query by query, to ``rank_gold`` over ``score_all``: the same
     distances and tie policy, without building a scores table per query.
@@ -330,25 +323,17 @@ def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
             f"model covers {len(model.entity_ids)} entities, expected the graph's "
             f"{len(kg.entities)} (missing: {missing[:3]})"
         )
-    queries = split_queries(kg, split)
-    if filtered:
-        answers = filter_rows(kg, queries)
-    else:
-        answers = [np.empty(0, dtype=np.int64)] * len(queries)
-    to_model = _row_map(entity_row, kg.entity_ids)
-    entities = model.entity_vectors
+    # the entity table in graph row order, so every score lands on its kg row
+    entities = model.entity_vectors[_row_map(entity_row, kg.entity_ids)]
+    graph_row = kg.entity_row
     buf = np.empty_like(entities)
-    records = []
-    for query, answer_rows in zip(queries, answers):
+
+    def scores_of(query: Query) -> np.ndarray:
         known_id, relation_id = query.known
-        scores = _scores_into(buf, entities, entities[entity_row[known_id]],
-                              model.relation_vector(relation_id), query.direction, model.norm)
-        gold = entity_row[query.gold]
-        rivals = to_model[answer_rows]
-        rivals = rivals[rivals != gold]
-        rank = pessimistic_rank(scores, scores[gold], scores[rivals])
-        records.append(RankingRecord(query=query, gold_rank=rank))
-    return records
+        return _scores_into(buf, entities, entities[graph_row[known_id]],
+                            model.relation_vector(relation_id), query.direction, model.norm)
+
+    return rank_split(kg, split, filtered, scores_of)
 
 
 def evaluate_model(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",

@@ -28,7 +28,7 @@ from kgsynth.analysis import (
 )
 from kgsynth.derangement import bipartite_derange, derange
 from kgsynth.errors import InfeasibleError
-from kgsynth.evaluate import Query, compute_metrics, rank_gold, split_queries
+from kgsynth.evaluate import Query, compute_metrics, rank_gold, rank_split, split_queries
 from kgsynth.kg import (
     KnowledgeGraph,
     compute_stats,
@@ -343,6 +343,14 @@ def test_criterion_08_metrics_oracle():
             for filtered in (False, True):
                 got = rank_gold(scores, query, kg, filtered=filtered).gold_rank
                 assert got == reference_rank(scores, query, kg, filtered)
+        # the ranker that every report uses, over the same table in entity row order
+        row_scores = np.array([scores[eid] for eid in kg.entity_ids])
+        for split in ("test", "valid"):
+            for filtered in (False, True):
+                records = rank_split(kg, split, filtered, lambda query: row_scores)
+                assert [rec.query for rec in records] == split_queries(kg, split)
+                for rec in records:
+                    assert rec.gold_rank == reference_rank(scores, rec.query, kg, filtered)
 
     from kgsynth.evaluate import RankingRecord
 
@@ -353,7 +361,8 @@ def test_criterion_08_metrics_oracle():
     assert abs(report.hits[1] - 1 / 3) < 1e-12
     assert abs(report.hits[3] - 2 / 3) < 1e-12
     assert report.hits[10] == 1.0
-    _report(8, "50 random tables equal brute force; formula cases exact to 1e-12")
+    _report(8, "50 random tables equal brute force through rank_gold and rank_split; "
+               "formula cases exact to 1e-12")
 
 
 def test_criterion_09_transe_keystone_invariance(family_kg, tmp_path):

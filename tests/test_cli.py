@@ -181,6 +181,13 @@ def test_correlate_ragged_row_is_data_error(tmp_path, capsys):
     assert "series.tsv:3: expected 2 tab-separated fields" in capsys.readouterr().err
 
 
+def test_correlate_repeated_column_name_is_data_error(tmp_path, capsys):
+    series = tmp_path / "series.tsv"
+    series.write_text("a\ta\n1\t2\n2\t4\n3\t7\n", encoding="utf-8")
+    assert main(["correlate", "--input", str(series)]) == 2
+    assert "series.tsv:1: repeated column name 'a'" in capsys.readouterr().err
+
+
 def test_outliers_command(capsys):
     assert main(["outliers", "1", "2", "3", "4", "100"]) == 0
     out = capsys.readouterr().out
@@ -279,6 +286,32 @@ def test_convert_kgbert_rejects_a_triple_listed_twice(tmp_path, capsys):
     assert main(["convert", "--format", "kgbert", "--input", str(src),
                  "--output", str(tmp_path / "out")]) == 2
     assert "train.tsv:2: duplicate triple ('e1', 'r1', 'e2')" in capsys.readouterr().err
+
+
+def test_convert_rejected_source_writes_no_output(tmp_path, capsys):
+    # kgbert: train.tsv repeats its first triple on line 3, after two good rows
+    src = tmp_path / "src"
+    _kgbert_fixture(src)
+    (src / "train.tsv").write_text("e1\tr1\te2\ne2\tr1\te3\ne1\tr1\te2\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["convert", "--format", "kgbert", "--input", str(src), "--output", str(out)]) == 2
+    assert "train.tsv:3: duplicate triple" in capsys.readouterr().err
+    assert not out.exists()
+
+    # wikidata5m: the text file, read after every split, has a line without a tab
+    src = tmp_path / "wd"
+    src.mkdir()
+    (src / "wikidata5m_entity.txt").write_text("Q1\tuniverse\nQ2\tEarth\n", encoding="utf-8")
+    (src / "wikidata5m_relation.txt").write_text("P1\tpart of\n", encoding="utf-8")
+    (src / "wikidata5m_text.txt").write_text("Q1\tall of space\nQ2 no tab\n", encoding="utf-8")
+    (src / "wikidata5m_transductive_train.txt").write_text("Q2\tP1\tQ1\n", encoding="utf-8")
+    (src / "wikidata5m_transductive_valid.txt").write_text("Q1\tP1\tQ1\n", encoding="utf-8")
+    (src / "wikidata5m_transductive_test.txt").write_text("Q2\tP1\tQ2\n", encoding="utf-8")
+    out = tmp_path / "wd-out"
+    assert main(["convert", "--format", "wikidata5m", "--input", str(src),
+                 "--output", str(out)]) == 2
+    assert "wikidata5m_text.txt:2: expected id<TAB>text" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_convert_kgbert_without_gloss_split(tmp_path):

@@ -13,7 +13,7 @@ from kgsynth.evaluate import (
     split_queries,
 )
 
-from conftest import make_kg
+from conftest import make_kg, random_kg
 
 
 @pytest.fixture
@@ -27,16 +27,21 @@ def six_entity_kg():
     )
 
 
+def known_rivals(query, kg):
+    """Every other entity that answers the query in some split, by a scan of all triples."""
+    answers = set()
+    for h, r, t in kg.all_triples:
+        if query.direction == "tail" and (h, r) == query.known:
+            answers.add(t)
+        if query.direction == "head" and (t, r) == query.known:
+            answers.add(h)
+    return answers - {query.gold}
+
+
 def reference_rank(scores, query, kg, filtered):
     """Materialize, filter, and sort the candidate list; gold goes below ties."""
-    excluded = set()
-    if filtered:
-        for h, r, t in kg.all_triples:
-            if query.direction == "tail" and (h, r) == query.known:
-                excluded.add(t)
-            if query.direction == "head" and (t, r) == (query.known[0], query.known[1]):
-                excluded.add(h)
-    candidates = [e for e in kg.entity_ids if e == query.gold or e not in excluded]
+    excluded = known_rivals(query, kg) if filtered else set()
+    candidates = [e for e in kg.entity_ids if e not in excluded]
     ordered = sorted(candidates, key=lambda e: (-scores[e], e == query.gold))
     return ordered.index(query.gold) + 1
 
@@ -182,22 +187,84 @@ def test_predictions_gold_absent_worst_case(tmp_path):
     assert report.hits[10] == 0.0
 
 
+WORKSHEET = [
+    ("e0", "r1", "e4", "tail", ["e1", "e4", "e2"]),
+    ("e0", "r1", "e4", "head", ["e0", "e1"]),
+    ("e5", "r2", "e0", "tail", ["e1", "e3", "e0"]),
+    ("e5", "r2", "e0", "head", []),
+]
+
+
 def test_predictions_hand_ranked_worksheet(six_entity_kg, tmp_path):
     # Worked by hand: tail ranks 2 and 3, head ranks 1 and 6 (absent).
-    rows = [
-        ("e0", "r1", "e4", "tail", ["e1", "e4", "e2"]),
-        ("e0", "r1", "e4", "head", ["e0", "e1"]),
-        ("e5", "r2", "e0", "tail", ["e1", "e3", "e0"]),
-        ("e5", "r2", "e0", "head", []),
-    ]
     path = tmp_path / "preds.tsv"
-    _write_predictions(path, rows)
-    report = evaluate_predictions(six_entity_kg, path)
+    _write_predictions(path, WORKSHEET)
+    report = evaluate_predictions(six_entity_kg, path, filtered=False)
     ranks = [2, 1, 3, 6]
     assert report.mr == sum(ranks) / 4
     assert report.mrr == pytest.approx(sum(1 / r for r in ranks) / 4, abs=1e-12)
     assert report.hits[1] == 1 / 4
     assert report.hits[3] == 3 / 4
+    assert not report.filtered
+
+
+def test_predictions_hand_ranked_worksheet_filtered(six_entity_kg, tmp_path):
+    # Worked by hand: (e0, r1, ?) also has the known answers e1, e2 and e3, so
+    # the e1 listed ahead of the gold e4 is dropped and the first rank is 1.
+    # (e5, r2, ?) and (?, r2, e0) have no other answers, so 3 and 6 stay.
+    path = tmp_path / "preds.tsv"
+    _write_predictions(path, WORKSHEET)
+    report = evaluate_predictions(six_entity_kg, path)
+    ranks = [1, 1, 3, 6]
+    assert report.mr == sum(ranks) / 4
+    assert report.mrr == pytest.approx(sum(1 / r for r in ranks) / 4, abs=1e-12)
+    assert report.hits[1] == 2 / 4
+    assert report.hits[3] == 3 / 4
+    assert report.filtered
+    assert report.tie_policy == "candidate-order"
+
+
+def reference_list_rank(candidates, query, kg, filtered):
+    """Strike the known-true rivals from the list and from the entity set, then look."""
+    excluded = known_rivals(query, kg) if filtered else set()
+    kept = [c for c in candidates if c not in excluded]
+    if query.gold in kept:
+        return kept.index(query.gold) + 1
+    return len([e for e in kg.entity_ids if e not in excluded])
+
+
+def test_predictions_match_brute_force_on_random_lists(tmp_path):
+    rng = random.Random(61)
+    # few entities and relations, so most queries have known-true rivals
+    kg = random_kg(rng, n_entities=7, n_relations=2, n_train=16, n_valid=3, n_test=5)
+    queries = split_queries(kg)
+    path = tmp_path / "preds.tsv"
+    seen = {"absent gold": 0, "rival before gold": 0}
+    for _ in range(200):
+        rows, lists = [], []
+        for query in queries:
+            candidates = rng.sample(kg.entity_ids, rng.randint(0, len(kg.entity_ids)))
+            lists.append(candidates)
+            if query.direction == "tail":
+                (h, r), t = query.known, query.gold
+            else:
+                (t, r), h = query.known, query.gold
+            rows.append((h, r, t, query.direction, candidates))
+            rivals = known_rivals(query, kg)
+            if query.gold not in candidates:
+                seen["absent gold"] += 1
+            elif rivals & set(candidates[: candidates.index(query.gold)]):
+                seen["rival before gold"] += 1
+        _write_predictions(path, rows)
+        for filtered in (False, True):
+            expected = [
+                RankingRecord(query, reference_list_rank(candidates, query, kg, filtered))
+                for query, candidates in zip(queries, lists)
+            ]
+            assert evaluate_predictions(kg, path, filtered) == compute_metrics(
+                expected, filtered=filtered, tie_policy="candidate-order"
+            )
+    assert min(seen.values()) > 100, seen
 
 
 def test_predictions_missing_queries_listed(six_entity_kg, tmp_path):

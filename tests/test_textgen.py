@@ -1,4 +1,3 @@
-import math
 import random
 from collections import Counter
 
@@ -6,11 +5,8 @@ import pytest
 
 from kgsynth.errors import SamplingError, UniquenessError
 from kgsynth.textgen import (
-    EOS,
     UnigramModel,
-    dump_unigram,
     fit_unigram,
-    log_probability,
     sample_string,
     sample_unique_strings,
 )
@@ -114,25 +110,3 @@ def test_unique_strings_budget_exhausted():
     forbidden = {"x", "xx", "xxx", "xxxx", "xxxxx", "xxxxxx"}
     with pytest.raises(UniquenessError):
         sample_unique_strings(model, 3, forbidden, seed=2)
-
-
-def test_log_probability_is_sum_of_char_logs():
-    model = fit_unigram(["ab", "b"])
-    rng = random.Random(5)
-    for _ in range(50):
-        s = sample_string(model, rng)
-        expected = sum(math.log(model.probabilities[c]) for c in s) + math.log(
-            model.eos_probability
-        )
-        assert math.isclose(log_probability(model, s), expected, rel_tol=0, abs_tol=1e-12)
-    assert log_probability(model, "zzz") == float("-inf")
-
-
-def test_dump_unigram_layout(tmp_path):
-    model = fit_unigram(["ab", "b"])
-    path = tmp_path / "unigram.tsv"
-    dump_unigram(model, path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0].split("\t")[0] == "a"
-    assert lines[-1].split("\t")[0] == EOS
-    assert float(lines[-1].split("\t")[1]) == model.eos_probability
