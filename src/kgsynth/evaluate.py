@@ -12,7 +12,9 @@ table per query, stays as the test oracle of that row-space loop.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +27,9 @@ HITS_KS = (1, 3, 10)
 
 PESSIMISTIC = "pessimistic"
 CANDIDATE_ORDER = "candidate-order"
+
+# consecutive queries ranked by one task of rank_split's thread pool
+QUERY_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -157,6 +162,14 @@ def filter_rows(kg: KnowledgeGraph, queries: list[Query]) -> list[np.ndarray]:
     return [answers[a:b] for a, b in zip(starts, ends)]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def rank_split(
     kg: KnowledgeGraph,
     split: str,
@@ -168,6 +181,12 @@ def rank_split(
     ``scores_of(query)`` gives one score per entity row of ``kg`` (higher is
     better); with ``filtered``, the query's other known-true answers
     (``filter_rows``) are dropped before the pessimistic count.
+
+    Chunks of ``QUERY_CHUNK`` consecutive queries are ranked on a thread
+    pool sized to the usable CPUs. So ``scores_of`` may be called from
+    several threads at once, and a thread reads the array it returns only
+    until its next call. Each chunk writes only its own rank slots, so the
+    records do not depend on thread timing or the number of CPUs.
     """
     queries = split_queries(kg, split)
     if filtered:
@@ -175,14 +194,26 @@ def rank_split(
     else:
         answers = [np.empty(0, dtype=np.int64)] * len(queries)
     entity_row = kg.entity_row
-    records = []
-    for query, answer_rows in zip(queries, answers):
-        scores = scores_of(query)
-        gold = entity_row[query.gold]
-        rivals = answer_rows[answer_rows != gold]
-        rank = pessimistic_rank(scores, scores[gold], scores[rivals])
-        records.append(RankingRecord(query=query, gold_rank=rank))
-    return records
+    ranks = [0] * len(queries)
+
+    def rank_chunk(start: int) -> None:
+        for i in range(start, min(start + QUERY_CHUNK, len(queries))):
+            scores = scores_of(queries[i])
+            gold = entity_row[queries[i].gold]
+            rivals = answers[i][answers[i] != gold]
+            ranks[i] = pessimistic_rank(scores, scores[gold], scores[rivals])
+
+    starts = range(0, len(queries), QUERY_CHUNK)
+    workers = min(_usable_cpus(), len(starts))
+    if workers <= 1:
+        for start in starts:
+            rank_chunk(start)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            # reading every result re-raises the first failure
+            for _ in pool.map(rank_chunk, starts):
+                pass
+    return [RankingRecord(query=query, gold_rank=rank) for query, rank in zip(queries, ranks)]
 
 
 def evaluate_predictions(

@@ -30,6 +30,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -93,14 +94,16 @@ class KnowledgeGraph:
     def split_rows(self) -> dict[str, np.ndarray]:
         """Each split as an int32 ``(n, 3)`` array of (head, relation, tail)
         rows into ``entity_ids`` / ``relation_ids``, built on first use."""
-        entity_row, relation_row = self.entity_row, self.relation_row
-        return {
-            name: np.array(
-                [(entity_row[h], relation_row[r], entity_row[t]) for h, r, t in self.split(name)],
-                dtype=np.int32,
-            ).reshape(-1, 3)
-            for name in SPLITS
-        }
+        columns = (self.entity_row, self.relation_row, self.entity_row)
+        rows = {}
+        for name in SPLITS:
+            triples = self.split(name)
+            rows[name] = np.empty((len(triples), 3), dtype=np.int32)
+            # one column at a time, so no tuple per triple is built
+            for j, row in enumerate(columns):
+                rows[name][:, j] = np.fromiter(map(row.__getitem__, map(itemgetter(j), triples)),
+                                               dtype=np.int32, count=len(triples))
+        return rows
 
     def split(self, name: str) -> tuple[Triple, ...]:
         if name not in SPLITS:

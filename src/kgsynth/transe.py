@@ -11,6 +11,7 @@ perturbation-invariance oracle for the transform suite.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -23,6 +24,8 @@ from .kg import KnowledgeGraph, float_cells, read_rows, write_rows
 
 _EPS = 1e-12
 NORMS = ("L1", "L2")
+# entity rows scored per step of rank_queries
+_ENTITY_BLOCK = 1024
 
 
 class DivergenceError(KgsynthError):
@@ -253,10 +256,11 @@ def probe_loss(model: EmbeddingModel, kg: KnowledgeGraph, seed: int = 0,
         raise ValueError("train split is empty")
     rng = np.random.default_rng([seed, 2])
     corrupt_tail = rng.random(n) < 0.5
-    to_entity = _row_map(model.entity_row, kg.entity_ids)
+    to_entity = _row_map(model.entity_ids, model.entity_row, kg.entity_ids, "entities")
+    to_relation = _row_map(model.relation_ids, model.relation_row, kg.relation_ids, "relations")
     corrupt_with = to_entity[rng.integers(0, len(kg.entity_ids), size=n)]
     h, r, t = kg.split_rows["train"][:n].T
-    h, r, t = to_entity[h], _row_map(model.relation_row, kg.relation_ids)[r], to_entity[t]
+    h, r, t = to_entity[h], to_relation[r], to_entity[t]
     h_neg = np.where(corrupt_tail, h, corrupt_with)
     t_neg = np.where(corrupt_tail, corrupt_with, t)
     loss, _, _ = _hinge(model.entity_vectors, model.relation_vectors, h, r, t, h_neg, t_neg,
@@ -264,17 +268,29 @@ def probe_loss(model: EmbeddingModel, kg: KnowledgeGraph, seed: int = 0,
     return float(np.maximum(loss, 0.0).sum()) / n
 
 
-def _row_map(model_row: dict[str, int], graph_ids: tuple[str, ...]) -> np.ndarray:
-    """Model row of each graph row, for the same ids."""
+def _row_map(model_ids: tuple[str, ...], model_row: dict[str, int],
+             graph_ids: tuple[str, ...], what: str) -> np.ndarray:
+    """Model row of each graph row, for the same ids.
+
+    Raises ValidationError unless the model covers exactly the graph's ids.
+    """
+    missing = [i for i in graph_ids if i not in model_row]
+    if missing or len(model_ids) != len(graph_ids):
+        raise ValidationError(
+            f"model covers {len(model_ids)} {what}, expected the graph's "
+            f"{len(graph_ids)} (missing: {missing[:3]})"
+        )
     return np.array([model_row[i] for i in graph_ids], dtype=np.intp)
 
 
 def _scores_into(buf: np.ndarray, entities: np.ndarray, known: np.ndarray, rel: np.ndarray,
-                 direction: str, norm: str) -> np.ndarray:
+                 direction: str, norm: str, out: np.ndarray | None = None) -> np.ndarray:
     """Negative translation distance of every entity row as the unknown end.
 
     ``buf`` has the shape of ``entities`` and is overwritten; the in-place
-    ops reuse it, since this runs once per query over the full entity table.
+    ops reuse it. The scores go to ``out`` (one per row) when given. Each
+    row is summed over its own contiguous values, so scoring a table in
+    chunks of rows gives the same bits as scoring it whole.
     """
     if direction == "tail":
         np.subtract(known + rel, entities, out=buf)
@@ -283,10 +299,10 @@ def _scores_into(buf: np.ndarray, entities: np.ndarray, known: np.ndarray, rel: 
         np.subtract(buf, known, out=buf)
     if norm == "L1":
         np.abs(buf, out=buf)
-        dists = buf.sum(axis=1)
+        dists = buf.sum(axis=1, out=out)
     else:
         np.multiply(buf, buf, out=buf)
-        dists = buf.sum(axis=1)
+        dists = buf.sum(axis=1, out=out)
         np.sqrt(dists, out=dists)
     np.negative(dists, out=dists)
     return dists
@@ -314,24 +330,32 @@ def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
 
     Equal, query by query, to ``rank_gold`` over ``score_all``: the same
     distances and tie policy, without building a scores table per query.
-    The model must cover exactly the graph's entities, in any order.
+    The model must cover exactly the graph's entities and relations, in any
+    order. Each thread scores into its own buffers, ``_ENTITY_BLOCK`` entity
+    rows at a time, so its scratch block stays cache-sized.
     """
-    entity_row = model.entity_row
-    missing = [e for e in kg.entity_ids if e not in entity_row]
-    if missing or len(model.entity_ids) != len(kg.entities):
-        raise ValidationError(
-            f"model covers {len(model.entity_ids)} entities, expected the graph's "
-            f"{len(kg.entities)} (missing: {missing[:3]})"
-        )
-    # the entity table in graph row order, so every score lands on its kg row
-    entities = model.entity_vectors[_row_map(entity_row, kg.entity_ids)]
-    graph_row = kg.entity_row
-    buf = np.empty_like(entities)
+    # the tables in graph row order, so every score lands on its kg row
+    entities = model.entity_vectors[
+        _row_map(model.entity_ids, model.entity_row, kg.entity_ids, "entities")]
+    relations = model.relation_vectors[
+        _row_map(model.relation_ids, model.relation_row, kg.relation_ids, "relations")]
+    entity_row, relation_row = kg.entity_row, kg.relation_row
+    n_entities = len(entities)
+    block = min(_ENTITY_BLOCK, n_entities)
+    buffers = threading.local()
 
     def scores_of(query: Query) -> np.ndarray:
+        if not hasattr(buffers, "scores"):
+            buffers.scratch = np.empty((block, entities.shape[1]))
+            buffers.scores = np.empty(n_entities)
+        scratch, scores = buffers.scratch, buffers.scores
         known_id, relation_id = query.known
-        return _scores_into(buf, entities, entities[graph_row[known_id]],
-                            model.relation_vector(relation_id), query.direction, model.norm)
+        known, rel = entities[entity_row[known_id]], relations[relation_row[relation_id]]
+        for start in range(0, n_entities, block):
+            stop = min(start + block, n_entities)
+            _scores_into(scratch[:stop - start], entities[start:stop], known, rel,
+                         query.direction, model.norm, out=scores[start:stop])
+        return scores
 
     return rank_split(kg, split, filtered, scores_of)
 

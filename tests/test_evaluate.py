@@ -1,8 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from kgsynth import evaluate
 from kgsynth.errors import ValidationError
 from kgsynth.evaluate import (
     Query,
@@ -153,6 +155,22 @@ def _write_predictions(path, rows):
     with open(path, "w", encoding="utf-8") as fh:
         for h, r, t, direction, candidates in rows:
             fh.write(f"{h}\t{r}\t{t}\t{direction}\t{','.join(candidates)}\n")
+
+
+def test_rank_split_raises_a_worker_failure(monkeypatch):
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 4)
+    kg = random_kg(random.Random(8), n_entities=20, n_relations=2, n_train=30, n_test=40)
+    queries = split_queries(kg)
+    assert len(queries) > 4 * evaluate.QUERY_CHUNK
+    failing = queries[3 * evaluate.QUERY_CHUNK + 1]
+
+    def scores_of(query):
+        if query == failing:
+            raise RuntimeError("scorer failed")
+        return np.zeros(len(kg.entities))
+
+    with pytest.raises(RuntimeError, match="scorer failed"):
+        evaluate.rank_split(kg, "test", True, scores_of)
 
 
 def test_predictions_gold_first_everywhere(six_entity_kg, tmp_path):

@@ -1,6 +1,7 @@
 import random
 from functools import partial
 
+import numpy as np
 import pytest
 
 from kgsynth.errors import LoadError, ValidationError
@@ -129,6 +130,25 @@ def test_compute_stats_counts(family_kg):
 def test_compute_stats_empty_kg():
     kg = make_kg(entities=[], relations=[], train=[])
     assert compute_stats(kg).as_tuple() == (0, 0, 0, 0, 0)
+
+
+def test_split_rows_equal_a_per_triple_oracle():
+    rng = random.Random(29)
+    graphs = [make_kg(entities=[], relations=[], train=[])]
+    for n_valid, n_test in ((3, 4), (0, 5), (4, 0), (0, 0)):
+        for _ in range(5):
+            graphs.append(random_kg(rng, n_entities=rng.randint(2, 30),
+                                    n_relations=rng.randint(1, 5),
+                                    n_train=rng.randint(0, 40), n_valid=n_valid, n_test=n_test))
+    for kg in graphs:
+        entity_row, relation_row = kg.entity_row, kg.relation_row
+        for name in ("train", "valid", "test"):
+            rows = kg.split_rows[name]
+            expected = [[entity_row[h], relation_row[r], entity_row[t]]
+                        for h, r, t in kg.split(name)]
+            assert rows.dtype == np.int32
+            assert rows.shape == (len(kg.split(name)), 3)
+            assert rows.tolist() == expected
 
 
 def test_stream_stats_agrees_with_full_load(family_kg, tmp_path):

@@ -1,8 +1,10 @@
 import random
+import sys
 
 import numpy as np
 import pytest
 
+from kgsynth import evaluate, transe
 from kgsynth.errors import ValidationError
 from kgsynth.evaluate import Query, compute_metrics, rank_gold, split_queries
 from kgsynth.transe import (
@@ -389,12 +391,19 @@ def _dict_path_records(model, kg, split, filtered):
     ]
 
 
-def test_row_space_ranks_equal_dict_path():
+def test_row_space_ranks_equal_dict_path(monkeypatch):
+    # three workers even on one CPU; the last trials hold several rank_split
+    # chunks of queries, and the small entity block splits every scoring
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 3)
     rng = random.Random(17)
     tied = 0
-    for trial in range(6):
-        kg = random_kg(rng, n_entities=rng.randint(8, 25), n_relations=rng.randint(1, 3),
-                       n_train=20, n_valid=4, n_test=6)
+    for trial in range(8):
+        if trial < 6:
+            kg = random_kg(rng, n_entities=rng.randint(8, 25), n_relations=rng.randint(1, 3),
+                           n_train=20, n_valid=4, n_test=6)
+        else:
+            kg = random_kg(rng, n_entities=40, n_relations=3, n_train=80, n_valid=10, n_test=60)
+            assert len(split_queries(kg)) > 5 * evaluate.QUERY_CHUNK
         n = len(kg.entities)
         nprng = np.random.default_rng(trial)
         vectors = nprng.normal(size=(n, 4))
@@ -402,10 +411,13 @@ def test_row_space_ranks_equal_dict_path():
         vectors[[1, 3, 5]] = vectors[0]
         relations = nprng.normal(size=(len(kg.relations), 4))
         perm = rng.sample(range(n), n)
+        rel_perm = list(range(len(kg.relations)))[::-1]
+        monkeypatch.setattr(transe, "_ENTITY_BLOCK", 7 if trial % 2 else 1024)
         for norm in ("L1", "L2"):
             model = EmbeddingModel(kg.entity_ids, kg.relation_ids, vectors, relations, norm=norm)
-            permuted = EmbeddingModel(tuple(kg.entity_ids[i] for i in perm), kg.relation_ids,
-                                      vectors[perm], relations, norm=norm)
+            permuted = EmbeddingModel(tuple(kg.entity_ids[i] for i in perm),
+                                      tuple(kg.relation_ids[i] for i in rel_perm),
+                                      vectors[perm], relations[rel_perm], norm=norm)
             for split in ("test", "valid"):
                 for filtered in (True, False):
                     expected = _dict_path_records(model, kg, split, filtered)
@@ -418,6 +430,34 @@ def test_row_space_ranks_equal_dict_path():
                         scores = score_all(model, *rec.query.known, rec.query.direction)
                         tied += list(scores.values()).count(scores[rec.query.gold]) > 1
     assert tied > 0
+
+
+def test_one_worker_and_many_workers_give_equal_records(monkeypatch):
+    kg = random_kg(random.Random(31), n_entities=30, n_relations=2, n_train=60, n_test=50)
+    model = init_model(kg, dim=6, seed=2)
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
+    single = rank_queries(model, kg, "test", True)
+    # more workers than cores, switching threads often
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert rank_queries(model, kg, "test", True) == single
+    finally:
+        sys.setswitchinterval(interval)
+    assert single == _dict_path_records(model, kg, "test", True)
+
+
+def test_model_missing_a_relation_rejected():
+    kg = random_kg(random.Random(3))
+    full = init_model(kg, dim=4, seed=0)
+    model = EmbeddingModel(full.entity_ids, full.relation_ids[:-1],
+                           full.entity_vectors, full.relation_vectors[:-1])
+    with pytest.raises(ValidationError, match="relations"):
+        evaluate_model(model, kg, "test")
+    with pytest.raises(ValidationError, match="relations"):
+        probe_loss(model, kg)
 
 
 def test_model_missing_an_entity_rejected():
