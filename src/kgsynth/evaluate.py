@@ -13,6 +13,7 @@ table per query, stays as the test oracle of that row-space loop.
 from __future__ import annotations
 
 import os
+import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -266,11 +267,20 @@ def evaluate_predictions(
             f"predictions missing for {len(missing)} (triple, direction) queries: {shown}"
         )
 
+    positions = -np.arange(max(map(len, ranked.values()), default=0), dtype=float)
+    buffers = threading.local()
+
     def scores_of(query: Query) -> np.ndarray:
-        # minus the list position; unlisted entities tie below every listed one
-        listed = ranked[query]
-        scores = np.full(len(entity_row), -np.inf)
-        scores[listed] = -np.arange(len(listed), dtype=float)
+        # minus the list position; unlisted entities tie below every listed one.
+        # Each thread keeps one -inf table and resets only the rows its
+        # previous query listed.
+        if not hasattr(buffers, "scores"):
+            buffers.scores = np.full(len(entity_row), -np.inf)
+            buffers.listed = np.empty(0, dtype=np.intp)
+        scores = buffers.scores
+        scores[buffers.listed] = -np.inf
+        listed = buffers.listed = ranked[query]
+        scores[listed] = positions[:len(listed)]
         return scores
 
     records = rank_split(kg, "test", filtered, scores_of)

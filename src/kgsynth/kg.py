@@ -26,6 +26,7 @@ makes runs reproducible.
 from __future__ import annotations
 
 import os
+from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import rewriter
 from .errors import LoadError, ValidationError
 
 Triple = tuple[str, str, str]
@@ -104,6 +106,23 @@ class KnowledgeGraph:
                 rows[name][:, j] = np.fromiter(map(row.__getitem__, map(itemgetter(j), triples)),
                                                dtype=np.int32, count=len(triples))
         return rows
+
+    @cached_property
+    def mention_spans(self) -> dict[str, array[int]]:
+        """Per entity id whose description mentions an entity name, the
+        ``rewriter.segment`` spans of the distinct non-empty entity names
+        (flat int32 ``start, end, ...``); built on first use.
+
+        Greedy spans depend only on the keys, so every renaming of the
+        entities rewrites from these spans with one ``rewriter.join``.
+        """
+        index = rewriter.build_index({name: name for _, name in self.entities if name})
+        spans = {}
+        for eid, text in self.descriptions.items():
+            found = rewriter.segment(index, text)
+            if found:
+                spans[eid] = found
+        return spans
 
     def split(self, name: str) -> tuple[Triple, ...]:
         if name not in SPLITS:

@@ -8,16 +8,35 @@ diverge:
 - matching is case-sensitive;
 - rewriting is a single greedy left-to-right pass taking the longest key at
   each position, and replacement text is never rescanned.
+
+``segment`` is the single greedy scanner: it returns the spans that pass
+takes, and ``join`` puts a replacement in each. The greedy spans depend only
+on the keys, so a graph's descriptions can be segmented once
+(``KnowledgeGraph.mention_spans``) and joined for every renaming.
+``rewrite_text`` and ``rewrite_descriptions`` are a segment plus a join.
 """
 
 from __future__ import annotations
 
-from .kg import KnowledgeGraph
+import re
+from array import array
+from collections.abc import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .kg import KnowledgeGraph
 
 # Original surface name -> replacement, insertion-ordered.
 NameMap = dict[str, str]
 
 _ROOT = 0
+_NO_KEYS = re.compile(r"(?!)")
+
+
+def _start_pattern(first_chars: Iterable[str]) -> re.Pattern[str]:
+    """Positions where a key may start: a token boundary followed by the
+    first character of some key (``[^\\W_]`` is exactly ``str.isalnum``)."""
+    return re.compile(r"(?<![^\W_])[" + "".join(map(re.escape, first_chars)) + "]")
 
 
 class PatternIndex:
@@ -25,14 +44,16 @@ class PatternIndex:
 
     States are array indices: ``children[s]`` maps a character to the next
     state, ``payload[s]`` holds the replacement when ``s`` accepts a key.
+    ``starts`` finds the positions where a scan may enter the tree.
     """
 
-    __slots__ = ("children", "payload", "size")
+    __slots__ = ("children", "payload", "size", "starts")
 
     def __init__(self) -> None:
         self.children: list[dict[str, int]] = [{}]
         self.payload: list[str | None] = [None]
         self.size = 0
+        self.starts = _NO_KEYS
 
     def _insert(self, key: str, replacement: str) -> None:
         node = _ROOT
@@ -66,11 +87,64 @@ def build_index(name_map: NameMap) -> PatternIndex:
         if not key:
             raise ValueError("cannot index an empty key")
         index._insert(key, replacement)
+    if index.size:
+        index.starts = _start_pattern(index.children[_ROOT])
     return index
 
 
 def _is_word_char(char: str) -> bool:
     return char.isalnum()
+
+
+def segment(index: PatternIndex, text: str) -> array[int]:
+    """Spans of every boundary occurrence of an indexed key, longest key first.
+
+    The one greedy scanner: a single left-to-right pass that takes the
+    longest key at each boundary position and resumes after it. Returned as
+    one flat int32 array ``start, end, start, end, ...`` in text order (no
+    object per span, so a cache of them stays small); the spans never
+    overlap, and the array is empty when ``text`` mentions no key.
+    """
+    children = index.children
+    payload = index.payload
+    n = len(text)
+    spans = array("i")
+    resume = 0
+    for start in index.starts.finditer(text):
+        i = start.start()
+        if i < resume:
+            continue
+        node = _ROOT
+        j = i
+        best_end = -1
+        while j < n:
+            node = children[node].get(text[j], -1)
+            if node < 0:
+                break
+            j += 1
+            if payload[node] is not None and (j == n or not _is_word_char(text[j])):
+                best_end = j
+        if best_end >= 0:
+            spans.append(i)
+            spans.append(best_end)
+            resume = best_end
+    return spans
+
+
+def join(text: str, spans: Sequence[int], replace: Callable[[str], str]) -> str:
+    """``text`` with each ``segment`` span's key replaced by ``replace(key)``.
+
+    Replacement text is never rescanned.
+    """
+    out: list[str] = []
+    plain_start = 0
+    bounds = iter(spans)
+    for start, end in zip(bounds, bounds):
+        out.append(text[plain_start:start])
+        out.append(replace(text[start:end]))
+        plain_start = end
+    out.append(text[plain_start:])
+    return "".join(out)
 
 
 def rewrite_text(index: PatternIndex, text: str) -> str:
@@ -79,35 +153,7 @@ def rewrite_text(index: PatternIndex, text: str) -> str:
     Scanning resumes after each replacement, so replacement text cannot
     trigger further matches within the same pass.
     """
-    children = index.children
-    payload = index.payload
-    n = len(text)
-    out: list[str] = []
-    plain_start = 0
-    i = 0
-    while i < n:
-        if (i == 0 or not _is_word_char(text[i - 1])) and text[i] in children[_ROOT]:
-            node = _ROOT
-            j = i
-            best_end = -1
-            best_replacement = None
-            while j < n:
-                node = children[node].get(text[j], -1)
-                if node < 0:
-                    break
-                j += 1
-                if payload[node] is not None and (j == n or not _is_word_char(text[j])):
-                    best_end = j
-                    best_replacement = payload[node]
-            if best_replacement is not None:
-                out.append(text[plain_start:i])
-                out.append(best_replacement)
-                i = best_end
-                plain_start = best_end
-                continue
-        i += 1
-    out.append(text[plain_start:])
-    return "".join(out)
+    return join(text, segment(index, text), index.lookup)
 
 
 def find_keys(index: PatternIndex, text: str) -> set[str]:
@@ -121,9 +167,8 @@ def find_keys(index: PatternIndex, text: str) -> set[str]:
     payload = index.payload
     n = len(text)
     found: set[str] = set()
-    for i in range(n):
-        if i > 0 and _is_word_char(text[i - 1]):
-            continue
+    for start in index.starts.finditer(text):
+        i = start.start()
         node = _ROOT
         j = i
         while j < n:
@@ -141,4 +186,6 @@ def rewrite_descriptions(kg: KnowledgeGraph, name_map: NameMap) -> dict[str, str
     if not name_map:
         return dict(kg.descriptions)
     index = build_index(name_map)
-    return {eid: rewrite_text(index, text) for eid, text in kg.descriptions.items()}
+    replace = name_map.__getitem__
+    return {eid: join(text, segment(index, text), replace)
+            for eid, text in kg.descriptions.items()}

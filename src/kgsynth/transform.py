@@ -20,7 +20,9 @@ The operations:
   regenerated descriptions draw from one forbidden set, seeded with every
   original name and description, so all strings are distinct.
 - ``rewrite``: when entities are renamed, in-description mentions move to
-  the new names.
+  the new names. Mentions are segmented once per graph
+  (``KnowledgeGraph.mention_spans``) and each variant joins its own
+  replacements over those spans.
 - ``reassign``: derange which entity each description belongs to; with
   entities targeted, each description travels with its name and its
   mentions are left as-is, which is the point.
@@ -44,7 +46,7 @@ from typing import NamedTuple
 from . import derangement as drg
 from .errors import InfeasibleError, KgsynthError
 from .kg import KnowledgeGraph, write_dataset, write_rows
-from .rewriter import NameMap, rewrite_descriptions
+from .rewriter import NameMap, join
 from .textgen import fit_unigram, sample_unique_strings
 
 
@@ -182,7 +184,9 @@ def apply_recipe(
     descriptions = dict(kg.descriptions)
     description_map: dict[str, str] = {}
     if ops.descriptions == "rewrite" and "entities" in targets:
-        descriptions = rewrite_descriptions(kg, _rewrite_map(kg, list(maps["entities"].values())))
+        replace = _rewrite_map(kg, list(maps["entities"].values())).__getitem__
+        for eid, spans in kg.mention_spans.items():
+            descriptions[eid] = join(descriptions[eid], spans, replace)
     elif ops.descriptions == "reassign":
         ids = kg.entity_ids
         if source is None:

@@ -285,6 +285,30 @@ def test_predictions_match_brute_force_on_random_lists(tmp_path):
     assert min(seen.values()) > 100, seen
 
 
+def test_predictions_reset_rows_between_queries_on_one_worker(monkeypatch, tmp_path):
+    # One worker scores every query into the same table, so a row the previous
+    # query listed would still outrank the gold if it were not reset.
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
+    kg = make_kg(entities=[f"e{i}" for i in range(8)], relations=["r"],
+                 train=[("e0", "r", "e1")], test=[("e2", "r", "e3"), ("e4", "r", "e5")])
+    rows = [
+        ("e2", "r", "e3", "tail", ["e6", "e7", "e0", "e3"]),
+        ("e2", "r", "e3", "head", ["e2"]),  # disjoint from the list before
+        ("e4", "r", "e5", "tail", ["e1", "e5", "e6"]),  # overlaps the first list
+        ("e4", "r", "e5", "head", ["e6", "e1", "e4"]),  # overlaps the list before
+    ]
+    path = tmp_path / "preds.tsv"
+    _write_predictions(path, rows)
+    for filtered in (False, True):
+        records = [
+            RankingRecord(query, reference_list_rank(candidates, query, kg, filtered))
+            for query, (*_, candidates) in zip(split_queries(kg), rows)
+        ]
+        assert [record.gold_rank for record in records] == [4, 1, 2, 3]
+        assert evaluate_predictions(kg, path, filtered) == compute_metrics(
+            records, filtered=filtered, tie_policy="candidate-order")
+
+
 def test_predictions_missing_queries_listed(six_entity_kg, tmp_path):
     rows = [("e0", "r1", "e4", "tail", ["e4"])]
     path = tmp_path / "preds.tsv"

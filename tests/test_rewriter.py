@@ -6,10 +6,11 @@ import pytest
 from kgsynth.rewriter import (
     build_index,
     find_keys,
+    join,
     rewrite_descriptions,
     rewrite_text,
+    segment,
 )
-
 
 
 def quadratic_rewrite(mapping, text):
@@ -109,6 +110,34 @@ def test_fuzz_equality_with_quadratic_reference():
         index = build_index(mapping)
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
         assert rewrite_text(index, text) == quadratic_rewrite(mapping, text), (mapping, text)
+
+
+def test_fuzz_segment_and_join_against_reference():
+    # Non-ASCII letters (é, ß) and digits (٣, ７) count as word characters at
+    # key boundaries; "_", "-" and "." do not.
+    rng = random.Random(808)
+    alphabet = "aé ٣-ß.７_"
+    for _ in range(800):
+        keys = {
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 8))
+        }
+        mapping = {k: f"<{i}>" for i, k in enumerate(sorted(keys))}
+        index = build_index(mapping)
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
+        spans = segment(index, text)
+        assert all(text[s:e] in mapping for s, e in zip(spans[::2], spans[1::2]))
+        assert list(spans) == sorted(spans), (mapping, text, spans)
+        got = join(text, spans, mapping.__getitem__)
+        assert got == quadratic_rewrite(mapping, text), (mapping, text)
+
+
+def test_segment_returns_flat_spans():
+    index = build_index({"New York": "", "York": ""})
+    text = "New York, York and Yorkshire"
+    assert list(segment(index, text)) == [0, 8, 10, 14]
+    assert not segment(index, "no mention here")
+    assert not segment(build_index({}), text)
 
 
 def test_fuzz_long_texts_against_reference():

@@ -2,17 +2,20 @@ import random
 
 import pytest
 
+from kgsynth import rewriter
 from kgsynth.derangement import build_removed_edges
 from kgsynth.kg import SPLITS, load_dataset, write_dataset
 from kgsynth.transform import (
     RECIPES,
     SUITE_VARIANTS,
     TransformRecipe,
+    _rewrite_map,
     apply_recipe,
     generate_suite,
 )
 
 from conftest import make_kg, random_kg
+from test_rewriter import quadratic_rewrite
 
 
 def name_triples(kg):
@@ -337,3 +340,82 @@ def test_recipes_on_random_kgs_preserve_structure():
                 continue
             assert_structure_preserved(kg, out, mapping)
             assert_no_fixed_points(kg, mapping)
+
+
+# Names that stress the greedy scanner: prefixes and suffixes of other names,
+# an empty name, non-ASCII letters (é, Æ, ß) and digits (٣) at boundaries.
+MENTION_NAMES = ["New York", "York", "New", "York City", "Zürich", "Zürich 2", "ßé", "é",
+                 "٣", "x٣", "a b", "b", "Æon", ""]
+# Glue between tokens: some of it is a boundary, some is a word character.
+MENTION_GLUE = [" ", " ", "-", ".", "", "é", "٣", "_"]
+
+
+def mention_kg(rng):
+    """Random graph whose entities share names (homonyms, several empty) and
+    whose descriptions mention them, run them into neighbouring word
+    characters, or mention nothing at all."""
+    names = list(MENTION_NAMES)
+    n = len(names)
+    for _ in range(4):  # homonyms, one name at most five times so it deranges
+        names[rng.randrange(n)] = rng.choice(MENTION_NAMES)
+    rng.shuffle(names)
+    descriptions = {}
+    for i in range(n):
+        if rng.random() < 0.2:
+            descriptions[f"e{i}"] = rng.choice(["", "nothing to see here"])
+            continue
+        words = [rng.choice(MENTION_NAMES + ["town", "Yorker"]) for _ in range(rng.randint(1, 8))]
+        descriptions[f"e{i}"] = "".join(word + rng.choice(MENTION_GLUE) for word in words)
+    entities = [(f"e{i}", name) for i, name in enumerate(names)]
+    # one relation per (head, tail) pair, so every relation derangement is feasible
+    pairs = rng.sample([(h, t) for h in range(n) for t in range(n)], 20)
+    triples = [(f"e{h}", f"r{rng.randrange(3)}", f"e{t}") for h, t in pairs]
+    return make_kg(entities, [(f"r{i}", f"rel{i}") for i in range(3)], train=triples,
+                   descriptions=descriptions)
+
+
+REWRITING_VARIANTS = [(label, kind, targets) for label, kind, targets in SUITE_VARIANTS
+                      if RECIPES[kind].descriptions == "rewrite" and "entities" in targets]
+
+
+def test_rewriting_variants_match_a_per_variant_rewrite():
+    # The suite joins over spans segmented once per graph; the oracle builds
+    # each variant's own trie and rescans, and the quadratic reference too.
+    assert [label for label, _, _ in REWRITING_VARIANTS] == ["vw-e", "vw-er", "anon-e", "anon-er"]
+    rng = random.Random(31)
+    changed = unmentioned = 0
+    for trial in range(40):
+        kg = mention_kg(rng)
+        for _, kind, targets in REWRITING_VARIANTS:
+            out, mapping = apply_recipe(kg, kind, targets, seed=trial)
+            name_map = _rewrite_map(kg, [mapping.entity_map[eid] for eid in kg.entity_ids])
+            assert out.descriptions == rewriter.rewrite_descriptions(kg, name_map)
+            assert out.descriptions == {eid: quadratic_rewrite(name_map, text)
+                                        for eid, text in kg.descriptions.items()}
+            changed += sum(out.descriptions[e] != kg.descriptions[e] for e in kg.entity_ids)
+        unmentioned += len(kg.entities) - len(kg.mention_spans)
+    assert changed > 500 and unmentioned > 50, (changed, unmentioned)
+
+
+@pytest.mark.parametrize("variants, one_call_each, scans", [
+    (SUITE_VARIANTS, False, 1),
+    (SUITE_VARIANTS, True, 1),
+    (tuple(v for v in SUITE_VARIANTS if v[1] in ("base", "inconsistent_descriptions",
+                                                  "fully_anonymized")), False, 0),
+], ids=["one-suite-call", "one-call-per-variant", "no-rewriting-variant"])
+def test_descriptions_are_scanned_once_per_graph(monkeypatch, tmp_path, variants, one_call_each,
+                                                 scans):
+    kg = mention_kg(random.Random(5))
+    calls = []
+    segment = rewriter.segment
+
+    def counting(index, text):
+        calls.append(text)
+        return segment(index, text)
+
+    monkeypatch.setattr(rewriter, "segment", counting)
+    for batch in ([(v,) for v in variants] if one_call_each else [variants]):
+        results = generate_suite(kg, 3, tmp_path, variants=batch)
+        assert all(result.ok for result in results)
+    # one scan segments every description once
+    assert len(calls) == scans * len(kg.descriptions)
