@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kg import SPLITS, KnowledgeGraph
-from .rewriter import build_index, find_keys
 
 BUCKETS = ("1", "2", "3", "4", "5", "Over")
 COLUMNS = ("train", "valid", "test", "total")
@@ -78,28 +77,24 @@ def description_leakage(kg: KnowledgeGraph) -> LeakageTable:
     """Fraction of queries whose answer name appears in the query description.
 
     Every triple contributes two cases, (h, r, ?) and (?, r, t); occurrence
-    uses the rewriter's token-boundary, case-sensitive matching rules.
+    uses the rewriter's token-boundary, case-sensitive matching rules, read
+    from the graph's one cached scan (``KnowledgeGraph.mention_spans``).
     """
     names = kg.entity_names
-    index = build_index({name: name for name in names.values() if name})
-
-    mentioned: dict[str, frozenset[str]] = {}
-
-    def names_in_description(eid: str) -> frozenset[str]:
-        cached = mentioned.get(eid)
-        if cached is None:
-            cached = frozenset(find_keys(index, kg.descriptions[eid]))
-            mentioned[eid] = cached
-        return cached
+    descriptions = kg.descriptions
+    mentioned: dict[str, set[str]] = {}
+    for eid, matches in kg.mention_spans.items():
+        bounds = iter(matches)
+        mentioned[eid] = {descriptions[eid][start:end] for start, end in zip(bounds, bounds)}
 
     hits = {split: 0 for split in SPLITS}
     cases = {split: 0 for split in SPLITS}
     for split in SPLITS:
         for h, r, t in kg.split(split):
             cases[split] += 2
-            if names[t] and names[t] in names_in_description(h):
+            if names[t] and names[t] in mentioned.get(h, ()):
                 hits[split] += 1
-            if names[h] and names[h] in names_in_description(t):
+            if names[h] and names[h] in mentioned.get(t, ()):
                 hits[split] += 1
 
     percentages = {

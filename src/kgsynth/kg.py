@@ -110,16 +110,19 @@ class KnowledgeGraph:
     @cached_property
     def mention_spans(self) -> dict[str, array[int]]:
         """Per entity id whose description mentions an entity name, the
-        ``rewriter.segment`` spans of the distinct non-empty entity names
-        (flat int32 ``start, end, ...``); built on first use.
+        ``rewriter.scan`` matches of the distinct non-empty entity names
+        (flat int32 ``start, end, ...``, nested matches included); built on
+        first use.
 
-        Greedy spans depend only on the keys, so every renaming of the
-        entities rewrites from these spans with one ``rewriter.join``.
+        This is the graph's one name index and one description scan: every
+        renaming of the entities rewrites from these matches with one
+        ``rewriter.join``, and ``analysis.description_leakage`` reads the
+        mentioned names from them.
         """
         index = rewriter.build_index({name: name for _, name in self.entities if name})
         spans = {}
         for eid, text in self.descriptions.items():
-            found = rewriter.segment(index, text)
+            found = rewriter.scan(index, text)
             if found:
                 spans[eid] = found
         return spans

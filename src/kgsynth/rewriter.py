@@ -9,11 +9,13 @@ diverge:
 - rewriting is a single greedy left-to-right pass taking the longest key at
   each position, and replacement text is never rescanned.
 
-``segment`` is the single greedy scanner: it returns the spans that pass
-takes, and ``join`` puts a replacement in each. The greedy spans depend only
-on the keys, so a graph's descriptions can be segmented once
-(``KnowledgeGraph.mention_spans``) and joined for every renaming.
-``rewrite_text`` and ``rewrite_descriptions`` are a segment plus a join.
+``scan`` is the one trie walker: it returns every boundary match, nested and
+overlapping ones included. ``join`` applies the greedy rule to those matches
+and puts a replacement in each span it takes; ``find_keys`` is the set of
+matched keys. Matches depend only on the keys, so a graph's descriptions are
+scanned once (``KnowledgeGraph.mention_spans``), joined for every renaming
+and read by ``analysis.description_leakage``. ``rewrite_text`` and
+``rewrite_descriptions`` are a scan plus a join.
 """
 
 from __future__ import annotations
@@ -47,12 +49,11 @@ class PatternIndex:
     ``starts`` finds the positions where a scan may enter the tree.
     """
 
-    __slots__ = ("children", "payload", "size", "starts")
+    __slots__ = ("children", "payload", "starts")
 
     def __init__(self) -> None:
         self.children: list[dict[str, int]] = [{}]
         self.payload: list[str | None] = [None]
-        self.size = 0
         self.starts = _NO_KEYS
 
     def _insert(self, key: str, replacement: str) -> None:
@@ -65,8 +66,6 @@ class PatternIndex:
                 self.children.append({})
                 self.payload.append(None)
             node = nxt
-        if self.payload[node] is None:
-            self.size += 1
         self.payload[node] = replacement
 
     def lookup(self, key: str) -> str | None:
@@ -87,59 +86,54 @@ def build_index(name_map: NameMap) -> PatternIndex:
         if not key:
             raise ValueError("cannot index an empty key")
         index._insert(key, replacement)
-    if index.size:
+    if name_map:
         index.starts = _start_pattern(index.children[_ROOT])
     return index
 
 
-def _is_word_char(char: str) -> bool:
-    return char.isalnum()
+def scan(index: PatternIndex, text: str) -> array[int]:
+    """Every boundary occurrence of an indexed key, nested and overlapping
+    ones included.
 
-
-def segment(index: PatternIndex, text: str) -> array[int]:
-    """Spans of every boundary occurrence of an indexed key, longest key first.
-
-    The one greedy scanner: a single left-to-right pass that takes the
-    longest key at each boundary position and resumes after it. Returned as
-    one flat int32 array ``start, end, start, end, ...`` in text order (no
-    object per span, so a cache of them stays small); the spans never
-    overlap, and the array is empty when ``text`` mentions no key.
+    Returned as one flat int32 array ``start, end, start, end, ...`` (no
+    object per match, so a cache of them stays small), in text order and, at
+    one start, shorter key first; empty when ``text`` mentions no key.
     """
     children = index.children
     payload = index.payload
     n = len(text)
-    spans = array("i")
-    resume = 0
+    matches = array("i")
     for start in index.starts.finditer(text):
         i = start.start()
-        if i < resume:
-            continue
         node = _ROOT
         j = i
-        best_end = -1
         while j < n:
             node = children[node].get(text[j], -1)
             if node < 0:
                 break
             j += 1
-            if payload[node] is not None and (j == n or not _is_word_char(text[j])):
-                best_end = j
-        if best_end >= 0:
-            spans.append(i)
-            spans.append(best_end)
-            resume = best_end
-    return spans
+            if payload[node] is not None and (j == n or not text[j].isalnum()):
+                matches.append(i)
+                matches.append(j)
+    return matches
 
 
-def join(text: str, spans: Sequence[int], replace: Callable[[str], str]) -> str:
-    """``text`` with each ``segment`` span's key replaced by ``replace(key)``.
+def join(text: str, matches: Sequence[int], replace: Callable[[str], str]) -> str:
+    """``text`` with the greedy selection of ``scan`` matches replaced by
+    ``replace(key)``.
 
-    Replacement text is never rescanned.
+    At each start the longest key is taken, and a match that starts inside a
+    key already replaced is skipped, so replacement text is never rescanned.
+    Spans that already are a greedy selection pass through unchanged.
     """
     out: list[str] = []
     plain_start = 0
-    bounds = iter(spans)
-    for start, end in zip(bounds, bounds):
+    last = len(matches) - 2
+    for k in range(0, last + 2, 2):
+        start = matches[k]
+        if start < plain_start or (k < last and matches[k + 2] == start):
+            continue  # inside a replaced key, or a longer key starts here
+        end = matches[k + 1]
         out.append(text[plain_start:start])
         out.append(replace(text[start:end]))
         plain_start = end
@@ -153,32 +147,14 @@ def rewrite_text(index: PatternIndex, text: str) -> str:
     Scanning resumes after each replacement, so replacement text cannot
     trigger further matches within the same pass.
     """
-    return join(text, segment(index, text), index.lookup)
+    return join(text, scan(index, text), index.lookup)
 
 
 def find_keys(index: PatternIndex, text: str) -> set[str]:
-    """All indexed keys occurring in ``text`` at token boundaries.
-
-    Unlike rewrite_text this reports every match, including overlapping and
-    nested ones; it backs the description-leakage statistic and residual-name
-    audits.
-    """
-    children = index.children
-    payload = index.payload
-    n = len(text)
-    found: set[str] = set()
-    for start in index.starts.finditer(text):
-        i = start.start()
-        node = _ROOT
-        j = i
-        while j < n:
-            node = children[node].get(text[j], -1)
-            if node < 0:
-                break
-            j += 1
-            if payload[node] is not None and (j == n or not _is_word_char(text[j])):
-                found.add(text[i:j])
-    return found
+    """All indexed keys occurring in ``text`` at token boundaries, nested and
+    overlapping ones included; the keys of ``scan``'s matches."""
+    bounds = iter(scan(index, text))
+    return {text[start:end] for start, end in zip(bounds, bounds)}
 
 
 def rewrite_descriptions(kg: KnowledgeGraph, name_map: NameMap) -> dict[str, str]:
@@ -187,5 +163,5 @@ def rewrite_descriptions(kg: KnowledgeGraph, name_map: NameMap) -> dict[str, str
         return dict(kg.descriptions)
     index = build_index(name_map)
     replace = name_map.__getitem__
-    return {eid: join(text, segment(index, text), replace)
+    return {eid: join(text, scan(index, text), replace)
             for eid, text in kg.descriptions.items()}

@@ -20,9 +20,10 @@ The operations:
   regenerated descriptions draw from one forbidden set, seeded with every
   original name and description, so all strings are distinct.
 - ``rewrite``: when entities are renamed, in-description mentions move to
-  the new names. Mentions are segmented once per graph
-  (``KnowledgeGraph.mention_spans``) and each variant joins its own
-  replacements over those spans.
+  the new names. Every name match is found once per graph
+  (``KnowledgeGraph.mention_spans``, the same scan the leakage statistic
+  reads), and each variant joins its own replacements over those matches
+  with the greedy longest-match rule.
 - ``reassign``: derange which entity each description belongs to; with
   entities targeted, each description travels with its name and its
   mentions are left as-is, which is the point.
@@ -185,8 +186,8 @@ def apply_recipe(
     description_map: dict[str, str] = {}
     if ops.descriptions == "rewrite" and "entities" in targets:
         replace = _rewrite_map(kg, list(maps["entities"].values())).__getitem__
-        for eid, spans in kg.mention_spans.items():
-            descriptions[eid] = join(descriptions[eid], spans, replace)
+        for eid, matches in kg.mention_spans.items():
+            descriptions[eid] = join(descriptions[eid], matches, replace)
     elif ops.descriptions == "reassign":
         ids = kg.entity_ids
         if source is None:

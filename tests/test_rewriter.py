@@ -9,7 +9,7 @@ from kgsynth.rewriter import (
     join,
     rewrite_descriptions,
     rewrite_text,
-    segment,
+    scan,
 )
 
 
@@ -33,6 +33,26 @@ def quadratic_rewrite(mapping, text):
         out.append(text[i])
         i += 1
     return "".join(out)
+
+
+def brute_force_scan(keys, text):
+    """Reference scanner: try every key at every boundary position."""
+    matches = []
+    for i in range(len(text)):
+        if i and text[i - 1].isalnum():
+            continue
+        for key in keys:
+            j = i + len(key)
+            if text[i:j] == key and (j == len(text) or not text[j].isalnum()):
+                matches.append((i, j))
+    return [bound for match in sorted(matches) for bound in match]
+
+
+def random_keys(rng, alphabet):
+    return sorted({
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+        for _ in range(rng.randint(1, 8))
+    })
 
 
 def test_longest_match_wins():
@@ -86,7 +106,7 @@ def test_lookup_membership_exactness():
     for _ in range(500):
         probe = "".join(rng.choice(string.ascii_lowercase + " ") for _ in range(8))
         assert (index.lookup(probe) == mapping.get(probe)) or probe not in mapping
-    assert index.size == 500
+    assert sum(value is not None for value in index.payload) == 500
 
 
 def test_find_keys_reports_all_boundary_occurrences():
@@ -112,32 +132,56 @@ def test_fuzz_equality_with_quadratic_reference():
         assert rewrite_text(index, text) == quadratic_rewrite(mapping, text), (mapping, text)
 
 
-def test_fuzz_segment_and_join_against_reference():
+def test_fuzz_scan_and_join_against_reference():
     # Non-ASCII letters (é, ß) and digits (٣, ７) count as word characters at
     # key boundaries; "_", "-" and "." do not.
     rng = random.Random(808)
     alphabet = "aé ٣-ß.７_"
     for _ in range(800):
-        keys = {
-            "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
-            for _ in range(rng.randint(1, 8))
-        }
-        mapping = {k: f"<{i}>" for i, k in enumerate(sorted(keys))}
-        index = build_index(mapping)
+        keys = random_keys(rng, alphabet)
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
-        spans = segment(index, text)
-        assert all(text[s:e] in mapping for s, e in zip(spans[::2], spans[1::2]))
-        assert list(spans) == sorted(spans), (mapping, text, spans)
-        got = join(text, spans, mapping.__getitem__)
+        mapping = {k: f"<{i}>" for i, k in enumerate(keys)}
+        matches = scan(build_index(mapping), text)
+        got = join(text, matches, mapping.__getitem__)
         assert got == quadratic_rewrite(mapping, text), (mapping, text)
 
 
-def test_segment_returns_flat_spans():
+def test_fuzz_scan_against_brute_force():
+    # Texts are glued from keys and single characters, so keys nest, overlap
+    # and share starts.
+    rng = random.Random(909)
+    alphabet = "aé ٣-ß.７_"
+    found = nested = 0
+    for _ in range(800):
+        keys = random_keys(rng, alphabet)
+        text = "".join(rng.choice(keys + list(alphabet)) for _ in range(rng.randint(0, 20)))
+        index = build_index({k: k for k in keys})
+        matches = scan(index, text)
+        assert list(matches) == brute_force_scan(keys, text), (keys, text)
+        assert find_keys(index, text) == {text[s:e] for s, e in zip(matches[::2], matches[1::2])}
+        found += len(matches) // 2
+        nested += sum(matches[k + 2] < matches[k + 1] for k in range(0, len(matches) - 2, 2))
+    assert found > 800 and nested > 50, (found, nested)
+
+
+def test_scan_returns_flat_matches():
     index = build_index({"New York": "", "York": ""})
     text = "New York, York and Yorkshire"
-    assert list(segment(index, text)) == [0, 8, 10, 14]
-    assert not segment(index, "no mention here")
-    assert not segment(build_index({}), text)
+    assert list(scan(index, text)) == [0, 8, 4, 8, 10, 14]
+    assert not scan(index, "no mention here")
+    assert not scan(build_index({}), text)
+
+
+def test_join_takes_the_longest_key_and_skips_nested_matches():
+    text = "New York, York and Yorkshire"
+    replace = {"New York": "NY", "York": "Y"}.__getitem__
+    assert join(text, [0, 8, 4, 8, 10, 14], replace) == "NY, Y and Yorkshire"
+    # greedy spans are valid input too
+    assert join(text, [0, 8, 10, 14], replace) == "NY, Y and Yorkshire"
+    assert join(text, [], replace) == text
+    # at one start the shorter key comes first; the longer one wins
+    assert join("aa aaa", [0, 2, 0, 6, 3, 6], {"aa": "1", "aa aaa": "2", "aaa": "3"}.__getitem__) \
+        == "2"
 
 
 def test_fuzz_long_texts_against_reference():

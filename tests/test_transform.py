@@ -3,6 +3,7 @@ import random
 import pytest
 
 from kgsynth import rewriter
+from kgsynth.analysis import description_leakage
 from kgsynth.derangement import build_removed_edges
 from kgsynth.kg import SPLITS, load_dataset, write_dataset
 from kgsynth.transform import (
@@ -407,15 +408,66 @@ def test_descriptions_are_scanned_once_per_graph(monkeypatch, tmp_path, variants
                                                  scans):
     kg = mention_kg(random.Random(5))
     calls = []
-    segment = rewriter.segment
+    scan = rewriter.scan
 
     def counting(index, text):
         calls.append(text)
-        return segment(index, text)
+        return scan(index, text)
 
-    monkeypatch.setattr(rewriter, "segment", counting)
-    for batch in ([(v,) for v in variants] if one_call_each else [variants]):
-        results = generate_suite(kg, 3, tmp_path, variants=batch)
-        assert all(result.ok for result in results)
-    # one scan segments every description once
+    def run_suite(kg):
+        for batch in ([(v,) for v in variants] if one_call_each else [variants]):
+            results = generate_suite(kg, 3, tmp_path, variants=batch)
+            assert all(result.ok for result in results)
+
+    monkeypatch.setattr(rewriter, "scan", counting)
+    run_suite(kg)
+    # one scan covers every description once
     assert len(calls) == scans * len(kg.descriptions)
+    # the leakage statistic reads the same scan, or makes it when no suite did
+    description_leakage(kg)
+    assert len(calls) == len(kg.descriptions)
+
+    calls.clear()
+    kg = mention_kg(random.Random(5))
+    description_leakage(kg)
+    run_suite(kg)
+    assert len(calls) == len(kg.descriptions)
+
+
+def mentions(name, text):
+    """Whether ``name`` occurs in ``text`` between token boundaries, by brute force."""
+    ends = (i + len(name) for i in range(len(text)) if text.startswith(name, i)
+            and (i == 0 or not text[i - 1].isalnum()))
+    return bool(name) and any(j == len(text) or not text[j].isalnum() for j in ends)
+
+
+def brute_force_leakage(kg):
+    names = kg.entity_names
+    hits = {split: sum(mentions(names[t], kg.descriptions[h]) + mentions(names[h], kg.descriptions[t])
+                       for h, _, t in kg.split(split))
+            for split in SPLITS}
+    cases = {split: 2 * len(kg.split(split)) for split in SPLITS}
+    percentages = {split: (100.0 * hits[split] / cases[split] if cases[split] else 0.0)
+                   for split in SPLITS}
+    percentages["total"] = 100.0 * sum(hits.values()) / sum(cases.values())
+    return percentages
+
+
+def test_leakage_matches_brute_force_before_and_after_the_suite(tmp_path):
+    rng = random.Random(47)
+    variants = (SUITE_VARIANTS[0],) + tuple(REWRITING_VARIANTS)
+    leaked = 0.0
+    for trial in range(25):
+        triples = mention_kg(rng)
+        kg = make_kg(triples.entities, triples.relations, train=triples.train[:12],
+                     valid=triples.train[12:16], test=triples.train[16:],
+                     descriptions=triples.descriptions)
+        expected = brute_force_leakage(kg)
+        assert description_leakage(kg).percentages == expected
+        results = generate_suite(kg, trial, tmp_path / str(trial), variants=variants)
+        assert all(result.ok for result in results)
+        assert description_leakage(kg).percentages == expected
+        assert description_leakage(load_dataset(tmp_path / str(trial) / "base")).percentages \
+            == expected
+        leaked += expected["total"]
+    assert leaked > 0.0
