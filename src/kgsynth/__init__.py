@@ -14,7 +14,6 @@ from .derangement import (
     bipartite_derange,
     build_removed_edges,
     derange,
-    maximum_matching,
 )
 from .errors import (
     InfeasibleError,

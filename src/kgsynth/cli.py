@@ -225,6 +225,9 @@ def train_baseline(input_dir: str, output_dir: str, dim: int, margin: float, nor
         },
     )
     graph = kg.load_dataset(input_dir)
+    for split in ("train", eval_split):
+        if split != "none" and not graph.split(split):
+            raise ValidationError(f"{split} split of {input_dir} is empty")
     config = transe.TrainConfig(
         dim=dim, margin=margin, norm=norm, learning_rate=learning_rate,
         epochs=epochs, negatives_per_positive=negatives, seed=seed, batch_size=batch_size,

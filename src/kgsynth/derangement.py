@@ -114,19 +114,8 @@ def bipartite_derange(
     )
 
 
-def maximum_matching(
-    left_size: int, right_size: int, edges: Sequence[tuple[int, int]]
-) -> dict[int, int]:
-    """Maximum-cardinality bipartite matching (Hopcroft-Karp), left index -> right index."""
-    adjacency: list[list[int]] = [[] for _ in range(left_size)]
-    for left, right in edges:
-        if not (0 <= left < left_size and 0 <= right < right_size):
-            raise ValueError(f"edge ({left}, {right}) out of range")
-        adjacency[left].append(right)
-    return _hopcroft_karp(adjacency, right_size)
-
-
 def _hopcroft_karp(adjacency: list[list[int]], right_size: int) -> dict[int, int]:
+    """Maximum bipartite matching, left u -> right v, where v is in ``adjacency[u]``."""
     n_left = len(adjacency)
     match_left = [-1] * n_left
     match_right = [-1] * right_size

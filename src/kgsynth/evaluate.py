@@ -6,14 +6,14 @@ every rival with an equal score) and filtered by default: candidates that
 form other known-true triples for the same query, in any split, are removed
 before ranking. Both choices are stamped into every MetricsReport.
 
-Every report ranks through ``rank_split``; ``rank_gold``, over one scores
-table per query, stays as the test oracle of that row-space loop.
+Every report ranks through ``rank_split``, which hands each query's gold
+row and filtered rivals to a ranker's own counting rule. ``rank_gold``, over
+one scores table per query, stays as the test oracle of ``rank_queries``.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -128,7 +128,9 @@ def compute_metrics(
 
 
 def split_queries(kg: KnowledgeGraph, split: str = "test") -> list[Query]:
-    """Both-direction queries for every triple of a split, in split order."""
+    """Both-direction queries for every triple of a non-empty split, in split order."""
+    if not kg.split(split):
+        raise ValidationError(f"{split} split is empty: there is nothing to rank")
     queries = []
     for h, r, t in kg.split(split):
         queries.append(Query(known=(h, r), direction="tail", gold=t))
@@ -175,18 +177,18 @@ def rank_split(
     kg: KnowledgeGraph,
     split: str,
     filtered: bool,
-    scores_of: Callable[[Query], np.ndarray],
+    rank_of: Callable[[Query, int, np.ndarray], int],
 ) -> list[RankingRecord]:
     """Gold rank of every split query, in split order: the one ranking loop.
 
-    ``scores_of(query)`` gives one score per entity row of ``kg`` (higher is
-    better); with ``filtered``, the query's other known-true answers
-    (``filter_rows``) are dropped before the pessimistic count.
+    ``rank_of(query, gold, rivals)`` returns the rank of the gold entity row
+    ``gold``, given the entity rows ``rivals`` that must not count against
+    it: with ``filtered``, the query's other known-true answers in any split
+    (``filter_rows``), and none otherwise. Each ranker owns its counting rule.
 
     Chunks of ``QUERY_CHUNK`` consecutive queries are ranked on a thread
-    pool sized to the usable CPUs. So ``scores_of`` may be called from
-    several threads at once, and a thread reads the array it returns only
-    until its next call. Each chunk writes only its own rank slots, so the
+    pool sized to the usable CPUs, so ``rank_of`` may be called from several
+    threads at once. Each chunk writes only its own rank slots, so the
     records do not depend on thread timing or the number of CPUs.
     """
     queries = split_queries(kg, split)
@@ -199,10 +201,8 @@ def rank_split(
 
     def rank_chunk(start: int) -> None:
         for i in range(start, min(start + QUERY_CHUNK, len(queries))):
-            scores = scores_of(queries[i])
             gold = entity_row[queries[i].gold]
-            rivals = answers[i][answers[i] != gold]
-            ranks[i] = pessimistic_rank(scores, scores[gold], scores[rivals])
+            ranks[i] = rank_of(queries[i], gold, answers[i][answers[i] != gold])
 
     starts = range(0, len(queries), QUERY_CHUNK)
     workers = min(_usable_cpus(), len(starts))
@@ -222,18 +222,21 @@ def evaluate_predictions(
 ) -> MetricsReport:
     """Score an external system's ranked candidate lists against the test split.
 
-    File format, one line per (triple, direction):
+    File format, one line per test (triple, direction):
     ``head<TAB>relation<TAB>tail<TAB>direction<TAB>candidate,candidate,...``
     with candidates best-first. Raw, the gold rank is its 1-based list
     position, and a gold entity absent from its list is ranked |E| (worst
     case). Filtered (the default), known-true rivals listed before the gold
     are not counted, and an absent gold ranks last among the candidates
-    that survive the filter.
+    that survive the filter. A line for any other (triple, direction) is a
+    ValidationError.
     """
     path = Path(predictions_file)
     entity_row = kg.entity_row
     relation_ids = set(kg.relation_ids)
-    ranked: dict[Query, np.ndarray] = {}
+    test_queries = split_queries(kg, "test")
+    expected = set(test_queries)
+    ranked: dict[Query, list[int]] = {}
     for lineno, (h, r, t, direction, candidate_cell) in read_rows(path, 5):
         if direction not in ("tail", "head"):
             raise ValidationError(f"{path.name}:{lineno}: bad direction {direction!r}")
@@ -254,34 +257,32 @@ def evaluate_predictions(
             query = Query(known=(h, r), direction="tail", gold=t)
         else:
             query = Query(known=(t, r), direction="head", gold=h)
+        if query not in expected:
+            raise ValidationError(
+                f"{path.name}:{lineno}: {(h, r, t, direction)} is not a test query"
+            )
         if query in ranked:
             raise ValidationError(
                 f"{path.name}:{lineno}: duplicate prediction for {(h, r, t, direction)}"
             )
-        ranked[query] = np.fromiter(rows.values(), dtype=np.intp, count=len(rows))
+        ranked[query] = list(rows.values())
 
-    missing = [query for query in split_queries(kg, "test") if query not in ranked]
+    missing = [query for query in test_queries if query not in ranked]
     if missing:
         shown = ", ".join(map(str, missing[:5]))
         raise ValidationError(
             f"predictions missing for {len(missing)} (triple, direction) queries: {shown}"
         )
 
-    positions = -np.arange(max(map(len, ranked.values()), default=0), dtype=float)
-    buffers = threading.local()
+    def rank_of(query: Query, gold: int, rivals: np.ndarray) -> int:
+        # the gold's list position, less the rivals listed before it; an
+        # absent gold ranks below every entity that is not a rival
+        listed = ranked[query]
+        try:
+            position = listed.index(gold)
+        except ValueError:
+            return len(entity_row) - len(rivals)
+        return position + 1 - len(set(rivals.tolist()).intersection(listed[:position]))
 
-    def scores_of(query: Query) -> np.ndarray:
-        # minus the list position; unlisted entities tie below every listed one.
-        # Each thread keeps one -inf table and resets only the rows its
-        # previous query listed.
-        if not hasattr(buffers, "scores"):
-            buffers.scores = np.full(len(entity_row), -np.inf)
-            buffers.listed = np.empty(0, dtype=np.intp)
-        scores = buffers.scores
-        scores[buffers.listed] = -np.inf
-        listed = buffers.listed = ranked[query]
-        scores[listed] = positions[:len(listed)]
-        return scores
-
-    records = rank_split(kg, "test", filtered, scores_of)
+    records = rank_split(kg, "test", filtered, rank_of)
     return compute_metrics(records, filtered=filtered, tie_policy=CANDIDATE_ORDER)

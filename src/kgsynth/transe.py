@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import KgsynthError, ValidationError
-from .evaluate import MetricsReport, Query, RankingRecord, compute_metrics, rank_split
+from .evaluate import (MetricsReport, Query, RankingRecord, compute_metrics, pessimistic_rank,
+                       rank_split)
 from .kg import KnowledgeGraph, float_cells, read_rows, write_rows
 
 _EPS = 1e-12
@@ -329,10 +330,11 @@ def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
     """Gold rank of every split query, in split order, through ``rank_split``.
 
     Equal, query by query, to ``rank_gold`` over ``score_all``: the same
-    distances and tie policy, without building a scores table per query.
-    The model must cover exactly the graph's entities and relations, in any
-    order. Each thread scores into its own buffers, ``_ENTITY_BLOCK`` entity
-    rows at a time, so its scratch block stays cache-sized.
+    distances and tie policy (``pessimistic_rank``), without building a
+    scores table per query. The model must cover exactly the graph's
+    entities and relations, in any order. Each thread scores a query into
+    its own buffers, ``_ENTITY_BLOCK`` entity rows at a time, so its scratch
+    block stays cache-sized.
     """
     # the tables in graph row order, so every score lands on its kg row
     entities = model.entity_vectors[
@@ -344,7 +346,7 @@ def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
     block = min(_ENTITY_BLOCK, n_entities)
     buffers = threading.local()
 
-    def scores_of(query: Query) -> np.ndarray:
+    def rank_of(query: Query, gold: int, rivals: np.ndarray) -> int:
         if not hasattr(buffers, "scores"):
             buffers.scratch = np.empty((block, entities.shape[1]))
             buffers.scores = np.empty(n_entities)
@@ -355,9 +357,9 @@ def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
             stop = min(start + block, n_entities)
             _scores_into(scratch[:stop - start], entities[start:stop], known, rel,
                          query.direction, model.norm, out=scores[start:stop])
-        return scores
+        return pessimistic_rank(scores, scores[gold], scores[rivals])
 
-    return rank_split(kg, split, filtered, scores_of)
+    return rank_split(kg, split, filtered, rank_of)
 
 
 def evaluate_model(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",

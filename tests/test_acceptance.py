@@ -28,7 +28,14 @@ from kgsynth.analysis import (
 )
 from kgsynth.derangement import bipartite_derange, derange
 from kgsynth.errors import InfeasibleError
-from kgsynth.evaluate import Query, compute_metrics, rank_gold, rank_split, split_queries
+from kgsynth.evaluate import (
+    Query,
+    compute_metrics,
+    pessimistic_rank,
+    rank_gold,
+    rank_split,
+    split_queries,
+)
 from kgsynth.kg import (
     KnowledgeGraph,
     compute_stats,
@@ -343,11 +350,16 @@ def test_criterion_08_metrics_oracle():
             for filtered in (False, True):
                 got = rank_gold(scores, query, kg, filtered=filtered).gold_rank
                 assert got == reference_rank(scores, query, kg, filtered)
-        # the ranker that every report uses, over the same table in entity row order
+        # the loop that every report ranks through, counting as evaluate_model
+        # does, over the same table in entity row order
         row_scores = np.array([scores[eid] for eid in kg.entity_ids])
+
+        def rank_of(query, gold, rivals):
+            return pessimistic_rank(row_scores, row_scores[gold], row_scores[rivals])
+
         for split in ("test", "valid"):
             for filtered in (False, True):
-                records = rank_split(kg, split, filtered, lambda query: row_scores)
+                records = rank_split(kg, split, filtered, rank_of)
                 assert [rec.query for rec in records] == split_queries(kg, split)
                 for rec in records:
                     assert rec.gold_rank == reference_rank(scores, rec.query, kg, filtered)

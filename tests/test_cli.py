@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,28 @@ def test_evaluate_incomplete_predictions_is_data_error(dataset_dir, tmp_path, ca
     assert main(["evaluate", "--input", str(dataset_dir), "--predictions", str(preds)]) == 2
 
 
+def test_evaluate_line_for_a_non_test_query_is_data_error(dataset_dir, family_kg, tmp_path,
+                                                         capsys):
+    preds = tmp_path / "preds.tsv"
+    with open(preds, "w", encoding="utf-8") as fh:
+        for h, r, t in family_kg.test:
+            fh.write(f"{h}\t{r}\t{t}\ttail\t{t}\n")
+            fh.write(f"{h}\t{r}\t{t}\thead\t{h}\n")
+        h, r, t = family_kg.train[0]
+        fh.write(f"{h}\t{r}\t{t}\ttail\t{t}\n")
+    assert main(["evaluate", "--input", str(dataset_dir), "--predictions", str(preds)]) == 2
+    assert "preds.tsv:3:" in capsys.readouterr().err
+
+
+def test_evaluate_empty_test_split_is_data_error(family_kg, tmp_path, capsys):
+    data = tmp_path / "data"
+    write_dataset(replace(family_kg, test=()), data)
+    preds = tmp_path / "preds.tsv"
+    preds.write_text("", encoding="utf-8")
+    assert main(["evaluate", "--input", str(data), "--predictions", str(preds)]) == 2
+    assert "test split is empty" in capsys.readouterr().err
+
+
 def test_relation_dist_and_leakage_print_tables(dataset_dir, capsys):
     assert main(["relation-dist", "--input", str(dataset_dir)]) == 0
     out = capsys.readouterr().out
@@ -225,6 +248,23 @@ def test_train_baseline_writes_checkpoint_and_metrics(dataset_dir, tmp_path, cap
     assert (out / "metrics.tsv").is_file()
     assert (out / "manifest.tsv").is_file()
     assert "mrr\t" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("split, eval_split", [
+    ("train", "none"), ("test", "test"), ("valid", "valid"),
+])
+def test_train_baseline_empty_split_is_data_error_and_writes_nothing(
+        family_kg, tmp_path, capsys, split, eval_split):
+    data = tmp_path / "data"
+    write_dataset(replace(family_kg, **{split: ()}), data)
+    out = tmp_path / "model"
+    code = main([
+        "train-baseline", "--input", str(data), "--output", str(out),
+        "--dim", "4", "--epochs", "1", "--eval-split", eval_split,
+    ])
+    assert code == 2
+    assert f"{split} split of {data} is empty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_baseline_is_reproducible(dataset_dir, tmp_path):

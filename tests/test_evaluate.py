@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,13 +165,13 @@ def test_rank_split_raises_a_worker_failure(monkeypatch):
     assert len(queries) > 4 * evaluate.QUERY_CHUNK
     failing = queries[3 * evaluate.QUERY_CHUNK + 1]
 
-    def scores_of(query):
+    def rank_of(query, gold, rivals):
         if query == failing:
-            raise RuntimeError("scorer failed")
-        return np.zeros(len(kg.entities))
+            raise RuntimeError("ranker failed")
+        return 1
 
-    with pytest.raises(RuntimeError, match="scorer failed"):
-        evaluate.rank_split(kg, "test", True, scores_of)
+    with pytest.raises(RuntimeError, match="ranker failed"):
+        evaluate.rank_split(kg, "test", True, rank_of)
 
 
 def test_predictions_gold_first_everywhere(six_entity_kg, tmp_path):
@@ -286,8 +287,8 @@ def test_predictions_match_brute_force_on_random_lists(tmp_path):
 
 
 def test_predictions_reset_rows_between_queries_on_one_worker(monkeypatch, tmp_path):
-    # One worker scores every query into the same table, so a row the previous
-    # query listed would still outrank the gold if it were not reset.
+    # One worker ranks every query in turn, so a candidate that a previous
+    # query listed must not count against the next query's gold.
     monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
     kg = make_kg(entities=[f"e{i}" for i in range(8)], relations=["r"],
                  train=[("e0", "r", "e1")], test=[("e2", "r", "e3"), ("e4", "r", "e5")])
@@ -307,6 +308,50 @@ def test_predictions_reset_rows_between_queries_on_one_worker(monkeypatch, tmp_p
         assert [record.gold_rank for record in records] == [4, 1, 2, 3]
         assert evaluate_predictions(kg, path, filtered) == compute_metrics(
             records, filtered=filtered, tie_policy="candidate-order")
+
+
+@pytest.mark.parametrize("extra", [
+    ("e0", "r1", "e1", "tail"),  # a train triple
+    ("e0", "r1", "e3", "head"),  # a valid triple
+    ("e1", "r2", "e5", "tail"),  # no triple of the graph
+])
+def test_predictions_line_for_a_non_test_query_rejected(six_entity_kg, tmp_path, extra):
+    rows = list(WORKSHEET)
+    rows.insert(2, (*extra, ["e1"]))
+    path = tmp_path / "preds.tsv"
+    _write_predictions(path, rows)
+    with pytest.raises(ValidationError, match=r"preds\.tsv:3: .* is not a test query"):
+        evaluate_predictions(six_entity_kg, path)
+
+
+def test_predictions_allocate_nothing_entity_sized(monkeypatch, tmp_path):
+    # Top-k lists over many entities: ranking reads the lists and the filtered
+    # rivals, so its peak stays far below one score per entity.
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
+    n = 200_000
+    kg = make_kg(entities=[f"e{i}" for i in range(n)], relations=["r"],
+                 train=[(f"e{i}", "r", f"e{i + 1}") for i in range(0, 2000, 2)],
+                 test=[(f"e{i}", "r", f"e{i + 3}") for i in range(0, 200, 2)])
+    rng = random.Random(5)
+    rows = []
+    for h, r, t in kg.test:
+        for direction, gold in (("tail", t), ("head", h)):
+            # no test entity is sampled, and half the golds are listed
+            candidates = [f"e{i}" for i in rng.sample(range(1000, n), 99)]
+            if rng.random() < 0.5:
+                candidates.insert(rng.randrange(100), gold)
+            rows.append((h, r, t, direction, candidates))
+    path = tmp_path / "preds.tsv"
+    _write_predictions(path, rows)
+    evaluate_predictions(kg, path)  # numpy imports lazily, and the graph caches its row maps
+    tracemalloc.start()
+    try:
+        report = evaluate_predictions(kg, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.mr < n
+    assert peak < 8 * n, peak  # one float64 score per entity
 
 
 def test_predictions_missing_queries_listed(six_entity_kg, tmp_path):
