@@ -14,10 +14,12 @@ Two source layouts are understood:
 
 Conversion reads and checks every source file before it creates the output
 directory or writes any file, so a rejected source leaves no partial
-dataset behind. Triples are held in memory, which lets it reject a triple
-listed twice as ``load_dataset`` would; a text line without a tab or with a
-repeated id is rejected too. Tabs and newlines inside source text are
-replaced by spaces to fit the strict TSV cell rules.
+dataset behind. Triples are held in memory and checked by
+``kg.read_triples``, the checker ``load_dataset`` reports with, so a triple
+with an id that has no text entry (kgbert) or that is listed twice, in one
+split or in two, is rejected with the loader's message and file line. A text
+line without a tab or with a repeated id is rejected too. Tabs and newlines
+inside source text are replaced by spaces to fit the strict TSV cell rules.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import LoadError, ValidationError
-from .kg import DatasetStats, Triple, read_rows, write_rows
+from .kg import DatasetStats, Triple, read_triples, write_rows
 
 FORMATS = ("kgbert", "wikidata5m")
 
@@ -86,8 +88,7 @@ def convert_kgbert(
         "valid": _find_file(src, ["valid.tsv", "dev.tsv", "valid.txt", "dev.txt"]),
         "test": _find_file(src, ["test.tsv", "test.txt"]),
     }
-    triples = _read_triples(split_files, known_entities=set(entity_text),
-                            known_relations=set(relation_text))
+    triples = read_triples(split_files, entity_text, relation_text)
 
     relations = {rid: _clean(text) for rid, text in relation_text.items()}
     return _write(Path(output_dir), triples, names, relations, descriptions)
@@ -102,7 +103,7 @@ def convert_wikidata5m(input_dir: str | Path, output_dir: str | Path) -> Dataset
         "valid": _find_file(src, ["wikidata5m_transductive_valid.txt", "valid.txt"]),
         "test": _find_file(src, ["wikidata5m_transductive_test.txt", "test.txt"]),
     }
-    triples = _read_triples(split_files)
+    triples = read_triples(split_files)
     seen_entities = dict.fromkeys(e for rows in triples.values()
                                   for h, _, t in rows for e in (h, t))
     seen_relations = dict.fromkeys(r for rows in triples.values() for _, r, _ in rows)
@@ -146,29 +147,3 @@ def _read_first_alias(path: Path) -> dict[str, str]:
             if len(cells) >= 2 and cells[0] not in aliases:
                 aliases[cells[0]] = cells[1]
     return aliases
-
-
-def _read_triples(
-    split_files: dict[str, Path],
-    known_entities: set[str] | None = None,
-    known_relations: set[str] | None = None,
-) -> dict[str, list[Triple]]:
-    """Each split's triples, in file order, after checking every line.
-
-    As ``load_dataset`` does, rejects a triple that repeats one of its own
-    split or of an earlier one.
-    """
-    seen: set[Triple] = set()
-    triples: dict[str, list[Triple]] = {}
-    for split, path in split_files.items():
-        rows = triples[split] = []
-        for lineno, (h, r, t) in read_rows(path, 3):
-            if known_entities is not None and (h not in known_entities or t not in known_entities):
-                raise ValidationError(f"{path.name}:{lineno}: entity without text entry")
-            if known_relations is not None and r not in known_relations:
-                raise ValidationError(f"{path.name}:{lineno}: relation without text entry")
-            if (h, r, t) in seen:
-                raise ValidationError(f"{path.name}:{lineno}: duplicate triple {(h, r, t)!r}")
-            seen.add((h, r, t))
-            rows.append((h, r, t))
-    return triples

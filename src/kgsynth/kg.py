@@ -14,8 +14,8 @@ A dataset directory holds six such files:
     relations.tsv                      relation_id<TAB>name
     descriptions.tsv                   entity_id<TAB>description
 
-Names and descriptions must not contain tabs or newlines; such values are
-rejected rather than escaped so files stay greppable and round-trips stay
+Ids, names and descriptions must not contain tabs or newlines; such values
+are rejected rather than escaped so files stay greppable and round-trips stay
 byte-exact. A split must not list the same triple twice, since evaluation
 would rank and weight it twice. ``descriptions.tsv`` may omit entities
 (missing means empty). Entity and relation iteration order is file order;
@@ -28,9 +28,10 @@ from __future__ import annotations
 import os
 from array import array
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Container, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
@@ -152,15 +153,19 @@ class KnowledgeGraph:
     def validate(self) -> None:
         """Check every structural invariant; raise ValidationError on the first breach."""
         seen_e: set[str] = set()
-        for eid, _ in self.entities:
+        for eid, name in self.entities:
             if eid in seen_e:
                 raise ValidationError(f"duplicate entity id {eid!r}")
             seen_e.add(eid)
+            _check_cell(eid, "entity id")
+            _check_cell(name, "name")
         seen_r: set[str] = set()
-        for rid, _ in self.relations:
+        for rid, name in self.relations:
             if rid in seen_r:
                 raise ValidationError(f"duplicate relation id {rid!r}")
             seen_r.add(rid)
+            _check_cell(rid, "relation id")
+            _check_cell(name, "name")
         for split in SPLITS:
             for h, r, t in self.split(split):
                 if h not in seen_e:
@@ -177,11 +182,11 @@ class KnowledgeGraph:
                 f"(unknown ids: {extra[:3]}, missing ids: {missing[:3]})"
             )
         train, valid, test = (self._split_set(split) for split in SPLITS)
-        if train & valid or train & test or valid & test:
-            overlap = (train & valid) | (train & test) | (valid & test)
-            raise ValidationError(f"splits share triples, e.g. {next(iter(overlap))}")
-        for text in list(self.entity_names.values()) + list(self.relation_names.values()):
-            _check_cell(text, "name")
+        if not (train.isdisjoint(valid) and train.isdisjoint(test) and valid.isdisjoint(test)):
+            # the first triple, in split order, that an earlier split holds
+            shared = next(chain((t for t in self.valid if t in train),
+                                (t for t in self.test if t in train or t in valid)))
+            raise ValidationError(f"splits share triples, e.g. {shared}")
         for text in self.descriptions.values():
             _check_cell(text, "description")
 
@@ -248,19 +253,42 @@ def float_cells(path: str | os.PathLike, lineno: int, cells: Iterable[str]) -> l
         raise ValidationError(f"{Path(path).name}:{lineno}: {exc}") from exc
 
 
-def _raise_bad_triple(path: Path, entity_ids: set[str], relation_ids: set[str]) -> None:
-    """Name the file line of the first triple with an unknown id or that repeats an earlier one."""
-    seen: set[Triple] = set()
-    for lineno, (h, r, t) in read_rows(path, 3):
-        if h not in entity_ids:
-            raise ValidationError(f"{path.name}:{lineno}: unknown head entity {h!r}")
-        if r not in relation_ids:
-            raise ValidationError(f"{path.name}:{lineno}: unknown relation {r!r}")
-        if t not in entity_ids:
-            raise ValidationError(f"{path.name}:{lineno}: unknown tail entity {t!r}")
-        if (h, r, t) in seen:
-            raise ValidationError(f"{path.name}:{lineno}: duplicate triple {(h, r, t)!r}")
-        seen.add((h, r, t))
+def read_triples(
+    paths: dict[str, Path],
+    entity_ids: Container[str] | None = None,
+    relation_ids: Container[str] | None = None,
+) -> dict[str, list[Triple]]:
+    """Each split's triples in file order, read from ``paths[split]``.
+
+    The first triple with a head or tail outside ``entity_ids`` or a relation
+    outside ``relation_ids`` (unchecked when None), or that repeats a triple
+    of its own split or of an earlier one, is a ValidationError at
+    ``<file>:<line>``.
+    """
+    triples: dict[str, list[Triple]] = {}
+    earlier: list[tuple[str, set[Triple]]] = []
+    for split, path in paths.items():
+        rows = triples[split] = []
+        own: set[Triple] = set()
+        for lineno, (h, r, t) in read_rows(path, 3):
+            where = f"{path.name}:{lineno}"
+            if entity_ids is not None and h not in entity_ids:
+                raise ValidationError(f"{where}: unknown head entity {h!r}")
+            if relation_ids is not None and r not in relation_ids:
+                raise ValidationError(f"{where}: unknown relation {r!r}")
+            if entity_ids is not None and t not in entity_ids:
+                raise ValidationError(f"{where}: unknown tail entity {t!r}")
+            triple = (h, r, t)
+            if triple in own:
+                raise ValidationError(f"{where}: duplicate triple {triple!r}")
+            for name, held in earlier:
+                if triple in held:
+                    raise ValidationError(f"{where}: duplicate triple {triple!r} "
+                                          f"(splits share triples: also in {name})")
+            own.add(triple)
+            rows.append(triple)
+        earlier.append((path.name, own))
+    return triples
 
 
 def load_dataset(directory: str | os.PathLike) -> KnowledgeGraph:
@@ -307,9 +335,8 @@ def load_dataset(directory: str | os.PathLike) -> KnowledgeGraph:
     except ValidationError:
         # validate spots an unknown id or a repeated triple anyway, so loading
         # checks no triple of its own; only on an error are the split files
-        # scanned, to name the line of the first bad triple if there is one.
-        for split in SPLITS:
-            _raise_bad_triple(root / f"{split}.tsv", entity_ids, relation_ids)
+        # read again, to name the line of the first bad triple if there is one.
+        read_triples({split: root / f"{split}.tsv" for split in SPLITS}, entity_ids, relation_ids)
         raise
     return kg
 

@@ -1,4 +1,4 @@
-"""Trie-backed multi-pattern replacement of surface names inside descriptions.
+"""Multi-pattern replacement of surface names inside descriptions.
 
 Matching rules, shared with the leakage analysis so the two can never
 diverge:
@@ -9,7 +9,7 @@ diverge:
 - rewriting is a single greedy left-to-right pass taking the longest key at
   each position, and replacement text is never rescanned.
 
-``scan`` is the one trie walker: it returns every boundary match, nested and
+``scan`` is the one matcher: it returns every boundary match, nested and
 overlapping ones included. ``join`` applies the greedy rule to those matches
 and puts a replacement in each span it takes; ``find_keys`` is the set of
 matched keys. Matches depend only on the keys, so a graph's descriptions are
@@ -31,8 +31,9 @@ if TYPE_CHECKING:
 # Original surface name -> replacement, insertion-ordered.
 NameMap = dict[str, str]
 
-_ROOT = 0
 _NO_KEYS = re.compile(r"(?!)")
+_ABSENT = object()
+_skip_alnum = re.compile(r"[^\W_]*").match
 
 
 def _start_pattern(first_chars: Iterable[str]) -> re.Pattern[str]:
@@ -41,42 +42,22 @@ def _start_pattern(first_chars: Iterable[str]) -> re.Pattern[str]:
     return re.compile(r"(?<![^\W_])[" + "".join(map(re.escape, first_chars)) + "]")
 
 
-class PatternIndex:
-    """Prefix tree over the keys of a NameMap; accepting nodes carry the replacement.
+class PatternIndex(dict[str, str | None]):
+    """The keys of a NameMap, each mapped to its replacement, plus every
+    proper key prefix that ends just before a non-alphanumeric character of
+    its key, mapped to None.
 
-    States are array indices: ``children[s]`` maps a character to the next
-    state, ``payload[s]`` holds the replacement when ``s`` accepts a key.
-    ``starts`` finds the positions where a scan may enter the tree.
+    A key matches only at token boundaries, so a scan needs to look a span
+    up only where it ends at a boundary, and it can stop at the first such
+    span that is absent: no key extends it. ``starts`` finds the positions
+    where a scan may begin.
     """
 
-    __slots__ = ("children", "payload", "starts")
-
-    def __init__(self) -> None:
-        self.children: list[dict[str, int]] = [{}]
-        self.payload: list[str | None] = [None]
-        self.starts = _NO_KEYS
-
-    def _insert(self, key: str, replacement: str) -> None:
-        node = _ROOT
-        for char in key:
-            nxt = self.children[node].get(char)
-            if nxt is None:
-                nxt = len(self.children)
-                self.children[node][char] = nxt
-                self.children.append({})
-                self.payload.append(None)
-            node = nxt
-        self.payload[node] = replacement
+    starts: re.Pattern[str] = _NO_KEYS
 
     def lookup(self, key: str) -> str | None:
         """Replacement for an exact key, or None when the key is not indexed."""
-        node = _ROOT
-        for char in key:
-            nxt = self.children[node].get(char)
-            if nxt is None:
-                return None
-            node = nxt
-        return self.payload[node]
+        return self.get(key)
 
 
 def build_index(name_map: NameMap) -> PatternIndex:
@@ -85,9 +66,12 @@ def build_index(name_map: NameMap) -> PatternIndex:
     for key, replacement in name_map.items():
         if not key:
             raise ValueError("cannot index an empty key")
-        index._insert(key, replacement)
+        for j in range(1, len(key)):
+            if not key[j].isalnum():
+                index.setdefault(key[:j], None)
+        index[key] = replacement
     if name_map:
-        index.starts = _start_pattern(index.children[_ROOT])
+        index.starts = _start_pattern({key[0] for key in name_map})
     return index
 
 
@@ -99,20 +83,17 @@ def scan(index: PatternIndex, text: str) -> array[int]:
     object per match, so a cache of them stays small), in text order and, at
     one start, shorter key first; empty when ``text`` mentions no key.
     """
-    children = index.children
-    payload = index.payload
+    get = index.get
     n = len(text)
     matches = array("i")
     for start in index.starts.finditer(text):
-        i = start.start()
-        node = _ROOT
-        j = i
+        i = j = start.start()
         while j < n:
-            node = children[node].get(text[j], -1)
-            if node < 0:
+            j = _skip_alnum(text, j + 1).end()  # the next token boundary
+            found = get(text[i:j], _ABSENT)
+            if found is _ABSENT:
                 break
-            j += 1
-            if payload[node] is not None and (j == n or not text[j].isalnum()):
+            if found is not None:
                 matches.append(i)
                 matches.append(j)
     return matches

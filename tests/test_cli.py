@@ -328,6 +328,21 @@ def test_convert_kgbert_rejects_a_triple_listed_twice(tmp_path, capsys):
     assert "train.tsv:2: duplicate triple ('e1', 'r1', 'e2')" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, message", [
+    ("x\tr1\te2", "unknown head entity 'x'"),
+    ("e1\tzz\te2", "unknown relation 'zz'"),
+    ("e1\tr1\tx", "unknown tail entity 'x'"),
+    ("e2\tr2\te1", "duplicate triple ('e2', 'r2', 'e1') (splits share triples: also in dev.tsv)"),
+])
+def test_convert_kgbert_reports_a_bad_triple_as_the_loader_does(tmp_path, capsys, line, message):
+    src = tmp_path / "src"
+    _kgbert_fixture(src)
+    (src / "test.tsv").write_text(f"e3\tr2\te2\n{line}\n", encoding="utf-8")
+    assert main(["convert", "--format", "kgbert", "--input", str(src),
+                 "--output", str(tmp_path / "out")]) == 2
+    assert f"test.tsv:2: {message}" in capsys.readouterr().err
+
+
 def test_convert_rejected_source_writes_no_output(tmp_path, capsys):
     # kgbert: train.tsv repeats its first triple on line 3, after two good rows
     src = tmp_path / "src"

@@ -106,6 +106,28 @@ def test_tab_in_name_rejected_at_write_time(tmp_path):
         write_dataset(bad, tmp_path)
 
 
+@pytest.mark.parametrize("entity_id, relation_id, what", [
+    ("a\tb", "r1", "entity id"),
+    ("a", "r\r1", "relation id"),
+    ("a", "r\n1", "relation id"),
+])
+def test_tab_or_newline_in_an_id_rejected_at_write_time(tmp_path, entity_id, relation_id, what):
+    from kgsynth.kg import KnowledgeGraph
+
+    bad = KnowledgeGraph(
+        entities=((entity_id, "first"), ("e2", "second")),
+        relations=((relation_id, "r"),),
+        train=((entity_id, relation_id, "e2"),),
+        valid=(),
+        test=(),
+        descriptions={entity_id: "", "e2": ""},
+    )
+    out = tmp_path / "out"
+    with pytest.raises(ValidationError, match=f"^{what} contains a tab or newline"):
+        write_dataset(bad, out)
+    assert not out.exists()
+
+
 def test_omitted_description_defaults_to_empty(family_kg, tmp_path):
     write_dataset(family_kg, tmp_path)
     (tmp_path / "descriptions.tsv").unlink()
@@ -194,6 +216,33 @@ def test_duplicated_triple_across_splits_rejected(tmp_path):
         fh.write(first_train + "\n")
     with pytest.raises(ValidationError, match="share triples"):
         load_dataset(tmp_path)
+
+
+def test_triple_in_two_splits_rejected_at_its_file_line(tmp_path):
+    kg = make_kg(entities=["a", "b", "c"], relations=["r"],
+                 train=[("a", "r", "b")], valid=[("b", "r", "c")], test=[("a", "r", "c")])
+    write_dataset(kg, tmp_path)
+    (tmp_path / "test.tsv").write_text("a\tr\tc\nb\tr\tc\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"^test.tsv:2: duplicate triple \('b', 'r', 'c'\) "
+                                              r"\(splits share triples: also in valid.tsv\)$"):
+        load_dataset(tmp_path)
+
+
+def test_split_overlap_names_the_first_repeat_in_split_order():
+    # train lists 200 triples; valid repeats them in reverse, test in order,
+    # so the first repeat in split order is valid's first triple.
+    entities = [f"e{i}" for i in range(201)]
+    train = [(f"e{i}", "r", f"e{i + 1}") for i in range(200)]
+    with pytest.raises(ValidationError,
+                       match=r"^splits share triples, e.g. \('e199', 'r', 'e200'\)$"):
+        make_kg(entities=entities, relations=["r"], train=train,
+                valid=train[::-1], test=train)
+    # no valid triple is in train; test's first triple held by valid is named
+    valid = [(f"e{i + 1}", "r", f"e{i}") for i in range(200)]
+    with pytest.raises(ValidationError,
+                       match=r"^splits share triples, e.g. \('e51', 'r', 'e50'\)$"):
+        make_kg(entities=entities, relations=["r"], train=train,
+                valid=valid, test=[("e0", "r", "e2")] + valid[50:] + train)
 
 
 def test_duplicate_triple_in_split_file_rejected(family_kg, tmp_path):

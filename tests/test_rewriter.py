@@ -1,5 +1,6 @@
 import random
 import string
+import tracemalloc
 
 import pytest
 
@@ -106,7 +107,7 @@ def test_lookup_membership_exactness():
     for _ in range(500):
         probe = "".join(rng.choice(string.ascii_lowercase + " ") for _ in range(8))
         assert (index.lookup(probe) == mapping.get(probe)) or probe not in mapping
-    assert sum(value is not None for value in index.payload) == 500
+    assert sum(value is not None for value in index.values()) == 500
 
 
 def test_find_keys_reports_all_boundary_occurrences():
@@ -227,3 +228,20 @@ def test_index_scales_to_many_keys():
     assert index.lookup("entity number 20000 name") is None
     text = "we saw entity number 137 name near entity number 9999 name today"
     assert rewrite_text(index, text) == "we saw 137 near 9999 today"
+
+
+def test_index_memory_per_key_character():
+    # On these names a trie with one dict per character node allocates about
+    # 55 bytes per key character (140-175 on generated graph names); the map
+    # of keys and boundary-ended prefixes allocates about 5.
+    mapping = {f"entity number {i} name": str(i) for i in range(20000)}
+    chars = sum(map(len, mapping))
+    build_index({"warm up": ""})
+    tracemalloc.start()
+    try:
+        index = build_index(mapping)
+        allocated, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert index.lookup("entity number 7 name") == "7"
+    assert allocated / chars < 25, allocated / chars

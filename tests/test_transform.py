@@ -381,7 +381,7 @@ REWRITING_VARIANTS = [(label, kind, targets) for label, kind, targets in SUITE_V
 
 def test_rewriting_variants_match_a_per_variant_rewrite():
     # The suite joins over spans segmented once per graph; the oracle builds
-    # each variant's own trie and rescans, and the quadratic reference too.
+    # each variant's own index and rescans, and the quadratic reference too.
     assert [label for label, _, _ in REWRITING_VARIANTS] == ["vw-e", "vw-er", "anon-e", "anon-er"]
     rng = random.Random(31)
     changed = unmentioned = 0
