@@ -2,8 +2,8 @@
 
 Every run that produces files also writes a manifest (flat key<TAB>value)
 alongside them, echoing the command, paths, parameters, seed, tool version,
-and timestamps. Exit codes: 0 success, 1 usage error, 2 data/validation
-error, 3 infeasibility (derangement/uniqueness/sampling), 4 internal error.
+and timestamps. Exit codes: 0 success, 1 usage error, 2 data, validation or
+I/O error, 3 infeasibility (derangement/uniqueness/sampling), 4 internal error.
 """
 
 from __future__ import annotations
@@ -315,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     except click.Abort:
         click.echo("aborted", err=True)
         return 1
-    except (LoadError, ValidationError) as exc:
+    except (LoadError, ValidationError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
     except (InfeasibleError, UniquenessError, SamplingError) as exc:

@@ -12,14 +12,15 @@ Two source layouts are understood:
   relations are restricted to those appearing in the triples, in first
   appearance order, since the alias files cover a superset.
 
-Conversion reads and checks every source file before it creates the output
-directory or writes any file, so a rejected source leaves no partial
-dataset behind. Triples are held in memory and checked by
-``kg.read_triples``, the checker ``load_dataset`` reports with, so a triple
-with an id that has no text entry (kgbert) or that is listed twice, in one
-split or in two, is rejected with the loader's message and file line. A text
-line without a tab or with a repeated id is rejected too. Tabs and newlines
-inside source text are replaced by spaces to fit the strict TSV cell rules.
+Conversion reads every source file into a ``KnowledgeGraph`` and writes it
+with ``kg.write_dataset``, whose ``validate`` (the loader's checker) runs
+before the output directory is created, so a rejected source leaves no
+partial dataset behind. A triple with an id that has no text entry (kgbert)
+or that is listed twice, in one split or in two, is reported with the
+loader's message at its source file and line. A text line without a tab or
+with a repeated id is rejected too. Tabs and newlines inside source text are
+replaced by spaces to fit the strict TSV cell rules. ``descriptions.tsv``
+holds one row per entity, in entity order, as in every written dataset.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import LoadError, ValidationError
-from .kg import DatasetStats, Triple, read_triples, write_rows
+from .kg import (DatasetStats, KnowledgeGraph, compute_stats, file_lines, read_splits,
+                 write_dataset)
 
 FORMATS = ("kgbert", "wikidata5m")
 
@@ -68,19 +70,13 @@ def convert_kgbert(
 
     entity_text = _read_text_map(_find_file(src, ["entity2text.txt", "entity2text.tsv"]))
     relation_text = _read_text_map(_find_file(src, ["relation2text.txt", "relation2text.tsv"]))
-    long_text: dict[str, str] = {}
     long_path = src / "entity2textlong.txt"
-    if long_path.is_file():
-        long_text = _read_text_map(long_path)
+    long_text = _read_text_map(long_path) if long_path.is_file() else {}
 
-    names: dict[str, str] = {}
-    descriptions: dict[str, str] = {}
+    entities, descriptions = [], {}
     for eid, text in entity_text.items():
-        if gloss_split and ", " in text:
-            name, gloss = text.split(", ", 1)
-        else:
-            name, gloss = text, ""
-        names[eid] = _clean(name)
+        name, gloss = text.split(", ", 1) if gloss_split and ", " in text else (text, "")
+        entities.append((eid, _clean(name)))
         descriptions[eid] = _clean(long_text.get(eid, gloss))
 
     split_files = {
@@ -88,10 +84,15 @@ def convert_kgbert(
         "valid": _find_file(src, ["valid.tsv", "dev.tsv", "valid.txt", "dev.txt"]),
         "test": _find_file(src, ["test.tsv", "test.txt"]),
     }
-    triples = read_triples(split_files, entity_text, relation_text)
-
-    relations = {rid: _clean(text) for rid, text in relation_text.items()}
-    return _write(Path(output_dir), triples, names, relations, descriptions)
+    kg = KnowledgeGraph(
+        entities=tuple(entities),
+        relations=tuple((rid, _clean(text)) for rid, text in relation_text.items()),
+        descriptions=descriptions,
+        **read_splits(split_files),
+    )
+    with file_lines(split_files):
+        write_dataset(kg, output_dir)
+    return compute_stats(kg)
 
 
 def convert_wikidata5m(input_dir: str | Path, output_dir: str | Path) -> DatasetStats:
@@ -103,40 +104,25 @@ def convert_wikidata5m(input_dir: str | Path, output_dir: str | Path) -> Dataset
         "valid": _find_file(src, ["wikidata5m_transductive_valid.txt", "valid.txt"]),
         "test": _find_file(src, ["wikidata5m_transductive_test.txt", "test.txt"]),
     }
-    triples = read_triples(split_files)
-    seen_entities = dict.fromkeys(e for rows in triples.values()
-                                  for h, _, t in rows for e in (h, t))
-    seen_relations = dict.fromkeys(r for rows in triples.values() for _, r, _ in rows)
+    splits = read_splits(split_files)
+    entity_ids = dict.fromkeys(e for triples in splits.values()
+                               for h, _, t in triples for e in (h, t))
+    relation_ids = dict.fromkeys(r for triples in splits.values() for _, r, _ in triples)
 
     entity_alias = _read_first_alias(_find_file(src, ["wikidata5m_entity.txt"]))
     relation_alias = _read_first_alias(_find_file(src, ["wikidata5m_relation.txt"]))
     text_path = src / "wikidata5m_text.txt"
     texts = _read_text_map(text_path) if text_path.is_file() else {}
 
-    names = {eid: _clean(entity_alias.get(eid, eid)) for eid in seen_entities}
-    relations = {rid: _clean(relation_alias.get(rid, rid)) for rid in seen_relations}
-    descriptions = {eid: _clean(text) for eid, text in texts.items() if eid in seen_entities}
-    return _write(Path(output_dir), triples, names, relations, descriptions)
-
-
-def _write(
-    out: Path,
-    triples: dict[str, list[Triple]],
-    names: dict[str, str],
-    relations: dict[str, str],
-    descriptions: dict[str, str],
-) -> DatasetStats:
-    """Create ``out`` and write the six dataset files from checked inputs."""
-    out.mkdir(parents=True, exist_ok=True)
-    for split, rows in triples.items():
-        write_rows(out / f"{split}.tsv", rows)
-    write_rows(out / "entities.tsv", names.items())
-    write_rows(out / "relations.tsv", relations.items())
-    write_rows(out / "descriptions.tsv", descriptions.items())
-    return DatasetStats(
-        n_entities=len(names), n_relations=len(relations),
-        n_train=len(triples["train"]), n_valid=len(triples["valid"]), n_test=len(triples["test"]),
+    kg = KnowledgeGraph(
+        entities=tuple((eid, _clean(entity_alias.get(eid, eid))) for eid in entity_ids),
+        relations=tuple((rid, _clean(relation_alias.get(rid, rid))) for rid in relation_ids),
+        descriptions={eid: _clean(texts.get(eid, "")) for eid in entity_ids},
+        **splits,
     )
+    with file_lines(split_files):
+        write_dataset(kg, output_dir)
+    return compute_stats(kg)
 
 
 def _read_first_alias(path: Path) -> dict[str, str]:

@@ -2,7 +2,8 @@
 
 Two generators live here. ``derange`` rejection-samples uniform permutations
 until none keeps its original value, which is cheap (about e attempts for
-distinct values) and uniform over all derangements. ``bipartite_derange``
+distinct values) and uniform over all derangements; if heavy repeats make
+all 1,000 attempts fail, it rotates value groups instead. ``bipartite_derange``
 handles the constrained case: a bipartite graph pairs each position with the
 positions whose value it may receive, excluding same-value pairs and any
 (from_value, to_value) pair in ``removed``, and a maximum matching picks the
@@ -34,7 +35,8 @@ class DerangementResult:
     permutation: tuple[int, ...]
 
 
-def _check_feasible(items: Sequence[Hashable]) -> None:
+def _check_feasible(items: Sequence[Hashable]) -> int:
+    """The size of the largest value group, if a derangement exists."""
     # A value-level derangement of a multiset exists iff no value fills more
     # than half the positions (Hall's condition on the value graph).
     n = len(items)
@@ -45,24 +47,35 @@ def _check_feasible(items: Sequence[Hashable]) -> None:
         raise InfeasibleError(
             f"no derangement exists: value {value!r} occupies {count} of {n} positions"
         )
+    return count
 
 
 def derange(items: Sequence[Hashable], seed: int) -> DerangementResult:
-    """Uniform random derangement of ``items`` (no position keeps its value)."""
-    _check_feasible(items)
+    """Random derangement of ``items`` (no position keeps its value), uniform
+    unless its rejection sampling gives up."""
+    largest = _check_feasible(items)
     n = len(items)
     rng = random.Random(seed)
     perm = list(range(n))
     for _ in range(_MAX_REJECTION_ATTEMPTS):
         rng.shuffle(perm)
         if all(items[perm[i]] != items[i] for i in range(n)):
-            return DerangementResult(
-                res=tuple(items[perm[i]] for i in range(n)),
-                permutation=tuple(perm),
-            )
-    # Heavily repeated values make acceptance vanishingly rare even when a
-    # derangement exists; the matching construction is guaranteed to find one.
-    return bipartite_derange(items, set(), seed)
+            break
+    else:
+        # Heavily repeated values make acceptance vanishingly rare. Then order
+        # the positions by value group (groups shuffled, members as last
+        # shuffled) and give each the value m places ahead, cyclically, m being
+        # the largest group: as n >= 2m, that place is in another group.
+        values = list(dict.fromkeys(items))
+        rng.shuffle(values)
+        group = {value: k for k, value in enumerate(values)}
+        order = sorted(perm, key=lambda i: group[items[i]])
+        for k, i in enumerate(order):
+            perm[i] = order[(k + largest) % n]
+    return DerangementResult(
+        res=tuple(items[perm[i]] for i in range(n)),
+        permutation=tuple(perm),
+    )
 
 
 def bipartite_derange(

@@ -14,7 +14,22 @@ class LoadError(KgsynthError):
 
 
 class ValidationError(KgsynthError):
-    """Input data violates a structural invariant (bad ids, duplicates, ...)."""
+    """Input data violates a structural invariant (bad ids, duplicates, ...).
+
+    A breach on one row of a table (``entities``, ``relations`` or a split)
+    carries the ``table``, the 0-based ``row`` and, for a triple an earlier
+    split holds, that ``earlier`` split. It reads ``<table>: <detail>``;
+    ``kg.file_lines`` makes that ``<file>:<line>: <detail>``.
+    """
+
+    def __init__(self, detail: str, table: str | None = None, row: int | None = None,
+                 earlier: str | None = None) -> None:
+        self.detail, self.table, self.row, self.earlier = detail, table, row, earlier
+        super().__init__(detail if table is None else self.at(table, earlier))
+
+    def at(self, where: str, earlier: str | None) -> str:
+        shared = f" (splits share triples: also in {earlier})" if earlier else ""
+        return f"{where}: {self.detail}{shared}"
 
 
 class InfeasibleError(KgsynthError):

@@ -21,17 +21,20 @@ would rank and weight it twice. ``descriptions.tsv`` may omit entities
 (missing means empty). Entity and relation iteration order is file order;
 every seeded algorithm downstream indexes against this order, which is what
 makes runs reproducible.
+
+``KnowledgeGraph.validate`` holds these rules for loading, conversion and
+every write; ``file_lines`` gives a breach on one row its file line.
 """
 
 from __future__ import annotations
 
 import os
 from array import array
-from collections import Counter
-from collections.abc import Container, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -151,52 +154,41 @@ class KnowledgeGraph:
         return {key: frozenset(vals) for key, vals in index.items()}
 
     def validate(self) -> None:
-        """Check every structural invariant; raise ValidationError on the first breach."""
-        seen_e: set[str] = set()
-        for eid, name in self.entities:
-            if eid in seen_e:
-                raise ValidationError(f"duplicate entity id {eid!r}")
-            seen_e.add(eid)
-            _check_cell(eid, "entity id")
-            _check_cell(name, "name")
-        seen_r: set[str] = set()
-        for rid, name in self.relations:
-            if rid in seen_r:
-                raise ValidationError(f"duplicate relation id {rid!r}")
-            seen_r.add(rid)
-            _check_cell(rid, "relation id")
-            _check_cell(name, "name")
+        """Check every structural invariant; raise ValidationError on the first breach.
+        One on a row names its table and row, looked up on the error path only."""
+        entity_ids = _check_table("entities", self.entities, "entity id")
+        relation_ids = _check_table("relations", self.relations, "relation id")
         for split in SPLITS:
-            for h, r, t in self.split(split):
-                if h not in seen_e:
-                    raise ValidationError(f"{split}: unknown head entity {h!r}")
-                if t not in seen_e:
-                    raise ValidationError(f"{split}: unknown tail entity {t!r}")
-                if r not in seen_r:
-                    raise ValidationError(f"{split}: unknown relation {r!r}")
-        if set(self.descriptions) != seen_e:
-            extra = sorted(set(self.descriptions) - seen_e)
-            missing = sorted(seen_e - set(self.descriptions))
+            triples = self.split(split)
+            row_of = triples.index  # the first bad row holds its triple's first occurrence
+            for h, r, t in triples:
+                if h not in entity_ids:
+                    raise ValidationError(f"unknown head entity {h!r}", split, row_of((h, r, t)))
+                if r not in relation_ids:
+                    raise ValidationError(f"unknown relation {r!r}", split, row_of((h, r, t)))
+                if t not in entity_ids:
+                    raise ValidationError(f"unknown tail entity {t!r}", split, row_of((h, r, t)))
+        if set(self.descriptions) != entity_ids:
+            extra = sorted(set(self.descriptions) - entity_ids)
+            missing = sorted(entity_ids - set(self.descriptions))
             raise ValidationError(
                 f"descriptions out of sync with entities "
                 f"(unknown ids: {extra[:3]}, missing ids: {missing[:3]})"
             )
-        train, valid, test = (self._split_set(split) for split in SPLITS)
-        if not (train.isdisjoint(valid) and train.isdisjoint(test) and valid.isdisjoint(test)):
-            # the first triple, in split order, that an earlier split holds
-            shared = next(chain((t for t in self.valid if t in train),
-                                (t for t in self.test if t in train or t in valid)))
-            raise ValidationError(f"splits share triples, e.g. {shared}")
+        splits = (self.train, self.valid, self.test)
+        if len(set(chain(*splits))) != sum(map(len, splits)):
+            # name the first triple, in split order, that its own split or an earlier one holds
+            split_of: dict[Triple, str] = {}
+            for split in SPLITS:
+                for row, triple in enumerate(self.split(split)):
+                    earlier = split_of.get(triple)
+                    if earlier is not None:
+                        raise ValidationError(f"duplicate triple {triple!r}", split, row,
+                                              None if earlier == split else earlier)
+                    split_of[triple] = split
         for text in self.descriptions.values():
-            _check_cell(text, "description")
-
-    def _split_set(self, split: str) -> set[Triple]:
-        triples = self.split(split)
-        unique = set(triples)
-        if len(unique) != len(triples):
-            duplicate = next(triple for triple, n in Counter(triples).items() if n > 1)
-            raise ValidationError(f"{split}: duplicate triple {duplicate!r}")
-        return unique
+            if _has_tab_or_newline(text):
+                raise ValidationError(f"description contains a tab or newline: {text!r}")
 
 
 @dataclass(frozen=True)
@@ -211,9 +203,22 @@ class DatasetStats:
         return (self.n_entities, self.n_relations, self.n_train, self.n_valid, self.n_test)
 
 
-def _check_cell(text: str, what: str) -> None:
-    if "\t" in text or "\n" in text or "\r" in text:
-        raise ValidationError(f"{what} contains a tab or newline: {text!r}")
+def _has_tab_or_newline(text: str) -> bool:
+    return "\t" in text or "\n" in text or "\r" in text
+
+
+def _check_table(table: str, rows: Iterable[tuple[str, str]], what: str) -> set[str]:
+    """The ids of (id, name) ``rows``; a repeated id or a tab or newline is an error at its row."""
+    ids: set[str] = set()
+    for key, name in rows:
+        if key in ids:
+            raise ValidationError(f"duplicate {what} {key!r}", table, len(ids))
+        ids.add(key)
+        if _has_tab_or_newline(key) or _has_tab_or_newline(name):
+            kind, text = (what, key) if _has_tab_or_newline(key) else ("name", name)
+            raise ValidationError(f"{kind} contains a tab or newline: {text!r}",
+                                  table, len(ids) - 1)
+    return ids
 
 
 def read_rows(path: str | os.PathLike, width: int | None = None) -> Iterator[tuple[int, list[str]]]:
@@ -253,42 +258,29 @@ def float_cells(path: str | os.PathLike, lineno: int, cells: Iterable[str]) -> l
         raise ValidationError(f"{Path(path).name}:{lineno}: {exc}") from exc
 
 
-def read_triples(
-    paths: dict[str, Path],
-    entity_ids: Container[str] | None = None,
-    relation_ids: Container[str] | None = None,
-) -> dict[str, list[Triple]]:
-    """Each split's triples in file order, read from ``paths[split]``.
+def read_splits(files: Mapping[str, Path]) -> dict[str, tuple[Triple, ...]]:
+    """Each split's triples in file order, read from ``files[split]``; ``validate`` checks them."""
+    return {split: tuple([(h, r, t) for _, (h, r, t) in read_rows(path, 3)])
+            for split, path in files.items()}
 
-    The first triple with a head or tail outside ``entity_ids`` or a relation
-    outside ``relation_ids`` (unchecked when None), or that repeats a triple
-    of its own split or of an earlier one, is a ValidationError at
-    ``<file>:<line>``.
-    """
-    triples: dict[str, list[Triple]] = {}
-    earlier: list[tuple[str, set[Triple]]] = []
-    for split, path in paths.items():
-        rows = triples[split] = []
-        own: set[Triple] = set()
-        for lineno, (h, r, t) in read_rows(path, 3):
-            where = f"{path.name}:{lineno}"
-            if entity_ids is not None and h not in entity_ids:
-                raise ValidationError(f"{where}: unknown head entity {h!r}")
-            if relation_ids is not None and r not in relation_ids:
-                raise ValidationError(f"{where}: unknown relation {r!r}")
-            if entity_ids is not None and t not in entity_ids:
-                raise ValidationError(f"{where}: unknown tail entity {t!r}")
-            triple = (h, r, t)
-            if triple in own:
-                raise ValidationError(f"{where}: duplicate triple {triple!r}")
-            for name, held in earlier:
-                if triple in held:
-                    raise ValidationError(f"{where}: duplicate triple {triple!r} "
-                                          f"(splits share triples: also in {name})")
-            own.add(triple)
-            rows.append(triple)
-        earlier.append((path.name, own))
-    return triples
+
+@contextmanager
+def file_lines(files: Mapping[str, Path]) -> Iterator[None]:
+    """Reraise a ValidationError on a row of a table read from ``files[table]``
+    as ``<file>:<line>: <detail>``, an earlier split named by its file too.
+    Rows are non-blank lines, as ``read_rows`` counts them; the file is read
+    up to that row only."""
+    try:
+        yield
+    except ValidationError as exc:
+        path = files.get(exc.table)
+        if path is None:
+            raise
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = (lineno for lineno, line in enumerate(fh, start=1) if line.rstrip("\n"))
+            lineno = next(islice(lines, exc.row, None))
+        earlier = files[exc.earlier].name if exc.earlier else None
+        raise ValidationError(exc.at(f"{path.name}:{lineno}", earlier)) from exc
 
 
 def load_dataset(directory: str | os.PathLike) -> KnowledgeGraph:
@@ -307,7 +299,6 @@ def load_dataset(directory: str | os.PathLike) -> KnowledgeGraph:
     entities = tuple([(eid, name) for _, (eid, name) in read_rows(root / "entities.tsv", 2)])
     relations = tuple([(rid, name) for _, (rid, name) in read_rows(root / "relations.tsv", 2)])
     entity_ids = {eid for eid, _ in entities}
-    relation_ids = {rid for rid, _ in relations}
 
     descriptions = {eid: "" for eid, _ in entities}
     desc_path = root / "descriptions.tsv"
@@ -325,19 +316,11 @@ def load_dataset(directory: str | os.PathLike) -> KnowledgeGraph:
         entities=entities,
         relations=relations,
         descriptions=descriptions,
-        **{
-            split: tuple([(h, r, t) for _, (h, r, t) in read_rows(root / f"{split}.tsv", 3)])
-            for split in SPLITS
-        },
+        **read_splits({split: root / f"{split}.tsv" for split in SPLITS}),
     )
-    try:
+    with file_lines({table: root / f"{table}.tsv"
+                     for table in ("entities", "relations", *SPLITS)}):
         kg.validate()
-    except ValidationError:
-        # validate spots an unknown id or a repeated triple anyway, so loading
-        # checks no triple of its own; only on an error are the split files
-        # read again, to name the line of the first bad triple if there is one.
-        read_triples({split: root / f"{split}.tsv" for split in SPLITS}, entity_ids, relation_ids)
-        raise
     return kg
 
 

@@ -281,6 +281,19 @@ def test_train_baseline_is_reproducible(dataset_dir, tmp_path):
     assert "batch_size\t1024" in manifest
 
 
+@pytest.mark.parametrize("command", [
+    ["suite", "--seed", "1"],
+    ["stats"],
+    ["train-baseline", "--dim", "4", "--epochs", "1"],
+])
+def test_unwritable_output_is_an_io_error(dataset_dir, tmp_path, capsys, command):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("", encoding="utf-8")
+    args = [*command, "--input", str(dataset_dir), "--output", str(blocker / "out")]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_output_file_gets_sibling_manifest(dataset_dir, tmp_path):
     target = tmp_path / "stats.tsv"
     assert main(["stats", "--input", str(dataset_dir), "--output", str(target)]) == 0

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -103,10 +104,39 @@ def test_derange_deterministic_per_seed():
 
 
 def test_derange_skewed_multiset_falls_back_to_matching():
-    # Rejection sampling essentially never lands here, so the matching path
-    # must take over and still satisfy the value-level constraint.
+    # Rejection sampling essentially never lands here, so the fallback must
+    # take over and still satisfy the value-level constraint.
     items = ["a"] * 12 + ["b"] * 12
     check_result(items, set(), derange(items, seed=5))
+
+
+def test_derange_fallback_stays_small_when_one_name_repeats():
+    # One name fills 10% of 1,000 places, so each rejection attempt succeeds
+    # with probability about e^-11 and the fallback runs. A matching over
+    # every pair of distinct values peaked at 8.5 MB here; the rotation of
+    # value groups needs about 0.2 MB.
+    items = [f"name{i}" for i in range(900)] + ["same"] * 100
+    tracemalloc.start()
+    try:
+        result = derange(items, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    check_result(items, set(), result)
+
+
+def test_derange_fallback_is_a_derangement_across_seeds():
+    # One value fills half the places, so a random shuffle is a derangement
+    # with probability at most 1 / C(n, n/2) and the fallback runs.
+    rng = random.Random(77)
+    for seed in range(40):
+        n = 2 * rng.randint(10, 30)
+        items = ["top"] * (n // 2) + [f"v{rng.randrange(n)}" for _ in range(n // 2)]
+        rng.shuffle(items)
+        result = derange(items, seed)
+        check_result(items, set(), result)
+        assert result == derange(items, seed)
 
 
 def test_derange_random_trials_properties():

@@ -1,4 +1,5 @@
 import random
+import re
 from functools import partial
 
 import numpy as np
@@ -123,7 +124,8 @@ def test_tab_or_newline_in_an_id_rejected_at_write_time(tmp_path, entity_id, rel
         descriptions={entity_id: "", "e2": ""},
     )
     out = tmp_path / "out"
-    with pytest.raises(ValidationError, match=f"^{what} contains a tab or newline"):
+    table = {"entity id": "entities", "relation id": "relations"}[what]
+    with pytest.raises(ValidationError, match=f"^{table}: {what} contains a tab or newline"):
         write_dataset(bad, out)
     assert not out.exists()
 
@@ -228,19 +230,40 @@ def test_triple_in_two_splits_rejected_at_its_file_line(tmp_path):
         load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("name, text, message", [
+    # a repeated entity id, after a blank line
+    ("entities.tsv", "e1\tJohann\n\ne2\tDaniel\ne3\tBasel\ne1\tagain\ne4\tG\ne5\tS\n",
+     "entities.tsv:5: duplicate entity id 'e1'"),
+    # a CRLF line: its name ends in a carriage return
+    ("entities.tsv", "e1\tJohann\ne2\tDaniel\r\ne3\tBasel\ne4\tG\ne5\tS\n",
+     "entities.tsv:2: name contains a tab or newline: 'Daniel\\r'"),
+    ("relations.tsv", "r1\ta\nr2\tb\nr3\tc\nr4\td\nr2\tagain\n",
+     "relations.tsv:5: duplicate relation id 'r2'"),
+    # blank lines in a split before its bad row
+    ("train.tsv", "e1\tr1\te3\n\n\ne1\tr1\tghost\n", "train.tsv:4: unknown tail entity 'ghost'"),
+], ids=["entity-repeat", "entity-crlf", "relation-repeat", "split-blank-lines"])
+def test_a_bad_row_names_its_file_line(family_kg, tmp_path, name, text, message):
+    write_dataset(family_kg, tmp_path)
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_dataset(tmp_path)
+
+
 def test_split_overlap_names_the_first_repeat_in_split_order():
     # train lists 200 triples; valid repeats them in reverse, test in order,
     # so the first repeat in split order is valid's first triple.
     entities = [f"e{i}" for i in range(201)]
     train = [(f"e{i}", "r", f"e{i + 1}") for i in range(200)]
     with pytest.raises(ValidationError,
-                       match=r"^splits share triples, e.g. \('e199', 'r', 'e200'\)$"):
+                       match=r"^valid: duplicate triple \('e199', 'r', 'e200'\) "
+                             r"\(splits share triples: also in train\)$"):
         make_kg(entities=entities, relations=["r"], train=train,
                 valid=train[::-1], test=train)
     # no valid triple is in train; test's first triple held by valid is named
     valid = [(f"e{i + 1}", "r", f"e{i}") for i in range(200)]
     with pytest.raises(ValidationError,
-                       match=r"^splits share triples, e.g. \('e51', 'r', 'e50'\)$"):
+                       match=r"^test: duplicate triple \('e51', 'r', 'e50'\) "
+                             r"\(splits share triples: also in valid\)$"):
         make_kg(entities=entities, relations=["r"], train=train,
                 valid=valid, test=[("e0", "r", "e2")] + valid[50:] + train)
 
