@@ -17,10 +17,12 @@ with ``kg.write_dataset``, whose ``validate`` (the loader's checker) runs
 before the output directory is created, so a rejected source leaves no
 partial dataset behind. A triple with an id that has no text entry (kgbert)
 or that is listed twice, in one split or in two, is reported with the
-loader's message at its source file and line. A text line without a tab or
-with a repeated id is rejected too. Tabs and newlines inside source text are
-replaced by spaces to fit the strict TSV cell rules. ``descriptions.tsv``
-holds one row per entity, in entity order, as in every written dataset.
+loader's message at its source file and line; so is a bad wikidata5m entity
+or relation id, at the first split line that holds it. A text line without a
+tab or with a repeated id is rejected too. Tabs and newlines inside source
+text are replaced by spaces to fit the strict TSV cell rules.
+``descriptions.tsv`` holds one row per entity, in entity order, as in every
+written dataset.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import LoadError, ValidationError
-from .kg import (DatasetStats, KnowledgeGraph, compute_stats, file_lines, read_splits,
+from .kg import (SPLITS, DatasetStats, KnowledgeGraph, compute_stats, file_lines, read_splits,
                  write_dataset)
 
 FORMATS = ("kgbert", "wikidata5m")
@@ -121,7 +123,18 @@ def convert_wikidata5m(input_dir: str | Path, output_dir: str | Path) -> Dataset
         **splits,
     )
     with file_lines(split_files):
-        write_dataset(kg, output_dir)
+        try:
+            write_dataset(kg, output_dir)
+        except ValidationError as exc:
+            if exc.table not in ("entities", "relations"):
+                raise
+            # the tables list ids in order of first use: name the split row that first uses it
+            key = getattr(kg, exc.table)[exc.row][0]
+            cells = (0, 2) if exc.table == "entities" else (1,)
+            split, row = next((split, row) for split in SPLITS
+                              for row, triple in enumerate(kg.split(split))
+                              if any(triple[cell] == key for cell in cells))
+            raise ValidationError(exc.detail, split, row) from exc
     return compute_stats(kg)
 
 

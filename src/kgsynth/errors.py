@@ -1,7 +1,10 @@
 """Exception hierarchy shared across the toolkit.
 
-The CLI maps these onto exit codes, so new failure modes should subclass
-one of the three families below rather than raising bare exceptions.
+Every failure mode belongs to one of three families, which the CLI maps onto
+exit codes: ``LoadError`` and ``ValidationError`` (bad or unreadable input,
+exit 2) and ``InfeasibleError`` (a requested random object cannot be
+produced, exit 3). New failure modes subclass one of them rather than
+raising bare exceptions.
 """
 
 
@@ -16,9 +19,9 @@ class LoadError(KgsynthError):
 class ValidationError(KgsynthError):
     """Input data violates a structural invariant (bad ids, duplicates, ...).
 
-    A breach on one row of a table (``entities``, ``relations`` or a split)
-    carries the ``table``, the 0-based ``row`` and, for a triple an earlier
-    split holds, that ``earlier`` split. It reads ``<table>: <detail>``;
+    A breach on one row of a table (``entities``, ``relations``,
+    ``descriptions`` or a split) carries the ``table``, the 0-based ``row``
+    and, for a triple an earlier split holds, that ``earlier`` split. It reads ``<table>: <detail>``;
     ``kg.file_lines`` makes that ``<file>:<line>: <detail>``.
     """
 
@@ -33,12 +36,12 @@ class ValidationError(KgsynthError):
 
 
 class InfeasibleError(KgsynthError):
-    """A requested random object (derangement, matching) does not exist."""
+    """A requested random object (derangement, matching, distinct strings) cannot be made."""
 
 
-class UniquenessError(KgsynthError):
+class UniquenessError(InfeasibleError):
     """Could not produce the requested number of distinct random strings."""
 
 
-class SamplingError(KgsynthError):
+class SamplingError(InfeasibleError):
     """String sampling hit its hard length cap (degenerate model)."""

@@ -32,7 +32,7 @@ import os
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, islice
 from operator import itemgetter
@@ -62,7 +62,8 @@ class KnowledgeGraph:
     """Immutable knowledge graph with per-entity descriptions.
 
     ``entities`` and ``relations`` are (id, name) pairs in file order;
-    ``descriptions`` maps every entity id to a (possibly empty) string.
+    ``descriptions`` maps every entity id to a (possibly empty) string, the
+    rows of ``descriptions.tsv`` in file order first, then the entities it omits.
     """
 
     entities: tuple[tuple[str, str], ...]
@@ -188,7 +189,9 @@ class KnowledgeGraph:
                     split_of[triple] = split
         for text in self.descriptions.values():
             if _has_tab_or_newline(text):
-                raise ValidationError(f"description contains a tab or newline: {text!r}")
+                # the first bad row holds its text's first occurrence
+                raise ValidationError(f"description contains a tab or newline: {text!r}",
+                                      "descriptions", list(self.descriptions.values()).index(text))
 
 
 @dataclass(frozen=True)
@@ -201,6 +204,10 @@ class DatasetStats:
 
     def as_tuple(self) -> tuple[int, int, int, int, int]:
         return (self.n_entities, self.n_relations, self.n_train, self.n_valid, self.n_test)
+
+    def to_text(self) -> str:
+        """One ``name<TAB>count`` line per field."""
+        return "".join(f"{f.name}\t{getattr(self, f.name)}\n" for f in fields(self))
 
 
 def _has_tab_or_newline(text: str) -> bool:
@@ -298,28 +305,29 @@ def load_dataset(directory: str | os.PathLike) -> KnowledgeGraph:
 
     entities = tuple([(eid, name) for _, (eid, name) in read_rows(root / "entities.tsv", 2)])
     relations = tuple([(rid, name) for _, (rid, name) in read_rows(root / "relations.tsv", 2)])
+    desc_path = root / "descriptions.tsv"
+    rows = [cells for _, cells in read_rows(desc_path, 2)] if desc_path.is_file() else []
+    descriptions = dict(rows)  # file order, so a description's row is its file row
     entity_ids = {eid for eid, _ in entities}
 
-    descriptions = {eid: "" for eid, _ in entities}
-    desc_path = root / "descriptions.tsv"
-    if desc_path.is_file():
-        described: set[str] = set()
-        for lineno, (eid, text) in read_rows(desc_path, 2):
-            if eid not in entity_ids:
-                raise ValidationError(f"descriptions.tsv:{lineno}: unknown entity {eid!r}")
-            if eid in described:
-                raise ValidationError(f"descriptions.tsv:{lineno}: duplicate entity {eid!r}")
-            described.add(eid)
-            descriptions[eid] = text
-
-    kg = KnowledgeGraph(
-        entities=entities,
-        relations=relations,
-        descriptions=descriptions,
-        **read_splits({split: root / f"{split}.tsv" for split in SPLITS}),
-    )
-    with file_lines({table: root / f"{table}.tsv"
-                     for table in ("entities", "relations", *SPLITS)}):
+    files = {table: root / f"{table}.tsv"
+             for table in ("entities", "relations", "descriptions", *SPLITS)}
+    with file_lines(files):
+        if len(descriptions) != len(rows) or not descriptions.keys() <= entity_ids:
+            described: set[str] = set()  # name the first unknown or repeated entity
+            for row, (eid, _) in enumerate(rows):
+                if eid not in entity_ids or eid in described:
+                    what = "unknown" if eid not in entity_ids else "duplicate"
+                    raise ValidationError(f"{what} entity {eid!r}", "descriptions", row)
+                described.add(eid)
+        if len(descriptions) != len(entity_ids):
+            descriptions.update((eid, "") for eid, _ in entities if eid not in descriptions)
+        kg = KnowledgeGraph(
+            entities=entities,
+            relations=relations,
+            descriptions=descriptions,
+            **read_splits({split: files[split] for split in SPLITS}),
+        )
         kg.validate()
     return kg
 

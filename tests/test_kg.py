@@ -241,7 +241,12 @@ def test_triple_in_two_splits_rejected_at_its_file_line(tmp_path):
      "relations.tsv:5: duplicate relation id 'r2'"),
     # blank lines in a split before its bad row
     ("train.tsv", "e1\tr1\te3\n\n\ne1\tr1\tghost\n", "train.tsv:4: unknown tail entity 'ghost'"),
-], ids=["entity-repeat", "entity-crlf", "relation-repeat", "split-blank-lines"])
+    # a CRLF line, after a blank line, in descriptions listed out of entity order
+    ("descriptions.tsv", "e3\tc\ne1\ta\n\ne4\td\r\ne2\tb\n",
+     "descriptions.tsv:4: description contains a tab or newline: 'd\\r'"),
+    ("descriptions.tsv", "e1\ta\n\ne9\tz\n", "descriptions.tsv:3: unknown entity 'e9'"),
+], ids=["entity-repeat", "entity-crlf", "relation-repeat", "split-blank-lines",
+        "description-crlf", "description-unknown"])
 def test_a_bad_row_names_its_file_line(family_kg, tmp_path, name, text, message):
     write_dataset(family_kg, tmp_path)
     (tmp_path / name).write_text(text, encoding="utf-8")
