@@ -19,8 +19,9 @@ partial dataset behind. A triple with an id that has no text entry (kgbert)
 or that is listed twice, in one split or in two, is reported with the
 loader's message at its source file and line; so is a bad wikidata5m entity
 or relation id, at the first split line that holds it. A text line without a
-tab or with a repeated id is rejected too. Tabs and newlines inside source
-text are replaced by spaces to fit the strict TSV cell rules.
+tab or with a repeated id is rejected too. Text and alias lines may end in
+LF or CRLF; tabs and other CRs inside source text are replaced by spaces to
+fit the strict TSV cell rules.
 ``descriptions.tsv`` holds one row per entity, in entity order, as in every
 written dataset.
 """
@@ -40,6 +41,11 @@ def _clean(text: str) -> str:
     return text.replace("\t", " ").replace("\n", " ").replace("\r", " ")
 
 
+def _strip_line_end(line: str) -> str:
+    """``line`` without its LF or CRLF ending; a CR elsewhere is text."""
+    return line.removesuffix("\n").removesuffix("\r")
+
+
 def _find_file(root: Path, names: list[str]) -> Path:
     for name in names:
         path = root / name
@@ -50,9 +56,9 @@ def _find_file(root: Path, names: list[str]) -> Path:
 
 def _read_text_map(path: Path) -> dict[str, str]:
     mapping: dict[str, str] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
+            line = _strip_line_end(line)
             if not line:
                 continue
             if "\t" not in line:
@@ -140,9 +146,9 @@ def convert_wikidata5m(input_dir: str | Path, output_dir: str | Path) -> Dataset
 
 def _read_first_alias(path: Path) -> dict[str, str]:
     aliases: dict[str, str] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8", newline="\n") as fh:
         for line in fh:
-            cells = line.rstrip("\n").split("\t")
+            cells = _strip_line_end(line).split("\t")
             if len(cells) >= 2 and cells[0] not in aliases:
                 aliases[cells[0]] = cells[1]
     return aliases

@@ -23,7 +23,9 @@ every seeded algorithm downstream indexes against this order, which is what
 makes runs reproducible.
 
 ``KnowledgeGraph.validate`` holds these rules for loading, conversion and
-every write; ``file_lines`` gives a breach on one row its file line.
+every write; ``file_lines`` gives a breach on one row its file line. A graph
+``KnowledgeGraph.renamed`` derives shares its source's split checks and split
+file bytes, so they are built once per graph structure.
 """
 
 from __future__ import annotations
@@ -89,28 +91,36 @@ class KnowledgeGraph:
     def relation_names(self) -> dict[str, str]:
         return dict(self.relations)
 
-    @cached_property
+    @property
     def entity_row(self) -> dict[str, int]:
-        return {eid: i for i, eid in enumerate(self.entity_ids)}
+        return self._splits.entity_row
 
-    @cached_property
+    @property
     def relation_row(self) -> dict[str, int]:
-        return {rid: i for i, rid in enumerate(self.relation_ids)}
+        return self._splits.relation_row
 
-    @cached_property
+    @property
     def split_rows(self) -> dict[str, np.ndarray]:
         """Each split as an int32 ``(n, 3)`` array of (head, relation, tail)
         rows into ``entity_ids`` / ``relation_ids``, built on first use."""
-        columns = (self.entity_row, self.relation_row, self.entity_row)
-        rows = {}
-        for name in SPLITS:
-            triples = self.split(name)
-            rows[name] = np.empty((len(triples), 3), dtype=np.int32)
-            # one column at a time, so no tuple per triple is built
-            for j, row in enumerate(columns):
-                rows[name][:, j] = np.fromiter(map(row.__getitem__, map(itemgetter(j), triples)),
-                                               dtype=np.int32, count=len(triples))
-        return rows
+        return self._splits.rows
+
+    @cached_property
+    def _splits(self) -> _Splits:
+        return _Splits(self)
+
+    def renamed(self, entities: tuple[tuple[str, str], ...],
+                relations: tuple[tuple[str, str], ...],
+                descriptions: dict[str, str]) -> KnowledgeGraph:
+        """This graph with new (id, name) tables and descriptions over the same
+        ids, in the same order, and the same splits. The two graphs share what
+        is built from ids and splits alone, so the split checks and split file
+        bytes are built once for every graph renamed from one source."""
+        out = KnowledgeGraph(entities, relations, self.train, self.valid, self.test, descriptions)
+        if out.entity_ids != self.entity_ids or out.relation_ids != self.relation_ids:
+            raise ValueError("a renamed graph must keep the entity and relation ids in order")
+        out.__dict__["_splits"] = self._splits  # stored as cached_property stores it
+        return out
 
     @cached_property
     def mention_spans(self) -> dict[str, array[int]]:
@@ -159,8 +169,63 @@ class KnowledgeGraph:
         One on a row names its table and row, looked up on the error path only."""
         entity_ids = _check_table("entities", self.entities, "entity id")
         relation_ids = _check_table("relations", self.relations, "relation id")
-        for split in SPLITS:
-            triples = self.split(split)
+        self._splits.check(entity_ids, relation_ids)
+        if set(self.descriptions) != entity_ids:
+            extra = sorted(set(self.descriptions) - entity_ids)
+            missing = sorted(entity_ids - set(self.descriptions))
+            raise ValidationError(
+                f"descriptions out of sync with entities "
+                f"(unknown ids: {extra[:3]}, missing ids: {missing[:3]})"
+            )
+        for text in self.descriptions.values():
+            if _has_tab_or_newline(text):
+                # the first bad row holds its text's first occurrence
+                raise ValidationError(f"description contains a tab or newline: {text!r}",
+                                      "descriptions", list(self.descriptions.values()).index(text))
+
+
+class _Splits:
+    """A graph's ids and splits, and what is built from them alone: every graph
+    ``KnowledgeGraph.renamed`` derives from one source shares the source's."""
+
+    def __init__(self, kg: KnowledgeGraph) -> None:
+        self.entities, self.relations = kg.entities, kg.relations  # only their ids are read
+        self.triples = {split: kg.split(split) for split in SPLITS}
+        self.passed = False
+
+    @cached_property
+    def entity_row(self) -> dict[str, int]:
+        return {eid: i for i, (eid, _) in enumerate(self.entities)}
+
+    @cached_property
+    def relation_row(self) -> dict[str, int]:
+        return {rid: i for i, (rid, _) in enumerate(self.relations)}
+
+    @cached_property
+    def rows(self) -> dict[str, np.ndarray]:
+        columns = (self.entity_row, self.relation_row, self.entity_row)
+        rows = {}
+        for name, triples in self.triples.items():
+            rows[name] = np.empty((len(triples), 3), dtype=np.int32)
+            # one column at a time, so no tuple per triple is built
+            for j, row in enumerate(columns):
+                rows[name][:, j] = np.fromiter(map(row.__getitem__, map(itemgetter(j), triples)),
+                                               dtype=np.int32, count=len(triples))
+        return rows
+
+    @cached_property
+    def file_bytes(self) -> dict[str, bytes]:
+        """Each split file's bytes, laid out as ``write_rows`` writes rows."""
+        return {name: "".join(["\t".join(triple) + "\n" for triple in triples]).encode("utf-8")
+                for name, triples in self.triples.items()}
+
+    def check(self, entity_ids: set[str], relation_ids: set[str]) -> None:
+        """Raise ValidationError at the first split row that holds an id not in
+        ``entity_ids``/``relation_ids``, the ids as sets, or repeats a triple of
+        its own split or an earlier one; once the splits pass, return at once."""
+        if self.passed:
+            return
+        for split, triples in self.triples.items():
             row_of = triples.index  # the first bad row holds its triple's first occurrence
             for h, r, t in triples:
                 if h not in entity_ids:
@@ -169,29 +234,18 @@ class KnowledgeGraph:
                     raise ValidationError(f"unknown relation {r!r}", split, row_of((h, r, t)))
                 if t not in entity_ids:
                     raise ValidationError(f"unknown tail entity {t!r}", split, row_of((h, r, t)))
-        if set(self.descriptions) != entity_ids:
-            extra = sorted(set(self.descriptions) - entity_ids)
-            missing = sorted(entity_ids - set(self.descriptions))
-            raise ValidationError(
-                f"descriptions out of sync with entities "
-                f"(unknown ids: {extra[:3]}, missing ids: {missing[:3]})"
-            )
-        splits = (self.train, self.valid, self.test)
+        splits = self.triples.values()
         if len(set(chain(*splits))) != sum(map(len, splits)):
             # name the first triple, in split order, that its own split or an earlier one holds
             split_of: dict[Triple, str] = {}
-            for split in SPLITS:
-                for row, triple in enumerate(self.split(split)):
+            for split, triples in self.triples.items():
+                for row, triple in enumerate(triples):
                     earlier = split_of.get(triple)
                     if earlier is not None:
                         raise ValidationError(f"duplicate triple {triple!r}", split, row,
                                               None if earlier == split else earlier)
                     split_of[triple] = split
-        for text in self.descriptions.values():
-            if _has_tab_or_newline(text):
-                # the first bad row holds its text's first occurrence
-                raise ValidationError(f"description contains a tab or newline: {text!r}",
-                                      "descriptions", list(self.descriptions.values()).index(text))
+        self.passed = True
 
 
 @dataclass(frozen=True)
@@ -343,7 +397,7 @@ def write_dataset(kg: KnowledgeGraph, directory: str | os.PathLike) -> None:
         write_rows(root / "descriptions.tsv",
                    ((eid, kg.descriptions[eid]) for eid, _ in kg.entities))
         for split in SPLITS:
-            write_rows(root / f"{split}.tsv", kg.split(split))
+            (root / f"{split}.tsv").write_bytes(kg._splits.file_bytes[split])
     except OSError as exc:
         raise LoadError(f"cannot write dataset under {root}: {exc}") from exc
 

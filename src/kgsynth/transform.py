@@ -202,14 +202,7 @@ def apply_recipe(
         description_map = dict(zip(kg.entity_ids, sample("descriptions", len(kg.entities))))
         descriptions = dict(description_map)
 
-    out = KnowledgeGraph(
-        entities=tables["entities"],
-        relations=tables["relations"],
-        train=kg.train,
-        valid=kg.valid,
-        test=kg.test,
-        descriptions=descriptions,
-    )
+    out = kg.renamed(tables["entities"], tables["relations"], descriptions)
     return out, TransformMapping(
         recipe=recipe,
         entity_map=maps["entities"],

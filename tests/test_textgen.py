@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -110,3 +111,78 @@ def test_unique_strings_budget_exhausted():
     forbidden = {"x", "xx", "xxx", "xxxx", "xxxxx", "xxxxxx"}
     with pytest.raises(UniquenessError):
         sample_unique_strings(model, 3, forbidden, seed=2)
+
+
+# --- sample_unique_strings against the per-draw reference -----------------------------------
+
+def reference_unique_strings(model, count, forbidden, seed):
+    """The per-draw sampler: a ``sample_string`` loop over one ``random.Random``."""
+    rng = random.Random(seed)
+    taken = set(forbidden)
+    out = []
+    budget = 1000 * count
+    rejections = 0
+    while len(out) < count:
+        candidate = sample_string(model, rng)
+        if candidate in taken:
+            rejections += 1
+            if rejections > budget:
+                raise UniquenessError(
+                    f"exhausted {budget} rejections while sampling "
+                    f"{count} unique strings ({len(out)} produced)"
+                )
+            continue
+        taken.add(candidate)
+        out.append(candidate)
+    return out
+
+
+ORACLE_MODELS = {
+    # fitted: single code points, some outside the Basic Multilingual Plane
+    "non-bmp": fit_unigram(["\U0001d538\U0001d539c", "\U0001f600 ok", "\u00fc\U0001d54f", "ab"]),
+    # hand-built: each symbol is several characters
+    "multi-char": UnigramModel({"ab": 0.4, "\U0001d538c": 0.35, "x y": 0.05}, 0.2),
+}
+
+
+def _short_strings(model, longest):
+    """Every string of at most ``longest`` of the model's symbols, so sampling must reject."""
+    symbols = list(model.probabilities)
+    return {"".join(p) for n in range(1, longest + 1)
+            for p in itertools.product(symbols, repeat=n)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("count", [0, 1, 3, 5000])
+@pytest.mark.parametrize("model_name", sorted(ORACLE_MODELS))
+@pytest.mark.parametrize("forbid", [False, True], ids=["none-forbidden", "short-forbidden"])
+def test_unique_strings_match_the_per_draw_reference(seed, count, model_name, forbid):
+    model = ORACLE_MODELS[model_name]
+    forbidden = _short_strings(model, 2) if forbid else set()
+    expected = reference_unique_strings(model, count, forbidden, seed)
+    assert sample_unique_strings(model, count, forbidden, seed) == expected
+
+
+def _errors(exc_type, model, count, forbidden, seed):
+    with pytest.raises(exc_type) as new:
+        sample_unique_strings(model, count, forbidden, seed)
+    with pytest.raises(exc_type) as ref:
+        reference_unique_strings(model, count, forbidden, seed)
+    return str(new.value), str(ref.value)
+
+
+@pytest.mark.parametrize("model", [
+    UnigramModel({}, 1.0),  # every draw ends a string that never starts
+    UnigramModel({"x": 1 - 1e-9}, 1e-9),  # the first string outruns the draw cap
+], ids=["eos-only", "endless"])
+def test_unique_strings_degenerate_model_raises_the_reference_error(model):
+    new, ref = _errors(SamplingError, model, 2, set(), 5)
+    assert new == ref == "no string produced within 10000 symbol draws; the model is degenerate"
+
+
+def test_unique_strings_budget_error_matches_the_reference():
+    model = UnigramModel(probabilities={"x": 0.05}, eos_probability=0.95)
+    forbidden = {"x", "xx", "xxx", "xxxx", "xxxxx", "xxxxxx"}
+    new, ref = _errors(UniquenessError, model, 3, forbidden, 2)
+    assert new == ref
+    assert new.startswith("exhausted 3000 rejections while sampling 3 unique strings")

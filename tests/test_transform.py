@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from kgsynth import rewriter
 from kgsynth.analysis import description_leakage
 from kgsynth.derangement import build_removed_edges
+from kgsynth.errors import ValidationError
 from kgsynth.kg import SPLITS, load_dataset, write_dataset
 from kgsynth.transform import (
     RECIPES,
@@ -432,6 +434,58 @@ def test_descriptions_are_scanned_once_per_graph(monkeypatch, tmp_path, variants
     description_leakage(kg)
     run_suite(kg)
     assert len(calls) == len(kg.descriptions)
+
+
+# --- what renamed graphs share ---------------------------------------------------------
+
+def tree_bytes(root):
+    return {path.relative_to(root): path.read_bytes()
+            for path in root.rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize("make", [lambda kg: kg, lambda kg: mention_kg(random.Random(5))],
+                         ids=["family", "mentions"])
+def test_one_call_per_variant_writes_the_suite_bytes(family_kg, tmp_path, make):
+    kg = make(family_kg)
+    # a fresh copy, so the one-call suite builds its caches from scratch
+    assert all(r.ok for r in generate_suite(dataclasses.replace(kg), 17, tmp_path / "one"))
+    # no variant writes before base: each shares and fills the graph's split caches
+    for variant in reversed(SUITE_VARIANTS):
+        assert all(r.ok for r in generate_suite(kg, 17, tmp_path / "each", variants=(variant,)))
+    assert tree_bytes(tmp_path / "each") == tree_bytes(tmp_path / "one")
+    assert len(tree_bytes(tmp_path / "one")) == 8 * len(SUITE_VARIANTS)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda e, r, d: (((e[0][0], "Johann\tBernoulli"),) + e[1:], r, d), "entities: name contains"),
+    (lambda e, r, d: (e, r[:-1] + ((r[-1][0], "lived\rIn"),), d), "relations: name contains"),
+    (lambda e, r, d: (e, r, {**d, "e3": "Basel\n"}), "descriptions: description contains"),
+    (lambda e, r, d: (e, r, {k: v for k, v in d.items() if k != "e4"}),
+     "descriptions out of sync"),
+], ids=["entity-name", "relation-name", "description", "missing-description"])
+def test_renamed_graph_cells_are_checked_on_every_write(family_kg, tmp_path, change, message):
+    write_dataset(family_kg, tmp_path / "base")  # the shared split checks have passed
+    renamed = family_kg.renamed(*change(family_kg.entities, family_kg.relations,
+                                        family_kg.descriptions))
+    with pytest.raises(ValidationError, match=message):
+        write_dataset(renamed, tmp_path / "variant")
+    assert not (tmp_path / "variant").exists()
+
+
+def test_renamed_graph_keeps_the_ids_in_order(family_kg):
+    with pytest.raises(ValueError, match="ids"):
+        family_kg.renamed(family_kg.entities[::-1], family_kg.relations, family_kg.descriptions)
+    with pytest.raises(ValueError, match="ids"):
+        family_kg.renamed(family_kg.entities, family_kg.relations[1:], family_kg.descriptions)
+
+
+def test_unvalidated_graph_is_rejected_at_its_first_variant(family_kg, tmp_path):
+    kg = dataclasses.replace(family_kg, test=(("e2", "r3", "ghost"),))
+    for label in ("fullanon-d", "incons-d", "base"):
+        variant = next(v for v in SUITE_VARIANTS if v[0] == label)
+        [result] = generate_suite(kg, 5, tmp_path, variants=(variant,))
+        assert result.error == "test: unknown tail entity 'ghost'"
+        assert not (tmp_path / label).exists()
 
 
 def mentions(name, text):
