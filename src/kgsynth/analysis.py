@@ -1,5 +1,10 @@
 """Dataset diagnostics: relation-count distributions, description leakage,
-Pearson correlation, and IQR outlier detection."""
+Pearson correlation, and IQR outlier detection.
+
+``relation_distribution`` reads ``KnowledgeGraph.split_rows``, whose ids and
+splits are checked once per graph structure; ``description_leakage`` reads
+the graph's names and its cached ``mention_spans``, built per graph.
+"""
 
 from __future__ import annotations
 
@@ -45,30 +50,27 @@ class LeakageTable:
         return header + "\n" + row + "\n"
 
 
-def _bucket(count: int) -> str:
-    return str(count) if count <= 5 else "Over"
-
-
 def relation_distribution(kg: KnowledgeGraph) -> RelationCountTable:
     """Bucket entities by how many distinct relations touch them per split.
 
     An entity counts as carrying a relation when it appears on either side of
     a triple with it; percentages are over the entities present in the split.
     """
-    scopes: dict[str, tuple] = {split: kg.split(split) for split in SPLITS}
-    scopes["total"] = kg.all_triples
+    scopes = dict(kg.split_rows)
+    scopes["total"] = np.concatenate(list(scopes.values()))
+    n_relations = len(kg.relations)
     percentages: dict[str, dict[str, float]] = {}
-    for column, triples in scopes.items():
-        rels_by_entity: dict[str, set[str]] = {}
-        for h, r, t in triples:
-            rels_by_entity.setdefault(h, set()).add(r)
-            rels_by_entity.setdefault(t, set()).add(r)
-        counts = {bucket: 0 for bucket in BUCKETS}
-        for rels in rels_by_entity.values():
-            counts[_bucket(len(rels))] += 1
-        denom = len(rels_by_entity)
+    for column, rows in scopes.items():
+        h, r, t = rows.astype(np.int64).T
+        # distinct (entity, relation) keys, then each entity's count of them
+        keys = np.unique(np.concatenate([h * n_relations + r, t * n_relations + r]))
+        carried = np.bincount(keys // n_relations)
+        # an entity with k relations falls in bucket k - 1, "Over" beyond 5
+        counts = np.bincount(np.minimum(carried[carried > 0], 6) - 1, minlength=len(BUCKETS))
+        denom = int(counts.sum())
         percentages[column] = {
-            bucket: (100.0 * counts[bucket] / denom if denom else 0.0) for bucket in BUCKETS
+            bucket: (100.0 * int(count) / denom if denom else 0.0)
+            for bucket, count in zip(BUCKETS, counts)
         }
     return RelationCountTable(percentages=percentages)
 

@@ -8,6 +8,10 @@ handles the constrained case: a bipartite graph pairs each position with the
 positions whose value it may receive, excluding same-value pairs and any
 (from_value, to_value) pair in ``removed``, and a maximum matching picks the
 rearrangement. Both are deterministic for a fixed seed.
+
+``build_removed_edges`` finds the relation pairs to forbid from
+``KnowledgeGraph.split_rows``, which depend only on the graph's ids and
+splits; those were checked once for the graph structure, so it checks nothing.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Hashable, Sequence
+
+import numpy as np
 
 from .errors import InfeasibleError
 from .kg import KnowledgeGraph
@@ -200,18 +206,22 @@ def build_removed_edges(kg: KnowledgeGraph) -> RemovedEdges:
     that is what the derangement shuffles; both orders are inserted since the
     co-occurrence condition is symmetric.
     """
-    rels_by_pair: dict[tuple[str, str], set[str]] = {}
-    for h, r, t in kg.all_triples:
-        rels_by_pair.setdefault((h, t), set()).add(r)
-
-    names = kg.relation_names
+    n_entities, n_relations = len(kg.entities), len(kg.relations)
+    # sorted (head, tail, relation) keys put each (head, tail) pair's relations
+    # in one run: pair the entries d apart in a run, for d = 1, 2, ... while any are
+    pair, rel = np.divmod(np.unique(np.concatenate([
+        (rows[:, 0].astype(np.int64) * n_entities + rows[:, 2]) * n_relations + rows[:, 1]
+        for rows in kg.split_rows.values()])), n_relations)
+    shared = [np.empty(0, dtype=np.int64)]
+    at, d = np.flatnonzero(pair[1:] == pair[:-1]), 1
+    while len(at):
+        shared.append(rel[at] * n_relations + rel[at + d])
+        d += 1
+        at = at[at + d < len(pair)]
+        at = at[pair[at + d] == pair[at]]
+    names = [name for _, name in kg.relations]
     removed: RemovedEdges = set()
-    for rel_ids in rels_by_pair.values():
-        if len(rel_ids) < 2:
-            continue
-        rel_names = [names[r] for r in rel_ids]
-        for a in rel_names:
-            for b in rel_names:
-                if a != b:
-                    removed.add((a, b))
+    for a, b in zip(*np.divmod(np.unique(np.concatenate(shared)), n_relations)):
+        if names[a] != names[b]:
+            removed.update(((names[a], names[b]), (names[b], names[a])))
     return removed

@@ -23,9 +23,10 @@ every seeded algorithm downstream indexes against this order, which is what
 makes runs reproducible.
 
 ``KnowledgeGraph.validate`` holds these rules for loading, conversion and
-every write; ``file_lines`` gives a breach on one row its file line. A graph
-``KnowledgeGraph.renamed`` derives shares its source's split checks and split
-file bytes, so they are built once per graph structure.
+every write; ``file_lines`` gives a breach on one row its file line. Ids and
+splits are checked once per graph structure, as its ``_Splits`` is built (a
+graph ``KnowledgeGraph.renamed`` derives shares its source's); names and
+descriptions at every ``validate``.
 """
 
 from __future__ import annotations
@@ -165,41 +166,52 @@ class KnowledgeGraph:
         return {key: frozenset(vals) for key, vals in index.items()}
 
     def validate(self) -> None:
-        """Check every structural invariant; raise ValidationError on the first breach.
-        One on a row names its table and row, looked up on the error path only."""
-        entity_ids = _check_table("entities", self.entities, "entity id")
-        relation_ids = _check_table("relations", self.relations, "relation id")
-        self._splits.check(entity_ids, relation_ids)
-        if set(self.descriptions) != entity_ids:
-            extra = sorted(set(self.descriptions) - entity_ids)
-            missing = sorted(entity_ids - set(self.descriptions))
+        """Check every invariant; raise ValidationError on the first breach, at its
+        table and row if it has one. The ids and splits are checked once per graph
+        structure, as ``_splits`` is built; the names and descriptions every time."""
+        entity_row = self._splits.entity_row
+        _check_cells("entities", [name for _, name in self.entities], "name")
+        _check_cells("relations", [name for _, name in self.relations], "name")
+        if self.descriptions.keys() != entity_row.keys():
+            extra = sorted(self.descriptions.keys() - entity_row.keys())
+            missing = sorted(entity_row.keys() - self.descriptions.keys())
             raise ValidationError(
                 f"descriptions out of sync with entities "
                 f"(unknown ids: {extra[:3]}, missing ids: {missing[:3]})"
             )
-        for text in self.descriptions.values():
-            if _has_tab_or_newline(text):
-                # the first bad row holds its text's first occurrence
-                raise ValidationError(f"description contains a tab or newline: {text!r}",
-                                      "descriptions", list(self.descriptions.values()).index(text))
+        _check_cells("descriptions", list(self.descriptions.values()), "description")
 
 
 class _Splits:
-    """A graph's ids and splits, and what is built from them alone: every graph
-    ``KnowledgeGraph.renamed`` derives from one source shares the source's."""
+    """A graph's ids and splits, checked as it is built, and what is built from
+    them alone. One that exists has passed (``cached_property`` caches no raise,
+    so a bad graph raises at every access); every graph ``KnowledgeGraph.renamed``
+    derives from one source shares the source's, so the checks run once."""
 
     def __init__(self, kg: KnowledgeGraph) -> None:
-        self.entities, self.relations = kg.entities, kg.relations  # only their ids are read
+        self.entity_row = _row_of("entities", kg.entity_ids, "entity id")
+        self.relation_row = _row_of("relations", kg.relation_ids, "relation id")
         self.triples = {split: kg.split(split) for split in SPLITS}
-        self.passed = False
-
-    @cached_property
-    def entity_row(self) -> dict[str, int]:
-        return {eid: i for i, (eid, _) in enumerate(self.entities)}
-
-    @cached_property
-    def relation_row(self) -> dict[str, int]:
-        return {rid: i for i, (rid, _) in enumerate(self.relations)}
+        for split, triples in self.triples.items():
+            row_of = triples.index  # the first bad row holds its triple's first occurrence
+            for h, r, t in triples:
+                if h not in self.entity_row:
+                    raise ValidationError(f"unknown head entity {h!r}", split, row_of((h, r, t)))
+                if r not in self.relation_row:
+                    raise ValidationError(f"unknown relation {r!r}", split, row_of((h, r, t)))
+                if t not in self.entity_row:
+                    raise ValidationError(f"unknown tail entity {t!r}", split, row_of((h, r, t)))
+        splits = self.triples.values()
+        if len(set(chain(*splits))) != sum(map(len, splits)):
+            # name the first triple, in split order, that its own split or an earlier one holds
+            split_of: dict[Triple, str] = {}
+            for split, triples in self.triples.items():
+                for row, triple in enumerate(triples):
+                    earlier = split_of.get(triple)
+                    if earlier is not None:
+                        raise ValidationError(f"duplicate triple {triple!r}", split, row,
+                                              None if earlier == split else earlier)
+                    split_of[triple] = split
 
     @cached_property
     def rows(self) -> dict[str, np.ndarray]:
@@ -218,34 +230,6 @@ class _Splits:
         """Each split file's bytes, laid out as ``write_rows`` writes rows."""
         return {name: "".join(["\t".join(triple) + "\n" for triple in triples]).encode("utf-8")
                 for name, triples in self.triples.items()}
-
-    def check(self, entity_ids: set[str], relation_ids: set[str]) -> None:
-        """Raise ValidationError at the first split row that holds an id not in
-        ``entity_ids``/``relation_ids``, the ids as sets, or repeats a triple of
-        its own split or an earlier one; once the splits pass, return at once."""
-        if self.passed:
-            return
-        for split, triples in self.triples.items():
-            row_of = triples.index  # the first bad row holds its triple's first occurrence
-            for h, r, t in triples:
-                if h not in entity_ids:
-                    raise ValidationError(f"unknown head entity {h!r}", split, row_of((h, r, t)))
-                if r not in relation_ids:
-                    raise ValidationError(f"unknown relation {r!r}", split, row_of((h, r, t)))
-                if t not in entity_ids:
-                    raise ValidationError(f"unknown tail entity {t!r}", split, row_of((h, r, t)))
-        splits = self.triples.values()
-        if len(set(chain(*splits))) != sum(map(len, splits)):
-            # name the first triple, in split order, that its own split or an earlier one holds
-            split_of: dict[Triple, str] = {}
-            for split, triples in self.triples.items():
-                for row, triple in enumerate(triples):
-                    earlier = split_of.get(triple)
-                    if earlier is not None:
-                        raise ValidationError(f"duplicate triple {triple!r}", split, row,
-                                              None if earlier == split else earlier)
-                    split_of[triple] = split
-        self.passed = True
 
 
 @dataclass(frozen=True)
@@ -268,18 +252,22 @@ def _has_tab_or_newline(text: str) -> bool:
     return "\t" in text or "\n" in text or "\r" in text
 
 
-def _check_table(table: str, rows: Iterable[tuple[str, str]], what: str) -> set[str]:
-    """The ids of (id, name) ``rows``; a repeated id or a tab or newline is an error at its row."""
-    ids: set[str] = set()
-    for key, name in rows:
-        if key in ids:
-            raise ValidationError(f"duplicate {what} {key!r}", table, len(ids))
-        ids.add(key)
-        if _has_tab_or_newline(key) or _has_tab_or_newline(name):
-            kind, text = (what, key) if _has_tab_or_newline(key) else ("name", name)
-            raise ValidationError(f"{kind} contains a tab or newline: {text!r}",
-                                  table, len(ids) - 1)
-    return ids
+def _check_cells(table: str, cells: Sequence[str], what: str) -> None:
+    """A tab or newline in one of ``cells`` is an error at the first row that holds one."""
+    if _has_tab_or_newline("".join(cells)):
+        row = next(i for i, text in enumerate(cells) if _has_tab_or_newline(text))
+        raise ValidationError(f"{what} contains a tab or newline: {cells[row]!r}", table, row)
+
+
+def _row_of(table: str, ids: Sequence[str], what: str) -> dict[str, int]:
+    """Each of ``ids``'s row; a tab or newline, then a repeat, is an error at its first row."""
+    _check_cells(table, ids, what)
+    rows = {key: row for row, key in enumerate(ids)}
+    if len(rows) != len(ids):
+        seen: set[str] = set()
+        row = next(row for row, key in enumerate(ids) if key in seen or seen.add(key))
+        raise ValidationError(f"duplicate {what} {ids[row]!r}", table, row)
+    return rows
 
 
 def read_rows(path: str | os.PathLike, width: int | None = None) -> Iterator[tuple[int, list[str]]]:
@@ -289,7 +277,7 @@ def read_rows(path: str | os.PathLike, width: int | None = None) -> Iterator[tup
     first row); one that does not raises ValidationError at ``<file>:<line>``.
     """
     path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8", newline="\n") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -337,7 +325,7 @@ def file_lines(files: Mapping[str, Path]) -> Iterator[None]:
         path = files.get(exc.table)
         if path is None:
             raise
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8", newline="\n") as fh:
             lines = (lineno for lineno, line in enumerate(fh, start=1) if line.rstrip("\n"))
             lineno = next(islice(lines, exc.row, None))
         earlier = files[exc.earlier].name if exc.earlier else None
@@ -431,7 +419,7 @@ def stream_stats(directory: str | os.PathLike) -> DatasetStats:
         if not path.is_file():
             raise LoadError(f"missing dataset file: {path}")
         n = 0
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8", newline="\n") as fh:
             for line in fh:
                 if line.rstrip("\n"):
                     n += 1

@@ -286,11 +286,12 @@ def test_removed_edges_empty_when_no_cooccurrence():
 
 
 def test_removed_edges_matches_quadratic_scan():
+    # with fewer names than relation ids, several relation ids share one name
     rng = random.Random(8)
-    for _ in range(40):
+    for n_names in [5] * 40 + [3] * 20 + [1] * 5:
         n_e, n_r = 6, 5
         entities = [f"e{i}" for i in range(n_e)]
-        relations = [(f"r{i}", f"rel {i}") for i in range(n_r)]
+        relations = [(f"r{i}", f"rel {i % n_names}") for i in range(n_r)]
         triples = set()
         while len(triples) < 18:
             triples.add(

@@ -180,6 +180,13 @@ def test_stream_stats_agrees_with_full_load(family_kg, tmp_path):
     assert stream_stats(tmp_path) == compute_stats(load_dataset(tmp_path))
 
 
+def test_stream_stats_counts_a_row_with_a_bare_carriage_return_once(family_kg, tmp_path):
+    write_dataset(family_kg, tmp_path)
+    (tmp_path / "entities.tsv").write_text(
+        "e1\tJohann\rBernoulli\ne2\tDaniel\r\ne3\tBasel\ne4\tG\ne5\tS\n", encoding="utf-8")
+    assert stream_stats(tmp_path).n_entities == 5
+
+
 def test_randomly_corrupted_fixtures_rejected(tmp_path):
     rng = random.Random(20240817)
     corruptions = [
@@ -245,8 +252,11 @@ def test_triple_in_two_splits_rejected_at_its_file_line(tmp_path):
     ("descriptions.tsv", "e3\tc\ne1\ta\n\ne4\td\r\ne2\tb\n",
      "descriptions.tsv:4: description contains a tab or newline: 'd\\r'"),
     ("descriptions.tsv", "e1\ta\n\ne9\tz\n", "descriptions.tsv:3: unknown entity 'e9'"),
+    # a bare carriage return inside a cell does not end its row
+    ("descriptions.tsv", "e1\tfoo\rbar\n",
+     "descriptions.tsv:1: description contains a tab or newline: 'foo\\rbar'"),
 ], ids=["entity-repeat", "entity-crlf", "relation-repeat", "split-blank-lines",
-        "description-crlf", "description-unknown"])
+        "description-crlf", "description-unknown", "description-bare-cr"])
 def test_a_bad_row_names_its_file_line(family_kg, tmp_path, name, text, message):
     write_dataset(family_kg, tmp_path)
     (tmp_path / name).write_text(text, encoding="utf-8")

@@ -1,8 +1,10 @@
 """Byte-level pins of the variant files for fixed seeds.
 
-``generate_suite`` runs on two graphs: the ``family_kg`` fixture, and a
+``generate_suite`` runs on three graphs: the ``family_kg`` fixture, a
 ``random_kg`` graph whose constrained relation derangements are infeasible,
-so three of its variants fail. Every file the suite writes (dataset files,
+so three of its variants fail, and a ``random_kg`` graph with few (head, tail)
+pairs and many relations, whose constrained relation derangements succeed
+around many removed name pairs. Every file the suite writes (dataset files,
 ``mapping.tsv``, ``recipe.tsv``) is pinned by its sha256, keyed by
 ``<label>/<file>``, and so is each failed variant's error text. The files of
 one ``kgsynth transform`` run are pinned the same way, except its manifest,
@@ -45,6 +47,14 @@ def infeasible_random_kg():
     return random_kg(rng)
 
 
+def constrained_random_kg():
+    # 36 triples over 14 (head, tail) pairs of 4 entities and 12 relations:
+    # 70 of the 132 ordered relation-name pairs are removed, and a constrained
+    # derangement still exists.
+    return random_kg(random.Random(17), n_entities=4, n_relations=12, n_train=28, n_valid=4,
+                     n_test=4)
+
+
 def suite_outputs(kg, seed: int, root: Path) -> dict:
     results = generate_suite(kg, seed=seed, output_dir=root)
     return {
@@ -53,9 +63,11 @@ def suite_outputs(kg, seed: int, root: Path) -> dict:
     }
 
 
-@pytest.mark.parametrize("name,seed", [("family_kg", 11), ("random_kg", 2)])
+@pytest.mark.parametrize("name,seed", [("family_kg", 11), ("random_kg", 2),
+                                       ("constrained_random_kg", 5)])
 def test_suite_bytes_are_pinned(name, seed, family_kg, tmp_path):
-    kg = family_kg if name == "family_kg" else infeasible_random_kg()
+    kg = {"family_kg": lambda: family_kg, "random_kg": infeasible_random_kg,
+          "constrained_random_kg": constrained_random_kg}[name]()
     assert suite_outputs(kg, seed, tmp_path) == PINS[name]
 
 

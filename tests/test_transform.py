@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from kgsynth import kg as kg_module
 from kgsynth import rewriter
 from kgsynth.analysis import description_leakage
 from kgsynth.derangement import build_removed_edges
@@ -470,6 +471,20 @@ def test_renamed_graph_cells_are_checked_on_every_write(family_kg, tmp_path, cha
     with pytest.raises(ValidationError, match=message):
         write_dataset(renamed, tmp_path / "variant")
     assert not (tmp_path / "variant").exists()
+
+
+def test_suite_builds_and_checks_its_graph_structure_once(family_kg, tmp_path, monkeypatch):
+    kg = dataclasses.replace(family_kg)  # a fresh copy, with no structure built yet
+    built = []
+    build = kg_module._Splits.__init__
+
+    def counted_build(self, graph):
+        built.append(graph)
+        build(self, graph)
+
+    monkeypatch.setattr(kg_module._Splits, "__init__", counted_build)
+    assert all(r.ok for r in generate_suite(kg, 17, tmp_path))
+    assert len(built) == 1 and built[0] is kg
 
 
 def test_renamed_graph_keeps_the_ids_in_order(family_kg):
