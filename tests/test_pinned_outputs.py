@@ -8,9 +8,12 @@ around many removed name pairs. Every file the suite writes (dataset files,
 ``mapping.tsv``, ``recipe.tsv``) is pinned by its sha256, keyed by
 ``<label>/<file>``, and so is each failed variant's error text. The files of
 one ``kgsynth transform`` run are pinned the same way, except its manifest,
-which holds paths and timestamps. The pins live in
-``data/pinned_outputs.json``; a change that alters any of these bytes must
-say why and update them.
+which holds paths and timestamps. So are the checkpoint and ``metrics.tsv``
+of ``kgsynth train-baseline --eval-split test`` runs, for both norms and for
+dims below 8, between 8 and 128 with leftover dims, and above 128: the three
+summation orders of numpy's ``sum`` that the scoring reproduces. The pins
+live in ``data/pinned_outputs.json``; a change that alters any of these bytes
+must say why and update them.
 """
 
 import hashlib
@@ -55,6 +58,12 @@ def constrained_random_kg():
                      n_test=4)
 
 
+def wide_random_kg():
+    # 40 entities and 30 test triples: 60 ranks spread over 40 places
+    return random_kg(random.Random(23), n_entities=40, n_relations=3, n_train=80, n_valid=10,
+                     n_test=30)
+
+
 def suite_outputs(kg, seed: int, root: Path) -> dict:
     results = generate_suite(kg, seed=seed, output_dir=root)
     return {
@@ -79,3 +88,18 @@ def test_transform_command_bytes_are_pinned(family_kg, tmp_path):
         "--recipe", "inconsistent-descriptions", "--targets", "entities", "--seed", "7",
     ]) == 0
     assert tree_digests(out, skip={"manifest.tsv"}) == PINS["transform_command"]
+
+
+@pytest.mark.parametrize("dim", [5, 12, 150])
+@pytest.mark.parametrize("norm", ["L1", "L2"])
+@pytest.mark.parametrize("name", ["family_kg", "wide_random_kg"])
+def test_train_baseline_bytes_are_pinned(name, norm, dim, family_kg, tmp_path):
+    kg = {"family_kg": lambda: family_kg, "wide_random_kg": wide_random_kg}[name]()
+    write_dataset(kg, tmp_path / "data")
+    out = tmp_path / "model"
+    assert main([
+        "train-baseline", "--input", str(tmp_path / "data"), "--output", str(out),
+        "--dim", str(dim), "--norm", norm, "--epochs", "5", "--learning-rate", "0.05",
+        "--seed", "3", "--eval-split", "test",
+    ]) == 0
+    assert tree_digests(out, skip={"manifest.tsv"}) == PINS["train_baseline"][f"{name}/{norm}/{dim}"]
