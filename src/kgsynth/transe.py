@@ -19,14 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import KgsynthError, ValidationError
-from .evaluate import (MetricsReport, Query, RankingRecord, compute_metrics, pessimistic_rank,
-                       rank_split)
+from .evaluate import MetricsReport, Query, RankingRecord, compute_metrics, rank_split
 from .kg import KnowledgeGraph, float_cells, read_rows, write_rows
 
 _EPS = 1e-12
 NORMS = ("L1", "L2")
-# entity rows scored per step of rank_queries
-_ENTITY_BLOCK = 1024
+# entity columns scored per step of rank_queries
+_ENTITY_BLOCK = 16384
 
 
 class DivergenceError(KgsynthError):
@@ -53,6 +52,10 @@ class EmbeddingModel:
     relation_vectors: np.ndarray  # (n_relations, dim)
     norm: str = "L1"
     margin: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.norm not in NORMS:
+            raise ValueError(f"norm must be one of {NORMS}, got {self.norm!r}")
 
     @cached_property
     def entity_row(self) -> dict[str, int]:
@@ -99,8 +102,6 @@ def init_model(kg: KnowledgeGraph, dim: int, seed: int, norm: str = "L1",
     """Uniform(-6/sqrt(dim), 6/sqrt(dim)) init; all vectors L2-normalized."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if norm not in NORMS:
-        raise ValueError(f"norm must be 'L1' or 'L2', got {norm!r}")
     rng = np.random.default_rng(seed)
     bound = 6.0 / np.sqrt(dim)
     entity_vectors = rng.uniform(-bound, bound, size=(len(kg.entities), dim))
@@ -284,45 +285,117 @@ def _row_map(model_ids: tuple[str, ...], model_row: dict[str, int],
     return np.array([model_row[i] for i in graph_ids], dtype=np.intp)
 
 
-def _scores_into(buf: np.ndarray, entities: np.ndarray, known: np.ndarray, rel: np.ndarray,
-                 direction: str, norm: str, out: np.ndarray | None = None) -> np.ndarray:
-    """Negative translation distance of every entity row as the unknown end.
+def _column_terms(known: np.ndarray, rel: np.ndarray, direction: str, norm: str):
+    """``write(out, columns, lo, hi)``: the distance terms of dims ``lo:hi``, one column each.
 
-    ``buf`` has the shape of ``entities`` and is overwritten; the in-place
-    ops reuse it. The scores go to ``out`` (one per row) when given. Each
-    row is summed over its own contiguous values, so scoring a table in
-    chunks of rows gives the same bits as scoring it whole.
+    ``columns`` is a dim-major ``(dim, C)`` block of candidate vectors and
+    ``out`` a ``(hi - lo, C)`` buffer. A term is ``|diff|`` (L1) or
+    ``diff * diff`` (L2) of the translation residual, computed as
+    ``_distance`` computes it: ``(known + rel) - column`` for a tail query and
+    ``(column + rel) - known`` for a head query.
     """
-    if direction == "tail":
-        np.subtract(known + rel, entities, out=buf)
-    else:
-        np.add(entities, rel, out=buf)
-        np.subtract(buf, known, out=buf)
-    if norm == "L1":
-        np.abs(buf, out=buf)
-        dists = buf.sum(axis=1, out=out)
-    else:
-        np.multiply(buf, buf, out=buf)
-        dists = buf.sum(axis=1, out=out)
+    known, rel = known[:, None], rel[:, None]
+    offset = known + rel
+
+    def write(out: np.ndarray, columns: np.ndarray, lo: int, hi: int) -> None:
+        if direction == "tail":
+            np.subtract(offset[lo:hi], columns[lo:hi], out=out)
+        else:
+            np.add(columns[lo:hi], rel[lo:hi], out=out)
+            np.subtract(out, known[lo:hi], out=out)
+        if norm == "L1":
+            np.abs(out, out=out)
+        else:
+            np.multiply(out, out, out=out)
+
+    return write
+
+
+def _pairwise_sum_into(total: np.ndarray, columns: np.ndarray, write, lo: int, hi: int,
+                       acc: np.ndarray, tmp: np.ndarray) -> None:
+    """Each column's terms over dims ``lo:hi``, added in numpy's pairwise order, into ``total``.
+
+    numpy sums a contiguous run of n < 8 values in sequence. Up to 128 values
+    it keeps eight accumulators ``r_j = x_j + x_(j+8) + ...`` over the first
+    ``n - n % 8``, combines them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``
+    and adds the leftover values in order. Beyond 128 it adds the sums of two
+    halves, the first rounded down to a multiple of 8. Every step here is the
+    same IEEE addition over whole ``(8, C)`` rows of terms, so ``total`` is
+    bit-identical to ``sum(axis=1)`` over each candidate's row of terms.
+    ``acc`` and ``tmp`` are ``(8, C)`` scratch buffers.
+    """
+    n = hi - lo
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        _pairwise_sum_into(total, columns, write, lo, lo + half, acc, tmp)
+        rest = np.empty_like(total)
+        _pairwise_sum_into(rest, columns, write, lo + half, hi, acc, tmp)
+        np.add(total, rest, out=total)
+        return
+    whole = lo + n - n % 8
+    if whole > lo:
+        write(acc, columns, lo, lo + 8)
+        for start in range(lo + 8, whole, 8):
+            write(tmp, columns, start, start + 8)
+            np.add(acc, tmp, out=acc)
+        np.add(acc[0::2], acc[1::2], out=tmp[:4])
+        np.add(tmp[0:4:2], tmp[1:4:2], out=acc[:2])
+        np.add(acc[0], acc[1], out=total)
+    if whole < hi:
+        leftover = tmp[:hi - whole]
+        write(leftover, columns, whole, hi)
+        if whole == lo:
+            total[:] = leftover[0]
+            leftover = leftover[1:]
+        for row in leftover:
+            np.add(total, row, out=total)
+
+
+def _distances_into(dists: np.ndarray, table: np.ndarray, known: np.ndarray, rel: np.ndarray,
+                    direction: str, norm: str, acc: np.ndarray, tmp: np.ndarray) -> None:
+    """Translation distance of every column of ``table`` as the query's unknown end.
+
+    ``table`` is dim-major, ``(dim, |E|)``; ``dists`` gets one distance per
+    column. The columns are scored C at a time, C being an eighth of the
+    length of the flat scratch buffers ``acc`` and ``tmp`` (``_scratch``),
+    and each distance is bit-identical to ``_distance`` of its residual (see
+    ``_pairwise_sum_into``).
+    """
+    write = _column_terms(known, rel, direction, norm)
+    dim, n = table.shape
+    block = len(acc) // 8
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        # contiguous (8, width) views, so numpy takes its fast path on a short last block
+        width = stop - start
+        _pairwise_sum_into(dists[start:stop], table[:, start:stop], write, 0, dim,
+                           acc[:8 * width].reshape(8, width), tmp[:8 * width].reshape(8, width))
+    if norm == "L2":
         np.sqrt(dists, out=dists)
-    np.negative(dists, out=dists)
-    return dists
+
+
+def _scratch(n_entities: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two flat scratch buffers of ``_distances_into``: 8 rows of C columns each."""
+    size = 8 * min(_ENTITY_BLOCK, n_entities)
+    return np.empty(size), np.empty(size)
 
 
 def score_all(model: EmbeddingModel, known_id: str, relation_id: str,
               direction: str) -> dict[str, float]:
     """score_triple against every entity at once, as a scores table.
 
-    Vectorized but definitionally identical to calling score_triple per
-    candidate (the equivalence is covered by tests).
+    Scored by the kernel of ``rank_queries``, and definitionally identical
+    to calling score_triple per candidate (the equivalence is covered by
+    tests).
     """
     known = model.entity_vector(known_id)
     rel = model.relation_vector(relation_id)
     if direction not in ("tail", "head"):
         raise ValueError(f"direction must be 'tail' or 'head', got {direction!r}")
-    entities = model.entity_vectors
-    scores = _scores_into(np.empty_like(entities), entities, known, rel, direction, model.norm)
-    return dict(zip(model.entity_ids, scores.tolist()))
+    table = np.ascontiguousarray(model.entity_vectors.T)
+    dists = np.empty(table.shape[1])
+    _distances_into(dists, table, known, rel, direction, model.norm, *_scratch(len(dists)))
+    return dict(zip(model.entity_ids, np.negative(dists).tolist()))
 
 
 def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
@@ -332,32 +405,40 @@ def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
     Equal, query by query, to ``rank_gold`` over ``score_all``: the same
     distances and tie policy (``pessimistic_rank``), without building a
     scores table per query. The model must cover exactly the graph's
-    entities and relations, in any order. Each thread scores a query into
-    its own buffers, ``_ENTITY_BLOCK`` entity rows at a time, so its scratch
-    block stays cache-sized.
+    entities and relations, in any order.
+
+    The entity vectors are laid out once per call as a dim-major ``(dim,
+    |E|)`` table in graph row order. Each thread scores a query over blocks
+    of ``_ENTITY_BLOCK`` columns, eight dims at a time, in two ``(8, C)``
+    buffers of its own; the distances keep numpy's own summation order for
+    a row of ``dim`` values, so they are bit-identical to ``_distance`` on
+    the ``(|E|, dim)`` residuals, and the reports to any past or row-wise
+    scoring.
     """
     # the tables in graph row order, so every score lands on its kg row
-    entities = model.entity_vectors[
-        _row_map(model.entity_ids, model.entity_row, kg.entity_ids, "entities")]
+    table = np.take(model.entity_vectors.T,
+                    _row_map(model.entity_ids, model.entity_row, kg.entity_ids, "entities"),
+                    axis=1)
     relations = model.relation_vectors[
         _row_map(model.relation_ids, model.relation_row, kg.relation_ids, "relations")]
     entity_row, relation_row = kg.entity_row, kg.relation_row
-    n_entities = len(entities)
-    block = min(_ENTITY_BLOCK, n_entities)
+    n_entities = table.shape[1]
     buffers = threading.local()
 
     def rank_of(query: Query, gold: int, rivals: np.ndarray) -> int:
-        if not hasattr(buffers, "scores"):
-            buffers.scratch = np.empty((block, entities.shape[1]))
-            buffers.scores = np.empty(n_entities)
-        scratch, scores = buffers.scratch, buffers.scores
+        if not hasattr(buffers, "dists"):
+            buffers.scratch = _scratch(n_entities)
+            buffers.dists = np.empty(n_entities)
+        dists = buffers.dists
         known_id, relation_id = query.known
-        known, rel = entities[entity_row[known_id]], relations[relation_row[relation_id]]
-        for start in range(0, n_entities, block):
-            stop = min(start + block, n_entities)
-            _scores_into(scratch[:stop - start], entities[start:stop], known, rel,
-                         query.direction, model.norm, out=scores[start:stop])
-        return pessimistic_rank(scores, scores[gold], scores[rivals])
+        _distances_into(dists, table, table[:, entity_row[known_id]],
+                        relations[relation_row[relation_id]], query.direction, model.norm,
+                        *buffers.scratch)
+        # pessimistic_rank over the scores -dists, without negating them:
+        # -d >= -g exactly when d <= g, NaN included
+        gold_dist = dists[gold]
+        return int(np.count_nonzero(dists <= gold_dist)
+                   - np.count_nonzero(dists[rivals] <= gold_dist))
 
     return rank_split(kg, split, filtered, rank_of)
 

@@ -127,6 +127,42 @@ def test_score_all_equals_score_triple(family_kg):
                 assert table[eid] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("direction", ["tail", "head"])
+@pytest.mark.parametrize("norm", ["L1", "L2"])
+def test_column_kernel_keeps_numpys_summation_order(monkeypatch, norm, direction):
+    # 37 candidates over blocks of 16 columns: two full blocks and a short one
+    monkeypatch.setattr(transe, "_ENTITY_BLOCK", 16)
+    rng = np.random.default_rng(41)
+    n = 37
+    ids = tuple(f"e{i}" for i in range(n))
+    for dim in range(1, 301):
+        # magnitudes over six decades, so a change of summation order shows in the bits
+        vectors = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3, size=(n, dim))
+        vectors[[4, 9]] = vectors[2]  # tied candidates
+        vectors[7, dim // 2] = np.nan
+        rel = rng.normal(size=(1, dim))
+        model = EmbeddingModel(ids, ("r",), vectors, rel, norm=norm)
+        known = vectors[0]
+        diff = known + rel[0] - vectors if direction == "tail" else vectors + rel[0] - known
+        if norm == "L1":
+            expected = np.abs(diff).sum(axis=1)
+        else:
+            expected = np.sqrt((diff * diff).sum(axis=1))
+        scores = score_all(model, "e0", "r", direction)
+        got = -np.array([scores[eid] for eid in ids])
+        assert np.array_equal(got, expected, equal_nan=True), dim
+        assert np.isnan(got[7]) and got[4] == got[9] == got[2]
+
+
+def test_model_with_unknown_norm_rejected(family_kg):
+    model = init_model(family_kg, dim=4, seed=0)
+    with pytest.raises(ValueError, match="norm"):
+        EmbeddingModel(model.entity_ids, model.relation_ids, model.entity_vectors,
+                       model.relation_vectors, norm="l1")
+    with pytest.raises(ValueError, match="norm"):
+        init_model(family_kg, dim=4, seed=0, norm="L3")
+
+
 # --- gradients ----------------------------------------------------------------------
 
 def _fd_gradient(func, x, eps=1e-6):
