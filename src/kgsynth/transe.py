@@ -315,7 +315,8 @@ def _pairwise_sum_into(total: np.ndarray, columns: np.ndarray, write, lo: int, h
                        acc: np.ndarray, tmp: np.ndarray) -> None:
     """Each column's terms over dims ``lo:hi``, added in numpy's pairwise order, into ``total``.
 
-    numpy sums a contiguous run of n < 8 values in sequence. Up to 128 values
+    numpy sums a contiguous run of n < 8 values in sequence, from zero (terms
+    are never -0.0, so zero plus the first term is that term). Up to 128 values
     it keeps eight accumulators ``r_j = x_j + x_(j+8) + ...`` over the first
     ``n - n % 8``, combines them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``
     and adds the leftover values in order. Beyond 128 it adds the sums of two
@@ -341,12 +342,11 @@ def _pairwise_sum_into(total: np.ndarray, columns: np.ndarray, write, lo: int, h
         np.add(acc[0::2], acc[1::2], out=tmp[:4])
         np.add(tmp[0:4:2], tmp[1:4:2], out=acc[:2])
         np.add(acc[0], acc[1], out=total)
+    else:
+        total[:] = 0.0
     if whole < hi:
         leftover = tmp[:hi - whole]
         write(leftover, columns, whole, hi)
-        if whole == lo:
-            total[:] = leftover[0]
-            leftover = leftover[1:]
         for row in leftover:
             np.add(total, row, out=total)
 
@@ -410,10 +410,9 @@ def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
     The entity vectors are laid out once per call as a dim-major ``(dim,
     |E|)`` table in graph row order. Each thread scores a query over blocks
     of ``_ENTITY_BLOCK`` columns, eight dims at a time, in two ``(8, C)``
-    buffers of its own; the distances keep numpy's own summation order for
+    buffers of its own. The distances keep numpy's own summation order for
     a row of ``dim`` values, so they are bit-identical to ``_distance`` on
-    the ``(|E|, dim)`` residuals, and the reports to any past or row-wise
-    scoring.
+    the ``(|E|, dim)`` residuals, and reports do not depend on the layout.
     """
     # the tables in graph row order, so every score lands on its kg row
     table = np.take(model.entity_vectors.T,
