@@ -9,9 +9,11 @@ positions whose value it may receive, excluding same-value pairs and any
 (from_value, to_value) pair in ``removed``, and a maximum matching picks the
 rearrangement. Both are deterministic for a fixed seed.
 
-``build_removed_edges`` finds the relation pairs to forbid from
-``KnowledgeGraph.split_rows``, which depend only on the graph's ids and
-splits; those were checked once for the graph structure, so it checks nothing.
+``build_removed_edges`` names the relation pairs to forbid. Which relation
+rows co-occur depends only on the graph's ids and splits, so
+``KnowledgeGraph.relation_pairs`` finds them once per graph structure (every
+graph renamed from one source shares them) and each call only maps those
+rows to the current names.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Hashable, Sequence
-
-import numpy as np
 
 from .errors import InfeasibleError
 from .kg import KnowledgeGraph
@@ -204,24 +204,12 @@ def build_removed_edges(kg: KnowledgeGraph) -> RemovedEdges:
     (name_a, name_b) is removed iff some ordered (head, tail) pair carries both
     relations anywhere in train/valid/test. Pairs are over surface names because
     that is what the derangement shuffles; both orders are inserted since the
-    co-occurrence condition is symmetric.
+    co-occurrence condition is symmetric. The co-occurring relation rows come
+    from the graph's cached ``relation_pairs``.
     """
-    n_entities, n_relations = len(kg.entities), len(kg.relations)
-    # sorted (head, tail, relation) keys put each (head, tail) pair's relations
-    # in one run: pair the entries d apart in a run, for d = 1, 2, ... while any are
-    pair, rel = np.divmod(np.unique(np.concatenate([
-        (rows[:, 0].astype(np.int64) * n_entities + rows[:, 2]) * n_relations + rows[:, 1]
-        for rows in kg.split_rows.values()])), n_relations)
-    shared = [np.empty(0, dtype=np.int64)]
-    at, d = np.flatnonzero(pair[1:] == pair[:-1]), 1
-    while len(at):
-        shared.append(rel[at] * n_relations + rel[at + d])
-        d += 1
-        at = at[at + d < len(pair)]
-        at = at[pair[at + d] == pair[at]]
     names = [name for _, name in kg.relations]
     removed: RemovedEdges = set()
-    for a, b in zip(*np.divmod(np.unique(np.concatenate(shared)), n_relations)):
+    for a, b in kg.relation_pairs.tolist():
         if names[a] != names[b]:
             removed.update(((names[a], names[b]), (names[b], names[a])))
     return removed

@@ -43,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import rewriter
+from . import rewriter, textgen
 from .errors import LoadError, ValidationError
 
 Triple = tuple[str, str, str]
@@ -123,6 +123,13 @@ class KnowledgeGraph:
         out.__dict__["_splits"] = self._splits  # stored as cached_property stores it
         return out
 
+    @property
+    def relation_pairs(self) -> np.ndarray:
+        """The relation rows ``a < b`` that some (head, tail) pair carries
+        both of, in any split: an int64 ``(k, 2)`` array in ascending order,
+        built on first use once per graph structure (``_Splits``)."""
+        return self._splits.relation_pairs
+
     @cached_property
     def mention_spans(self) -> dict[str, array[int]]:
         """Per entity id whose description mentions an entity name, the
@@ -133,7 +140,9 @@ class KnowledgeGraph:
         This is the graph's one name index and one description scan: every
         renaming of the entities rewrites from these matches with one
         ``rewriter.join``, and ``analysis.description_leakage`` reads the
-        mentioned names from them.
+        mentioned names from them. The scan filters where a name may start
+        in C, so the walk along token boundaries runs only from spans that
+        begin some name.
         """
         index = rewriter.build_index({name: name for _, name in self.entities if name})
         spans = {}
@@ -142,6 +151,14 @@ class KnowledgeGraph:
             if found:
                 spans[eid] = found
         return spans
+
+    @cached_property
+    def unigram_model(self) -> textgen.UnigramModel:
+        """The character unigram model fitted on the entity names, then the
+        relation names, from which sampled names and descriptions are drawn;
+        fitted on first use, so every sampling variant of one graph shares it."""
+        return textgen.fit_unigram([name for _, name in self.entities]
+                                   + [name for _, name in self.relations])
 
     def split(self, name: str) -> tuple[Triple, ...]:
         if name not in SPLITS:
@@ -224,6 +241,23 @@ class _Splits:
                 rows[name][:, j] = np.fromiter(map(row.__getitem__, map(itemgetter(j), triples)),
                                                dtype=np.int32, count=len(triples))
         return rows
+
+    @cached_property
+    def relation_pairs(self) -> np.ndarray:
+        n_entities, n_relations = len(self.entity_row), len(self.relation_row)
+        # sorted (head, tail, relation) keys put each (head, tail) pair's relations
+        # in one run: pair the entries d apart in a run, for d = 1, 2, ... while any are
+        pair, rel = np.divmod(np.unique(np.concatenate([
+            (rows[:, 0].astype(np.int64) * n_entities + rows[:, 2]) * n_relations + rows[:, 1]
+            for rows in self.rows.values()])), n_relations)
+        shared = [np.empty(0, dtype=np.int64)]
+        at, d = np.flatnonzero(pair[1:] == pair[:-1]), 1
+        while len(at):
+            shared.append(rel[at] * n_relations + rel[at + d])
+            d += 1
+            at = at[at + d < len(pair)]
+            at = at[pair[at + d] == pair[at]]
+        return np.stack(np.divmod(np.unique(np.concatenate(shared)), n_relations), axis=1)
 
     @cached_property
     def file_bytes(self) -> dict[str, bytes]:

@@ -10,19 +10,24 @@ diverge:
   each position, and replacement text is never rescanned.
 
 ``scan`` is the one matcher: it returns every boundary match, nested and
-overlapping ones included. ``join`` applies the greedy rule to those matches
-and puts a replacement in each span it takes; ``find_keys`` is the set of
-matched keys. Matches depend only on the keys, so a graph's descriptions are
-scanned once (``KnowledgeGraph.mention_spans``), joined for every renaming
-and read by ``analysis.description_leakage``. ``rewrite_text`` and
-``rewrite_descriptions`` are a scan plus a join.
+overlapping ones included. It finds the places where a key may start in C:
+a compiled split cuts the text into its first spans (a key's first
+character at a token boundary, plus the run of letters and digits after it)
+and the plain text between them, and only the spans that begin some key go
+on to a walk along the token boundaries. ``join`` applies the greedy rule to
+those matches and puts a replacement in each span it takes; ``find_keys`` is
+the set of matched keys. Matches depend only on the keys, so a graph's
+descriptions are scanned once (``KnowledgeGraph.mention_spans``), joined for
+every renaming and read by ``analysis.description_leakage``.
+``rewrite_text`` and ``rewrite_descriptions`` are a scan plus a join.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
+from itertools import accumulate, compress, islice
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -31,15 +36,20 @@ if TYPE_CHECKING:
 # Original surface name -> replacement, insertion-ordered.
 NameMap = dict[str, str]
 
-_NO_KEYS = re.compile(r"(?!)")
 _ABSENT = object()
-_skip_alnum = re.compile(r"[^\W_]*").match
+_skip_alnum = re.compile(r"[^\W_]*").match  # ``[^\W_]`` is exactly ``str.isalnum``
 
 
-def _start_pattern(first_chars: Iterable[str]) -> re.Pattern[str]:
-    """Positions where a key may start: a token boundary followed by the
-    first character of some key (``[^\\W_]`` is exactly ``str.isalnum``)."""
-    return re.compile(r"(?<![^\W_])[" + "".join(map(re.escape, first_chars)) + "]")
+def _split_pattern(first_chars: list[str]) -> re.Pattern[str]:
+    """Capture, as ``re.split`` pieces, the first spans that begin with one
+    of ``first_chars`` at a token boundary.
+
+    The character class leads, so ``re`` skips in C to the next position
+    holding one of ``first_chars``; the lookbehind then checks the character
+    before it (DOTALL, so ``.`` takes a newline too).
+    """
+    chars = "".join(map(re.escape, sorted(first_chars)))
+    return re.compile(r"([" + chars + r"](?<![^\W_].)[^\W_]*)", re.DOTALL)
 
 
 class PatternIndex(dict[str, str | None]):
@@ -49,11 +59,16 @@ class PatternIndex(dict[str, str | None]):
 
     A key matches only at token boundaries, so a scan needs to look a span
     up only where it ends at a boundary, and it can stop at the first such
-    span that is absent: no key extends it. ``starts`` finds the positions
-    where a scan may begin.
+    span that is absent: no key extends it. The first span it looks up is a
+    first span: a key's first character plus the run of letters and digits
+    after it. ``firsts`` holds every key's first span, and ``splits`` cut a
+    text into first spans and the text between them: one split for keys led
+    by a letter or digit, one for the others, since a span led by
+    punctuation takes in the word after it, where a letter-led key may start.
     """
 
-    starts: re.Pattern[str] = _NO_KEYS
+    splits: tuple[re.Pattern[str], ...] = ()
+    firsts: frozenset[str] = frozenset()
 
     def lookup(self, key: str) -> str | None:
         """Replacement for an exact key, or None when the key is not indexed."""
@@ -70,8 +85,10 @@ def build_index(name_map: NameMap) -> PatternIndex:
             if not key[j].isalnum():
                 index.setdefault(key[:j], None)
         index[key] = replacement
-    if name_map:
-        index.starts = _start_pattern({key[0] for key in name_map})
+    heads = {key[0] for key in name_map}
+    index.splits = tuple(_split_pattern(chars) for chars in (
+        [c for c in heads if c.isalnum()], [c for c in heads if not c.isalnum()]) if chars)
+    index.firsts = frozenset(key[:_skip_alnum(key, 1).end()] for key in name_map)
     return index
 
 
@@ -82,12 +99,25 @@ def scan(index: PatternIndex, text: str) -> array[int]:
     Returned as one flat int32 array ``start, end, start, end, ...`` (no
     object per match, so a cache of them stays small), in text order and, at
     one start, shorter key first; empty when ``text`` mentions no key.
+
+    Each split leaves the text as ``gap, span, gap, span, ..., gap``; the
+    spans in ``index.firsts`` are kept with their offsets, all in C, and
+    only from those starts does a walk look longer spans up, one token
+    boundary at a time, until the index holds no entry for one.
     """
+    starts: list[int] = []
+    for split in index.splits:
+        pieces = split.split(text)
+        offsets = accumulate(map(len, pieces))  # where each piece after the first starts
+        starts += compress(islice(offsets, 0, None, 2),
+                           map(index.firsts.__contains__, islice(pieces, 1, None, 2)))
+    if len(index.splits) > 1:
+        starts.sort()  # the two splits' starts interleave in the text
     get = index.get
     n = len(text)
     matches = array("i")
-    for start in index.starts.finditer(text):
-        i = j = start.start()
+    for i in starts:
+        j = i
         while j < n:
             j = _skip_alnum(text, j + 1).end()  # the next token boundary
             found = get(text[i:j], _ABSENT)

@@ -20,10 +20,8 @@ The operations:
   regenerated descriptions draw from one forbidden set, seeded with every
   original name and description, so all strings are distinct.
 - ``rewrite``: when entities are renamed, in-description mentions move to
-  the new names. Every name match is found once per graph
-  (``KnowledgeGraph.mention_spans``, the same scan the leakage statistic
-  reads), and each variant joins its own replacements over those matches
-  with the greedy longest-match rule.
+  the new names. Each variant joins its own replacements over the graph's
+  name matches with the greedy longest-match rule.
 - ``reassign``: derange which entity each description belongs to; with
   entities targeted, each description travels with its name and its
   mentions are left as-is, which is the point.
@@ -34,6 +32,13 @@ The two kinds that reassign or regenerate always replace descriptions, so
 ``descriptions`` is implied among their targets; ``base`` takes no targets.
 Randomness is derived per (seed, kind, field) with a stable 64-bit mix, so
 results are reproducible for a fixed seed.
+
+What the variants of one graph need alike is built once per graph, on first
+use, and cached on it: the name matches (``KnowledgeGraph.mention_spans``,
+the same scan the leakage statistic reads), the fitted unigram model
+(``unigram_model``) and the co-occurring relation rows (``relation_pairs``,
+shared with every graph renamed from the same source). So one suite call
+and one call per variant do the same work.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from . import derangement as drg
 from .errors import InfeasibleError, KgsynthError
 from .kg import KnowledgeGraph, write_dataset, write_rows
 from .rewriter import NameMap, join
-from .textgen import fit_unigram, sample_unique_strings
+from .textgen import sample_unique_strings
 
 
 class RecipeOps(NamedTuple):
@@ -157,9 +162,9 @@ def apply_recipe(
     recipe.validate()
 
     if ops.names == "sample":
-        corpus = [name for _, name in kg.entities] + [name for _, name in kg.relations]
-        model = fit_unigram(corpus)
-        forbidden = set(corpus) | set(kg.descriptions.values())
+        model = kg.unigram_model
+        forbidden = {name for _, name in chain(kg.entities, kg.relations)}
+        forbidden.update(kg.descriptions.values())
 
         def sample(part: str, count: int) -> list[str]:
             strings = sample_unique_strings(model, count, forbidden, _field_seed(seed, kind, part))

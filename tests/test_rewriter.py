@@ -165,6 +165,40 @@ def test_fuzz_scan_against_brute_force():
     assert found > 800 and nested > 50, (found, nested)
 
 
+
+@pytest.mark.parametrize("keys, text", [
+    # a punctuation-led key's first span takes in the word where a letter-led key starts
+    (["(foo", "foo"], "x (foo) foo"),
+    (["(foo", "foo", "(foo) foo"], "(foo) foo (foo(foo"),
+    (["-", ".", "(", "'"], "a - b. (c) -- .'- '"),
+    (["_", "_foo", "_foo bar", "foo"], "x_foo _foo __foo _foo bar_ _"),
+    (["\nfoo", "foo", "\n"], "a \nfoo\n\nfoo a\nfoo"),
+    (["]x", "^y", "\\z", "x"], "]x ^y \\z x]x"),
+    (["é", "éa-b", "٣x", "7"], "é éa-b ٣x 7 x7 é٣x"),
+], ids=["paren-then-word", "paren-nested", "one-char-punctuation", "underscore",
+        "newline", "class-metacharacters", "non-ascii"])
+def test_scan_against_brute_force_on_key_starts(keys, text):
+    assert list(scan(build_index({k: k for k in keys}), text)) == brute_force_scan(keys, text)
+
+
+def test_scan_against_brute_force_on_long_texts_of_generated_names():
+    rng = random.Random(1234)
+    syllables = ["ka", "lo", "mi", "re", "su", "tan", "vel", "é", "٣"]
+    leads = ["", "", "", "(", "-", "_", "'", ".", "7"]
+    glue = [" ", " ", ", ", ". ", " (", ") ", "-", "_", "'"]
+    found = 0
+    for _ in range(20):
+        names = sorted({rng.choice(leads) + " ".join(
+            "".join(rng.choice(syllables) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 3))) for _ in range(60)})
+        words = names + ["the", "ka", "of", "mire"]
+        text = "".join(rng.choice(words) + rng.choice(glue) for _ in range(400))
+        matches = scan(build_index({name: name for name in names}), text)
+        assert list(matches) == brute_force_scan(names, text)
+        found += len(matches) // 2
+    assert found > 2000, found
+
+
 def test_scan_returns_flat_matches():
     index = build_index({"New York": "", "York": ""})
     text = "New York, York and Yorkshire"

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from kgsynth import kg as kg_module
-from kgsynth import rewriter
+from kgsynth import rewriter, textgen
 from kgsynth.analysis import description_leakage
 from kgsynth.derangement import build_removed_edges
 from kgsynth.errors import ValidationError
@@ -435,6 +435,49 @@ def test_descriptions_are_scanned_once_per_graph(monkeypatch, tmp_path, variants
     description_leakage(kg)
     run_suite(kg)
     assert len(calls) == len(kg.descriptions)
+
+
+
+NEEDS_NO_FIT_OR_PAIRS = tuple(v for v in SUITE_VARIANTS
+                              if v[0] in ("base", "vw-e", "incons-d", "incons-ed"))
+
+
+@pytest.mark.parametrize("variants, one_call_each, builds", [
+    (SUITE_VARIANTS, False, 1),
+    (SUITE_VARIANTS, True, 1),
+    (NEEDS_NO_FIT_OR_PAIRS, False, 0),
+], ids=["one-suite-call", "one-call-per-variant", "no-sampling-or-relation-variant"])
+def test_unigram_fit_and_relation_pairs_are_built_once_per_graph(
+        monkeypatch, family_kg, tmp_path, variants, one_call_each, builds):
+    kg = dataclasses.replace(family_kg)  # a fresh copy, with nothing built yet
+    fits, pair_builds = [], []
+    fit = textgen.fit_unigram
+    pairs = kg_module._Splits.relation_pairs
+    build_pairs = pairs.func
+
+    def counting_fit(corpus):
+        fits.append(corpus)
+        return fit(corpus)
+
+    def counting_pairs(splits):
+        pair_builds.append(splits)
+        return build_pairs(splits)
+
+    monkeypatch.setattr(textgen, "fit_unigram", counting_fit)
+    monkeypatch.setattr(pairs, "func", counting_pairs)
+    for batch in ([(v,) for v in variants] if one_call_each else [variants]):
+        assert all(result.ok for result in generate_suite(kg, 3, tmp_path, variants=batch))
+    assert len(fits) == builds and len(pair_builds) == builds
+    assert build_removed_edges(kg) == {("wasBornIn", "diedIn"), ("diedIn", "wasBornIn")}
+
+    # a graph renamed from this one shares its relation pairs and fits its own names
+    renamed = kg.renamed(tuple((eid, name.upper()) for eid, name in kg.entities),
+                         kg.relations, kg.descriptions)
+    relation_variants = tuple(v for v in SUITE_VARIANTS if v[0] in ("vw-r", "anon-er"))
+    assert all(result.ok for result in generate_suite(renamed, 3, tmp_path / "renamed",
+                                                      variants=relation_variants))
+    assert len(pair_builds) == 1 and len(fits) == builds + 1
+    assert fits[-1][:len(kg.entities)] == [name for _, name in renamed.entities]
 
 
 # --- what renamed graphs share ---------------------------------------------------------
