@@ -1,14 +1,17 @@
 """Dataset diagnostics: relation-count distributions, description leakage,
 Pearson correlation, and IQR outlier detection.
 
-``relation_distribution`` reads ``KnowledgeGraph.split_rows``, whose ids and
-splits are checked once per graph structure; ``description_leakage`` reads
-the graph's names and its cached ``mention_spans``, built per graph.
+``relation_distribution`` and ``description_leakage`` read the split rows
+(``KnowledgeGraph.split_rows``), whose ids and splits are checked once per
+graph structure, and build no tuple per triple; ``description_leakage``
+reads the mentions from the graph's cached ``mention_spans``, built per
+graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -81,30 +84,47 @@ def description_leakage(kg: KnowledgeGraph) -> LeakageTable:
     Every triple contributes two cases, (h, r, ?) and (?, r, t); occurrence
     uses the rewriter's token-boundary, case-sensitive matching rules, read
     from the graph's one cached scan (``KnowledgeGraph.mention_spans``).
+
+    Each distinct non-empty entity name gets an id. A case hits when its key
+    (query entity row, answer's name id) is among the keys of the mentions,
+    each match of an entity's description read as the name id it spells; the
+    split rows are looked up in those keys as arrays.
     """
-    names = kg.entity_names
-    descriptions = kg.descriptions
-    mentioned: dict[str, set[str]] = {}
+    name_id: dict[str, int] = {}
+    names = np.fromiter((name_id.setdefault(name, len(name_id)) if name else -1
+                         for _, name in kg.entities), dtype=np.int64, count=len(kg.entities))
+    n_names, entity_row, descriptions = len(name_id), kg.entity_row, kg.descriptions
+    known: list[int] = []
+    spelled: list[int] = []
     for eid, matches in kg.mention_spans.items():
-        bounds = iter(matches)
-        mentioned[eid] = {descriptions[eid][start:end] for start, end in zip(bounds, bounds)}
+        text = descriptions[eid]
+        known.extend(repeat(entity_row[eid], len(matches) // 2))
+        spelled.extend(map(name_id.__getitem__,
+                           map(text.__getitem__, map(slice, matches[0::2], matches[1::2]))))
+    keys = np.unique(np.array(known, dtype=np.int64) * n_names
+                     + np.array(spelled, dtype=np.int64))
 
-    hits = {split: 0 for split in SPLITS}
-    cases = {split: 0 for split in SPLITS}
-    for split in SPLITS:
-        for h, r, t in kg.split(split):
-            cases[split] += 2
-            if names[t] and names[t] in mentioned.get(h, ()):
-                hits[split] += 1
-            if names[h] and names[h] in mentioned.get(t, ()):
-                hits[split] += 1
+    def hits(known: np.ndarray, answer: np.ndarray) -> int:
+        """How many (known, answer) row pairs have the answer's name mentioned
+        in the known entity's description."""
+        named = names[answer] >= 0
+        # sorted, so each search starts near where the last ended
+        cases = np.sort(known[named].astype(np.int64) * n_names + names[answer[named]])
+        if not len(keys):
+            return 0
+        at = np.minimum(np.searchsorted(keys, cases), len(keys) - 1)
+        return int(np.count_nonzero(keys[at] == cases))
 
+    found, cases = {}, {}
+    for split, rows in kg.split_rows.items():
+        found[split] = hits(rows[:, 0], rows[:, 2]) + hits(rows[:, 2], rows[:, 0])
+        cases[split] = 2 * len(rows)
     percentages = {
-        split: (100.0 * hits[split] / cases[split] if cases[split] else 0.0)
+        split: (100.0 * found[split] / cases[split] if cases[split] else 0.0)
         for split in SPLITS
     }
     total_cases = sum(cases.values())
-    percentages["total"] = 100.0 * sum(hits.values()) / total_cases if total_cases else 0.0
+    percentages["total"] = 100.0 * sum(found.values()) / total_cases if total_cases else 0.0
     return LeakageTable(percentages=percentages)
 
 

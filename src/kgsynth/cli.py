@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 data, validation or I/O error,
 
 from __future__ import annotations
 
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -263,6 +264,9 @@ def correlate(input_file: str, output: str | None) -> str:
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def outliers(values: tuple[float, ...], input_file: str | None, output: str | None) -> str:
     """IQR outlier detection over a list of values."""
+    for value in values:
+        if not math.isfinite(value):
+            raise click.BadParameter(f"non-finite value {str(value)!r}", param_hint="VALUES")
     data = list(values)
     if input_file:
         for lineno, cells in kg.read_rows(input_file, 1):

@@ -5,7 +5,10 @@ row file it reads or writes (datasets, mappings, recipes, manifests,
 checkpoints, predictions; not the source text files ``convert`` reads) is
 UTF-8, one LF-terminated row per line, cells joined by tabs. Readers skip
 blank lines and reject a row with the wrong number of cells as
-``<file>:<line>: expected N tab-separated fields``.
+``<file>:<line>: expected N tab-separated fields``. Every reader parses
+through ``_row_blocks``, which splits whole blocks of lines into cells in C;
+``read_rows`` yields its rows one at a time, and ``load_dataset`` maps a
+split's cells to rows as they are read.
 
 A dataset directory holds six such files:
 
@@ -22,6 +25,15 @@ would rank and weight it twice. ``descriptions.tsv`` may omit entities
 every seeded algorithm downstream indexes against this order, which is what
 makes runs reproducible.
 
+A graph holds each split as int32 ``(n, 3)`` rows of (head, relation, tail)
+into ``entity_ids`` and ``relation_ids`` (``split_rows``), 12 bytes a
+triple. ``load_dataset`` parses each split file straight into rows, and its
+graph's ``train``, ``valid``, ``test`` and ``all_triples`` are ``Triples``:
+read-only sequences that build each ``(h, r, t)`` id tuple on demand from
+the rows and the id tables, and compare equal to the tuple of the same
+triples. A graph built from tuples keeps them and builds its rows on first
+use; split files are written from the rows.
+
 ``KnowledgeGraph.validate`` holds these rules for loading, conversion and
 every write; ``file_lines`` gives a breach on one row its file line. Ids and
 splits are checked once per graph structure, as its ``_Splits`` is built (a
@@ -31,14 +43,15 @@ descriptions at every ``validate``.
 
 from __future__ import annotations
 
+import math
 import os
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import chain, cycle, islice, repeat
+from operator import eq
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +72,50 @@ DATASET_FILES = (
 
 SPLITS = ("train", "valid", "test")
 
+# characters of a row file read at once (whole lines, so a few more), and
+# rows of a split turned into tuples or file bytes at once
+_BLOCK_CHARS = 1 << 16
+_BLOCK_ROWS = 1 << 14
+
+_UNKNOWN = ("unknown head entity", "unknown relation", "unknown tail entity")
+
+
+class Triples(Sequence):
+    """A split's ``(h, r, t)`` id tuples, built on demand from its int32 rows
+    and the id tables. Equal to the tuple of the same triples; a slice is
+    that tuple."""
+
+    __slots__ = ("rows", "entity_ids", "relation_ids")
+
+    def __init__(self, rows: np.ndarray, entity_ids: Sequence[str],
+                 relation_ids: Sequence[str]) -> None:
+        self.rows, self.entity_ids, self.relation_ids = rows, entity_ids, relation_ids
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(Triples(self.rows[index], self.entity_ids, self.relation_ids))
+        h, r, t = self.rows[index].tolist()
+        return self.entity_ids[h], self.relation_ids[r], self.entity_ids[t]
+
+    def __iter__(self) -> Iterator[Triple]:
+        entity, relation = self.entity_ids.__getitem__, self.relation_ids.__getitem__
+        for start in range(0, len(self.rows), _BLOCK_ROWS):
+            h, r, t = self.rows[start:start + _BLOCK_ROWS].T.tolist()
+            yield from zip(map(entity, h), map(relation, r), map(entity, t))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, Triples)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
 
 @dataclass(frozen=True)
 class KnowledgeGraph:
@@ -67,13 +124,15 @@ class KnowledgeGraph:
     ``entities`` and ``relations`` are (id, name) pairs in file order;
     ``descriptions`` maps every entity id to a (possibly empty) string, the
     rows of ``descriptions.tsv`` in file order first, then the entities it omits.
+    Each split is a sequence of ``(h, r, t)`` id triples: ``Triples`` over the
+    rows in a loaded or renamed graph, any sequence of tuples otherwise.
     """
 
     entities: tuple[tuple[str, str], ...]
     relations: tuple[tuple[str, str], ...]
-    train: tuple[Triple, ...]
-    valid: tuple[Triple, ...]
-    test: tuple[Triple, ...]
+    train: Sequence[Triple]
+    valid: Sequence[Triple]
+    test: Sequence[Triple]
     descriptions: dict[str, str]
 
     @cached_property
@@ -102,8 +161,8 @@ class KnowledgeGraph:
 
     @property
     def split_rows(self) -> dict[str, np.ndarray]:
-        """Each split as an int32 ``(n, 3)`` array of (head, relation, tail)
-        rows into ``entity_ids`` / ``relation_ids``, built on first use."""
+        """Each split as a read-only int32 ``(n, 3)`` array of (head, relation,
+        tail) rows into ``entity_ids`` / ``relation_ids``."""
         return self._splits.rows
 
     @cached_property
@@ -115,12 +174,15 @@ class KnowledgeGraph:
                 descriptions: dict[str, str]) -> KnowledgeGraph:
         """This graph with new (id, name) tables and descriptions over the same
         ids, in the same order, and the same splits. The two graphs share what
-        is built from ids and splits alone, so the split checks and split file
-        bytes are built once for every graph renamed from one source."""
-        out = KnowledgeGraph(entities, relations, self.train, self.valid, self.test, descriptions)
+        is built from ids and splits alone, so the split checks and rows are
+        built once for every graph renamed from one source."""
+        splits = self._splits
+        out = KnowledgeGraph(entities, relations, descriptions=descriptions, **{
+            split: Triples(rows, splits.entity_ids, splits.relation_ids)
+            for split, rows in splits.rows.items()})
         if out.entity_ids != self.entity_ids or out.relation_ids != self.relation_ids:
             raise ValueError("a renamed graph must keep the entity and relation ids in order")
-        out.__dict__["_splits"] = self._splits  # stored as cached_property stores it
+        out.__dict__["_splits"] = splits  # stored as cached_property stores it
         return out
 
     @property
@@ -160,14 +222,16 @@ class KnowledgeGraph:
         return textgen.fit_unigram([name for _, name in self.entities]
                                    + [name for _, name in self.relations])
 
-    def split(self, name: str) -> tuple[Triple, ...]:
+    def split(self, name: str) -> Sequence[Triple]:
         if name not in SPLITS:
             raise ValueError(f"unknown split {name!r}, expected one of {SPLITS}")
         return getattr(self, name)
 
     @cached_property
-    def all_triples(self) -> tuple[Triple, ...]:
-        return self.train + self.valid + self.test
+    def all_triples(self) -> Triples:
+        """Train, then valid, then test, as one ``Triples``."""
+        return Triples(np.concatenate(list(self.split_rows.values())),
+                       self.entity_ids, self.relation_ids)
 
     @cached_property
     def answer_index(self) -> dict[tuple[str, str, str], frozenset[str]]:
@@ -200,47 +264,63 @@ class KnowledgeGraph:
 
 
 class _Splits:
-    """A graph's ids and splits, checked as it is built, and what is built from
-    them alone. One that exists has passed (``cached_property`` caches no raise,
-    so a bad graph raises at every access); every graph ``KnowledgeGraph.renamed``
-    derives from one source shares the source's, so the checks run once."""
+    """A graph's ids and split rows, checked as they are built, and what is built
+    from them alone. One that exists has passed (``cached_property`` caches no
+    raise, so a bad graph raises at every access); every graph
+    ``KnowledgeGraph.renamed`` derives from one source shares the source's, so
+    the checks run once.
 
-    def __init__(self, kg: KnowledgeGraph) -> None:
-        self.entity_row = _row_of("entities", kg.entity_ids, "entity id")
-        self.relation_row = _row_of("relations", kg.relation_ids, "relation id")
-        self.triples = {split: kg.split(split) for split in SPLITS}
-        for split, triples in self.triples.items():
-            row_of = triples.index  # the first bad row holds its triple's first occurrence
-            for h, r, t in triples:
-                if h not in self.entity_row:
-                    raise ValidationError(f"unknown head entity {h!r}", split, row_of((h, r, t)))
-                if r not in self.relation_row:
-                    raise ValidationError(f"unknown relation {r!r}", split, row_of((h, r, t)))
-                if t not in self.entity_row:
-                    raise ValidationError(f"unknown tail entity {t!r}", split, row_of((h, r, t)))
-        splits = self.triples.values()
-        if len(set(chain(*splits))) != sum(map(len, splits)):
-            # name the first triple, in split order, that its own split or an earlier one holds
-            split_of: dict[Triple, str] = {}
-            for split, triples in self.triples.items():
-                for row, triple in enumerate(triples):
-                    earlier = split_of.get(triple)
-                    if earlier is not None:
-                        raise ValidationError(f"duplicate triple {triple!r}", split, row,
-                                              None if earlier == split else earlier)
-                    split_of[triple] = split
+    A split that is ``Triples`` over the graph's id tables lends its rows; any
+    other is looked up id by id. ``tables`` are the graph's ``entity_row`` and
+    ``relation_row``, if built already.
+    """
 
-    @cached_property
-    def rows(self) -> dict[str, np.ndarray]:
-        columns = (self.entity_row, self.relation_row, self.entity_row)
-        rows = {}
-        for name, triples in self.triples.items():
-            rows[name] = np.empty((len(triples), 3), dtype=np.int32)
-            # one column at a time, so no tuple per triple is built
-            for j, row in enumerate(columns):
-                rows[name][:, j] = np.fromiter(map(row.__getitem__, map(itemgetter(j), triples)),
-                                               dtype=np.int32, count=len(triples))
-        return rows
+    def __init__(self, kg: KnowledgeGraph,
+                 tables: tuple[dict[str, int], dict[str, int]] | None = None) -> None:
+        ids = self.entity_ids, self.relation_ids = kg.entity_ids, kg.relation_ids
+        tables = tables or (_index(self.entity_ids), _index(self.relation_ids))
+        self.entity_row, self.relation_row = tables
+        _check_ids("entities", self.entity_ids, self.entity_row, "entity id")
+        _check_ids("relations", self.relation_ids, self.relation_row, "relation id")
+        self.rows: dict[str, np.ndarray] = {}
+        for split in SPLITS:
+            triples = kg.split(split)
+            if isinstance(triples, Triples) and (triples.entity_ids, triples.relation_ids) == ids:
+                rows = triples.rows
+            else:
+                rows = _lookup(tables, chain.from_iterable(triples), len(triples))
+            if rows.size and rows.min() < 0:
+                # the first row with an unknown id, and its first such cell
+                row, column = divmod(int(np.argmax(rows.ravel() < 0)), 3)
+                raise ValidationError(f"{_UNKNOWN[column]} {triples[row][column]!r}", split, row)
+            rows.flags.writeable = False  # shared by every graph renamed from one source
+            self.rows[split] = rows
+        self._check_repeats()
+
+    def _check_repeats(self) -> None:
+        """A triple listed twice is an error at its second row, in split order."""
+        n_entities, n_relations = len(self.entity_ids), len(self.relation_ids)
+        keys = np.concatenate([np.empty(0, dtype=np.int64)] + [
+            (block[:, 0].astype(np.int64) * n_relations + block[:, 1]) * n_entities + block[:, 2]
+            for block in self.rows.values()])
+        ordered = np.sort(keys)
+        if not (ordered[1:] == ordered[:-1]).any():
+            return
+        # name the first triple, in split order, that its own split or an earlier one holds
+        distinct, first = np.unique(keys, return_index=True)  # first occurrences
+        repeated = np.ones(len(keys), dtype=bool)
+        repeated[first] = False
+        at = int(np.argmax(repeated))
+        earlier = int(first[np.searchsorted(distinct, keys[at])])
+        names = list(self.rows)
+        starts = np.cumsum([0] + [len(block) for block in self.rows.values()])
+        split, earlier_split = (names[int(np.searchsorted(starts, i, side="right")) - 1]
+                                for i in (at, earlier))
+        row = at - int(starts[names.index(split)])
+        h, r, t = self.rows[split][row].tolist()
+        triple = (self.entity_ids[h], self.relation_ids[r], self.entity_ids[t])
+        raise ValidationError(f"duplicate triple {triple!r}", split, row,
+                              None if earlier_split == split else earlier_split)
 
     @cached_property
     def relation_pairs(self) -> np.ndarray:
@@ -259,11 +339,20 @@ class _Splits:
             at = at[pair[at + d] == pair[at]]
         return np.stack(np.divmod(np.unique(np.concatenate(shared)), n_relations), axis=1)
 
-    @cached_property
-    def file_bytes(self) -> dict[str, bytes]:
-        """Each split file's bytes, laid out as ``write_rows`` writes rows."""
-        return {name: "".join(["\t".join(triple) + "\n" for triple in triples]).encode("utf-8")
-                for name, triples in self.triples.items()}
+    def write(self, root: Path) -> None:
+        """Write each split file under ``root`` from the rows, laid out as
+        ``write_rows`` writes triples, a block of rows at a time."""
+        # one table of every cell text, a row's cells at its ids shifted per column
+        cells = np.array([eid + "\t" for eid in self.entity_ids]
+                         + [rid + "\t" for rid in self.relation_ids]
+                         + [eid + "\n" for eid in self.entity_ids], dtype=object)
+        shift = np.array([0, len(self.entity_ids), len(self.entity_ids) + len(self.relation_ids)],
+                         dtype=np.int32)
+        for split, rows in self.rows.items():
+            with open(root / f"{split}.tsv", "wb") as fh:
+                for start in range(0, len(rows), _BLOCK_ROWS):
+                    block = cells[(rows[start:start + _BLOCK_ROWS] + shift).ravel()]
+                    fh.write("".join(block.tolist()).encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -293,15 +382,73 @@ def _check_cells(table: str, cells: Sequence[str], what: str) -> None:
         raise ValidationError(f"{what} contains a tab or newline: {cells[row]!r}", table, row)
 
 
-def _row_of(table: str, ids: Sequence[str], what: str) -> dict[str, int]:
-    """Each of ``ids``'s row; a tab or newline, then a repeat, is an error at its first row."""
+def _index(ids: Sequence[str]) -> dict[str, int]:
+    """Each of ``ids``'s row (a repeated id's last; ``_check_ids`` rejects repeats)."""
+    return dict(zip(ids, range(len(ids))))
+
+
+def _check_ids(table: str, ids: Sequence[str], rows: dict[str, int], what: str) -> None:
+    """A tab or newline in one of ``ids``, then a repeat, is an error at its first row."""
     _check_cells(table, ids, what)
-    rows = {key: row for row, key in enumerate(ids)}
     if len(rows) != len(ids):
         seen: set[str] = set()
         row = next(row for row, key in enumerate(ids) if key in seen or seen.add(key))
         raise ValidationError(f"duplicate {what} {ids[row]!r}", table, row)
-    return rows
+
+
+def _lookup(tables: tuple[dict[str, int], dict[str, int]], cells: Iterable[str],
+            n: int) -> np.ndarray:
+    """``n`` int32 rows of ``cells``, three a triple: each id's row, -1 for one in no table."""
+    entity_row, relation_row = tables
+    return np.fromiter(map(dict.get, cycle((entity_row, relation_row, entity_row)), cells,
+                           repeat(-1)), dtype=np.int32, count=3 * n).reshape(n, 3)
+
+
+def _line_blocks(path: Path) -> Iterator[tuple[Sequence[int], list[str]]]:
+    """Yield the non-blank lines of the row file at ``path`` in blocks, with
+    their line numbers: UTF-8 lines that end at LF (a CR is text)."""
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        end = 0
+        while lines := fh.readlines(_BLOCK_CHARS):
+            linenos: Sequence[int] = range(end + 1, end + 1 + len(lines))
+            end += len(lines)
+            if "\n" in lines:
+                linenos = [lineno for lineno, line in zip(linenos, lines) if line != "\n"]
+                lines = [line for line in lines if line != "\n"]
+            if lines:
+                yield linenos, lines
+
+
+def _row_blocks(path: str | os.PathLike,
+                width: int | None = None) -> Iterator[tuple[Sequence[int], list[str]]]:
+    """Yield the rows of the row file at ``path`` in blocks, as their line
+    numbers and their cells, flat (``width`` a row).
+
+    Every row must have ``width`` cells (with ``width=None``, as many as the
+    first row); the rows before one that does not are yielded, then it raises
+    ValidationError at ``<file>:<line>``.
+    """
+    path = Path(path)
+    for linenos, lines in _line_blocks(path):
+        if width is None:
+            width = lines[0].count("\t") + 1
+        tabs = list(map(str.count, lines, repeat("\t")))
+        if tabs.count(width - 1) != len(tabs):
+            bad = next(i for i, n in enumerate(tabs) if n != width - 1)
+            if bad:
+                yield linenos[:bad], _cells(lines[:bad])
+            raise ValidationError(
+                f"{path.name}:{linenos[bad]}: expected {width} tab-separated fields"
+            )
+        yield linenos, _cells(lines)
+
+
+def _cells(lines: list[str]) -> list[str]:
+    """The cells of whole lines, in order: each line split at its tabs, without its LF."""
+    cells = "".join(lines).replace("\n", "\t").split("\t")
+    if lines[-1].endswith("\n"):
+        cells.pop()
+    return cells
 
 
 def read_rows(path: str | os.PathLike, width: int | None = None) -> Iterator[tuple[int, list[str]]]:
@@ -310,20 +457,10 @@ def read_rows(path: str | os.PathLike, width: int | None = None) -> Iterator[tup
     Every row must have ``width`` cells (with ``width=None``, as many as the
     first row); one that does not raises ValidationError at ``<file>:<line>``.
     """
-    path = Path(path)
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split("\t")
-            if len(cells) != width:
-                if width is not None:
-                    raise ValidationError(
-                        f"{path.name}:{lineno}: expected {width} tab-separated fields"
-                    )
-                width = len(cells)
-            yield lineno, cells
+    for linenos, cells in _row_blocks(path, width):
+        width = len(cells) // len(linenos)
+        for start, lineno in zip(range(0, len(cells), width), linenos):
+            yield lineno, cells[start:start + width]
 
 
 def write_rows(path: str | os.PathLike, rows: Iterable[Sequence[str]]) -> None:
@@ -334,17 +471,44 @@ def write_rows(path: str | os.PathLike, rows: Iterable[Sequence[str]]) -> None:
 
 
 def float_cells(path: str | os.PathLike, lineno: int, cells: Iterable[str]) -> list[float]:
-    """``cells`` as floats; a cell that is no number is a ValidationError at ``<file>:<line>``."""
+    """``cells`` as floats; a cell that is no number, or is not finite, is a
+    ValidationError at ``<file>:<line>``."""
+    cells = list(cells)
     try:
-        return [float(cell) for cell in cells]
+        values = [float(cell) for cell in cells]
     except ValueError as exc:
         raise ValidationError(f"{Path(path).name}:{lineno}: {exc}") from exc
+    for cell, value in zip(cells, values):
+        if not math.isfinite(value):
+            raise ValidationError(f"{Path(path).name}:{lineno}: non-finite value {cell!r}")
+    return values
+
+
+def _read_pairs(path: Path) -> tuple[tuple[str, str], ...]:
+    """The (id, text) rows of a two-column row file, in file order."""
+    return tuple(chain.from_iterable(zip(cells[0::2], cells[1::2])
+                                     for _, cells in _row_blocks(path, 2)))
 
 
 def read_splits(files: Mapping[str, Path]) -> dict[str, tuple[Triple, ...]]:
     """Each split's triples in file order, read from ``files[split]``; ``validate`` checks them."""
-    return {split: tuple([(h, r, t) for _, (h, r, t) in read_rows(path, 3)])
-            for split, path in files.items()}
+    return {split: _read_triples(path) for split, path in files.items()}
+
+
+def _read_triples(path: Path) -> tuple[Triple, ...]:
+    return tuple(chain.from_iterable(zip(cells[0::3], cells[1::3], cells[2::3])
+                                     for _, cells in _row_blocks(path, 3)))
+
+
+def _read_split(path: Path, ids: tuple[tuple[str, ...], tuple[str, ...]],
+                tables: tuple[dict[str, int], dict[str, int]]) -> Sequence[Triple]:
+    """The split file at ``path`` as ``Triples`` over ``ids``, read straight into
+    rows; as its tuples if it lists an id in no table, so the checks can name it."""
+    rows = np.concatenate([np.empty((0, 3), dtype=np.int32)] + [
+        _lookup(tables, cells, len(linenos)) for linenos, cells in _row_blocks(path, 3)])
+    if rows.size and rows.min() < 0:
+        return _read_triples(path)
+    return Triples(rows, *ids)
 
 
 @contextmanager
@@ -352,16 +516,14 @@ def file_lines(files: Mapping[str, Path]) -> Iterator[None]:
     """Reraise a ValidationError on a row of a table read from ``files[table]``
     as ``<file>:<line>: <detail>``, an earlier split named by its file too.
     Rows are non-blank lines, as ``read_rows`` counts them; the file is read
-    up to that row only."""
+    up to that row's block only."""
     try:
         yield
     except ValidationError as exc:
         path = files.get(exc.table)
         if path is None:
             raise
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            lines = (lineno for lineno, line in enumerate(fh, start=1) if line.rstrip("\n"))
-            lineno = next(islice(lines, exc.row, None))
+        lineno, _ = next(islice(read_rows(path), exc.row, None))
         earlier = files[exc.earlier].name if exc.earlier else None
         raise ValidationError(exc.at(f"{path.name}:{lineno}", earlier)) from exc
 
@@ -369,8 +531,10 @@ def file_lines(files: Mapping[str, Path]) -> Iterator[None]:
 def load_dataset(directory: str | os.PathLike) -> KnowledgeGraph:
     """Load and validate a dataset directory.
 
-    Raises LoadError when a file is missing, ValidationError (with a line
-    number where possible) when the contents are malformed.
+    Each split file is parsed a block of lines at a time straight into int32
+    rows, so no tuple per triple is built. Raises LoadError when a file is
+    missing, ValidationError (with a line number where possible) when the
+    contents are malformed.
     """
     root = Path(directory)
     for name in DATASET_FILES:
@@ -379,31 +543,29 @@ def load_dataset(directory: str | os.PathLike) -> KnowledgeGraph:
         if not (root / name).is_file():
             raise LoadError(f"missing dataset file: {root / name}")
 
-    entities = tuple([(eid, name) for _, (eid, name) in read_rows(root / "entities.tsv", 2)])
-    relations = tuple([(rid, name) for _, (rid, name) in read_rows(root / "relations.tsv", 2)])
-    desc_path = root / "descriptions.tsv"
-    rows = [cells for _, cells in read_rows(desc_path, 2)] if desc_path.is_file() else []
-    descriptions = dict(rows)  # file order, so a description's row is its file row
-    entity_ids = {eid for eid, _ in entities}
-
     files = {table: root / f"{table}.tsv"
              for table in ("entities", "relations", "descriptions", *SPLITS)}
+    entities = _read_pairs(files["entities"])
+    relations = _read_pairs(files["relations"])
+    rows = _read_pairs(files["descriptions"]) if files["descriptions"].is_file() else ()
+    descriptions = dict(rows)  # file order, so a description's row is its file row
+    ids = tuple(eid for eid, _ in entities), tuple(rid for rid, _ in relations)
+    tables = _index(ids[0]), _index(ids[1])
+    entity_row = tables[0]
+
     with file_lines(files):
-        if len(descriptions) != len(rows) or not descriptions.keys() <= entity_ids:
+        if len(descriptions) != len(rows) or not descriptions.keys() <= entity_row.keys():
             described: set[str] = set()  # name the first unknown or repeated entity
             for row, (eid, _) in enumerate(rows):
-                if eid not in entity_ids or eid in described:
-                    what = "unknown" if eid not in entity_ids else "duplicate"
+                if eid not in entity_row or eid in described:
+                    what = "unknown" if eid not in entity_row else "duplicate"
                     raise ValidationError(f"{what} entity {eid!r}", "descriptions", row)
                 described.add(eid)
-        if len(descriptions) != len(entity_ids):
+        if len(descriptions) != len(entity_row):
             descriptions.update((eid, "") for eid, _ in entities if eid not in descriptions)
-        kg = KnowledgeGraph(
-            entities=entities,
-            relations=relations,
-            descriptions=descriptions,
-            **read_splits({split: files[split] for split in SPLITS}),
-        )
+        kg = KnowledgeGraph(entities, relations, descriptions=descriptions, **{
+            split: _read_split(files[split], ids, tables) for split in SPLITS})
+        kg.__dict__["_splits"] = _Splits(kg, tables)  # stored as cached_property stores it
         kg.validate()
     return kg
 
@@ -418,8 +580,7 @@ def write_dataset(kg: KnowledgeGraph, directory: str | os.PathLike) -> None:
         write_rows(root / "relations.tsv", kg.relations)
         write_rows(root / "descriptions.tsv",
                    ((eid, kg.descriptions[eid]) for eid, _ in kg.entities))
-        for split in SPLITS:
-            (root / f"{split}.tsv").write_bytes(kg._splits.file_bytes[split])
+        kg._splits.write(root)
     except OSError as exc:
         raise LoadError(f"cannot write dataset under {root}: {exc}") from exc
 
@@ -437,8 +598,8 @@ def compute_stats(kg: KnowledgeGraph) -> DatasetStats:
 def stream_stats(directory: str | os.PathLike) -> DatasetStats:
     """Count entities/relations/triples without materializing the graph.
 
-    Line-counting only (no id checks), so it stays fast on multi-million-triple
-    dumps; use load_dataset when validation matters.
+    Row-counting only (no width or id checks), so it stays fast on
+    multi-million-triple dumps; use load_dataset when validation matters.
     """
     root = Path(directory)
     counts = {}
@@ -452,10 +613,5 @@ def stream_stats(directory: str | os.PathLike) -> DatasetStats:
         path = root / name
         if not path.is_file():
             raise LoadError(f"missing dataset file: {path}")
-        n = 0
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            for line in fh:
-                if line.rstrip("\n"):
-                    n += 1
-        counts[key] = n
+        counts[key] = sum(len(linenos) for linenos, _ in _line_blocks(path))
     return DatasetStats(**counts)

@@ -235,6 +235,28 @@ def test_outliers_non_numeric_input_is_data_error(tmp_path, capsys):
     assert "values.txt:4: could not convert string to float: 'x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_outliers_non_finite_value_is_usage_error(value, capsys):
+    # a NaN would hide the outlier 100 behind NaN quartiles
+    assert main(["outliers", "1", "2", "3", "4", "--", value, "100"]) == 1
+    assert f"non-finite value '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_outliers_non_finite_input_is_data_error(value, tmp_path, capsys):
+    values = tmp_path / "values.txt"
+    values.write_text(f"1\n2\n\n{value}\n4\n100\n", encoding="utf-8")
+    assert main(["outliers", "--input", str(values)]) == 2
+    assert capsys.readouterr().err == f"error: values.txt:4: non-finite value '{value}'\n"
+
+
+def test_correlate_non_finite_cell_is_data_error(tmp_path, capsys):
+    series = tmp_path / "series.tsv"
+    series.write_text("a\tb\n1\t2\n2\tnan\n3\t6\n", encoding="utf-8")
+    assert main(["correlate", "--input", str(series)]) == 2
+    assert capsys.readouterr().err == "error: series.tsv:3: non-finite value 'nan'\n"
+
+
 def test_train_baseline_writes_checkpoint_and_metrics(dataset_dir, tmp_path, capsys):
     out = tmp_path / "model"
     code = main([

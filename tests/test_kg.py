@@ -1,22 +1,30 @@
+import gc
 import random
 import re
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
 
+from kgsynth.analysis import description_leakage
 from kgsynth.errors import LoadError, ValidationError
 from kgsynth.evaluate import evaluate_predictions
 from kgsynth.kg import (
     DATASET_FILES,
+    KnowledgeGraph,
+    Triples,
     compute_stats,
+    file_lines,
     load_dataset,
     read_rows,
+    read_splits,
     stream_stats,
     write_dataset,
     write_rows,
 )
-from kgsynth.transe import init_model, load_model, save_model
+from kgsynth.transe import TrainConfig, init_model, load_model, save_model, train
+from kgsynth.transform import generate_suite
 
 from conftest import make_kg, random_kg
 
@@ -371,3 +379,243 @@ def test_row_files_reject_a_row_of_the_wrong_width(name, change, family_kg, tmp_
     with pytest.raises(ValidationError,
                        match=rf"^{name}:{bad_line}: expected {width} tab-separated fields$"):
         read()
+
+
+# --- splits held as rows ----------------------------------------------------------------
+
+def test_loaded_splits_are_triples_over_the_rows(family_kg, tmp_path):
+    write_dataset(family_kg, tmp_path)
+    kg = load_dataset(tmp_path)
+    for name in ("train", "valid", "test"):
+        triples = kg.split(name)
+        assert isinstance(triples, Triples) and triples.rows is kg.split_rows[name]
+        assert triples == family_kg.split(name) and family_kg.split(name) == triples
+        assert tuple(triples) == family_kg.split(name)
+        assert len(triples) == len(family_kg.split(name))
+    assert kg.train[1] == kg.train[-4] == ("e1", "r2", "e3")
+    assert kg.train[1:3] == family_kg.train[1:3] and isinstance(kg.train[1:3], tuple)
+    assert kg.train != family_kg.train[:-1] and kg.train != list(family_kg.train)
+    assert ("e2", "r4", "e5") in kg.train and kg.train.index(("e2", "r4", "e5")) == 4
+    assert kg.all_triples == family_kg.all_triples
+    assert kg.answer_index == family_kg.answer_index
+    assert repr(kg.valid) == repr(family_kg.valid)
+    with pytest.raises(ValueError, match="read-only"):
+        kg.split_rows["train"][0, 0] = 1
+    # a renamed graph passes the rows through
+    out = kg.renamed(kg.entities, kg.relations, kg.descriptions)
+    assert all(out.split(name).rows is kg.split_rows[name] for name in ("train", "valid", "test"))
+
+
+def test_split_storage_is_per_row_not_per_object(tmp_path):
+    # Two datasets with the same tables and descriptions, 2,000 and 20,000
+    # train triples: the memory the larger holds beyond the smaller is its
+    # rows (12 bytes a triple), after loading and after the suite, leakage
+    # and training have run on it, so no step keeps a tuple per triple.
+    rng = random.Random(3)
+    n_entities, n_relations = 1000, 8
+    entities = tuple((f"e{i}", f"entity {i}") for i in range(n_entities))
+    relations = tuple((f"r{i}", f"relation {i}") for i in range(n_relations))
+    descriptions = {f"e{i}": f"entity {i} is near entity {i * 7 % n_entities}"
+                    for i in range(n_entities)}
+    # one relation per (head, tail) pair, so every relation derangement is feasible
+    pairs = rng.sample(range(n_entities * n_entities), 20100)
+    triples = [(f"e{p // n_entities}", f"r{rng.randrange(n_relations)}", f"e{p % n_entities}")
+               for p in pairs]
+    for n in (2000, 20000):
+        write_dataset(KnowledgeGraph(entities, relations, tuple(triples[:n]),
+                                     tuple(triples[20000:20050]), tuple(triples[20050:]),
+                                     descriptions), tmp_path / str(n))
+
+    def held(n, pipeline):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            kg = load_dataset(tmp_path / str(n))
+            if pipeline:
+                assert all(result.ok for result in generate_suite(kg, 1, tmp_path / f"suite{n}"))
+                description_leakage(kg)
+                train(kg, TrainConfig(dim=4, epochs=1))
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    held(2000, True)  # warm what the first calls cache beyond the graph
+    for pipeline in (False, True):
+        per_triple = (held(20000, pipeline) - held(2000, pipeline)) / 18000
+        assert per_triple <= 16, (pipeline, per_triple)
+
+
+# The row codec's reader, line by line: the reference the block reader matches.
+def reference_read_rows(path, width):
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            cells = line.split("\t")
+            if len(cells) != width:
+                raise ValidationError(
+                    f"{path.name}:{lineno}: expected {width} tab-separated fields")
+            yield lineno, cells
+
+
+def reference_load(root):
+    """The loader as tuples: the tables and splits read row by row, then
+    ``KnowledgeGraph(...).validate()`` under ``file_lines``."""
+    files = {table: root / f"{table}.tsv"
+             for table in ("entities", "relations", "descriptions", "train", "valid", "test")}
+    entities = tuple((eid, name) for _, (eid, name) in reference_read_rows(files["entities"], 2))
+    relations = tuple((rid, name) for _, (rid, name) in reference_read_rows(files["relations"], 2))
+    rows = ([cells for _, cells in reference_read_rows(files["descriptions"], 2)]
+            if files["descriptions"].is_file() else [])
+    descriptions = dict(rows)
+    entity_ids = {eid for eid, _ in entities}
+    with file_lines(files):
+        described = set()
+        for row, (eid, _) in enumerate(rows):
+            if eid not in entity_ids or eid in described:
+                what = "unknown" if eid not in entity_ids else "duplicate"
+                raise ValidationError(f"{what} entity {eid!r}", "descriptions", row)
+            described.add(eid)
+        descriptions.update((eid, "") for eid, _ in entities if eid not in descriptions)
+        splits = {split: tuple(tuple(cells) for _, cells in reference_read_rows(files[split], 3))
+                  for split in ("train", "valid", "test")}
+        assert read_splits({split: files[split] for split in splits}) == splits
+        kg = KnowledgeGraph(entities=entities, relations=relations, descriptions=descriptions,
+                            **splits)
+        kg.validate()
+    return kg
+
+
+# characters a reader that splits at str.splitlines would take for line ends
+ODD = ["", "\x0c", "\x85", "\u2028", "\x1e"]
+
+
+def _short(rng, tables):
+    row = rng.choice([row for table in tables.values() for row in table] or [[]])
+    del row[-1:]
+
+
+def _long(rng, tables):
+    rng.choice([row for table in tables.values() for row in table] or [[]]).append("extra")
+
+
+def _unknown(rng, tables):
+    rows = [row for split in ("train", "valid", "test") for row in tables[split] if len(row) == 3]
+    if rows:
+        rng.choice(rows)[rng.randrange(3)] = "ghost"
+
+
+def _repeat(rng, tables):
+    # a triple again, in its own split or in another, after or before it
+    rows = [row for split in ("train", "valid", "test") for row in tables[split]]
+    if rows:
+        target = tables[rng.choice(("train", "valid", "test"))]
+        target.insert(rng.randint(0, len(target)), list(rng.choice(rows)))
+
+
+def _bad_description(rng, tables):
+    rows = tables["descriptions"]
+    extra = ["ghost", "text"] if rng.random() < 0.5 or not rows else list(rng.choice(rows))
+    rows.insert(rng.randint(0, len(rows)), extra)
+
+
+def _repeated_id(rng, tables):
+    rows = tables[rng.choice(("entities", "relations"))]
+    rows.insert(rng.randint(0, len(rows)), [rng.choice(rows)[0], "again"])
+
+
+FAULTS = [_short, _long, _unknown, _repeat, _bad_description, _repeated_id]
+
+
+def _write_random_dataset(rng, root):
+    entities = [f"e{rng.choice(ODD)}{i}" for i in range(rng.randint(2, 9))]
+    relations = [f"r{rng.choice(ODD)}{i}" for i in range(rng.randint(1, 3))]
+    every = [[h, r, t] for h in entities for r in relations for t in entities]
+    triples = rng.sample(every, rng.randint(0, min(len(every), 24)))
+    cut = sorted(rng.randint(0, len(triples)) for _ in range(2))
+    tables = {
+        "entities": [[eid, f"name{rng.choice(ODD)}{eid}"] for eid in entities],
+        "relations": [[rid, f"rel {rid}"] for rid in relations],
+        "descriptions": [[eid, f"about{rng.choice(ODD)}{eid}"]
+                         for eid in rng.sample(entities, rng.randint(0, len(entities)))],
+        "train": triples[:cut[0]], "valid": triples[cut[0]:cut[1]], "test": triples[cut[1]:],
+    }
+    for fault in rng.sample(FAULTS, rng.choice([0, 0, 0, 1, 1, 2])):
+        fault(rng, tables)
+    root.mkdir()
+    for table, rows in tables.items():
+        if table == "descriptions" and rng.random() < 0.2:
+            continue  # descriptions.tsv is optional
+        lines = ["\t".join(row) + ("\r\n" if rng.random() < 0.01 else "\n") for row in rows]
+        for _ in range(rng.choice([0, 0, 1, 3])):
+            lines.insert(rng.randint(0, len(lines)), "\n")  # blank lines are skipped
+        if lines and rng.random() < 0.3:
+            lines[-1] = lines[-1].rstrip("\n")  # a last line without LF
+        (root / f"{table}.tsv").write_bytes("".join(lines).encode("utf-8"))
+
+
+def _outcome(load, root):
+    try:
+        return load(root), None
+    except ValidationError as exc:
+        return None, str(exc)
+
+
+def test_loader_matches_a_tuple_reference_on_random_files(tmp_path):
+    rng = random.Random(18)
+    seen = {"loaded": 0, "rejected": 0}
+    for trial in range(400):
+        root = tmp_path / str(trial)
+        _write_random_dataset(rng, root)
+        kg, error = _outcome(load_dataset, root)
+        expected, expected_error = _outcome(reference_load, root)
+        assert error == expected_error, root
+        if kg is None:
+            seen["rejected"] += 1
+            continue
+        seen["loaded"] += 1
+        assert kg == expected
+        assert list(kg.descriptions.items()) == list(expected.descriptions.items())
+        for name in ("train", "valid", "test"):
+            assert tuple(kg.split(name)) == expected.split(name)
+            assert np.array_equal(kg.split_rows[name], expected.split_rows[name])
+        for table in ("entities", "relations", "descriptions", "train"):
+            path = root / f"{table}.tsv"
+            if path.is_file():
+                width = 3 if table == "train" else 2
+                assert list(read_rows(path, width)) == list(reference_read_rows(path, width))
+    assert min(seen.values()) > 80, seen
+
+
+@pytest.mark.parametrize("files, message", [
+    # a bad descriptions.tsv row before an unknown split id
+    ({"descriptions.tsv": "e1\ta\ne9\tz\n", "train.tsv": "e1\tr1\tghost\n"},
+     "descriptions.tsv:2: unknown entity 'e9'"),
+    # a short split row before a repeated entity id
+    ({"entities.tsv": "e1\ta\ne2\tb\ne3\tc\ne4\td\ne5\te\ne1\tf\n", "test.tsv": "e1\tr1\n"},
+     "test.tsv:1: expected 3 tab-separated fields"),
+    # a repeated entity id before an unknown split id
+    ({"entities.tsv": "e1\ta\ne2\tb\ne3\tc\ne4\td\ne5\te\ne1\tf\n", "valid.tsv": "x\tr1\te1\n"},
+     "entities.tsv:6: duplicate entity id 'e1'"),
+    # an unknown id in any split before a repeated triple in an earlier one
+    ({"train.tsv": "e1\tr1\te3\ne1\tr1\te3\n", "valid.tsv": "e1\tzz\te2\n"},
+     "valid.tsv:1: unknown relation 'zz'"),
+    ({"train.tsv": "e1\tr1\te3\n\ne1\tzz\te3\n", "valid.tsv": "e1\tr1\te3\n"},
+     "train.tsv:3: unknown relation 'zz'"),
+    # an unknown id before a name with a carriage return
+    ({"entities.tsv": "e1\ta\r\ne2\tb\ne3\tc\ne4\td\ne5\te\n", "test.tsv": "e9\tr1\te1\n"},
+     "test.tsv:1: unknown head entity 'e9'"),
+    # in one row, the head before the relation before the tail
+    ({"test.tsv": "e1\tr1\te2\nq\tzz\tx\n"}, "test.tsv:2: unknown head entity 'q'"),
+    ({"test.tsv": "e1\tzz\tx\n"}, "test.tsv:1: unknown relation 'zz'"),
+])
+def test_two_faults_keep_their_precedence(family_kg, tmp_path, files, message):
+    write_dataset(family_kg, tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_dataset(tmp_path)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        reference_load(tmp_path)

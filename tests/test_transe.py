@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import numpy as np
@@ -567,6 +568,18 @@ def test_checkpoint_with_non_numeric_component_rejected(tmp_path):
     lines[2] = lines[2].split("\t")[0] + "\t0.5,x,0.5,0.5"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="entity_vectors.tsv:3: could not convert"):
+        load_model(tmp_path)
+
+
+@pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
+def test_checkpoint_with_non_finite_component_rejected(component, tmp_path):
+    _saved_l1_model(tmp_path)
+    path = tmp_path / "entity_vectors.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].split("\t")[0] + f"\t0.5,{component},0.5,0.5"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError,
+                       match=f"^entity_vectors.tsv:3: non-finite value '{re.escape(component)}'$"):
         load_model(tmp_path)
 
 

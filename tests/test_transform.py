@@ -583,3 +583,33 @@ def test_leakage_matches_brute_force_before_and_after_the_suite(tmp_path):
             == expected
         leaked += expected["total"]
     assert leaked > 0.0
+    # every name three times, one of them empty, and names nested in one
+    # another, on both ends of every triple
+    for trial in range(10):
+        kg = nested_homonym_kg(rng)
+        expected = brute_force_leakage(kg)
+        assert description_leakage(kg).percentages == expected
+        root = tmp_path / f"nested{trial}"
+        assert all(result.ok for result in generate_suite(kg, trial, root, variants=variants))
+        assert description_leakage(kg).percentages == expected
+        assert description_leakage(load_dataset(root / "base")).percentages == expected
+        assert 0.0 < expected["total"] < 100.0
+
+
+def nested_homonym_kg(rng):
+    """Random graph whose six names, the empty one among them, are each held
+    by three entities, and whose descriptions run the names into one another,
+    so matches nest ("New York City" holds "New York", "York City", "New" and
+    "York")."""
+    pool = ["New York City", "New York", "York City", "New", "York", ""]
+    names = pool * 3
+    rng.shuffle(names)
+    n = len(names)
+    descriptions = {f"e{i}": " ".join(rng.choice(pool + ["City", "town"])
+                                      for _ in range(rng.randint(0, 6))) for i in range(n)}
+    # one relation per (head, tail) pair, so every relation derangement is feasible
+    pairs = rng.sample([(h, t) for h in range(n) for t in range(n)], 60)
+    triples = [(f"e{h}", f"r{rng.randrange(3)}", f"e{t}") for h, t in pairs]
+    return make_kg([(f"e{i}", name) for i, name in enumerate(names)],
+                   [(f"r{i}", f"rel{i}") for i in range(3)], train=triples[:36],
+                   valid=triples[36:48], test=triples[48:], descriptions=descriptions)
