@@ -10,12 +10,13 @@ graph.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .kg import SPLITS, KnowledgeGraph
+from .kg import _BLOCK_ROWS, SPLITS, KnowledgeGraph
 
 BUCKETS = ("1", "2", "3", "4", "5", "Over")
 COLUMNS = ("train", "valid", "test", "total")
@@ -58,16 +59,25 @@ def relation_distribution(kg: KnowledgeGraph) -> RelationCountTable:
 
     An entity counts as carrying a relation when it appears on either side of
     a triple with it; percentages are over the entities present in the split.
+
+    Each split's distinct (entity, relation) keys are taken ``_BLOCK_ROWS``
+    rows at a time and merged (``_distinct``), and the total's from the
+    splits', so what the call holds grows with the distinct pairs, not with
+    the triples.
     """
-    scopes = dict(kg.split_rows)
-    scopes["total"] = np.concatenate(list(scopes.values()))
     n_relations = len(kg.relations)
+
+    def keys(rows: np.ndarray) -> Iterator[np.ndarray]:
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            h, r, t = rows[start:start + _BLOCK_ROWS].astype(np.int64).T
+            yield np.concatenate([h * n_relations + r, t * n_relations + r])
+
+    scopes = {split: _distinct(keys(rows)) for split, rows in kg.split_rows.items()}
+    scopes["total"] = _distinct(scopes.values())
     percentages: dict[str, dict[str, float]] = {}
-    for column, rows in scopes.items():
-        h, r, t = rows.astype(np.int64).T
-        # distinct (entity, relation) keys, then each entity's count of them
-        keys = np.unique(np.concatenate([h * n_relations + r, t * n_relations + r]))
-        carried = np.bincount(keys // n_relations)
+    for column, distinct in scopes.items():
+        # each entity's count of distinct (entity, relation) keys
+        carried = np.bincount(distinct // n_relations)
         # an entity with k relations falls in bucket k - 1, "Over" beyond 5
         counts = np.bincount(np.minimum(carried[carried > 0], 6) - 1, minlength=len(BUCKETS))
         denom = int(counts.sum())
@@ -76,6 +86,26 @@ def relation_distribution(kg: KnowledgeGraph) -> RelationCountTable:
             for bucket, count in zip(BUCKETS, counts)
         }
     return RelationCountTable(percentages=percentages)
+
+
+def _distinct(chunks: Iterable[np.ndarray]) -> np.ndarray:
+    """The sorted distinct int64 values of all ``chunks``.
+
+    Each chunk's distinct values wait until they outnumber those merged so
+    far, then all are merged, so at most about twice the distinct values,
+    plus a chunk, are held at once, and each value is sorted a logarithmic
+    number of times.
+    """
+    merged = np.empty(0, dtype=np.int64)
+    waiting: list[np.ndarray] = []
+    size = 0
+    for chunk in chunks:
+        waiting.append(np.unique(chunk))
+        size += len(waiting[-1])
+        if size >= len(merged):
+            merged = np.unique(np.concatenate([merged, *waiting]))
+            waiting, size = [], 0
+    return np.unique(np.concatenate([merged, *waiting]))
 
 
 def description_leakage(kg: KnowledgeGraph) -> LeakageTable:

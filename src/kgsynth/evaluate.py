@@ -9,6 +9,10 @@ before ranking. Both choices are stamped into every MetricsReport.
 Every report ranks through ``rank_split``, which hands each query's gold
 row and filtered rivals to a ranker's own counting rule. ``rank_gold``, over
 one scores table per query, stays as the test oracle of ``rank_queries``.
+
+Memory contract: ``filter_rows``, the one pass over every split, reads the
+splits ``_BLOCK_ROWS`` rows at a time, so beyond the answers it returns it
+allocates one block and two flags per entity.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .kg import SPLITS, KnowledgeGraph, read_rows
+from .kg import _BLOCK_ROWS, KnowledgeGraph, read_rows
 
 HITS_KS = (1, 3, 10)
 
@@ -144,22 +148,39 @@ def filter_rows(kg: KnowledgeGraph, queries: list[Query]) -> list[np.ndarray]:
     The row-space form of ``answer_index``, built from ``kg.split_rows``
     and covering only the keys these queries use. The gold is among its
     own query's answers whenever the query comes from a split triple.
+
+    Each split is matched ``_BLOCK_ROWS`` rows at a time against the sorted
+    distinct query keys, so beyond the answers it returns the call holds one
+    block's keys and two flags per entity, never an array over every fact.
     """
     n_entities, n_relations = len(kg.entities), len(kg.relations)
-    # key = (known entity * |R| + relation) * 2 + (0 for tail, 1 for head)
-    h, r, t = np.concatenate([kg.split_rows[name] for name in SPLITS]).astype(np.int64).T
-    fact_keys = np.concatenate([(h * n_relations + r) * 2, (t * n_relations + r) * 2 + 1])
-    fact_answers = np.concatenate([t, h])
     entity_row, relation_row = kg.entity_row, kg.relation_row
+    # key = (known entity * |R| + relation) * 2 + (0 for tail, 1 for head)
     query_keys = np.array(
         [(entity_row[q.known[0]] * n_relations + relation_row[q.known[1]]) * 2
          + (q.direction == "head") for q in queries],
         dtype=np.int64,
     )
-    keep = np.isin(fact_keys, query_keys)
-    # sorted distinct (key, answer) pairs, so each key's answers are one slice
-    keys, answers = np.divmod(np.unique(fact_keys[keep] * n_entities + fact_answers[keep]),
-                              n_entities)
+    wanted = np.unique(query_keys)
+    # per direction, the entities some query knows: only their facts can match
+    known = np.zeros((2, n_entities), dtype=bool)
+    known[wanted % 2, wanted // 2 // n_relations] = True
+    found = [np.empty(0, dtype=np.int64)]
+    for rows in kg.split_rows.values():
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start:start + _BLOCK_ROWS]
+            # (known, answer) columns: (head, tail) for tail queries, then the reverse
+            for direction, (k, a) in enumerate(((0, 2), (2, 0))):
+                facts = block[known[direction, block[:, k]]]
+                # (key, answer) pairs, sorted so that the key search runs in order
+                pairs = np.sort(((facts[:, k].astype(np.int64) * n_relations + facts[:, 1]) * 2
+                                 + direction) * n_entities + facts[:, a])
+                keys = pairs // n_entities
+                at = np.minimum(np.searchsorted(wanted, keys), len(wanted) - 1)
+                found.append(pairs[wanted[at] == keys])
+    # every fact is one pair (the graph holds no repeated triple), so each
+    # key's answers are one slice of the sorted pairs
+    keys, answers = np.divmod(np.sort(np.concatenate(found)), n_entities)
     starts = np.searchsorted(keys, query_keys, side="left").tolist()
     ends = np.searchsorted(keys, query_keys, side="right").tolist()
     return [answers[a:b] for a, b in zip(starts, ends)]

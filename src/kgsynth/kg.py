@@ -39,6 +39,14 @@ every write; ``file_lines`` gives a breach on one row its file line. Ids and
 splits are checked once per graph structure, as its ``_Splits`` is built (a
 graph ``KnowledgeGraph.renamed`` derives shares its source's); names and
 descriptions at every ``validate``.
+
+Memory contract: row files are read ``_BLOCK_CHARS`` characters at a time,
+split files are formatted ``_BLOCK_ROWS`` rows at a time, and names, ids and
+descriptions are checked ``_CHECK_CELLS`` cells at a time, so none of these
+passes allocates more than one block beyond what it returns. Three passes
+over the triples still allocate over all of them: ``_read_split`` joins a
+split's blocks (the split's rows twice, for a moment), the repeat check
+sorts an int64 key per triple, and ``relation_pairs`` keys every triple.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, cycle, islice, repeat
-from operator import eq
+from operator import eq, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +84,8 @@ SPLITS = ("train", "valid", "test")
 # rows of a split turned into tuples or file bytes at once
 _BLOCK_CHARS = 1 << 16
 _BLOCK_ROWS = 1 << 14
+# names, ids or descriptions joined at once to look for a tab or newline
+_CHECK_CELLS = 1 << 10
 
 _UNKNOWN = ("unknown head entity", "unknown relation", "unknown tail entity")
 
@@ -251,8 +261,8 @@ class KnowledgeGraph:
         table and row if it has one. The ids and splits are checked once per graph
         structure, as ``_splits`` is built; the names and descriptions every time."""
         entity_row = self._splits.entity_row
-        _check_cells("entities", [name for _, name in self.entities], "name")
-        _check_cells("relations", [name for _, name in self.relations], "name")
+        _check_cells("entities", map(itemgetter(1), self.entities), "name")
+        _check_cells("relations", map(itemgetter(1), self.relations), "name")
         if self.descriptions.keys() != entity_row.keys():
             extra = sorted(self.descriptions.keys() - entity_row.keys())
             missing = sorted(entity_row.keys() - self.descriptions.keys())
@@ -260,7 +270,7 @@ class KnowledgeGraph:
                 f"descriptions out of sync with entities "
                 f"(unknown ids: {extra[:3]}, missing ids: {missing[:3]})"
             )
-        _check_cells("descriptions", list(self.descriptions.values()), "description")
+        _check_cells("descriptions", self.descriptions.values(), "description")
 
 
 class _Splits:
@@ -375,11 +385,19 @@ def _has_tab_or_newline(text: str) -> bool:
     return "\t" in text or "\n" in text or "\r" in text
 
 
-def _check_cells(table: str, cells: Sequence[str], what: str) -> None:
-    """A tab or newline in one of ``cells`` is an error at the first row that holds one."""
-    if _has_tab_or_newline("".join(cells)):
-        row = next(i for i, text in enumerate(cells) if _has_tab_or_newline(text))
-        raise ValidationError(f"{what} contains a tab or newline: {cells[row]!r}", table, row)
+def _check_cells(table: str, cells: Iterable[str], what: str) -> None:
+    """A tab or newline in one of ``cells`` is an error at the first row that holds one.
+
+    The cells are joined and searched ``_CHECK_CELLS`` at a time, so no copy
+    of them all is made."""
+    cells = iter(cells)
+    start = 0
+    while chunk := list(islice(cells, _CHECK_CELLS)):
+        if _has_tab_or_newline("".join(chunk)):
+            row = next(i for i, text in enumerate(chunk) if _has_tab_or_newline(text))
+            raise ValidationError(f"{what} contains a tab or newline: {chunk[row]!r}",
+                                  table, start + row)
+        start += len(chunk)
 
 
 def _index(ids: Sequence[str]) -> dict[str, int]:

@@ -7,6 +7,13 @@ ranking loss max(0, margin + d_pos - d_neg) with uniform negative sampling
 batch of (triple, negative) pairs, from their summed gradients. The model
 consumes ids only, never surface text, which is exactly what makes it a
 perturbation-invariance oracle for the transform suite.
+
+Memory contract: training's passes over the model allocate at most one block
+beyond what they return: rows are renormalized ``_NORM_ROWS`` at a time and
+finiteness is checked with two reductions. Each epoch of ``train`` still
+builds its (triple, negative) pair arrays whole, about 100 bytes per train
+triple. Ranking lays the entity vectors out once per call as a dim-major
+copy and scores ``_ENTITY_BLOCK`` columns at a time.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ _EPS = 1e-12
 NORMS = ("L1", "L2")
 # entity columns scored per step of rank_queries
 _ENTITY_BLOCK = 16384
+# rows of a vector table renormalized at once
+_NORM_ROWS = 1 << 10
 
 
 class DivergenceError(KgsynthError):
@@ -119,13 +128,26 @@ def init_model(kg: KnowledgeGraph, dim: int, seed: int, norm: str = "L1",
 
 
 def _normalize_rows(matrix: np.ndarray) -> None:
-    # Skip rows already unit-norm so renormalizing is a bit-exact no-op on an
-    # untouched model (zero learning rate must reproduce the init exactly).
-    norms = np.sqrt((matrix * matrix).sum(axis=1, keepdims=True))
-    np.maximum(norms, _EPS, out=norms)
-    rows = (np.abs(norms - 1.0) > 1e-12)[:, 0]
-    if rows.any():
-        matrix[rows] /= norms[rows]
+    """Scale each row of ``matrix`` to unit L2 norm in place, ``_NORM_ROWS`` rows at a time.
+
+    A row's norm depends on that row alone, so the blocks give the bits the
+    whole matrix at once would. Rows already unit-norm are skipped, so
+    renormalizing is a bit-exact no-op on an untouched model (zero learning
+    rate must reproduce the init exactly).
+    """
+    for start in range(0, len(matrix), _NORM_ROWS):
+        block = matrix[start:start + _NORM_ROWS]
+        norms = np.sqrt((block * block).sum(axis=1, keepdims=True))
+        np.maximum(norms, _EPS, out=norms)
+        rows = (np.abs(norms - 1.0) > 1e-12)[:, 0]
+        if rows.any():
+            block[rows] /= norms[rows]
+
+
+def _all_finite(matrix: np.ndarray) -> bool:
+    """Whether no value of ``matrix`` is NaN or infinite, without a flag per value:
+    NaN propagates through ``min`` and ``max``, and an infinity is one of them."""
+    return bool(np.isfinite(matrix.min()) and np.isfinite(matrix.max()))
 
 
 def score_triple(model: EmbeddingModel, h: str, r: str, t: str) -> float:
@@ -201,7 +223,7 @@ def train(kg: KnowledgeGraph, config: TrainConfig = TrainConfig()) -> EmbeddingM
             for start in range(0, len(pairs), config.batch_size):
                 _step(entities, relations, pairs[start:start + config.batch_size], config)
             _normalize_rows(entities)
-            if not (np.isfinite(entities).all() and np.isfinite(relations).all()):
+            if not (_all_finite(entities) and _all_finite(relations)):
                 raise DivergenceError(f"non-finite embeddings after epoch {epoch + 1}")
     return model
 

@@ -1,0 +1,247 @@
+"""Passes over the triples or the model allocate at most a block beyond what
+they return: memory tests that compare two inputs over the same tables, and
+equivalence tests that pin the block-wise passes to their one-shot forms."""
+
+import gc
+import random
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from kgsynth import analysis, evaluate, kg as kgmod, transe
+from kgsynth.analysis import relation_distribution
+from kgsynth.errors import ValidationError
+from kgsynth.evaluate import Query, filter_rows, split_queries
+from kgsynth.kg import KnowledgeGraph, load_dataset, write_rows
+from kgsynth.transe import TrainConfig, evaluate_model, init_model, train
+
+from conftest import random_kg
+
+N_ENTITIES, N_RELATIONS = 1000, 8
+
+
+def write_graph(root, n_train, triples, n_entities=N_ENTITIES, description=None):
+    """A dataset over ``n_entities`` entities and N_RELATIONS relations: the
+    first ``n_train`` of ``triples[100:]`` as train, then 50 valid and 50 test
+    triples (``triples[:100]``) shared by every size."""
+    root.mkdir()
+    write_rows(root / "entities.tsv", ((f"e{i}", f"entity {i}") for i in range(n_entities)))
+    write_rows(root / "relations.tsv", ((f"r{i}", f"relation {i}") for i in range(N_RELATIONS)))
+    write_rows(root / "descriptions.tsv",
+               ((f"e{i}", description(i) if description else f"entity {i}")
+                for i in range(n_entities)))
+    write_rows(root / "train.tsv", triples[100:100 + n_train])
+    write_rows(root / "valid.tsv", triples[:50])
+    write_rows(root / "test.tsv", triples[50:100])
+    return root
+
+
+@pytest.fixture(scope="module")
+def triples():
+    """100,100 distinct triples over the first N_ENTITIES entities, in random order."""
+    keys = np.random.default_rng(11).choice(N_ENTITIES * N_RELATIONS * N_ENTITIES, 100_100,
+                                            replace=False)
+    h, r, t = np.unravel_index(keys, (N_ENTITIES, N_RELATIONS, N_ENTITIES))
+    return [(f"e{a}", f"r{b}", f"e{c}") for a, b, c in zip(h.tolist(), r.tolist(), t.tolist())]
+
+
+def transient(fn):
+    """tracemalloc's peak minus what is still held when ``fn`` returns (its result included)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - held
+
+
+@pytest.fixture(scope="module")
+def graphs(tmp_path_factory, triples):
+    """40,000 and 100,000 train triples over the same tables, so both fill
+    several whole blocks of rows; the test queries are the same for both."""
+    root = tmp_path_factory.mktemp("graphs")
+    return {n: load_dataset(write_graph(root / str(n), n, triples)) for n in (40_000, 100_000)}
+
+
+@pytest.mark.parametrize("name", ["evaluate_model", "relation_distribution"])
+def test_transient_does_not_grow_with_triples(graphs, name, monkeypatch):
+    # What a pass over the splits allocates beyond its result must not grow
+    # with the triples; the answers evaluate_model filters are nearly the
+    # same for both sizes.
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
+    (small, small_kg), (large, large_kg) = graphs.items()
+    model = init_model(small_kg, 4, 0)  # the same ids, so one model serves both
+    run = {"evaluate_model": lambda kg: evaluate_model(model, kg),
+           "relation_distribution": relation_distribution}[name]
+    for kg in (small_kg, large_kg):  # warm what the first calls cache per graph
+        run(kg)
+    per_triple = (transient(lambda: run(large_kg))
+                  - transient(lambda: run(small_kg))) / (large - small)
+    assert per_triple <= 8, per_triple
+
+
+def test_load_transient_does_not_grow_with_description_characters(tmp_path, triples):
+    # The same 8,000 entities and triples, descriptions of 50 and 550
+    # characters: loading and validating them allocates at most a chunk of
+    # descriptions beyond the graph it returns, never a copy of them all.
+    n_entities, short, long = 8000, 50, 550
+    roots = {length: write_graph(tmp_path / str(length), 2000, triples, n_entities,
+                                 lambda i, length=length: (f"d{i} " * length)[:length])
+             for length in (short, long)}
+    load_dataset(roots[short])  # warm the first call's caches
+    per_char = (transient(lambda: load_dataset(roots[long]))
+                - transient(lambda: load_dataset(roots[short]))) / (n_entities * (long - short))
+    assert per_char <= 0.5, per_char
+
+
+def test_training_transient_does_not_grow_with_the_model(tmp_path, triples):
+    # The same 2,000 train triples over 2,000 and 20,000 entities: one epoch
+    # allocates its pair arrays and a block of rows to renormalize beyond the
+    # model it returns, never a table the model's size.
+    small, large, dim = 2000, 20_000, 8
+    graphs = {n: load_dataset(write_graph(tmp_path / str(n), 2000, triples, n))
+              for n in (small, large)}
+    config = TrainConfig(dim=dim, epochs=1)
+    train(graphs[small], config)  # warm the first call's caches
+    per_value = (transient(lambda: train(graphs[large], config))
+                 - transient(lambda: train(graphs[small], config))) / ((large - small) * dim)
+    assert per_value <= 1, per_value
+
+
+def reference_filter_rows(kg, queries):
+    """Each query's answers from ``answer_index``, as sorted entity rows."""
+    return [np.array(sorted(kg.entity_row[e]
+                            for e in kg.answer_index.get((q.direction, *q.known), ())),
+                        dtype=np.int64)
+            for q in queries]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+def test_filter_rows_matches_the_answer_index(monkeypatch, block):
+    monkeypatch.setattr(evaluate, "_BLOCK_ROWS", block)
+    rng = random.Random(block)
+    seen = {"across splits": 0, "across blocks": 0, "gold only": 0, "none": 0}
+    for trial in range(40):
+        n_entities, n_relations = rng.randint(4, 10), rng.randint(1, 3)
+        # room for every triple asked for, so no split comes out short
+        n_train = rng.randint(1, min(30, n_entities * n_entities * n_relations - 12))
+        kg = random_kg(rng, n_entities, n_relations, n_train,
+                       n_valid=0 if trial % 4 == 0 else rng.randint(1, 6), n_test=rng.randint(1, 6))
+        queries = split_queries(kg, "test") + split_queries(kg, "train")
+        # queries over every (entity, relation) key, most with no fact
+        queries += [Query(known=(e, r), direction=d, gold=e)
+                    for e in kg.entity_ids for r in kg.relation_ids for d in ("tail", "head")]
+        rng.shuffle(queries)
+        got, want = filter_rows(kg, queries), reference_filter_rows(kg, queries)
+        assert len(got) == len(want)
+        for answers, expected in zip(got, want):
+            assert answers.dtype == np.int64
+            np.testing.assert_array_equal(answers, expected)
+        # count the cases the blocks must get right
+        for q, expected in zip(queries, want):
+            seen["none"] += not len(expected)
+            seen["gold only"] += expected.tolist() == [kg.entity_row[q.gold]]
+        for column in (0, 2):  # known heads, then known tails
+            places = {}
+            for split, rows in kg.split_rows.items():
+                for i, (e, r) in enumerate(rows[:, [column, 1]].tolist()):
+                    places.setdefault((e, r), set()).add((split, i // block))
+            seen["across splits"] += sum(len({s for s, _ in p}) > 1 for p in places.values())
+            seen["across blocks"] += sum(len(p) > 1 for p in places.values())
+    assert all(seen.values()), seen
+
+
+def reference_check_cells(table, cells, what):
+    """The one-shot check: every cell joined, then the first bad row named."""
+    has = kgmod._has_tab_or_newline
+    if has("".join(cells)):
+        row = next(i for i, text in enumerate(cells) if has(text))
+        raise ValidationError(f"{what} contains a tab or newline: {cells[row]!r}", table, row)
+
+
+def raised(check, *args):
+    with pytest.raises(ValidationError) as info:
+        check(*args)
+    return str(info.value), info.value.table, info.value.row
+
+
+def test_check_cells_names_the_first_bad_row_at_chunk_boundaries():
+    chunk = kgmod._CHECK_CELLS
+    n = 2 * chunk + 3
+    for at in (0, chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk, n - 1):
+        for char in ("\t", "\n", "\r"):
+            cells = [f"cell {i}" for i in range(n)]
+            cells[at] = f"bad{char}cell {at}"
+            if at + 1 < n:  # a later bad cell must not be the one named
+                cells[at + 1] = "also\tbad"
+            args = ("descriptions", cells, "description")
+            assert raised(kgmod._check_cells, *args) == raised(reference_check_cells, *args)
+            kgmod._check_cells("descriptions", cells[:at], "description")  # clean before it
+
+
+def test_validate_names_a_bad_description_after_a_chunk_boundary():
+    n = kgmod._CHECK_CELLS + 2
+    entities = tuple((f"e{i}", f"entity {i}") for i in range(n))
+    descriptions = {f"e{i}": "" for i in range(n)}
+    descriptions[f"e{n - 1}"] = "two\nlines"
+    kg = KnowledgeGraph(entities, (("r", "r"),), (("e0", "r", "e1"),), (), (), descriptions)
+    assert raised(kg.validate) == (
+        "descriptions: description contains a tab or newline: 'two\\nlines'",
+        "descriptions", n - 1)
+
+
+def reference_normalize_rows(matrix):
+    """The one-shot renormalization over the whole matrix."""
+    norms = np.sqrt((matrix * matrix).sum(axis=1, keepdims=True))
+    np.maximum(norms, transe._EPS, out=norms)
+    rows = (np.abs(norms - 1.0) > 1e-12)[:, 0]
+    if rows.any():
+        matrix[rows] /= norms[rows]
+
+
+@pytest.mark.parametrize("dim", [1, 7, 50, 200])
+def test_blockwise_normalize_rows_is_bit_identical_to_one_shot(dim):
+    rng = np.random.default_rng(dim)
+    n = 3 * transe._NORM_ROWS + 7
+    matrix = rng.uniform(-3, 3, size=(n, dim))
+    kind = rng.choice(4, size=n, p=[0.6, 0.3, 0.05, 0.05])
+    unit_rows = matrix[kind == 1]
+    reference_normalize_rows(unit_rows)
+    matrix[kind == 1] = unit_rows  # rows already unit-norm, to be left as they are
+    matrix[kind == 2] = 0.0
+    matrix[kind == 3] *= 1e-300
+    expected = matrix.copy()
+    for _ in range(2):  # the second pass skips the rows the first made unit-norm
+        reference_normalize_rows(expected)
+        transe._normalize_rows(matrix)
+        assert matrix.tobytes() == expected.tobytes()
+    assert matrix[kind == 1].tobytes() == unit_rows.tobytes()
+
+
+def test_all_finite_agrees_with_isfinite():
+    rng = np.random.default_rng(4)
+    for value in (np.nan, np.inf, -np.inf, 1e308, -0.0):
+        matrix = rng.uniform(-1, 1, size=(9, 3))
+        assert transe._all_finite(matrix)
+        matrix[rng.integers(9), rng.integers(3)] = value
+        assert transe._all_finite(matrix) == bool(np.isfinite(matrix).all())
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_relation_distribution_is_the_same_block_by_block(monkeypatch, block):
+    rng = random.Random(block)
+    graphs = [random_kg(rng, n_entities=rng.randint(3, 12), n_relations=rng.randint(1, 4),
+                        n_train=rng.randint(1, 40), n_valid=rng.randint(0, 5),
+                        n_test=rng.randint(0, 5)) for _ in range(30)]
+    expected = [relation_distribution(kg).to_text() for kg in graphs]
+    monkeypatch.setattr(analysis, "_BLOCK_ROWS", block)
+    assert [relation_distribution(kg).to_text() for kg in graphs] == expected
+    for _ in range(30):
+        chunks = [np.array([rng.randrange(20) for _ in range(rng.randint(0, 6))], dtype=np.int64)
+                  for _ in range(rng.randint(0, 8))]
+        want = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *chunks]))
+        np.testing.assert_array_equal(analysis._distinct(chunks), want)
