@@ -215,7 +215,7 @@ def train_baseline(input_dir: str, output_dir: str, dim: int, margin: float, nor
     transe.save_model(model, out)
     if eval_split != "none":
         report = transe.evaluate_model(model, graph, split=eval_split)
-        (out / "metrics.tsv").write_text(report.to_text(), encoding="utf-8")
+        (out / "metrics.tsv").write_text(report.to_text(), encoding="utf-8", newline="")
         click.echo(report.to_text(), nl=False)
     click.echo(f"checkpoint written to {out}")
 

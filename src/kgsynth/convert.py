@@ -12,18 +12,19 @@ Two source layouts are understood:
   relations are restricted to those appearing in the triples, in first
   appearance order, since the alias files cover a superset.
 
-Conversion reads every source file into a ``KnowledgeGraph`` and writes it
-with ``kg.write_dataset``, whose ``validate`` (the loader's checker) runs
-before the output directory is created, so a rejected source leaves no
-partial dataset behind. A triple with an id that has no text entry (kgbert)
-or that is listed twice, in one split or in two, is reported with the
-loader's message at its source file and line; so is a bad wikidata5m entity
-or relation id, at the first split line that holds it. A text line without a
-tab or with a repeated id is rejected too. Text and alias lines may end in
-LF or CRLF; tabs and other CRs inside source text are replaced by spaces to
-fit the strict TSV cell rules.
-``descriptions.tsv`` holds one row per entity, in entity order, as in every
-written dataset.
+Conversion reads the text files into (id, name) tables and description rows
+and builds the graph with ``kg.read_graph``, as loading does, so split files
+are parsed straight into int32 rows (a Wikidata5m dump's are read once more
+before, for their ids in first-use order). ``read_graph`` validates the graph
+before ``kg.write_dataset`` creates the output directory, so a rejected
+source leaves no partial dataset behind. A triple with an id that has no text
+entry (kgbert) or that is listed twice, in one split or in two, is reported
+with the loader's message at its source file and line; so is a bad wikidata5m
+entity or relation id, at the first split line that uses it. A text line
+without a tab or with a repeated id is rejected too. Text and alias lines may
+end in LF or CRLF; tabs and other CRs inside source text are replaced by
+spaces to fit the strict TSV cell rules. ``descriptions.tsv`` holds one row
+per entity, in entity order, as in every written dataset.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import LoadError, ValidationError
-from .kg import (SPLITS, DatasetStats, KnowledgeGraph, compute_stats, file_lines, read_splits,
-                 write_dataset)
+from .kg import DatasetStats, compute_stats, first_use, read_graph, split_ids, write_dataset
 
 FORMATS = ("kgbert", "wikidata5m")
 
@@ -81,25 +81,21 @@ def convert_kgbert(
     long_path = src / "entity2textlong.txt"
     long_text = _read_text_map(long_path) if long_path.is_file() else {}
 
-    entities, descriptions = [], {}
+    entities, descriptions = [], []
     for eid, text in entity_text.items():
         name, gloss = text.split(", ", 1) if gloss_split and ", " in text else (text, "")
         entities.append((eid, _clean(name)))
-        descriptions[eid] = _clean(long_text.get(eid, gloss))
+        descriptions.append((eid, _clean(long_text.get(eid, gloss))))
 
     split_files = {
         "train": _find_file(src, ["train.tsv", "train.txt"]),
         "valid": _find_file(src, ["valid.tsv", "dev.tsv", "valid.txt", "dev.txt"]),
         "test": _find_file(src, ["test.tsv", "test.txt"]),
     }
-    kg = KnowledgeGraph(
-        entities=tuple(entities),
-        relations=tuple((rid, _clean(text)) for rid, text in relation_text.items()),
-        descriptions=descriptions,
-        **read_splits(split_files),
-    )
-    with file_lines(split_files):
-        write_dataset(kg, output_dir)
+    kg = read_graph(tuple(entities),
+                    tuple((rid, _clean(text)) for rid, text in relation_text.items()),
+                    descriptions, split_files)
+    write_dataset(kg, output_dir)
     return compute_stats(kg)
 
 
@@ -112,35 +108,26 @@ def convert_wikidata5m(input_dir: str | Path, output_dir: str | Path) -> Dataset
         "valid": _find_file(src, ["wikidata5m_transductive_valid.txt", "valid.txt"]),
         "test": _find_file(src, ["wikidata5m_transductive_test.txt", "test.txt"]),
     }
-    splits = read_splits(split_files)
-    entity_ids = dict.fromkeys(e for triples in splits.values()
-                               for h, _, t in triples for e in (h, t))
-    relation_ids = dict.fromkeys(r for triples in splits.values() for _, r, _ in triples)
+    entity_ids, relation_ids = split_ids(split_files)
 
     entity_alias = _read_first_alias(_find_file(src, ["wikidata5m_entity.txt"]))
     relation_alias = _read_first_alias(_find_file(src, ["wikidata5m_relation.txt"]))
     text_path = src / "wikidata5m_text.txt"
     texts = _read_text_map(text_path) if text_path.is_file() else {}
 
-    kg = KnowledgeGraph(
-        entities=tuple((eid, _clean(entity_alias.get(eid, eid))) for eid in entity_ids),
-        relations=tuple((rid, _clean(relation_alias.get(rid, rid))) for rid in relation_ids),
-        descriptions={eid: _clean(texts.get(eid, "")) for eid in entity_ids},
-        **splits,
-    )
-    with file_lines(split_files):
-        try:
-            write_dataset(kg, output_dir)
-        except ValidationError as exc:
-            if exc.table not in ("entities", "relations"):
-                raise
-            # the tables list ids in order of first use: name the split row that first uses it
-            key = getattr(kg, exc.table)[exc.row][0]
-            cells = (0, 2) if exc.table == "entities" else (1,)
-            split, row = next((split, row) for split in SPLITS
-                              for row, triple in enumerate(kg.split(split))
-                              if any(triple[cell] == key for cell in cells))
-            raise ValidationError(exc.detail, split, row) from exc
+    try:
+        kg = read_graph(
+            tuple((eid, _clean(entity_alias.get(eid, eid))) for eid in entity_ids),
+            tuple((rid, _clean(relation_alias.get(rid, rid))) for rid in relation_ids),
+            [(eid, _clean(texts.get(eid, ""))) for eid in entity_ids],
+            split_files)
+    except ValidationError as exc:
+        if exc.table not in ("entities", "relations"):
+            raise
+        # the tables list ids in order of first use: name the split line that first uses it
+        key = (entity_ids if exc.table == "entities" else relation_ids)[exc.row]
+        raise ValidationError(exc.at(first_use(split_files, exc.table, key), None)) from exc
+    write_dataset(kg, output_dir)
     return compute_stats(kg)
 
 

@@ -226,15 +226,10 @@ def rank_split(
             ranks[i] = rank_of(queries[i], gold, answers[i][answers[i] != gold])
 
     starts = range(0, len(queries), QUERY_CHUNK)
-    workers = min(_usable_cpus(), len(starts))
-    if workers <= 1:
-        for start in starts:
-            rank_chunk(start)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            # reading every result re-raises the first failure
-            for _ in pool.map(rank_chunk, starts):
-                pass
+    with ThreadPoolExecutor(max(1, min(_usable_cpus(), len(starts)))) as pool:
+        # reading every result re-raises the first failure
+        for _ in pool.map(rank_chunk, starts):
+            pass
     return [RankingRecord(query=query, gold_rank=rank) for query, rank in zip(queries, ranks)]
 
 

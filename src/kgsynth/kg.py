@@ -7,7 +7,7 @@ UTF-8, one LF-terminated row per line, cells joined by tabs. Readers skip
 blank lines and reject a row with the wrong number of cells as
 ``<file>:<line>: expected N tab-separated fields``. Every reader parses
 through ``_row_blocks``, which splits whole blocks of lines into cells in C;
-``read_rows`` yields its rows one at a time, and ``load_dataset`` maps a
+``read_rows`` yields its rows one at a time, and ``read_graph`` maps a
 split's cells to rows as they are read.
 
 A dataset directory holds six such files:
@@ -27,12 +27,12 @@ makes runs reproducible.
 
 A graph holds each split as int32 ``(n, 3)`` rows of (head, relation, tail)
 into ``entity_ids`` and ``relation_ids`` (``split_rows``), 12 bytes a
-triple. ``load_dataset`` parses each split file straight into rows, and its
-graph's ``train``, ``valid``, ``test`` and ``all_triples`` are ``Triples``:
-read-only sequences that build each ``(h, r, t)`` id tuple on demand from
-the rows and the id tables, and compare equal to the tuple of the same
-triples. A graph built from tuples keeps them and builds its rows on first
-use; split files are written from the rows.
+triple. ``read_graph``, which ``load_dataset`` and both converters build
+through, parses each split file straight into rows; its graph's ``train``,
+``valid``, ``test`` and ``all_triples`` are ``Triples``: read-only sequences
+that build each ``(h, r, t)`` id tuple on demand and compare equal to the
+tuple of the same triples. A graph built from tuples keeps them and builds
+its rows on first use; split files are written from the rows.
 
 ``KnowledgeGraph.validate`` holds these rules for loading, conversion and
 every write; ``file_lines`` gives a breach on one row its file line. Ids and
@@ -43,10 +43,11 @@ descriptions at every ``validate``.
 Memory contract: row files are read ``_BLOCK_CHARS`` characters at a time,
 split files are formatted ``_BLOCK_ROWS`` rows at a time, and names, ids and
 descriptions are checked ``_CHECK_CELLS`` cells at a time, so none of these
-passes allocates more than one block beyond what it returns. Three passes
-over the triples still allocate over all of them: ``_read_split`` joins a
-split's blocks (the split's rows twice, for a moment), the repeat check
-sorts an int64 key per triple, and ``relation_pairs`` keys every triple.
+passes allocates more than one block beyond what it returns; no reader
+builds a tuple per triple, but to name an unknown id. Three passes over the
+triples still allocate over all of them: ``_read_split`` joins a split's
+blocks (the split's rows twice, for a moment), the repeat check sorts one
+int64 key per triple in place, and ``relation_pairs`` keys every triple.
 """
 
 from __future__ import annotations
@@ -310,27 +311,25 @@ class _Splits:
     def _check_repeats(self) -> None:
         """A triple listed twice is an error at its second row, in split order."""
         n_entities, n_relations = len(self.entity_ids), len(self.relation_ids)
-        keys = np.concatenate([np.empty(0, dtype=np.int64)] + [
-            (block[:, 0].astype(np.int64) * n_relations + block[:, 1]) * n_entities + block[:, 2]
-            for block in self.rows.values()])
-        ordered = np.sort(keys)
-        if not (ordered[1:] == ordered[:-1]).any():
+        keys, at = np.empty(sum(map(len, self.rows.values())), dtype=np.int64), 0
+        for rows in self.rows.values():  # each split's keys in place, so no copy of them all
+            key = keys[at:at + len(rows)]
+            np.multiply(rows[:, 0], n_relations, out=key, dtype=np.int64)
+            key += rows[:, 1]
+            key *= n_entities
+            key += rows[:, 2]
+            at += len(rows)
+        keys.sort()
+        if not (keys[1:] == keys[:-1]).any():
             return
         # name the first triple, in split order, that its own split or an earlier one holds
-        distinct, first = np.unique(keys, return_index=True)  # first occurrences
-        repeated = np.ones(len(keys), dtype=bool)
-        repeated[first] = False
-        at = int(np.argmax(repeated))
-        earlier = int(first[np.searchsorted(distinct, keys[at])])
-        names = list(self.rows)
-        starts = np.cumsum([0] + [len(block) for block in self.rows.values()])
-        split, earlier_split = (names[int(np.searchsorted(starts, i, side="right")) - 1]
-                                for i in (at, earlier))
-        row = at - int(starts[names.index(split)])
-        h, r, t = self.rows[split][row].tolist()
-        triple = (self.entity_ids[h], self.relation_ids[r], self.entity_ids[t])
-        raise ValidationError(f"duplicate triple {triple!r}", split, row,
-                              None if earlier_split == split else earlier_split)
+        seen: dict[Triple, str] = {}
+        for split, rows in self.rows.items():
+            for row, triple in enumerate(Triples(rows, self.entity_ids, self.relation_ids)):
+                if triple in seen:
+                    raise ValidationError(f"duplicate triple {triple!r}", split, row,
+                                          None if seen[triple] == split else seen[triple])
+                seen[triple] = split
 
     @cached_property
     def relation_pairs(self) -> np.ndarray:
@@ -508,16 +507,6 @@ def _read_pairs(path: Path) -> tuple[tuple[str, str], ...]:
                                      for _, cells in _row_blocks(path, 2)))
 
 
-def read_splits(files: Mapping[str, Path]) -> dict[str, tuple[Triple, ...]]:
-    """Each split's triples in file order, read from ``files[split]``; ``validate`` checks them."""
-    return {split: _read_triples(path) for split, path in files.items()}
-
-
-def _read_triples(path: Path) -> tuple[Triple, ...]:
-    return tuple(chain.from_iterable(zip(cells[0::3], cells[1::3], cells[2::3])
-                                     for _, cells in _row_blocks(path, 3)))
-
-
 def _read_split(path: Path, ids: tuple[tuple[str, ...], tuple[str, ...]],
                 tables: tuple[dict[str, int], dict[str, int]]) -> Sequence[Triple]:
     """The split file at ``path`` as ``Triples`` over ``ids``, read straight into
@@ -525,8 +514,31 @@ def _read_split(path: Path, ids: tuple[tuple[str, ...], tuple[str, ...]],
     rows = np.concatenate([np.empty((0, 3), dtype=np.int32)] + [
         _lookup(tables, cells, len(linenos)) for linenos, cells in _row_blocks(path, 3)])
     if rows.size and rows.min() < 0:
-        return _read_triples(path)
+        return tuple(tuple(cells) for _, cells in read_rows(path, 3))
     return Triples(rows, *ids)
+
+
+def split_ids(split_files: Mapping[str, Path]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The entity ids, then the relation ids, of ``split_files[split]`` in
+    order of first use (a head before its tail), a block of lines at a time."""
+    entities, relations = {}, {}
+    for split in SPLITS:
+        for _, cells in _row_blocks(split_files[split], 3):
+            relations.update(dict.fromkeys(cells[1::3]))
+            del cells[1::3]
+            entities.update(dict.fromkeys(cells))
+    return tuple(entities), tuple(relations)
+
+
+def first_use(split_files: Mapping[str, Path], table: str, key: str) -> str:
+    """The ``<file>:<line>`` of the first triple in ``split_files[split]``
+    that uses ``key`` as an id of ``table`` (``entities`` or ``relations``)."""
+    columns = (0, 2) if table == "entities" else (1,)
+    for split in SPLITS:
+        for lineno, cells in read_rows(split_files[split], 3):
+            if any(cells[column] == key for column in columns):
+                return f"{split_files[split].name}:{lineno}"
+    raise ValueError(f"no split file uses {key!r}")
 
 
 @contextmanager
@@ -546,13 +558,38 @@ def file_lines(files: Mapping[str, Path]) -> Iterator[None]:
         raise ValidationError(exc.at(f"{path.name}:{lineno}", earlier)) from exc
 
 
-def load_dataset(directory: str | os.PathLike) -> KnowledgeGraph:
-    """Load and validate a dataset directory.
+def read_graph(entities: tuple[tuple[str, str], ...], relations: tuple[tuple[str, str], ...],
+               description_rows: Sequence[tuple[str, str]],
+               files: Mapping[str, Path]) -> KnowledgeGraph:
+    """The validated graph of the (id, name) tables, the (entity id,
+    description) rows (an entity they omit gets an empty one) and the split
+    files ``files[split]``, parsed straight into int32 rows; a breach on a row
+    of a table read from ``files[table]`` names its file line."""
+    ids = tuple(eid for eid, _ in entities), tuple(rid for rid, _ in relations)
+    tables = entity_row, _ = _index(ids[0]), _index(ids[1])
+    descriptions = dict(description_rows)  # row order, so a description's row is its position
+    with file_lines(files):
+        if len(descriptions) != len(description_rows) or descriptions.keys() - entity_row.keys():
+            described: set[str] = set()  # name the first unknown or repeated entity
+            for row, (eid, _) in enumerate(description_rows):
+                if eid not in entity_row or eid in described:
+                    what = "unknown" if eid not in entity_row else "duplicate"
+                    raise ValidationError(f"{what} entity {eid!r}", "descriptions", row)
+                described.add(eid)
+        if len(descriptions) != len(entity_row):
+            descriptions.update((eid, "") for eid in ids[0] if eid not in descriptions)
+        kg = KnowledgeGraph(entities, relations, descriptions=descriptions, **{
+            split: _read_split(files[split], ids, tables) for split in SPLITS})
+        kg.__dict__["_splits"] = _Splits(kg, tables)  # stored as cached_property stores it
+        kg.validate()
+    return kg
 
-    Each split file is parsed a block of lines at a time straight into int32
-    rows, so no tuple per triple is built. Raises LoadError when a file is
-    missing, ValidationError (with a line number where possible) when the
-    contents are malformed.
+
+def load_dataset(directory: str | os.PathLike) -> KnowledgeGraph:
+    """Load and validate a dataset directory through ``read_graph``.
+
+    Raises LoadError when a file is missing, ValidationError (with a line
+    number where possible) when the contents are malformed.
     """
     root = Path(directory)
     for name in DATASET_FILES:
@@ -563,29 +600,9 @@ def load_dataset(directory: str | os.PathLike) -> KnowledgeGraph:
 
     files = {table: root / f"{table}.tsv"
              for table in ("entities", "relations", "descriptions", *SPLITS)}
-    entities = _read_pairs(files["entities"])
-    relations = _read_pairs(files["relations"])
     rows = _read_pairs(files["descriptions"]) if files["descriptions"].is_file() else ()
-    descriptions = dict(rows)  # file order, so a description's row is its file row
-    ids = tuple(eid for eid, _ in entities), tuple(rid for rid, _ in relations)
-    tables = _index(ids[0]), _index(ids[1])
-    entity_row = tables[0]
-
-    with file_lines(files):
-        if len(descriptions) != len(rows) or not descriptions.keys() <= entity_row.keys():
-            described: set[str] = set()  # name the first unknown or repeated entity
-            for row, (eid, _) in enumerate(rows):
-                if eid not in entity_row or eid in described:
-                    what = "unknown" if eid not in entity_row else "duplicate"
-                    raise ValidationError(f"{what} entity {eid!r}", "descriptions", row)
-                described.add(eid)
-        if len(descriptions) != len(entity_row):
-            descriptions.update((eid, "") for eid, _ in entities if eid not in descriptions)
-        kg = KnowledgeGraph(entities, relations, descriptions=descriptions, **{
-            split: _read_split(files[split], ids, tables) for split in SPLITS})
-        kg.__dict__["_splits"] = _Splits(kg, tables)  # stored as cached_property stores it
-        kg.validate()
-    return kg
+    return read_graph(_read_pairs(files["entities"]), _read_pairs(files["relations"]), rows,
+                      files)
 
 
 def write_dataset(kg: KnowledgeGraph, directory: str | os.PathLike) -> None:

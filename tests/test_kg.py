@@ -18,7 +18,6 @@ from kgsynth.kg import (
     file_lines,
     load_dataset,
     read_rows,
-    read_splits,
     stream_stats,
     write_dataset,
     write_rows,
@@ -481,7 +480,6 @@ def reference_load(root):
         descriptions.update((eid, "") for eid, _ in entities if eid not in descriptions)
         splits = {split: tuple(tuple(cells) for _, cells in reference_read_rows(files[split], 3))
                   for split in ("train", "valid", "test")}
-        assert read_splits({split: files[split] for split in splits}) == splits
         kg = KnowledgeGraph(entities=entities, relations=relations, descriptions=descriptions,
                             **splits)
         kg.validate()
