@@ -13,7 +13,9 @@ beyond what they return: rows are renormalized ``_NORM_ROWS`` at a time and
 finiteness is checked with two reductions. Each epoch of ``train`` still
 builds its (triple, negative) pair arrays whole, about 100 bytes per train
 triple. Ranking lays the entity vectors out once per call as a dim-major
-copy and scores ``_ENTITY_BLOCK`` columns at a time.
+float32 copy and scores a query ``_ENTITY_BLOCK`` columns at a time; it
+holds the copy, a norm per entity and, per thread, a ``(dim, _ENTITY_BLOCK)``
+float32 buffer and |E| float32 distances.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .kg import KnowledgeGraph, float_cells, read_rows, write_rows
 _EPS = 1e-12
 NORMS = ("L1", "L2")
 # entity columns scored per step of rank_queries
-_ENTITY_BLOCK = 16384
+_ENTITY_BLOCK = 4096
 # rows of a vector table renormalized at once
 _NORM_ROWS = 1 << 10
 
@@ -147,7 +149,7 @@ def _normalize_rows(matrix: np.ndarray) -> None:
 def _all_finite(matrix: np.ndarray) -> bool:
     """Whether no value of ``matrix`` is NaN or infinite, without a flag per value:
     NaN propagates through ``min`` and ``max``, and an infinity is one of them."""
-    return bool(np.isfinite(matrix.min()) and np.isfinite(matrix.max()))
+    return bool(np.isfinite(matrix.min(initial=0.0)) and np.isfinite(matrix.max(initial=0.0)))
 
 
 def score_triple(model: EmbeddingModel, h: str, r: str, t: str) -> float:
@@ -307,117 +309,17 @@ def _row_map(model_ids: tuple[str, ...], model_row: dict[str, int],
     return np.array([model_row[i] for i in graph_ids], dtype=np.intp)
 
 
-def _column_terms(known: np.ndarray, rel: np.ndarray, direction: str, norm: str):
-    """``write(out, columns, lo, hi)``: the distance terms of dims ``lo:hi``, one column each.
-
-    ``columns`` is a dim-major ``(dim, C)`` block of candidate vectors and
-    ``out`` a ``(hi - lo, C)`` buffer. A term is ``|diff|`` (L1) or
-    ``diff * diff`` (L2) of the translation residual, computed as
-    ``_distance`` computes it: ``(known + rel) - column`` for a tail query and
-    ``(column + rel) - known`` for a head query.
-    """
-    known, rel = known[:, None], rel[:, None]
-    offset = known + rel
-
-    def write(out: np.ndarray, columns: np.ndarray, lo: int, hi: int) -> None:
-        if direction == "tail":
-            np.subtract(offset[lo:hi], columns[lo:hi], out=out)
-        else:
-            np.add(columns[lo:hi], rel[lo:hi], out=out)
-            np.subtract(out, known[lo:hi], out=out)
-        if norm == "L1":
-            np.abs(out, out=out)
-        else:
-            np.multiply(out, out, out=out)
-
-    return write
-
-
-def _pairwise_sum_into(total: np.ndarray, columns: np.ndarray, write, lo: int, hi: int,
-                       acc: np.ndarray, tmp: np.ndarray) -> None:
-    """Each column's terms over dims ``lo:hi``, added in numpy's pairwise order, into ``total``.
-
-    numpy sums a contiguous run of n < 8 values in sequence, from zero (terms
-    are never -0.0, so zero plus the first term is that term). Up to 128 values
-    it keeps eight accumulators ``r_j = x_j + x_(j+8) + ...`` over the first
-    ``n - n % 8``, combines them as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``
-    and adds the leftover values in order. Beyond 128 it adds the sums of two
-    halves, the first rounded down to a multiple of 8. Every step here is the
-    same IEEE addition over whole ``(8, C)`` rows of terms, so ``total`` is
-    bit-identical to ``sum(axis=1)`` over each candidate's row of terms.
-    ``acc`` and ``tmp`` are ``(8, C)`` scratch buffers.
-    """
-    n = hi - lo
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        _pairwise_sum_into(total, columns, write, lo, lo + half, acc, tmp)
-        rest = np.empty_like(total)
-        _pairwise_sum_into(rest, columns, write, lo + half, hi, acc, tmp)
-        np.add(total, rest, out=total)
-        return
-    whole = lo + n - n % 8
-    if whole > lo:
-        write(acc, columns, lo, lo + 8)
-        for start in range(lo + 8, whole, 8):
-            write(tmp, columns, start, start + 8)
-            np.add(acc, tmp, out=acc)
-        np.add(acc[0::2], acc[1::2], out=tmp[:4])
-        np.add(tmp[0:4:2], tmp[1:4:2], out=acc[:2])
-        np.add(acc[0], acc[1], out=total)
-    else:
-        total[:] = 0.0
-    if whole < hi:
-        leftover = tmp[:hi - whole]
-        write(leftover, columns, whole, hi)
-        for row in leftover:
-            np.add(total, row, out=total)
-
-
-def _distances_into(dists: np.ndarray, table: np.ndarray, known: np.ndarray, rel: np.ndarray,
-                    direction: str, norm: str, acc: np.ndarray, tmp: np.ndarray) -> None:
-    """Translation distance of every column of ``table`` as the query's unknown end.
-
-    ``table`` is dim-major, ``(dim, |E|)``; ``dists`` gets one distance per
-    column. The columns are scored C at a time, C being an eighth of the
-    length of the flat scratch buffers ``acc`` and ``tmp`` (``_scratch``),
-    and each distance is bit-identical to ``_distance`` of its residual (see
-    ``_pairwise_sum_into``).
-    """
-    write = _column_terms(known, rel, direction, norm)
-    dim, n = table.shape
-    block = len(acc) // 8
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        # contiguous (8, width) views, so numpy takes its fast path on a short last block
-        width = stop - start
-        _pairwise_sum_into(dists[start:stop], table[:, start:stop], write, 0, dim,
-                           acc[:8 * width].reshape(8, width), tmp[:8 * width].reshape(8, width))
-    if norm == "L2":
-        np.sqrt(dists, out=dists)
-
-
-def _scratch(n_entities: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two flat scratch buffers of ``_distances_into``: 8 rows of C columns each."""
-    size = 8 * min(_ENTITY_BLOCK, n_entities)
-    return np.empty(size), np.empty(size)
-
-
 def score_all(model: EmbeddingModel, known_id: str, relation_id: str,
               direction: str) -> dict[str, float]:
-    """score_triple against every entity at once, as a scores table.
-
-    Scored by the kernel of ``rank_queries``, and definitionally identical
-    to calling score_triple per candidate (the equivalence is covered by
-    tests).
-    """
+    """score_triple against every entity at once, as a scores table: ``_distance``
+    over the ``(|E|, dim)`` residuals (tests cover the equivalence)."""
     known = model.entity_vector(known_id)
     rel = model.relation_vector(relation_id)
     if direction not in ("tail", "head"):
         raise ValueError(f"direction must be 'tail' or 'head', got {direction!r}")
-    table = np.ascontiguousarray(model.entity_vectors.T)
-    dists = np.empty(table.shape[1])
-    _distances_into(dists, table, known, rel, direction, model.norm, *_scratch(len(dists)))
-    return dict(zip(model.entity_ids, np.negative(dists).tolist()))
+    vectors = model.entity_vectors
+    diff = known + rel - vectors if direction == "tail" else vectors + rel - known
+    return dict(zip(model.entity_ids, np.negative(_distance(diff, model.norm)).tolist()))
 
 
 def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
@@ -425,41 +327,127 @@ def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
     """Gold rank of every split query, in split order, through ``rank_split``.
 
     Equal, query by query, to ``rank_gold`` over ``score_all``: the same
-    distances and tie policy (``pessimistic_rank``), without building a
-    scores table per query. The model must cover exactly the graph's
-    entities and relations, in any order.
+    distances and tie policy (``pessimistic_rank``), without a scores table
+    per query. The model must cover exactly the graph's entities and
+    relations, in any order, and hold only finite values (ValidationError).
 
-    The entity vectors are laid out once per call as a dim-major ``(dim,
-    |E|)`` table in graph row order. Each thread scores a query over blocks
-    of ``_ENTITY_BLOCK`` columns, eight dims at a time, in two ``(8, C)``
-    buffers of its own. The distances keep numpy's own summation order for
-    a row of ``dim`` values, so they are bit-identical to ``_distance`` on
-    the ``(|E|, dim)`` residuals, and reports do not depend on the layout.
+    Filter and verify: a rank counts the entities whose exact distance D_j
+    is at most the gold's, D_g. Each call copies the entity vectors once
+    into a float32 dim-major table in graph row order. Each thread takes a
+    query's cheap distances d_j from it ``_ENTITY_BLOCK`` columns at a time
+    (one subtract, one abs or square, one ``sum(axis=0)``); for L2, d and D
+    are sums of squares before the root. If |d_j - D_j| <= eps for every
+    entity, d_j < lo = d_g - 2 eps surely counts and d_j > hi = d_g + 2 eps
+    surely does not. Only the band between, the gold and the rivals get
+    exact distances, from ``_distance`` on their float64 residual rows.
+
+    The bound. Let u = 2^-24 and v = 2^-53 (unit roundoffs), n = dim, k, r
+    and c the known, relation and candidate vectors, t the real residual
+    (tail: a - c with a = fl64(k + r), as ``_distance`` forms it; head: c +
+    r - k) and w_i = |k_i| + |r_i| + |c_i|. A float32 (float64) rounding
+    errs by at most u|x| + 2^-150 (v|x| + 2^-1074); a sum or difference
+    that underflows is exact.
+    - Cheap terms fl32(fl32(a) - fl32(c)), a head's a being fl64(k - r),
+      lie within (2u + u^2)(1 + v) w_i + v w_i + 2(1 + u) 2^-150 of t_i
+      (v w_i pays for a head's c - (k - r) in place of (c + r) - k).
+    - Exact terms lie within v(2 + v) w_i of t_i (one float64 rounding for
+      a tail, two for a head).
+    - Sums: n non-negative terms added in any order err by at most (n -
+      1)u / (1 - (n - 1)u) times their sum (Higham, Accuracy and Stability
+      of Numerical Algorithms, 2002, sec. 3.1), whatever order numpy picks.
+    For n <= 2^14 this gives |d - D| <= 1.001 (n + 1) u N + n 2^-148 for L1,
+    N = |k|_1 + |r|_1 + |c|_1, and, squares rounding as above, 1.002 (n +
+    4) u N^2 + n 2^-148 for L2, N = |k|_2 + |r|_2 + |c|_2 (so |w|_2 <= N and
+    sum w_i <= sqrt(n) N). eps puts this query's norms and the table's
+    largest in N, and 1.01 in place of 1.001 and 1.002 to cover the float64
+    rounding of norms and eps and L2 norms whose squares underflow. A
+    correctly rounded root keeps D_j <= D_g and keeps D_j > (1 + 2^-50) D_g
+    apart, so for L2 hi = (1 + 2^-50) d_g + (2 + 2^-50) eps. lo and hi are
+    rounded outward to float32 (a conversion and one ``nextafter``, at
+    least half a float32 step), which covers their float64 rounding and
+    compares alike under value-based and NEP 50 scalar casting.
+
+    No float32 value overflows while 4 (2 max|c| + max|r|)^p <= float32's
+    largest value (p = 1 for L1, 2 for L2). A model outside that range, or
+    with n > 2^14, verifies every entity.
     """
-    # the tables in graph row order, so every score lands on its kg row
-    table = np.take(model.entity_vectors.T,
-                    _row_map(model.entity_ids, model.entity_row, kg.entity_ids, "entities"),
-                    axis=1)
+    if not (_all_finite(model.entity_vectors) and _all_finite(model.relation_vectors)):
+        raise ValidationError("model holds non-finite vectors, so its ranks are undefined")
+    to_entity = _row_map(model.entity_ids, model.entity_row, kg.entity_ids, "entities")
+    # the relation table in graph row order, so every query's row lands on it
     relations = model.relation_vectors[
         _row_map(model.relation_ids, model.relation_row, kg.relation_ids, "relations")]
-    entity_row, relation_row = kg.entity_row, kg.relation_row
-    n_entities = table.shape[1]
+    entities, norm, dim = model.entity_vectors, model.norm, model.dim
+    n_entities = len(to_entity)
+    block = min(_ENTITY_BLOCK, n_entities) or 1
+    power = 1 if norm == "L1" else 2
+    # the float32 table in graph row order, a block of rows at a time, and each entity's norm
+    table = np.empty((dim, n_entities), dtype=np.float32)
+    sizes = np.empty(n_entities)
+    # a model beyond float32's range overflows here; it then verifies every entity
+    with np.errstate(over="ignore"):
+        for start in range(0, n_entities, block):
+            rows = entities[to_entity[start:start + block]]
+            table[:, start:start + block] = rows.T
+            sizes[start:start + block] = _distance(rows, norm)
+        relation_sizes = _distance(relations, norm)
+        filtering = dim <= 1 << 14 and (
+            4 * (2 * sizes.max(initial=0.0) + relation_sizes.max(initial=0.0)) ** power
+            <= np.finfo(np.float32).max)
+    largest, relation_sizes = float(sizes.max(initial=0.0)), relation_sizes.tolist()
+    kappa = 1.01 * (dim + (1 if norm == "L1" else 4)) * 2.0 ** -24
+    # the root's rounding widens the band above the gold (L2 only)
+    zeta = 1.0 if norm == "L1" else 1 + 2.0 ** -50
+    outward = np.array([-np.inf, np.inf], dtype=np.float32)
+    square = np.abs if norm == "L1" else np.square
     buffers = threading.local()
 
-    def rank_of(query: Query, gold: int, rivals: np.ndarray) -> int:
+    def cheap_distances(offset: np.ndarray) -> np.ndarray:
         if not hasattr(buffers, "dists"):
-            buffers.scratch = _scratch(n_entities)
-            buffers.dists = np.empty(n_entities)
-        dists = buffers.dists
-        known_id, relation_id = query.known
-        _distances_into(dists, table, table[:, entity_row[known_id]],
-                        relations[relation_row[relation_id]], query.direction, model.norm,
-                        *buffers.scratch)
-        # pessimistic_rank over the scores -dists, without negating them:
-        # -d >= -g exactly when d <= g, NaN included
-        gold_dist = dists[gold]
-        return int(np.count_nonzero(dists <= gold_dist)
-                   - np.count_nonzero(dists[rivals] <= gold_dist))
+            buffers.terms = np.empty(dim * block, dtype=np.float32)
+            buffers.dists = np.empty(n_entities, dtype=np.float32)
+        terms, dists = buffers.terms, buffers.dists
+        column = offset.astype(np.float32)[:, None]
+        for start in range(0, n_entities, block):
+            stop = min(start + block, n_entities)
+            # a contiguous (dim, width) view, so numpy takes its fast path on a short last block
+            out = terms[:dim * (stop - start)].reshape(dim, stop - start)
+            np.subtract(column, table[:, start:stop], out=out)
+            square(out, out=out)
+            np.add.reduce(out, axis=0, out=dists[start:stop])
+        return dists
+
+    def rank_of(query: Query, gold: int, rivals: np.ndarray) -> int:
+        k_row, r_row = kg.entity_row[query.known[0]], kg.relation_row[query.known[1]]
+        known, rel = entities[to_entity.item(k_row)], relations[r_row]
+        tail = query.direction == "tail"
+        # the cheap terms are offset - c: exactly the residual of a tail,
+        # (k + r) - c, and near the residual (c + r) - k of a head
+        offset = known + rel if tail else known - rel
+        if filtering:
+            dists = cheap_distances(offset)
+            cheap_gold = dists.item(gold)
+            eps = (kappa * (sizes.item(k_row) + relation_sizes[r_row] + largest) ** power
+                   + dim * 2.0 ** -148)
+            lo, hi = np.nextafter(np.array([cheap_gold - 2 * eps,
+                                            zeta * cheap_gold + (1 + zeta) * eps],
+                                           dtype=np.float32), outward)
+            below = int(np.count_nonzero(dists < lo))
+            band = np.flatnonzero((dists >= lo) & (dists <= hi))
+        else:
+            below, band = 0, np.arange(n_entities)
+        # exact distances of the band, the rivals and, last, the gold
+        vectors = entities[to_entity[np.concatenate((band, rivals, (gold,)))]]
+        if tail:
+            np.subtract(offset, vectors, out=vectors)
+        else:
+            np.add(vectors, rel, out=vectors)
+            np.subtract(vectors, known, out=vectors)
+        exact = _distance(vectors, norm)
+        # pessimistic_rank over the scores -exact: -d >= -g exactly when d <= g
+        counted = exact <= exact[-1]
+        return below + int(np.count_nonzero(counted[:len(band)])
+                           - np.count_nonzero(counted[len(band):-1]))
 
     return rank_split(kg, split, filtered, rank_of)
 

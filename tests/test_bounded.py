@@ -112,6 +112,28 @@ def test_training_transient_does_not_grow_with_the_model(tmp_path, triples):
     assert per_value <= 1, per_value
 
 
+def test_ranking_holds_a_float32_table_and_a_block_per_worker(tmp_path, triples, monkeypatch):
+    # 50,000 entities, 100 queries and two workers. Beyond the model and
+    # what rank_split itself holds, ranking allocates the float32 table, a
+    # float64 norm and a model row per entity and, per worker, one (dim,
+    # _ENTITY_BLOCK) float32 buffer, |E| float32 distances with their
+    # comparison flags, and the band's gathered rows: less than the float64
+    # (dim, |E|) table, the two (8, _ENTITY_BLOCK) float64 buffers and the
+    # |E| float64 distances per worker that the column kernel held.
+    n, dim, workers = 50_000, 16, 2
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: workers)
+    kg = load_dataset(write_graph(tmp_path / "graph", 2000, triples, n))
+    model = init_model(kg, dim, 0)
+    evaluate_model(model, kg)  # warm what the first call caches per graph
+    ranking = transient(lambda: transe.rank_queries(model, kg))
+    unranked = transient(lambda: evaluate.rank_split(kg, "test", True, lambda *_: 1))
+    block = min(transe._ENTITY_BLOCK, n)
+    table = 4 * dim * n
+    allowed = table + 16 * n + workers * (4 * dim * block + 7 * n) + (64 << 10)
+    column_kernel = 8 * dim * n + workers * (2 * 8 * 8 * block + 8 * n)
+    assert table <= ranking - unranked <= allowed < column_kernel, (ranking - unranked, allowed)
+
+
 def reference_filter_rows(kg, queries):
     """Each query's answers from ``answer_index``, as sorted entity rows."""
     return [np.array(sorted(kg.entity_row[e]

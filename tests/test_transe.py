@@ -1,3 +1,4 @@
+import math
 import random
 import re
 import sys
@@ -484,6 +485,91 @@ def test_one_worker_and_many_workers_give_equal_records(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert single == _dict_path_records(model, kg, "test", True)
+
+
+def _adversarial_kg():
+    """Hub e0 answers (e0, r, ?) with e1..e12, so the test golds e1 and e2
+    share their query with ten rivals; other facts are random."""
+    ids = [f"e{i}" for i in range(40)]
+    rng = random.Random(7)
+    facts = {("e0", "r", f"e{i}") for i in range(1, 13)}
+    test = [("e0", "r", "e1"), ("e0", "r", "e2"), ("e13", "s", "e1"), ("e1", "s", "e0")]
+    facts.update(test)
+    while len(facts) < 60:
+        facts.add((rng.choice(ids), rng.choice("rs"), rng.choice(ids)))
+    rest = sorted(facts - set(test))
+    return make_kg(ids, ["r", "s"], train=rest[2:], valid=rest[:2], test=test)
+
+
+def _adversarial_vectors(rng, n, dim, norm, profile):
+    """Entity and relation vectors whose distances tie or nearly tie at the
+    golds e0 and e1: exact copies of e1, e1 one float64 ulp away, and e1 and
+    e0 a few float32 ulps away in every component.
+
+    Profiles: "flat" magnitudes; "decades", per-dim magnitudes over six
+    decades; "small query", e0 and the relations 1e-4 times the rest, so
+    candidate norms dominate the bound; "rounding", e0 and the relations
+    zero and e13..e26 = (1, y, ..., y), y (its square, for L2) just over
+    half a float32 ulp of 1, so a float32 sum in dim order rounds up at
+    every step, dim - 1 half-ulps in all, and e1 lies between that sum and
+    the exact one.
+    """
+    magnitude = 10.0 ** rng.uniform(-3, 3, size=dim) if profile == "decades" else 1.0
+    vectors = rng.normal(size=(n, dim)) * magnitude
+    relations = rng.normal(size=(2, dim)) * magnitude
+    if profile == "small query":
+        vectors[0] *= 1e-4
+        relations *= 1e-4
+    if profile == "rounding":
+        vectors /= dim
+        vectors[0] = relations[:] = vectors[1] = 0.0
+        vectors[1, 0] = 1 + 1.5 * (dim - 1) * 2.0 ** -24
+        y = 2.0 ** -24 * (1 + 2.0 ** -10)
+        if norm == "L2":
+            vectors[1, 0], y = math.sqrt(vectors[1, 0]), 2.0 ** -12 * (1 + 2.0 ** -10)
+    vectors[2:7] = vectors[1]
+    vectors[7:13] = np.nextafter(vectors[1], np.where(rng.random((6, dim)) < 0.5, -np.inf, np.inf))
+    vectors[13:27] = vectors[1] * (1 + 2.0 ** -24 * rng.integers(-3, 4, size=(14, dim)))
+    vectors[27:33] = vectors[0] * (1 + 2.0 ** -24 * rng.integers(-3, 4, size=(6, dim)))
+    if profile == "rounding":
+        vectors[13:27] = y
+        vectors[13:27, 0] = 1.0
+    return vectors, relations
+
+
+@pytest.mark.parametrize("norm", ["L1", "L2"])
+def test_filter_and_verify_ranks_equal_brute_force(monkeypatch, norm):
+    # both directions come from every test triple; scales are powers of two
+    # from about 1e-30 to 1e60, beyond float32's range, so that they keep
+    # the profiles' float32 roundings; a block of 7 columns leaves a short
+    # last block
+    kg = _adversarial_kg()
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 3, 8, 9, 50, 129, 300):
+        monkeypatch.setattr(transe, "_ENTITY_BLOCK", 7 if dim % 2 else 1024)
+        for profile in ("flat", "decades", "small query", "rounding"):
+            vectors, relations = _adversarial_vectors(rng, len(kg.entities), dim, norm, profile)
+            for exponent in (-100, -33, 0, 33, 100, 130, 200):
+                scale = 2.0 ** exponent
+                model = EmbeddingModel(kg.entity_ids, kg.relation_ids, vectors * scale,
+                                       relations * scale, norm=norm)
+                for filtered in (True, False):
+                    # the brute force: _distance over all the residuals, then pessimistic_rank
+                    assert rank_queries(model, kg, "test", filtered) == _dict_path_records(
+                        model, kg, "test", filtered), (dim, profile, exponent, filtered)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_ranking_a_non_finite_model_is_a_validation_error(value):
+    kg = random_kg(random.Random(3))
+    model = init_model(kg, dim=4, seed=0)
+    for table, at in ((model.entity_vectors, (slice(None), 2)), (model.relation_vectors, (1, 0))):
+        saved = table.copy()
+        table[at] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            evaluate_model(model, kg, "test")
+        table[:] = saved
+    evaluate_model(model, kg, "test")
 
 
 def test_model_missing_a_relation_rejected():
