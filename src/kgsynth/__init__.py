@@ -23,15 +23,7 @@ from .errors import (
     UniquenessError,
     ValidationError,
 )
-from .evaluate import (
-    MetricsReport,
-    Query,
-    RankingRecord,
-    compute_metrics,
-    evaluate_predictions,
-    rank_gold,
-    rank_split,
-)
+from .evaluate import MetricsReport, evaluate_predictions, rank_metrics, rank_split
 from .kg import (
     DatasetStats,
     KnowledgeGraph,

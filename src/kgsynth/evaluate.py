@@ -6,9 +6,10 @@ every rival with an equal score) and filtered by default: candidates that
 form other known-true triples for the same query, in any split, are removed
 before ranking. Both choices are stamped into every MetricsReport.
 
-Every report ranks through ``rank_split``, which hands each query's gold
-row and filtered rivals to a ranker's own counting rule. ``rank_gold``, over
-one scores table per query, stays as the test oracle of ``rank_queries``.
+Every report ranks through ``rank_split``, which hands each query's rows
+and filtered rivals to a ranker's own counting rule and returns one int64
+rank per query, and aggregates the ranks with ``rank_metrics``. The objects
+at the end of the module, one per query, are the rankers' test oracle.
 
 Memory contract: ``filter_rows``, the one pass over every split, reads the
 splits ``_BLOCK_ROWS`` rows at a time, so beyond the answers it returns it
@@ -38,25 +39,6 @@ QUERY_CHUNK = 16
 
 
 @dataclass(frozen=True)
-class Query:
-    """One link-prediction query: ``known`` is (entity_id, relation_id)."""
-
-    known: tuple[str, str]
-    direction: str  # "tail" for (h, r, ?), "head" for (?, r, t)
-    gold: str
-
-    def __post_init__(self) -> None:
-        if self.direction not in ("tail", "head"):
-            raise ValueError(f"direction must be 'tail' or 'head', got {self.direction!r}")
-
-
-@dataclass(frozen=True)
-class RankingRecord:
-    query: Query
-    gold_rank: int
-
-
-@dataclass(frozen=True)
 class MetricsReport:
     hits: dict[int, float]
     mr: float
@@ -74,93 +56,47 @@ class MetricsReport:
         return "\n".join(lines) + "\n"
 
 
-def rank_gold(
-    scores: dict[str, float],
-    query: Query,
-    kg: KnowledgeGraph,
-    filtered: bool = True,
-) -> RankingRecord:
-    """Rank the gold entity within ``scores`` (higher score is better).
+def rank_metrics(ranks: np.ndarray, filtered: bool = True,
+                 tie_policy: str = PESSIMISTIC) -> MetricsReport:
+    """Aggregate int64 gold ranks into Hits@k for k in {1,3,10}, MR, and MRR.
 
-    rank = 1 + number of surviving candidates scoring >= the gold score.
-    With ``filtered``, entities answering the same partial query elsewhere in
-    train/valid/test are dropped from the candidate set first.
+    Reciprocal ranks are added left to right, so a report's bits depend
+    neither on the Python version (from 3.12 the builtin ``sum`` compensates
+    float rounding) nor on numpy's pairwise ``sum``.
     """
-    if query.gold not in scores:
-        raise ValidationError(f"gold entity {query.gold!r} missing from scores")
-    if len(scores) != len(kg.entities):
-        raise ValidationError(
-            f"scores cover {len(scores)} entities, expected {len(kg.entities)}"
-        )
-    gold_score = scores[query.gold]
-    known_entity, relation = query.known
-    excluded: frozenset[str] = frozenset()
-    if filtered:
-        excluded = kg.answer_index.get((query.direction, known_entity, relation), frozenset())
-    values = np.fromiter(scores.values(), dtype=float, count=len(scores))
-    rivals = np.array(
-        [scores.get(entity, float("-inf")) for entity in excluded if entity != query.gold],
-        dtype=float,
-    )
-    return RankingRecord(query=query, gold_rank=pessimistic_rank(values, gold_score, rivals))
+    if not len(ranks):
+        raise ValueError("cannot compute metrics over zero ranks")
+    n = len(ranks)
+    hits = {k: int(np.count_nonzero(ranks <= k)) / n for k in HITS_KS}
+    mrr = float(np.add.accumulate(1.0 / ranks)[-1]) / n
+    return MetricsReport(hits, int(ranks.sum()) / n, mrr, filtered, tie_policy)
 
 
-def pessimistic_rank(scores: np.ndarray, gold_score: float, excluded_scores: np.ndarray) -> int:
-    """1 + the number of surviving rivals scoring >= the gold score.
-
-    ``scores`` holds every candidate, the gold included; ``excluded_scores``
-    holds the filtered-out rivals (never the gold). Counted in bulk, then
-    the (few) excluded rivals at or above the gold are backed out.
-    """
-    at_or_above = int((scores >= gold_score).sum())
-    return at_or_above - int((excluded_scores >= gold_score).sum())
-
-
-def compute_metrics(
-    records: list[RankingRecord],
-    filtered: bool = True,
-    tie_policy: str = PESSIMISTIC,
-) -> MetricsReport:
-    """Aggregate gold ranks into Hits@k for k in {1,3,10}, MR, and MRR."""
-    if not records:
-        raise ValueError("cannot compute metrics over zero records")
-    n = len(records)
-    hits = {k: sum(1 for rec in records if rec.gold_rank <= k) / n for k in HITS_KS}
-    mr = sum(rec.gold_rank for rec in records) / n
-    mrr = sum(1.0 / rec.gold_rank for rec in records) / n
-    return MetricsReport(hits=hits, mr=mr, mrr=mrr, filtered=filtered, tie_policy=tie_policy)
-
-
-def split_queries(kg: KnowledgeGraph, split: str = "test") -> list[Query]:
-    """Both-direction queries for every triple of a non-empty split, in split order."""
+def _split_rows(kg: KnowledgeGraph, split: str) -> np.ndarray:
     if not kg.split(split):
         raise ValidationError(f"{split} split is empty: there is nothing to rank")
-    queries = []
-    for h, r, t in kg.split(split):
-        queries.append(Query(known=(h, r), direction="tail", gold=t))
-        queries.append(Query(known=(t, r), direction="head", gold=h))
-    return queries
+    return kg.split_rows[split]
 
 
-def filter_rows(kg: KnowledgeGraph, queries: list[Query]) -> list[np.ndarray]:
-    """Per query, the entity rows of every known-true answer in any split.
+def filter_rows(kg: KnowledgeGraph, triples: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per query of the ``(n, 3)`` rows ``triples``, the entity rows of every
+    known-true answer in any split.
 
-    The row-space form of ``answer_index``, built from ``kg.split_rows``
-    and covering only the keys these queries use. The gold is among its
-    own query's answers whenever the query comes from a split triple.
+    Query 2i asks for the tail of row i, (h, r, ?), and query 2i + 1 for its
+    head, (?, r, t). Returns ``(answers, starts, ends)``: query q's answers
+    are ``answers[starts[q]:ends[q]]``, sorted. This is the row-space form
+    of ``answer_index``, built from ``kg.split_rows`` and covering only the
+    keys these queries use; a query's gold is among its answers whenever
+    its row is a fact.
 
     Each split is matched ``_BLOCK_ROWS`` rows at a time against the sorted
     distinct query keys, so beyond the answers it returns the call holds one
     block's keys and two flags per entity, never an array over every fact.
     """
     n_entities, n_relations = len(kg.entities), len(kg.relations)
-    entity_row, relation_row = kg.entity_row, kg.relation_row
     # key = (known entity * |R| + relation) * 2 + (0 for tail, 1 for head)
-    query_keys = np.array(
-        [(entity_row[q.known[0]] * n_relations + relation_row[q.known[1]]) * 2
-         + (q.direction == "head") for q in queries],
-        dtype=np.int64,
-    )
+    query_keys = ((triples[:, [0, 2]].astype(np.int64) * n_relations + triples[:, 1:2]) * 2
+                  + (0, 1)).ravel()
     wanted = np.unique(query_keys)
     # per direction, the entities some query knows: only their facts can match
     known = np.zeros((2, n_entities), dtype=bool)
@@ -181,9 +117,8 @@ def filter_rows(kg: KnowledgeGraph, queries: list[Query]) -> list[np.ndarray]:
     # every fact is one pair (the graph holds no repeated triple), so each
     # key's answers are one slice of the sorted pairs
     keys, answers = np.divmod(np.sort(np.concatenate(found)), n_entities)
-    starts = np.searchsorted(keys, query_keys, side="left").tolist()
-    ends = np.searchsorted(keys, query_keys, side="right").tolist()
-    return [answers[a:b] for a, b in zip(starts, ends)]
+    return (answers, np.searchsorted(keys, query_keys, side="left"),
+            np.searchsorted(keys, query_keys, side="right"))
 
 
 def _usable_cpus() -> int:
@@ -194,48 +129,49 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def rank_split(
-    kg: KnowledgeGraph,
-    split: str,
-    filtered: bool,
-    rank_of: Callable[[Query, int, np.ndarray], int],
-) -> list[RankingRecord]:
-    """Gold rank of every split query, in split order: the one ranking loop.
+def rank_split(kg: KnowledgeGraph, split: str, filtered: bool,
+               rank_of: Callable[[int, int, int, int, np.ndarray], int]) -> np.ndarray:
+    """Gold rank of every split query as one int64 array: the one ranking loop.
 
-    ``rank_of(query, gold, rivals)`` returns the rank of the gold entity row
-    ``gold``, given the entity rows ``rivals`` that must not count against
-    it: with ``filtered``, the query's other known-true answers in any split
+    A split's queries are its rows plus a direction: query 2i asks for the
+    tail of split row i, query 2i + 1 for its head. ``rank_of(query, known,
+    relation, gold, rivals)`` gets the query's index and its known entity,
+    relation and gold entity rows, and returns the gold's rank given the
+    entity rows ``rivals`` that must not count against it: with
+    ``filtered``, the query's other known-true answers in any split
     (``filter_rows``), and none otherwise. Each ranker owns its counting rule.
 
     Chunks of ``QUERY_CHUNK`` consecutive queries are ranked on a thread
     pool sized to the usable CPUs, so ``rank_of`` may be called from several
     threads at once. Each chunk writes only its own rank slots, so the
-    records do not depend on thread timing or the number of CPUs.
+    ranks do not depend on thread timing or the number of CPUs.
     """
-    queries = split_queries(kg, split)
+    triples = _split_rows(kg, split)
+    n = 2 * len(triples)
     if filtered:
-        answers = filter_rows(kg, queries)
+        answers, starts, ends = filter_rows(kg, triples)
+        starts, ends = starts.tolist(), ends.tolist()
     else:
-        answers = [np.empty(0, dtype=np.int64)] * len(queries)
-    entity_row = kg.entity_row
-    ranks = [0] * len(queries)
+        answers, starts, ends = np.empty(0, dtype=np.int64), [0] * n, [0] * n
+    known, gold = triples[:, [0, 2]].ravel().tolist(), triples[:, [2, 0]].ravel().tolist()
+    relation = triples[:, 1].tolist()
+    ranks = np.empty(n, dtype=np.int64)
 
     def rank_chunk(start: int) -> None:
-        for i in range(start, min(start + QUERY_CHUNK, len(queries))):
-            gold = entity_row[queries[i].gold]
-            ranks[i] = rank_of(queries[i], gold, answers[i][answers[i] != gold])
+        for i in range(start, min(start + QUERY_CHUNK, n)):
+            found = answers[starts[i]:ends[i]]
+            ranks[i] = rank_of(i, known[i], relation[i // 2], gold[i], found[found != gold[i]])
 
-    starts = range(0, len(queries), QUERY_CHUNK)
-    with ThreadPoolExecutor(max(1, min(_usable_cpus(), len(starts)))) as pool:
+    chunks = range(0, n, QUERY_CHUNK)
+    with ThreadPoolExecutor(max(1, min(_usable_cpus(), len(chunks)))) as pool:
         # reading every result re-raises the first failure
-        for _ in pool.map(rank_chunk, starts):
+        for _ in pool.map(rank_chunk, chunks):
             pass
-    return [RankingRecord(query=query, gold_rank=rank) for query, rank in zip(queries, ranks)]
+    return ranks
 
 
-def evaluate_predictions(
-    kg: KnowledgeGraph, predictions_file: str | Path, filtered: bool = True
-) -> MetricsReport:
+def evaluate_predictions(kg: KnowledgeGraph, predictions_file: str | Path,
+                         filtered: bool = True) -> MetricsReport:
     """Score an external system's ranked candidate lists against the test split.
 
     File format, one line per test (triple, direction):
@@ -248,18 +184,21 @@ def evaluate_predictions(
     ValidationError.
     """
     path = Path(predictions_file)
-    entity_row = kg.entity_row
-    relation_ids = set(kg.relation_ids)
-    test_queries = split_queries(kg, "test")
-    expected = set(test_queries)
-    ranked: dict[Query, list[int]] = {}
+    entity_row, relation_row = kg.entity_row, kg.relation_row
+    n_entities, n_relations = len(entity_row), len(relation_row)
+    h_rows, r_rows, t_rows = _split_rows(kg, "test").astype(np.int64).T
+    # each test row by its (h, r, t) key; the graph holds no repeated triple
+    test_row = {key: i for i, key in enumerate(
+        ((h_rows * n_relations + r_rows) * n_entities + t_rows).tolist())}
+    # per query (2 * row + 1 for a head query), its candidates' entity rows
+    ranked: list[list[int] | None] = [None] * (2 * len(test_row))
     for lineno, (h, r, t, direction, candidate_cell) in read_rows(path, 5):
         if direction not in ("tail", "head"):
             raise ValidationError(f"{path.name}:{lineno}: bad direction {direction!r}")
         for eid in (h, t):
             if eid not in entity_row:
                 raise ValidationError(f"{path.name}:{lineno}: unknown entity {eid!r}")
-        if r not in relation_ids:
+        if r not in relation_row:
             raise ValidationError(f"{path.name}:{lineno}: unknown relation {r!r}")
         candidates = candidate_cell.split(",") if candidate_cell else []
         rows: dict[str, int] = {}
@@ -269,36 +208,102 @@ def evaluate_predictions(
             if c in rows:
                 raise ValidationError(f"{path.name}:{lineno}: duplicate candidate {c!r}")
             rows[c] = entity_row[c]
-        if direction == "tail":
-            query = Query(known=(h, r), direction="tail", gold=t)
-        else:
-            query = Query(known=(t, r), direction="head", gold=h)
-        if query not in expected:
-            raise ValidationError(
-                f"{path.name}:{lineno}: {(h, r, t, direction)} is not a test query"
-            )
-        if query in ranked:
-            raise ValidationError(
-                f"{path.name}:{lineno}: duplicate prediction for {(h, r, t, direction)}"
-            )
+        row = test_row.get((entity_row[h] * n_relations + relation_row[r]) * n_entities
+                           + entity_row[t])
+        if row is None:
+            raise ValidationError(f"{path.name}:{lineno}: {(h, r, t, direction)} "
+                                  "is not a test query")
+        query = 2 * row + (direction == "head")
+        if ranked[query] is not None:
+            raise ValidationError(f"{path.name}:{lineno}: duplicate prediction for "
+                                  f"{(h, r, t, direction)}")
         ranked[query] = list(rows.values())
 
-    missing = [query for query in test_queries if query not in ranked]
+    missing = [query for query, listed in enumerate(ranked) if listed is None]
     if missing:
-        shown = ", ".join(map(str, missing[:5]))
-        raise ValidationError(
-            f"predictions missing for {len(missing)} (triple, direction) queries: {shown}"
-        )
+        named = split_queries(kg, "test")
+        shown = ", ".join(str(named[query]) for query in missing[:5])
+        raise ValidationError(f"predictions missing for {len(missing)} (triple, direction) "
+                              f"queries: {shown}")
 
-    def rank_of(query: Query, gold: int, rivals: np.ndarray) -> int:
+    def rank_of(query: int, known: int, relation: int, gold: int, rivals: np.ndarray) -> int:
         # the gold's list position, less the rivals listed before it; an
         # absent gold ranks below every entity that is not a rival
         listed = ranked[query]
         try:
             position = listed.index(gold)
         except ValueError:
-            return len(entity_row) - len(rivals)
+            return n_entities - len(rivals)
         return position + 1 - len(set(rivals.tolist()).intersection(listed[:position]))
 
-    records = rank_split(kg, "test", filtered, rank_of)
-    return compute_metrics(records, filtered=filtered, tie_policy=CANDIDATE_ORDER)
+    return rank_metrics(rank_split(kg, "test", filtered, rank_of), filtered, CANDIDATE_ORDER)
+
+
+# --- the oracle: one object per query and one scores table per query --------
+
+
+@dataclass(frozen=True)
+class Query:
+    """One link-prediction query: ``known`` is (entity_id, relation_id)."""
+
+    known: tuple[str, str]
+    direction: str  # "tail" for (h, r, ?), "head" for (?, r, t)
+    gold: str
+
+    def __post_init__(self) -> None:
+        if self.direction not in ("tail", "head"):
+            raise ValueError(f"direction must be 'tail' or 'head', got {self.direction!r}")
+
+
+@dataclass(frozen=True)
+class RankingRecord:
+    query: Query
+    gold_rank: int
+
+
+def split_queries(kg: KnowledgeGraph, split: str = "test") -> list[Query]:
+    """``rank_split``'s queries as ``Query`` objects, in the same order."""
+    _split_rows(kg, split)
+    return [Query(known, direction, gold) for h, r, t in kg.split(split)
+            for direction, known, gold in (("tail", (h, r), t), ("head", (t, r), h))]
+
+
+def rank_gold(scores: dict[str, float], query: Query, kg: KnowledgeGraph,
+              filtered: bool = True) -> RankingRecord:
+    """Rank the gold entity within ``scores`` (higher score is better).
+
+    rank = 1 + number of surviving candidates scoring >= the gold score.
+    With ``filtered``, entities answering the same partial query elsewhere in
+    train/valid/test are dropped from the candidate set first.
+    """
+    if query.gold not in scores:
+        raise ValidationError(f"gold entity {query.gold!r} missing from scores")
+    if len(scores) != len(kg.entities):
+        raise ValidationError(f"scores cover {len(scores)} entities, expected {len(kg.entities)}")
+    gold_score = scores[query.gold]
+    known_entity, relation = query.known
+    excluded: frozenset[str] = frozenset()
+    if filtered:
+        excluded = kg.answer_index.get((query.direction, known_entity, relation), frozenset())
+    values = np.fromiter(scores.values(), dtype=float, count=len(scores))
+    rivals = np.array([scores.get(entity, float("-inf")) for entity in excluded
+                       if entity != query.gold], dtype=float)
+    return RankingRecord(query=query, gold_rank=pessimistic_rank(values, gold_score, rivals))
+
+
+def pessimistic_rank(scores: np.ndarray, gold_score: float, excluded_scores: np.ndarray) -> int:
+    """1 + the number of surviving rivals scoring >= the gold score.
+
+    ``scores`` holds every candidate, the gold included; ``excluded_scores``
+    holds the filtered-out rivals (never the gold). Counted in bulk, then
+    the (few) excluded rivals at or above the gold are backed out.
+    """
+    at_or_above = int((scores >= gold_score).sum())
+    return at_or_above - int((excluded_scores >= gold_score).sum())
+
+
+def compute_metrics(records: list[RankingRecord], filtered: bool = True,
+                    tie_policy: str = PESSIMISTIC) -> MetricsReport:
+    """``rank_metrics`` over the records' gold ranks, in record order."""
+    ranks = np.array([rec.gold_rank for rec in records], dtype=np.int64)
+    return rank_metrics(ranks, filtered=filtered, tie_policy=tie_policy)

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import KgsynthError, ValidationError
-from .evaluate import MetricsReport, Query, RankingRecord, compute_metrics, rank_split
+from .evaluate import MetricsReport, rank_metrics, rank_split
 from .kg import KnowledgeGraph, float_cells, read_rows, write_rows
 
 _EPS = 1e-12
@@ -323,8 +323,8 @@ def score_all(model: EmbeddingModel, known_id: str, relation_id: str,
 
 
 def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
-                 filtered: bool = True) -> list[RankingRecord]:
-    """Gold rank of every split query, in split order, through ``rank_split``.
+                 filtered: bool = True) -> np.ndarray:
+    """Gold rank of every split query, through ``rank_split``: int64, in its query order.
 
     Equal, query by query, to ``rank_gold`` over ``score_all``: the same
     distances and tie policy (``pessimistic_rank``), without a scores table
@@ -417,10 +417,9 @@ def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
             np.add.reduce(out, axis=0, out=dists[start:stop])
         return dists
 
-    def rank_of(query: Query, gold: int, rivals: np.ndarray) -> int:
-        k_row, r_row = kg.entity_row[query.known[0]], kg.relation_row[query.known[1]]
+    def rank_of(query: int, k_row: int, r_row: int, gold: int, rivals: np.ndarray) -> int:
         known, rel = entities[to_entity.item(k_row)], relations[r_row]
-        tail = query.direction == "tail"
+        tail = query % 2 == 0
         # the cheap terms are offset - c: exactly the residual of a tail,
         # (k + r) - c, and near the residual (c + r) - k of a head
         offset = known + rel if tail else known - rel
@@ -455,7 +454,7 @@ def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
 def evaluate_model(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
                    filtered: bool = True) -> MetricsReport:
     """Rank every split triple in both directions and aggregate the metrics."""
-    return compute_metrics(rank_queries(model, kg, split, filtered), filtered=filtered)
+    return rank_metrics(rank_queries(model, kg, split, filtered), filtered=filtered)
 
 
 def save_model(model: EmbeddingModel, directory: str | Path) -> None:

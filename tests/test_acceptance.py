@@ -351,23 +351,30 @@ def test_criterion_08_metrics_oracle():
                 got = rank_gold(scores, query, kg, filtered=filtered).gold_rank
                 assert got == reference_rank(scores, query, kg, filtered)
         # the loop that every report ranks through, counting as evaluate_model
-        # does, over the same table in entity row order
+        # does, over the same table in entity row order; each query it hands
+        # the ranker is named by ids, in the order of its ranks
         row_scores = np.array([scores[eid] for eid in kg.entity_ids])
+        asked = {}
 
-        def rank_of(query, gold, rivals):
+        def rank_of(query, known, relation, gold, rivals):
+            asked[query] = Query((kg.entity_ids[known], kg.relation_ids[relation]),
+                                 ("tail", "head")[query % 2], kg.entity_ids[gold])
             return pessimistic_rank(row_scores, row_scores[gold], row_scores[rivals])
 
         for split in ("test", "valid"):
             for filtered in (False, True):
-                records = rank_split(kg, split, filtered, rank_of)
-                assert [rec.query for rec in records] == split_queries(kg, split)
-                for rec in records:
-                    assert rec.gold_rank == reference_rank(scores, rec.query, kg, filtered)
+                asked.clear()
+                ranks = rank_split(kg, split, filtered, rank_of)
+                queries = [asked[i] for i in range(len(ranks))]
+                assert queries == split_queries(kg, split)
+                for query, rank in zip(queries, ranks.tolist()):
+                    assert rank == reference_rank(scores, query, kg, filtered)
 
-    from kgsynth.evaluate import RankingRecord
+    from kgsynth.evaluate import RankingRecord, rank_metrics
 
     q = Query(known=("e0", "r1"), direction="tail", gold="e1")
     report = compute_metrics([RankingRecord(q, r) for r in (1, 2, 10)])
+    assert rank_metrics(np.array([1, 2, 10])) == report
     assert abs(report.mrr - (1 + 0.5 + 0.1) / 3) < 1e-12
     assert abs(report.mr - 13 / 3) < 1e-12
     assert abs(report.hits[1] - 1 / 3) < 1e-12

@@ -12,7 +12,7 @@ import pytest
 from kgsynth import analysis, evaluate, kg as kgmod, transe
 from kgsynth.analysis import relation_distribution
 from kgsynth.errors import ValidationError
-from kgsynth.evaluate import Query, filter_rows, split_queries
+from kgsynth.evaluate import filter_rows
 from kgsynth.kg import KnowledgeGraph, load_dataset, write_rows
 from kgsynth.transe import TrainConfig, evaluate_model, init_model, train
 
@@ -134,12 +134,13 @@ def test_ranking_holds_a_float32_table_and_a_block_per_worker(tmp_path, triples,
     assert table <= ranking - unranked <= allowed < column_kernel, (ranking - unranked, allowed)
 
 
-def reference_filter_rows(kg, queries):
-    """Each query's answers from ``answer_index``, as sorted entity rows."""
-    return [np.array(sorted(kg.entity_row[e]
-                            for e in kg.answer_index.get((q.direction, *q.known), ())),
-                        dtype=np.int64)
-            for q in queries]
+def reference_filter_rows(kg, triples):
+    """Each query's answers from ``answer_index``, as sorted entity rows: the
+    tail query of each triple row, then its head query."""
+    entity, relation = kg.entity_ids, kg.relation_ids
+    return [np.array(sorted(kg.entity_row[e] for e in kg.answer_index.get(
+                (direction, entity[known], relation[r]), ())), dtype=np.int64)
+            for h, r, t in triples.tolist() for direction, known in (("tail", h), ("head", t))]
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5])
@@ -153,20 +154,22 @@ def test_filter_rows_matches_the_answer_index(monkeypatch, block):
         n_train = rng.randint(1, min(30, n_entities * n_entities * n_relations - 12))
         kg = random_kg(rng, n_entities, n_relations, n_train,
                        n_valid=0 if trial % 4 == 0 else rng.randint(1, 6), n_test=rng.randint(1, 6))
-        queries = split_queries(kg, "test") + split_queries(kg, "train")
+        # the test and train rows, and a row (e, r, e) per entity and relation:
         # queries over every (entity, relation) key, most with no fact
-        queries += [Query(known=(e, r), direction=d, gold=e)
-                    for e in kg.entity_ids for r in kg.relation_ids for d in ("tail", "head")]
-        rng.shuffle(queries)
-        got, want = filter_rows(kg, queries), reference_filter_rows(kg, queries)
-        assert len(got) == len(want)
-        for answers, expected in zip(got, want):
-            assert answers.dtype == np.int64
-            np.testing.assert_array_equal(answers, expected)
-        # count the cases the blocks must get right
-        for q, expected in zip(queries, want):
+        keys = [(e, r, e) for e in range(n_entities) for r in range(n_relations)]
+        triples = np.concatenate([kg.split_rows["test"], kg.split_rows["train"], keys])
+        triples = triples[rng.sample(range(len(triples)), len(triples))]
+        answers, starts, ends = filter_rows(kg, triples)
+        want = reference_filter_rows(kg, triples)
+        assert answers.dtype == np.int64
+        assert len(starts) == len(ends) == len(want) == 2 * len(triples)
+        for start, end, expected in zip(starts, ends, want):
+            np.testing.assert_array_equal(answers[start:end], expected)
+        # count the cases the blocks must get right; a query's gold is the
+        # tail of its row for a tail query, the head for a head query
+        for gold, expected in zip(triples[:, [2, 0]].ravel().tolist(), want):
             seen["none"] += not len(expected)
-            seen["gold only"] += expected.tolist() == [kg.entity_row[q.gold]]
+            seen["gold only"] += expected.tolist() == [gold]
         for column in (0, 2):  # known heads, then known tails
             places = {}
             for split, rows in kg.split_rows.items():

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 import tracemalloc
 
@@ -12,7 +14,10 @@ from kgsynth.evaluate import (
     RankingRecord,
     compute_metrics,
     evaluate_predictions,
+    pessimistic_rank,
     rank_gold,
+    rank_metrics,
+    rank_split,
     split_queries,
 )
 
@@ -138,10 +143,61 @@ def test_metrics_match_independent_recomputation():
         assert report.hits[3] == len([r for r in ranks if r <= 3]) / n
         assert report.hits[10] == len([r for r in ranks if r <= 10]) / n
         assert report.mr == sum(ranks) / n
-        assert report.mrr == sum(1 / r for r in ranks) / n
+        assert report.mrr == functools.reduce(operator.add, (1 / r for r in ranks)) / n
         assert report.hits[1] <= report.hits[3] <= report.hits[10]
         assert 1 / report.mr <= report.mrr <= 1.0
         assert report.mrr >= report.hits[1]
+
+
+def test_mrr_adds_reciprocal_ranks_left_to_right():
+    # 1 + 1/3 + 1 rounds to 2.333333333333333 left to right, but a compensated
+    # sum (math.fsum; the builtin sum from Python 3.12) gives 2.3333333333333335
+    ranks = [1, 3, 1]
+    left_to_right = (1.0 + 1 / 3 + 1.0) / 3
+    assert left_to_right != math.fsum(1 / r for r in ranks) / 3
+    report = rank_metrics(np.array(ranks, dtype=np.int64))
+    assert report.mrr == left_to_right
+    assert report.mr == 5 / 3 and report.hits == {1: 2 / 3, 3: 1.0, 10: 1.0}
+    assert compute_metrics(_records(ranks)) == report
+
+
+def test_rank_split_returns_one_int64_rank_per_query_in_row_order(monkeypatch):
+    # Query 2i asks for the tail of split row i and query 2i + 1 for its head.
+    # Each query's scores depend on its direction, known entity and relation,
+    # so a query handed another query's rows ranks against the wrong table;
+    # three scores make ties with the gold common.
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 3)
+    rng = random.Random(23)
+    tied = 0
+    for trial in range(30):
+        # at least 72 (h, r, t) to draw from, so no split comes out short
+        kg = random_kg(rng, n_entities=rng.randint(6, 12), n_relations=rng.randint(2, 3),
+                       n_train=rng.randint(1, 20), n_valid=rng.randint(1, 4),
+                       n_test=rng.randint(1, 40))
+        n = len(kg.entity_ids)
+
+        def table(head, known, relation):
+            seed = [trial, head, known, relation]
+            return np.random.default_rng(seed).integers(0, 3, size=n).astype(float)
+
+        def rank_of(query, known, relation, gold, rivals):
+            scores = table(query % 2, known, relation)
+            return pessimistic_rank(scores, scores[gold], scores[rivals])
+
+        for split in ("test", "valid"):
+            for filtered in (False, True):
+                ranks = rank_split(kg, split, filtered, rank_of)
+                assert ranks.dtype == np.int64
+                assert ranks.shape == (2 * len(kg.split(split)),)
+                for i, (h, r, t) in enumerate(kg.split(split)):
+                    for head, (known, gold) in enumerate(((h, t), (t, h))):
+                        scores = table(head, kg.entity_row[known], kg.relation_row[r])
+                        query = Query((known, r), ("tail", "head")[head], gold)
+                        want = rank_gold(dict(zip(kg.entity_ids, scores.tolist())), query, kg,
+                                         filtered=filtered).gold_rank
+                        assert ranks[2 * i + head] == want, (trial, split, filtered, i, head)
+                        tied += (scores == scores[kg.entity_row[gold]]).sum() > 1
+    assert tied > 100, tied
 
 
 def test_report_text_is_flat_key_value():
@@ -163,9 +219,9 @@ def test_rank_split_raises_a_worker_failure(monkeypatch):
     kg = random_kg(random.Random(8), n_entities=20, n_relations=2, n_train=30, n_test=40)
     queries = split_queries(kg)
     assert len(queries) > 4 * evaluate.QUERY_CHUNK
-    failing = queries[3 * evaluate.QUERY_CHUNK + 1]
+    failing = 3 * evaluate.QUERY_CHUNK + 1
 
-    def rank_of(query, gold, rivals):
+    def rank_of(query, known, relation, gold, rivals):
         if query == failing:
             raise RuntimeError("ranker failed")
         return 1
