@@ -28,6 +28,7 @@ from .kg import (
     DatasetStats,
     KnowledgeGraph,
     compute_stats,
+    from_triples,
     load_dataset,
     stream_stats,
     write_dataset,

@@ -27,27 +27,25 @@ makes runs reproducible.
 
 A graph holds each split as int32 ``(n, 3)`` rows of (head, relation, tail)
 into ``entity_ids`` and ``relation_ids`` (``split_rows``), 12 bytes a
-triple. ``read_graph``, which ``load_dataset`` and both converters build
-through, parses each split file straight into rows; its graph's ``train``,
+triple. One builder maps a split's cells to rows a block at a time:
+``read_graph`` (``load_dataset`` and both converters call it) feeds it split
+files, ``from_triples`` in-memory ``(h, r, t)`` id tuples. A graph's ``train``,
 ``valid``, ``test`` and ``all_triples`` are ``Triples``: read-only sequences
-that build each ``(h, r, t)`` id tuple on demand and compare equal to the
-tuple of the same triples. A graph built from tuples keeps them and builds
-its rows on first use; split files are written from the rows.
+that build each id tuple on demand. Split files are written from the rows.
 
-``KnowledgeGraph.validate`` holds these rules for loading, conversion and
-every write; ``file_lines`` gives a breach on one row its file line. Ids and
-splits are checked once per graph structure, as its ``_Splits`` is built (a
-graph ``KnowledgeGraph.renamed`` derives shares its source's); names and
-descriptions at every ``validate``.
+The builder checks ids and splits once per graph structure (a graph
+``KnowledgeGraph.renamed`` derives shares its source's rows), and
+``KnowledgeGraph.validate`` names and descriptions at every load, conversion
+and write; ``file_lines`` gives a breach on one row its file line.
 
 Memory contract: row files are read ``_BLOCK_CHARS`` characters at a time,
 split files are formatted ``_BLOCK_ROWS`` rows at a time, and names, ids and
 descriptions are checked ``_CHECK_CELLS`` cells at a time, so none of these
 passes allocates more than one block beyond what it returns; no reader
-builds a tuple per triple, but to name an unknown id. Three passes over the
-triples still allocate over all of them: ``_read_split`` joins a split's
-blocks (the split's rows twice, for a moment), the repeat check sorts one
-int64 key per triple in place, and ``relation_pairs`` keys every triple.
+builds a tuple per triple. Three passes over the triples still allocate over
+all of them: the builder joins a split's blocks (the split's rows twice, for
+a moment), the repeat check sorts one int64 key per triple in place, and
+``relation_pairs`` keys every triple.
 """
 
 from __future__ import annotations
@@ -93,8 +91,8 @@ _UNKNOWN = ("unknown head entity", "unknown relation", "unknown tail entity")
 
 class Triples(Sequence):
     """A split's ``(h, r, t)`` id tuples, built on demand from its int32 rows
-    and the id tables. Equal to the tuple of the same triples; a slice is
-    that tuple."""
+    and the id tables. Equal to a ``Triples`` of the same triples; a slice is
+    their tuple."""
 
     __slots__ = ("rows", "entity_ids", "relation_ids")
 
@@ -118,11 +116,9 @@ class Triples(Sequence):
             yield from zip(map(entity, h), map(relation, r), map(entity, t))
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (tuple, Triples)):
+        if not isinstance(other, Triples):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
-
-    __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         return repr(tuple(self))
@@ -135,24 +131,22 @@ class KnowledgeGraph:
     ``entities`` and ``relations`` are (id, name) pairs in file order;
     ``descriptions`` maps every entity id to a (possibly empty) string, the
     rows of ``descriptions.tsv`` in file order first, then the entities it omits.
-    Each split is a sequence of ``(h, r, t)`` id triples: ``Triples`` over the
-    rows in a loaded or renamed graph, any sequence of tuples otherwise.
+    Each split is ``Triples`` over its rows. Build one with ``read_graph`` or
+    ``from_triples``; two are equal if their tables, descriptions and triples are.
     """
 
     entities: tuple[tuple[str, str], ...]
     relations: tuple[tuple[str, str], ...]
-    train: Sequence[Triple]
-    valid: Sequence[Triple]
-    test: Sequence[Triple]
     descriptions: dict[str, str]
+    _splits: _Splits
 
-    @cached_property
+    @property
     def entity_ids(self) -> tuple[str, ...]:
-        return tuple(eid for eid, _ in self.entities)
+        return self._splits.entity_ids
 
-    @cached_property
+    @property
     def relation_ids(self) -> tuple[str, ...]:
-        return tuple(rid for rid, _ in self.relations)
+        return self._splits.relation_ids
 
     @cached_property
     def entity_names(self) -> dict[str, str]:
@@ -176,25 +170,16 @@ class KnowledgeGraph:
         tail) rows into ``entity_ids`` / ``relation_ids``."""
         return self._splits.rows
 
-    @cached_property
-    def _splits(self) -> _Splits:
-        return _Splits(self)
-
     def renamed(self, entities: tuple[tuple[str, str], ...],
                 relations: tuple[tuple[str, str], ...],
                 descriptions: dict[str, str]) -> KnowledgeGraph:
         """This graph with new (id, name) tables and descriptions over the same
-        ids, in the same order, and the same splits. The two graphs share what
-        is built from ids and splits alone, so the split checks and rows are
-        built once for every graph renamed from one source."""
-        splits = self._splits
-        out = KnowledgeGraph(entities, relations, descriptions=descriptions, **{
-            split: Triples(rows, splits.entity_ids, splits.relation_ids)
-            for split, rows in splits.rows.items()})
-        if out.entity_ids != self.entity_ids or out.relation_ids != self.relation_ids:
+        ids, in the same order. It shares the source's split rows and what is
+        built from ids and splits alone, so that is built once per source."""
+        if (tuple(map(itemgetter(0), entities)) != self.entity_ids
+                or tuple(map(itemgetter(0), relations)) != self.relation_ids):
             raise ValueError("a renamed graph must keep the entity and relation ids in order")
-        out.__dict__["_splits"] = splits  # stored as cached_property stores it
-        return out
+        return KnowledgeGraph(entities, relations, descriptions, self._splits)
 
     @property
     def relation_pairs(self) -> np.ndarray:
@@ -233,10 +218,14 @@ class KnowledgeGraph:
         return textgen.fit_unigram([name for _, name in self.entities]
                                    + [name for _, name in self.relations])
 
-    def split(self, name: str) -> Sequence[Triple]:
+    def split(self, name: str) -> Triples:
         if name not in SPLITS:
             raise ValueError(f"unknown split {name!r}, expected one of {SPLITS}")
-        return getattr(self, name)
+        return Triples(self._splits.rows[name], self.entity_ids, self.relation_ids)
+
+    train = property(lambda self: self.split("train"))
+    valid = property(lambda self: self.split("valid"))
+    test = property(lambda self: self.split("test"))
 
     @cached_property
     def all_triples(self) -> Triples:
@@ -258,15 +247,13 @@ class KnowledgeGraph:
         return {key: frozenset(vals) for key, vals in index.items()}
 
     def validate(self) -> None:
-        """Check every invariant; raise ValidationError on the first breach, at its
-        table and row if it has one. The ids and splits are checked once per graph
-        structure, as ``_splits`` is built; the names and descriptions every time."""
-        entity_row = self._splits.entity_row
+        """Check the names and descriptions; raise ValidationError on the first breach,
+        at its table and row if it has one. The builder has checked the ids and splits."""
         _check_cells("entities", map(itemgetter(1), self.entities), "name")
         _check_cells("relations", map(itemgetter(1), self.relations), "name")
-        if self.descriptions.keys() != entity_row.keys():
-            extra = sorted(self.descriptions.keys() - entity_row.keys())
-            missing = sorted(entity_row.keys() - self.descriptions.keys())
+        if self.descriptions.keys() != self.entity_row.keys():
+            extra = sorted(self.descriptions.keys() - self.entity_row.keys())
+            missing = sorted(self.entity_row.keys() - self.descriptions.keys())
             raise ValidationError(
                 f"descriptions out of sync with entities "
                 f"(unknown ids: {extra[:3]}, missing ids: {missing[:3]})"
@@ -275,38 +262,23 @@ class KnowledgeGraph:
 
 
 class _Splits:
-    """A graph's ids and split rows, checked as they are built, and what is built
-    from them alone. One that exists has passed (``cached_property`` caches no
-    raise, so a bad graph raises at every access); every graph
-    ``KnowledgeGraph.renamed`` derives from one source shares the source's, so
-    the checks run once.
+    """A graph's ids and split rows, checked as ``_build`` maps them and here
+    for repeats, and what is built from them alone; every graph ``renamed``
+    derives from one source shares the source's. Equal if ids and rows are."""
 
-    A split that is ``Triples`` over the graph's id tables lends its rows; any
-    other is looked up id by id. ``tables`` are the graph's ``entity_row`` and
-    ``relation_row``, if built already.
-    """
-
-    def __init__(self, kg: KnowledgeGraph,
-                 tables: tuple[dict[str, int], dict[str, int]] | None = None) -> None:
-        ids = self.entity_ids, self.relation_ids = kg.entity_ids, kg.relation_ids
-        tables = tables or (_index(self.entity_ids), _index(self.relation_ids))
+    def __init__(self, ids: tuple[tuple[str, ...], tuple[str, ...]],
+                 tables: tuple[dict[str, int], dict[str, int]],
+                 rows: dict[str, np.ndarray]) -> None:
+        self.entity_ids, self.relation_ids = ids
         self.entity_row, self.relation_row = tables
-        _check_ids("entities", self.entity_ids, self.entity_row, "entity id")
-        _check_ids("relations", self.relation_ids, self.relation_row, "relation id")
-        self.rows: dict[str, np.ndarray] = {}
-        for split in SPLITS:
-            triples = kg.split(split)
-            if isinstance(triples, Triples) and (triples.entity_ids, triples.relation_ids) == ids:
-                rows = triples.rows
-            else:
-                rows = _lookup(tables, chain.from_iterable(triples), len(triples))
-            if rows.size and rows.min() < 0:
-                # the first row with an unknown id, and its first such cell
-                row, column = divmod(int(np.argmax(rows.ravel() < 0)), 3)
-                raise ValidationError(f"{_UNKNOWN[column]} {triples[row][column]!r}", split, row)
-            rows.flags.writeable = False  # shared by every graph renamed from one source
-            self.rows[split] = rows
+        self.rows = rows
         self._check_repeats()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Splits):
+            return NotImplemented
+        return ((self.entity_ids, self.relation_ids) == (other.entity_ids, other.relation_ids)
+                and all(np.array_equal(self.rows[split], other.rows[split]) for split in SPLITS))
 
     def _check_repeats(self) -> None:
         """A triple listed twice is an error at its second row, in split order."""
@@ -399,11 +371,6 @@ def _check_cells(table: str, cells: Iterable[str], what: str) -> None:
         start += len(chunk)
 
 
-def _index(ids: Sequence[str]) -> dict[str, int]:
-    """Each of ``ids``'s row (a repeated id's last; ``_check_ids`` rejects repeats)."""
-    return dict(zip(ids, range(len(ids))))
-
-
 def _check_ids(table: str, ids: Sequence[str], rows: dict[str, int], what: str) -> None:
     """A tab or newline in one of ``ids``, then a repeat, is an error at its first row."""
     _check_cells(table, ids, what)
@@ -411,14 +378,6 @@ def _check_ids(table: str, ids: Sequence[str], rows: dict[str, int], what: str) 
         seen: set[str] = set()
         row = next(row for row, key in enumerate(ids) if key in seen or seen.add(key))
         raise ValidationError(f"duplicate {what} {ids[row]!r}", table, row)
-
-
-def _lookup(tables: tuple[dict[str, int], dict[str, int]], cells: Iterable[str],
-            n: int) -> np.ndarray:
-    """``n`` int32 rows of ``cells``, three a triple: each id's row, -1 for one in no table."""
-    entity_row, relation_row = tables
-    return np.fromiter(map(dict.get, cycle((entity_row, relation_row, entity_row)), cells,
-                           repeat(-1)), dtype=np.int32, count=3 * n).reshape(n, 3)
 
 
 def _line_blocks(path: Path) -> Iterator[tuple[Sequence[int], list[str]]]:
@@ -507,17 +466,6 @@ def _read_pairs(path: Path) -> tuple[tuple[str, str], ...]:
                                      for _, cells in _row_blocks(path, 2)))
 
 
-def _read_split(path: Path, ids: tuple[tuple[str, ...], tuple[str, ...]],
-                tables: tuple[dict[str, int], dict[str, int]]) -> Sequence[Triple]:
-    """The split file at ``path`` as ``Triples`` over ``ids``, read straight into
-    rows; as its tuples if it lists an id in no table, so the checks can name it."""
-    rows = np.concatenate([np.empty((0, 3), dtype=np.int32)] + [
-        _lookup(tables, cells, len(linenos)) for linenos, cells in _row_blocks(path, 3)])
-    if rows.size and rows.min() < 0:
-        return tuple(tuple(cells) for _, cells in read_rows(path, 3))
-    return Triples(rows, *ids)
-
-
 def split_ids(split_files: Mapping[str, Path]) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """The entity ids, then the relation ids, of ``split_files[split]`` in
     order of first use (a head before its tail), a block of lines at a time."""
@@ -558,31 +506,74 @@ def file_lines(files: Mapping[str, Path]) -> Iterator[None]:
         raise ValidationError(exc.at(f"{path.name}:{lineno}", earlier)) from exc
 
 
+def _build(entities: tuple[tuple[str, str], ...], relations: tuple[tuple[str, str], ...],
+           description_rows: Sequence[tuple[str, str]],
+           split_cells: Mapping[str, Iterable[list[str]]]) -> KnowledgeGraph:
+    """The graph of the (id, name) tables, the (entity id, description) rows
+    (an entity they omit gets an empty one) and each split's cells, three a
+    triple, in blocks mapped to int32 rows one at a time. The first breach
+    raises ValidationError at its table and row: a bad description row, a fault
+    a split's blocks raise, a bad or repeated id, an id in no table (in split
+    order), a repeated triple; names and descriptions are left to ``validate``."""
+    ids = tuple(map(itemgetter(0), entities)), tuple(map(itemgetter(0), relations))
+    # each id's row (a repeated id's last; _check_ids rejects repeats)
+    tables = entity_row, relation_row = tuple(dict(zip(keys, range(len(keys)))) for keys in ids)
+    descriptions = dict(description_rows)  # row order, so a description's row is its position
+    if len(descriptions) != len(description_rows) or descriptions.keys() - entity_row.keys():
+        described: set[str] = set()  # name the first unknown or repeated entity
+        for row, (eid, _) in enumerate(description_rows):
+            if eid not in entity_row or eid in described:
+                what = "unknown" if eid not in entity_row else "duplicate"
+                raise ValidationError(f"{what} entity {eid!r}", "descriptions", row)
+            described.add(eid)
+    if len(descriptions) != len(entity_row):
+        descriptions.update((eid, "") for eid in ids[0] if eid not in descriptions)
+    rows, unknown = {}, None
+    for split in SPLITS:
+        blocks = [np.empty((0, 3), dtype=np.int32)]
+        for cells in split_cells[split]:
+            # each id's row, -1 for one in no table
+            block = np.fromiter(map(dict.get, cycle((entity_row, relation_row, entity_row)),
+                                    cells, repeat(-1)), dtype=np.int32, count=len(cells))
+            if unknown is None and block.size and block.min() < 0:
+                cell = int(np.argmax(block < 0))  # the first row with one, its first such cell
+                unknown = ValidationError(f"{_UNKNOWN[cell % 3]} {cells[cell]!r}", split,
+                                          sum(map(len, blocks)) + cell // 3)
+            blocks.append(block.reshape(-1, 3))
+        rows[split] = np.concatenate(blocks)
+        rows[split].flags.writeable = False  # shared by every graph renamed from one source
+    del blocks  # the last split's blocks, before the repeat check sorts every triple's key
+    _check_ids("entities", ids[0], entity_row, "entity id")
+    _check_ids("relations", ids[1], relation_row, "relation id")
+    if unknown is not None:
+        raise unknown
+    return KnowledgeGraph(entities, relations, descriptions, _Splits(ids, tables, rows))
+
+
 def read_graph(entities: tuple[tuple[str, str], ...], relations: tuple[tuple[str, str], ...],
                description_rows: Sequence[tuple[str, str]],
                files: Mapping[str, Path]) -> KnowledgeGraph:
     """The validated graph of the (id, name) tables, the (entity id,
     description) rows (an entity they omit gets an empty one) and the split
-    files ``files[split]``, parsed straight into int32 rows; a breach on a row
-    of a table read from ``files[table]`` names its file line."""
-    ids = tuple(eid for eid, _ in entities), tuple(rid for rid, _ in relations)
-    tables = entity_row, _ = _index(ids[0]), _index(ids[1])
-    descriptions = dict(description_rows)  # row order, so a description's row is its position
+    files ``files[split]``, read a block at a time into int32 rows; a breach
+    on a row of a table read from ``files[table]`` names its file line."""
     with file_lines(files):
-        if len(descriptions) != len(description_rows) or descriptions.keys() - entity_row.keys():
-            described: set[str] = set()  # name the first unknown or repeated entity
-            for row, (eid, _) in enumerate(description_rows):
-                if eid not in entity_row or eid in described:
-                    what = "unknown" if eid not in entity_row else "duplicate"
-                    raise ValidationError(f"{what} entity {eid!r}", "descriptions", row)
-                described.add(eid)
-        if len(descriptions) != len(entity_row):
-            descriptions.update((eid, "") for eid in ids[0] if eid not in descriptions)
-        kg = KnowledgeGraph(entities, relations, descriptions=descriptions, **{
-            split: _read_split(files[split], ids, tables) for split in SPLITS})
-        kg.__dict__["_splits"] = _Splits(kg, tables)  # stored as cached_property stores it
+        kg = _build(entities, relations, description_rows, {
+            split: (cells for _, cells in _row_blocks(files[split], 3)) for split in SPLITS})
         kg.validate()
     return kg
+
+
+def from_triples(entities: Iterable[tuple[str, str]], relations: Iterable[tuple[str, str]],
+                 train: Iterable[Triple], valid: Iterable[Triple], test: Iterable[Triple],
+                 descriptions: Mapping[str, str]) -> KnowledgeGraph:
+    """The graph of the (id, name) tables, each split's ``(h, r, t)`` id
+    triples and the descriptions by entity id (an entity they omit gets an
+    empty one); the ids and splits are checked here, names and descriptions at
+    ``validate``."""
+    return _build(tuple(entities), tuple(relations), tuple(descriptions.items()), {
+        split: [[cell for h, r, t in triples for cell in (h, r, t)]]  # three ids a triple
+        for split, triples in zip(SPLITS, (train, valid, test))})
 
 
 def load_dataset(directory: str | os.PathLike) -> KnowledgeGraph:

@@ -50,7 +50,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import derangement as drg
-from .errors import InfeasibleError, KgsynthError
+from .errors import InfeasibleError, KgsynthError, LoadError
 from .kg import KnowledgeGraph, write_dataset, write_rows
 from .rewriter import NameMap, join
 from .textgen import sample_unique_strings
@@ -294,9 +294,12 @@ def write_variant(
     The recipe file takes its kind, targets and seed from ``mapping.recipe``.
     """
     write_dataset(kg_after, path)
-    write_mapping(kg_before, kg_after, mapping, path / MAPPING_FILE)
     recipe = mapping.recipe
-    write_recipe(label, recipe.kind, recipe.targets, recipe.seed, path / RECIPE_FILE)
+    try:
+        write_mapping(kg_before, kg_after, mapping, path / MAPPING_FILE)
+        write_recipe(label, recipe.kind, recipe.targets, recipe.seed, path / RECIPE_FILE)
+    except OSError as exc:
+        raise LoadError(f"cannot write variant under {path}: {exc}") from exc
 
 
 def generate_suite(

@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from kgsynth.kg import KnowledgeGraph
+from kgsynth.kg import from_triples
 
 
 def make_kg(entities, relations, train, valid=(), test=(), descriptions=None):
-    """Build a validated KnowledgeGraph from plain tuples.
+    """Build a validated KnowledgeGraph from plain tuples through ``from_triples``.
 
     ``entities``/``relations`` may be (id, name) pairs or bare ids (the id
     doubles as the name); descriptions default to empty strings.
@@ -18,7 +18,7 @@ def make_kg(entities, relations, train, valid=(), test=(), descriptions=None):
     desc = {eid: "" for eid, _ in entity_pairs}
     if descriptions:
         desc.update(descriptions)
-    kg = KnowledgeGraph(
+    kg = from_triples(
         entities=entity_pairs,
         relations=pairs(relations),
         train=tuple(tuple(t) for t in train),

@@ -37,8 +37,8 @@ from kgsynth.evaluate import (
     split_queries,
 )
 from kgsynth.kg import (
-    KnowledgeGraph,
     compute_stats,
+    from_triples,
     load_dataset,
     stream_stats,
     write_dataset,
@@ -239,7 +239,7 @@ def test_criterion_05_structure_preservation(family_kg, tmp_path):
     words = ["alpha", "beta", "gamma", "delta", "omega", "kappa", "sigma", "theta"]
     entities = tuple((f"e{i}", f"{rng.choice(words)} {rng.choice(words)} {i}") for i in range(n))
     names = [name for _, name in entities]
-    big = KnowledgeGraph(
+    big = from_triples(
         entities=entities,
         relations=tuple((f"r{i}", f"relation {i}") for i in range(100)),
         train=tuple((f"e{i}", f"r{i % 100}", f"e{(i + 1) % n}") for i in range(n)),

@@ -13,7 +13,7 @@ from kgsynth import analysis, evaluate, kg as kgmod, transe
 from kgsynth.analysis import relation_distribution
 from kgsynth.errors import ValidationError
 from kgsynth.evaluate import filter_rows
-from kgsynth.kg import KnowledgeGraph, load_dataset, write_rows
+from kgsynth.kg import from_triples, load_dataset, write_rows
 from kgsynth.transe import TrainConfig, evaluate_model, init_model, train
 
 from conftest import random_kg
@@ -213,7 +213,7 @@ def test_validate_names_a_bad_description_after_a_chunk_boundary():
     entities = tuple((f"e{i}", f"entity {i}") for i in range(n))
     descriptions = {f"e{i}": "" for i in range(n)}
     descriptions[f"e{n - 1}"] = "two\nlines"
-    kg = KnowledgeGraph(entities, (("r", "r"),), (("e0", "r", "e1"),), (), (), descriptions)
+    kg = from_triples(entities, (("r", "r"),), (("e0", "r", "e1"),), (), (), descriptions)
     assert raised(kg.validate) == (
         "descriptions: description contains a tab or newline: 'two\\nlines'",
         "descriptions", n - 1)

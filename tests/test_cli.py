@@ -1,12 +1,17 @@
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from kgsynth.cli import main
-from kgsynth.kg import compute_stats, load_dataset, write_dataset
+from kgsynth.kg import compute_stats, from_triples, load_dataset, write_dataset
 
 from conftest import make_kg
+
+
+def emptied(kg, split):
+    """``kg`` with ``split`` emptied, built again from its triples."""
+    splits = {name: () if name == split else kg.split(name) for name in ("train", "valid", "test")}
+    return from_triples(kg.entities, kg.relations, descriptions=kg.descriptions, **splits)
 
 
 @pytest.fixture
@@ -159,7 +164,7 @@ def test_evaluate_line_for_a_non_test_query_is_data_error(dataset_dir, family_kg
 
 def test_evaluate_empty_test_split_is_data_error(family_kg, tmp_path, capsys):
     data = tmp_path / "data"
-    write_dataset(replace(family_kg, test=()), data)
+    write_dataset(emptied(family_kg, "test"), data)
     preds = tmp_path / "preds.tsv"
     preds.write_text("", encoding="utf-8")
     assert main(["evaluate", "--input", str(data), "--predictions", str(preds)]) == 2
@@ -278,7 +283,7 @@ def test_train_baseline_writes_checkpoint_and_metrics(dataset_dir, tmp_path, cap
 def test_train_baseline_empty_split_is_data_error_and_writes_nothing(
         family_kg, tmp_path, capsys, split, eval_split):
     data = tmp_path / "data"
-    write_dataset(replace(family_kg, **{split: ()}), data)
+    write_dataset(emptied(family_kg, split), data)
     out = tmp_path / "model"
     code = main([
         "train-baseline", "--input", str(data), "--output", str(out),

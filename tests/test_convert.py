@@ -12,7 +12,7 @@ import pytest
 from kgsynth.convert import (_clean, _find_file, _read_first_alias, _read_text_map,
                              convert_kgbert, convert_wikidata5m)
 from kgsynth.errors import ValidationError
-from kgsynth.kg import KnowledgeGraph, compute_stats, file_lines, load_dataset, write_dataset
+from kgsynth.kg import compute_stats, file_lines, from_triples, load_dataset, write_dataset
 
 
 @pytest.mark.parametrize("splits, message", [
@@ -103,12 +103,12 @@ def reference_kgbert(src, out, gloss_split=False):
         "valid": _find_file(src, ["valid.tsv", "dev.tsv", "valid.txt", "dev.txt"]),
         "test": _find_file(src, ["test.tsv", "test.txt"]),
     }
-    kg = KnowledgeGraph(
-        entities=tuple(entities),
-        relations=tuple((rid, _clean(text)) for rid, text in relation_text.items()),
-        descriptions=descriptions,
-        **{split: reference_triples(path) for split, path in split_files.items()})
     with file_lines(split_files):
+        kg = from_triples(
+            entities=tuple(entities),
+            relations=tuple((rid, _clean(text)) for rid, text in relation_text.items()),
+            descriptions=descriptions,
+            **{split: reference_triples(path) for split, path in split_files.items()})
         write_dataset(kg, out)
     return compute_stats(kg)
 
@@ -124,21 +124,22 @@ def reference_wikidata5m(src, out):
     relation_alias = _read_first_alias(src / "wikidata5m_relation.txt")
     text_path = src / "wikidata5m_text.txt"
     texts = _read_text_map(text_path) if text_path.is_file() else {}
-    kg = KnowledgeGraph(
-        entities=tuple((eid, _clean(entity_alias.get(eid, eid))) for eid in entity_ids),
-        relations=tuple((rid, _clean(relation_alias.get(rid, rid))) for rid in relation_ids),
-        descriptions={eid: _clean(texts.get(eid, "")) for eid in entity_ids},
-        **splits)
+    tables = {
+        "entities": tuple((eid, _clean(entity_alias.get(eid, eid))) for eid in entity_ids),
+        "relations": tuple((rid, _clean(relation_alias.get(rid, rid))) for rid in relation_ids),
+    }
     with file_lines(split_files):
         try:
+            kg = from_triples(descriptions={eid: _clean(texts.get(eid, "")) for eid in entity_ids},
+                              **tables, **splits)
             write_dataset(kg, out)
         except ValidationError as exc:
             if exc.table not in ("entities", "relations"):
                 raise
-            key = getattr(kg, exc.table)[exc.row][0]
+            key = tables[exc.table][exc.row][0]
             cells = (0, 2) if exc.table == "entities" else (1,)
             split, row = next((split, row) for split in ("train", "valid", "test")
-                              for row, triple in enumerate(kg.split(split))
+                              for row, triple in enumerate(splits[split])
                               if any(triple[cell] == key for cell in cells))
             raise ValidationError(exc.detail, split, row) from exc
     return compute_stats(kg)

@@ -12,10 +12,11 @@ from kgsynth.errors import LoadError, ValidationError
 from kgsynth.evaluate import evaluate_predictions
 from kgsynth.kg import (
     DATASET_FILES,
-    KnowledgeGraph,
+    SPLITS,
     Triples,
     compute_stats,
     file_lines,
+    from_triples,
     load_dataset,
     read_rows,
     stream_stats,
@@ -26,6 +27,7 @@ from kgsynth.transe import TrainConfig, init_model, load_model, save_model, trai
 from kgsynth.transform import generate_suite
 
 from conftest import make_kg, random_kg
+from test_transform import nested_homonym_kg
 
 
 def test_roundtrip_structural_equality(family_kg, tmp_path):
@@ -100,9 +102,7 @@ def test_duplicate_entity_id_rejected(family_kg, tmp_path):
 
 
 def test_tab_in_name_rejected_at_write_time(tmp_path):
-    from kgsynth.kg import KnowledgeGraph
-
-    bad = KnowledgeGraph(
+    bad = from_triples(
         entities=(("e1", "has\ttab"), ("e2", "ok")),
         relations=(("r1", "r"),),
         train=(("e1", "r1", "e2"),),
@@ -120,20 +120,23 @@ def test_tab_in_name_rejected_at_write_time(tmp_path):
     ("a", "r\n1", "relation id"),
 ])
 def test_tab_or_newline_in_an_id_rejected_at_write_time(tmp_path, entity_id, relation_id, what):
-    from kgsynth.kg import KnowledgeGraph
+    # the graph is never built, so there is nothing to write
+    def build():
+        return from_triples(
+            entities=((entity_id, "first"), ("e2", "second")),
+            relations=((relation_id, "r"),),
+            train=((entity_id, relation_id, "e2"),),
+            valid=(),
+            test=(),
+            descriptions={entity_id: "", "e2": ""},
+        )
 
-    bad = KnowledgeGraph(
-        entities=((entity_id, "first"), ("e2", "second")),
-        relations=((relation_id, "r"),),
-        train=((entity_id, relation_id, "e2"),),
-        valid=(),
-        test=(),
-        descriptions={entity_id: "", "e2": ""},
-    )
     out = tmp_path / "out"
     table = {"entity id": "entities", "relation id": "relations"}[what]
     with pytest.raises(ValidationError, match=f"^{table}: {what} contains a tab or newline"):
-        write_dataset(bad, out)
+        build()
+    with pytest.raises(ValidationError, match=f"^{table}: {what} contains a tab or newline"):
+        write_dataset(build(), out)
     assert not out.exists()
 
 
@@ -389,11 +392,19 @@ def test_loaded_splits_are_triples_over_the_rows(family_kg, tmp_path):
         triples = kg.split(name)
         assert isinstance(triples, Triples) and triples.rows is kg.split_rows[name]
         assert triples == family_kg.split(name) and family_kg.split(name) == triples
-        assert tuple(triples) == family_kg.split(name)
+        assert tuple(triples) == tuple(family_kg.split(name))
         assert len(triples) == len(family_kg.split(name))
+    assert tuple(kg.train) == (("e1", "r1", "e3"), ("e1", "r2", "e3"), ("e1", "r3", "e2"),
+                               ("e2", "r1", "e4"), ("e2", "r4", "e5"))
     assert kg.train[1] == kg.train[-4] == ("e1", "r2", "e3")
-    assert kg.train[1:3] == family_kg.train[1:3] and isinstance(kg.train[1:3], tuple)
-    assert kg.train != family_kg.train[:-1] and kg.train != list(family_kg.train)
+    assert kg.train[1:3] == (("e1", "r2", "e3"), ("e1", "r3", "e2"))
+    assert isinstance(kg.train[1:3], tuple)
+    # equal length, other order or other ids: unequal triple by triple
+    rows = kg.split_rows["train"]
+    assert kg.train != Triples(rows[::-1], kg.entity_ids, kg.relation_ids)
+    assert kg.train != Triples(rows, kg.entity_ids[::-1], kg.relation_ids)
+    # a Triples equals no tuple or list, not even of its own triples
+    assert kg.train != tuple(kg.train) and kg.train != list(kg.train)
     assert ("e2", "r4", "e5") in kg.train and kg.train.index(("e2", "r4", "e5")) == 4
     assert kg.all_triples == family_kg.all_triples
     assert kg.answer_index == family_kg.answer_index
@@ -403,6 +414,138 @@ def test_loaded_splits_are_triples_over_the_rows(family_kg, tmp_path):
     # a renamed graph passes the rows through
     out = kg.renamed(kg.entities, kg.relations, kg.descriptions)
     assert all(out.split(name).rows is kg.split_rows[name] for name in ("train", "valid", "test"))
+
+
+# --- one builder: from_triples and read_graph ------------------------------------------
+
+def parts(kg):
+    """``from_triples``'s arguments for ``kg``, as plain tuples and a dict."""
+    return dict(entities=kg.entities, relations=kg.relations,
+                descriptions=dict(kg.descriptions),
+                **{name: tuple(kg.split(name)) for name in SPLITS})
+
+
+def dict_rows(entities, relations, triples):
+    """Each triple's (head, relation, tail) rows, looked up in dicts built by enumerate."""
+    entity_row = {eid: row for row, (eid, _) in enumerate(entities)}
+    relation_row = {rid: row for row, (rid, _) in enumerate(relations)}
+    return [[entity_row[h], relation_row[r], entity_row[t]] for h, r, t in triples]
+
+
+def test_from_triples_equals_the_load_of_its_own_write(tmp_path):
+    rng = random.Random(31)
+    graphs = [random_kg(rng, n_entities=rng.randint(2, 30), n_relations=rng.randint(1, 5),
+                        n_train=rng.randint(0, 40), n_valid=rng.randint(0, 4),
+                        n_test=rng.randint(0, 4)) for _ in range(12)]
+    graphs += [nested_homonym_kg(rng) for _ in range(6)]
+    for trial, kg in enumerate(graphs):
+        given = parts(kg)
+        # an entity the descriptions omit gets an empty one
+        given["descriptions"] = {eid: text for eid, text in kg.descriptions.items() if text}
+        built = from_triples(**given)
+        assert built.descriptions == kg.descriptions
+        write_dataset(built, tmp_path / str(trial))
+        assert load_dataset(tmp_path / str(trial)) == built
+        for name in SPLITS:
+            rows = built.split_rows[name]
+            assert rows.dtype == np.int32 and rows.shape == (len(given[name]), 3)
+            assert rows.tolist() == dict_rows(kg.entities, kg.relations, given[name])
+            assert tuple(built.split(name)) == given[name]
+    assert any("" in kg.descriptions.values() for kg in graphs)
+
+
+def test_graphs_are_equal_by_tables_descriptions_and_triples(family_kg):
+    given = parts(family_kg)
+    again = from_triples(**given)
+    assert again == family_kg and again._splits is not family_kg._splits
+    # one triple moved to another split, then the same triples in another order
+    moved = {**given, "train": given["train"][:-1], "valid": given["valid"] + given["train"][-1:]}
+    assert from_triples(**moved) != family_kg
+    assert from_triples(**{**given, "train": given["train"][::-1]}) != family_kg
+    assert from_triples(**{**given, "descriptions": {**given["descriptions"], "e3": ""}}) \
+        != family_kg
+
+
+def _with(given, **changes):
+    return {**given, **changes}
+
+
+# Two structure faults in one input: the build raises the first in the loader's
+# precedence, at its table or split and row.
+BUILD_FAULTS = {
+    "description-row-before-repeated-id": (
+        lambda g: _with(g, descriptions={**g["descriptions"], "e9": "z"},
+                        entities=g["entities"] + (("e1", "again"),)),
+        "descriptions: unknown entity 'e9'", "descriptions", 5),
+    "repeated-entity-id-before-bad-relation-id": (
+        lambda g: _with(g, entities=g["entities"] + (("e3", "again"),),
+                        relations=g["relations"] + (("r\t5", "x"),)),
+        "entities: duplicate entity id 'e3'", "entities", 5),
+    "bad-relation-id-before-unknown-id": (
+        lambda g: _with(g, relations=g["relations"] + (("r\n5", "x"),),
+                        train=g["train"] + (("e1", "r1", "ghost"),)),
+        "relations: relation id contains a tab or newline: 'r\\n5'", "relations", 4),
+    "unknown-id-before-repeat-in-an-earlier-split": (
+        lambda g: _with(g, train=g["train"] + g["train"][:1],
+                        test=g["test"] + (("e1", "zz", "e2"),)),
+        "test: unknown relation 'zz'", "test", 1),
+    "first-unknown-in-split-order": (
+        lambda g: _with(g, train=g["train"] + (("ghost", "r1", "e2"),),
+                        valid=(("e1", "r1", "spook"),) + g["valid"]),
+        "train: unknown head entity 'ghost'", "train", 5),
+    "repeated-triple-before-bad-name": (
+        lambda g: _with(g, valid=g["valid"] + g["train"][2:3],
+                        entities=g["entities"][:1] + (("e2", "Daniel\tBernoulli"),)
+                        + g["entities"][2:]),
+        "valid: duplicate triple ('e1', 'r3', 'e2') (splits share triples: also in train)",
+        "valid", 1),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BUILD_FAULTS))
+def test_structure_errors_are_raised_at_build_in_the_loaders_precedence(family_kg, fault):
+    change, message, table, row = BUILD_FAULTS[fault]
+    with pytest.raises(ValidationError) as info:
+        from_triples(**change(parts(family_kg)))
+    assert (str(info.value), info.value.table, info.value.row) == (message, table, row)
+
+
+@pytest.mark.parametrize("train", [(("e1", "r1"),), (("e1", "r1"), ("e2", "r1", "e1", "e3"))],
+                         ids=["short", "short-then-long"])
+def test_from_triples_rejects_a_triple_of_another_length(family_kg, train):
+    with pytest.raises(ValueError, match="values to unpack"):
+        from_triples(**_with(parts(family_kg), train=train))
+
+
+def test_an_unknown_id_in_a_later_block_names_its_file_line(family_kg, tmp_path, monkeypatch):
+    monkeypatch.setattr("kgsynth.kg._BLOCK_CHARS", 32)  # a few lines a block
+    write_dataset(family_kg, tmp_path)
+    train = (tmp_path / "train.tsv").read_text(encoding="utf-8")
+    (tmp_path / "train.tsv").write_text(train + "\ne1\tr4\tghost\ne2\tzz\te1\n",
+                                        encoding="utf-8")
+    (tmp_path / "valid.tsv").write_text("spook\tr1\te1\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"^train.tsv:7: unknown tail entity 'ghost'$"):
+        load_dataset(tmp_path)
+
+
+def test_names_and_descriptions_are_checked_at_validate_and_write(family_kg, tmp_path):
+    given = parts(family_kg)
+    bad_name = given["entities"][:1] + (("e2", "Daniel\tBernoulli"),) + given["entities"][2:]
+    bad_description = {**given["descriptions"], "e1": "Basel\n"}
+    for changes, message in [
+        # the name first, though the description comes first in entity order
+        ({"entities": bad_name, "descriptions": bad_description},
+         "entities: name contains a tab or newline: 'Daniel\\tBernoulli'"),
+        ({"descriptions": bad_description},
+         "descriptions: description contains a tab or newline: 'Basel\\n'"),
+    ]:
+        kg = from_triples(**_with(given, **changes))  # the build checks neither
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            kg.validate()
+        out = tmp_path / str(len(changes))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            write_dataset(kg, out)
+        assert not out.exists()
 
 
 def test_split_storage_is_per_row_not_per_object(tmp_path):
@@ -421,9 +564,9 @@ def test_split_storage_is_per_row_not_per_object(tmp_path):
     triples = [(f"e{p // n_entities}", f"r{rng.randrange(n_relations)}", f"e{p % n_entities}")
                for p in pairs]
     for n in (2000, 20000):
-        write_dataset(KnowledgeGraph(entities, relations, tuple(triples[:n]),
-                                     tuple(triples[20000:20050]), tuple(triples[20050:]),
-                                     descriptions), tmp_path / str(n))
+        write_dataset(from_triples(entities, relations, tuple(triples[:n]),
+                                   tuple(triples[20000:20050]), tuple(triples[20050:]),
+                                   descriptions), tmp_path / str(n))
 
     def held(n, pipeline):
         gc.collect()
@@ -461,7 +604,7 @@ def reference_read_rows(path, width):
 
 def reference_load(root):
     """The loader as tuples: the tables and splits read row by row, then
-    ``KnowledgeGraph(...).validate()`` under ``file_lines``."""
+    ``from_triples(...).validate()`` under ``file_lines``."""
     files = {table: root / f"{table}.tsv"
              for table in ("entities", "relations", "descriptions", "train", "valid", "test")}
     entities = tuple((eid, name) for _, (eid, name) in reference_read_rows(files["entities"], 2))
@@ -480,8 +623,8 @@ def reference_load(root):
         descriptions.update((eid, "") for eid, _ in entities if eid not in descriptions)
         splits = {split: tuple(tuple(cells) for _, cells in reference_read_rows(files[split], 3))
                   for split in ("train", "valid", "test")}
-        kg = KnowledgeGraph(entities=entities, relations=relations, descriptions=descriptions,
-                            **splits)
+        kg = from_triples(entities=entities, relations=relations, descriptions=descriptions,
+                          **splits)
         kg.validate()
     return kg
 
@@ -577,7 +720,7 @@ def test_loader_matches_a_tuple_reference_on_random_files(tmp_path):
         assert kg == expected
         assert list(kg.descriptions.items()) == list(expected.descriptions.items())
         for name in ("train", "valid", "test"):
-            assert tuple(kg.split(name)) == expected.split(name)
+            assert tuple(kg.split(name)) == tuple(expected.split(name))
             assert np.array_equal(kg.split_rows[name], expected.split_rows[name])
         for table in ("entities", "relations", "descriptions", "train"):
             path = root / f"{table}.tsv"

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -8,7 +7,7 @@ from kgsynth import rewriter, textgen
 from kgsynth.analysis import description_leakage
 from kgsynth.derangement import build_removed_edges
 from kgsynth.errors import ValidationError
-from kgsynth.kg import SPLITS, load_dataset, write_dataset
+from kgsynth.kg import SPLITS, from_triples, load_dataset, write_dataset
 from kgsynth.transform import (
     RECIPES,
     SUITE_VARIANTS,
@@ -449,7 +448,7 @@ NEEDS_NO_FIT_OR_PAIRS = tuple(v for v in SUITE_VARIANTS
 ], ids=["one-suite-call", "one-call-per-variant", "no-sampling-or-relation-variant"])
 def test_unigram_fit_and_relation_pairs_are_built_once_per_graph(
         monkeypatch, family_kg, tmp_path, variants, one_call_each, builds):
-    kg = dataclasses.replace(family_kg)  # a fresh copy, with nothing built yet
+    kg = rebuilt(family_kg)  # a fresh copy, with nothing built yet
     fits, pair_builds = [], []
     fit = textgen.fit_unigram
     pairs = kg_module._Splits.relation_pairs
@@ -482,6 +481,11 @@ def test_unigram_fit_and_relation_pairs_are_built_once_per_graph(
 
 # --- what renamed graphs share ---------------------------------------------------------
 
+def rebuilt(kg):
+    """``kg`` built again from its triples: equal to it, and sharing none of its caches."""
+    return from_triples(kg.entities, kg.relations, kg.train, kg.valid, kg.test, kg.descriptions)
+
+
 def tree_bytes(root):
     return {path.relative_to(root): path.read_bytes()
             for path in root.rglob("*") if path.is_file()}
@@ -492,7 +496,7 @@ def tree_bytes(root):
 def test_one_call_per_variant_writes_the_suite_bytes(family_kg, tmp_path, make):
     kg = make(family_kg)
     # a fresh copy, so the one-call suite builds its caches from scratch
-    assert all(r.ok for r in generate_suite(dataclasses.replace(kg), 17, tmp_path / "one"))
+    assert all(r.ok for r in generate_suite(rebuilt(kg), 17, tmp_path / "one"))
     # no variant writes before base: each shares and fills the graph's split caches
     for variant in reversed(SUITE_VARIANTS):
         assert all(r.ok for r in generate_suite(kg, 17, tmp_path / "each", variants=(variant,)))
@@ -517,17 +521,18 @@ def test_renamed_graph_cells_are_checked_on_every_write(family_kg, tmp_path, cha
 
 
 def test_suite_builds_and_checks_its_graph_structure_once(family_kg, tmp_path, monkeypatch):
-    kg = dataclasses.replace(family_kg)  # a fresh copy, with no structure built yet
+    # the input's structure was built and checked with the graph: the suite builds none
     built = []
     build = kg_module._Splits.__init__
 
-    def counted_build(self, graph):
-        built.append(graph)
-        build(self, graph)
+    def counted_build(self, *args):
+        built.append(self)
+        build(self, *args)
 
     monkeypatch.setattr(kg_module._Splits, "__init__", counted_build)
-    assert all(r.ok for r in generate_suite(kg, 17, tmp_path))
-    assert len(built) == 1 and built[0] is kg
+    assert all(r.ok for r in generate_suite(family_kg, 17, tmp_path))
+    out, _ = apply_recipe(family_kg, "fully_anonymized", {"entities", "relations"}, 17)
+    assert built == [] and out._splits is family_kg._splits
 
 
 def test_renamed_graph_keeps_the_ids_in_order(family_kg):
@@ -538,12 +543,29 @@ def test_renamed_graph_keeps_the_ids_in_order(family_kg):
 
 
 def test_unvalidated_graph_is_rejected_at_its_first_variant(family_kg, tmp_path):
-    kg = dataclasses.replace(family_kg, test=(("e2", "r3", "ghost"),))
+    # a name is checked at every write, so the variants that keep it reject it
+    entities = (("e1", "Johann\tBernoulli"),) + family_kg.entities[1:]
+    kg = from_triples(entities, family_kg.relations, family_kg.train, family_kg.valid,
+                      family_kg.test, family_kg.descriptions)
     for label in ("fullanon-d", "incons-d", "base"):
         variant = next(v for v in SUITE_VARIANTS if v[0] == label)
         [result] = generate_suite(kg, 5, tmp_path, variants=(variant,))
-        assert result.error == "test: unknown tail entity 'ghost'"
+        assert result.error == "entities: name contains a tab or newline: 'Johann\\tBernoulli'"
         assert not (tmp_path / label).exists()
+    # an id in no table is a build error: no graph holds one
+    with pytest.raises(ValidationError, match=r"^test: unknown tail entity 'ghost'$"):
+        from_triples(family_kg.entities, family_kg.relations, family_kg.train, family_kg.valid,
+                     (("e2", "r3", "ghost"),), family_kg.descriptions)
+
+
+def test_a_variant_that_cannot_write_its_mapping_fails_alone(family_kg, tmp_path):
+    (tmp_path / "incons-d" / "mapping.tsv").mkdir(parents=True)
+    results = generate_suite(family_kg, 5, tmp_path)
+    assert len(results) == len(SUITE_VARIANTS) == 13
+    assert [r.label for r in results if not r.ok] == ["incons-d"]
+    assert results[7].label == "incons-d" and "mapping.tsv" in results[7].error
+    for label, _, _ in SUITE_VARIANTS[8:]:
+        assert (tmp_path / label / "recipe.tsv").is_file(), label
 
 
 def mentions(name, text):
