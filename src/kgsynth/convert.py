@@ -12,14 +12,15 @@ Two source layouts are understood:
   relations are restricted to those appearing in the triples, in first
   appearance order, since the alias files cover a superset.
 
-Conversion reads the text files into (id, name) tables and description rows
-and builds the graph with ``kg.read_graph``, as loading does, so split files
-are parsed straight into int32 rows (a Wikidata5m dump's are read once more
-before, for their ids in first-use order). ``read_graph`` validates the graph
-before ``kg.write_dataset`` creates the output directory, so a rejected
-source leaves no partial dataset behind. A triple with an id that has no text
-entry (kgbert) or that is listed twice, in one split or in two, is reported
-with the loader's message at its source file and line; so is a bad wikidata5m
+Conversion builds the graph with ``kg.read_graph``, as loading does, so each
+split file is read once, straight into int32 rows: a kgbert source's after
+its text files, a Wikidata5m dump's first, growing its id tables in order of
+first use, and then its alias and text files, which name the graph through
+``KnowledgeGraph.renamed``. ``read_graph`` validates the graph before
+``kg.write_dataset`` creates the output directory, so a rejected source
+leaves no partial dataset behind. A triple with an id that has no text entry
+(kgbert) or that is listed twice, in one split or in two, is reported with
+the loader's message at its source file and line; so is a bad wikidata5m
 entity or relation id, at the first split line that uses it. A text line
 without a tab or with a repeated id is rejected too. Text and alias lines may
 end in LF or CRLF; tabs and other CRs inside source text are replaced by
@@ -32,7 +33,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import LoadError, ValidationError
-from .kg import DatasetStats, compute_stats, first_use, read_graph, split_ids, write_dataset
+from .kg import DatasetStats, compute_stats, read_graph, write_dataset
 
 FORMATS = ("kgbert", "wikidata5m")
 
@@ -108,25 +109,15 @@ def convert_wikidata5m(input_dir: str | Path, output_dir: str | Path) -> Dataset
         "valid": _find_file(src, ["wikidata5m_transductive_valid.txt", "valid.txt"]),
         "test": _find_file(src, ["wikidata5m_transductive_test.txt", "test.txt"]),
     }
-    entity_ids, relation_ids = split_ids(split_files)
+    kg = read_graph(None, None, (), split_files)  # the ids, in order of first use
 
     entity_alias = _read_first_alias(_find_file(src, ["wikidata5m_entity.txt"]))
     relation_alias = _read_first_alias(_find_file(src, ["wikidata5m_relation.txt"]))
     text_path = src / "wikidata5m_text.txt"
     texts = _read_text_map(text_path) if text_path.is_file() else {}
-
-    try:
-        kg = read_graph(
-            tuple((eid, _clean(entity_alias.get(eid, eid))) for eid in entity_ids),
-            tuple((rid, _clean(relation_alias.get(rid, rid))) for rid in relation_ids),
-            [(eid, _clean(texts.get(eid, ""))) for eid in entity_ids],
-            split_files)
-    except ValidationError as exc:
-        if exc.table not in ("entities", "relations"):
-            raise
-        # the tables list ids in order of first use: name the split line that first uses it
-        key = (entity_ids if exc.table == "entities" else relation_ids)[exc.row]
-        raise ValidationError(exc.at(first_use(split_files, exc.table, key), None)) from exc
+    kg = kg.renamed(tuple((eid, _clean(entity_alias.get(eid, eid))) for eid in kg.entity_ids),
+                    tuple((rid, _clean(relation_alias.get(rid, rid))) for rid in kg.relation_ids),
+                    {eid: _clean(texts.get(eid, "")) for eid in kg.entity_ids})
     write_dataset(kg, output_dir)
     return compute_stats(kg)
 

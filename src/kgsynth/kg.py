@@ -29,9 +29,10 @@ A graph holds each split as int32 ``(n, 3)`` rows of (head, relation, tail)
 into ``entity_ids`` and ``relation_ids`` (``split_rows``), 12 bytes a
 triple. One builder maps a split's cells to rows a block at a time:
 ``read_graph`` (``load_dataset`` and both converters call it) feeds it split
-files, ``from_triples`` in-memory ``(h, r, t)`` id tuples. A graph's ``train``,
-``valid``, ``test`` and ``all_triples`` are ``Triples``: read-only sequences
-that build each id tuple on demand. Split files are written from the rows.
+files, ``from_triples`` in-memory ``(h, r, t)`` id tuples; given no id
+tables, it grows them from the splits. A graph's ``train``, ``valid``,
+``test`` and ``all_triples`` are ``Triples``: read-only sequences that build
+each id tuple on demand. Split files are written from the rows.
 
 The builder checks ids and splits once per graph structure (a graph
 ``KnowledgeGraph.renamed`` derives shares its source's rows), and
@@ -57,7 +58,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain, cycle, islice, repeat
+from itertools import chain, cycle, filterfalse, islice, repeat
 from operator import eq, itemgetter
 from pathlib import Path
 
@@ -466,29 +467,6 @@ def _read_pairs(path: Path) -> tuple[tuple[str, str], ...]:
                                      for _, cells in _row_blocks(path, 2)))
 
 
-def split_ids(split_files: Mapping[str, Path]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The entity ids, then the relation ids, of ``split_files[split]`` in
-    order of first use (a head before its tail), a block of lines at a time."""
-    entities, relations = {}, {}
-    for split in SPLITS:
-        for _, cells in _row_blocks(split_files[split], 3):
-            relations.update(dict.fromkeys(cells[1::3]))
-            del cells[1::3]
-            entities.update(dict.fromkeys(cells))
-    return tuple(entities), tuple(relations)
-
-
-def first_use(split_files: Mapping[str, Path], table: str, key: str) -> str:
-    """The ``<file>:<line>`` of the first triple in ``split_files[split]``
-    that uses ``key`` as an id of ``table`` (``entities`` or ``relations``)."""
-    columns = (0, 2) if table == "entities" else (1,)
-    for split in SPLITS:
-        for lineno, cells in read_rows(split_files[split], 3):
-            if any(cells[column] == key for column in columns):
-                return f"{split_files[split].name}:{lineno}"
-    raise ValueError(f"no split file uses {key!r}")
-
-
 @contextmanager
 def file_lines(files: Mapping[str, Path]) -> Iterator[None]:
     """Reraise a ValidationError on a row of a table read from ``files[table]``
@@ -506,16 +484,20 @@ def file_lines(files: Mapping[str, Path]) -> Iterator[None]:
         raise ValidationError(exc.at(f"{path.name}:{lineno}", earlier)) from exc
 
 
-def _build(entities: tuple[tuple[str, str], ...], relations: tuple[tuple[str, str], ...],
+def _build(entities: tuple[tuple[str, str], ...] | None,
+           relations: tuple[tuple[str, str], ...] | None,
            description_rows: Sequence[tuple[str, str]],
            split_cells: Mapping[str, Iterable[list[str]]]) -> KnowledgeGraph:
     """The graph of the (id, name) tables, the (entity id, description) rows
     (an entity they omit gets an empty one) and each split's cells, three a
-    triple, in blocks mapped to int32 rows one at a time. The first breach
-    raises ValidationError at its table and row: a bad description row, a fault
-    a split's blocks raise, a bad or repeated id, an id in no table (in split
-    order), a repeated triple; names and descriptions are left to ``validate``."""
-    ids = tuple(map(itemgetter(0), entities)), tuple(map(itemgetter(0), relations))
+    triple, in blocks mapped to int32 rows one at a time; with no tables
+    (None), each id a block first uses takes the next row (a head before its
+    tail), named by itself. The first breach raises ValidationError at its
+    table and row: a bad description row, a fault a split's blocks raise, a
+    bad or repeated id (a grown one at its first split row), an id in no table
+    (in split order), a repeated triple; names and descriptions are left to
+    ``validate``."""
+    ids = tuple(map(itemgetter(0), entities or ())), tuple(map(itemgetter(0), relations or ()))
     # each id's row (a repeated id's last; _check_ids rejects repeats)
     tables = entity_row, relation_row = tuple(dict(zip(keys, range(len(keys)))) for keys in ids)
     descriptions = dict(description_rows)  # row order, so a description's row is its position
@@ -526,37 +508,55 @@ def _build(entities: tuple[tuple[str, str], ...], relations: tuple[tuple[str, st
                 what = "unknown" if eid not in entity_row else "duplicate"
                 raise ValidationError(f"{what} entity {eid!r}", "descriptions", row)
             described.add(eid)
-    if len(descriptions) != len(entity_row):
-        descriptions.update((eid, "") for eid in ids[0] if eid not in descriptions)
-    rows, unknown = {}, None
+    rows, faults = {}, dict.fromkeys(("entity id", "relation id", "unknown"))  # raised in order
     for split in SPLITS:
         blocks = [np.empty((0, 3), dtype=np.int32)]
         for cells in split_cells[split]:
+            if entities is None:  # each new id takes the next row, checked where first used
+                heads_tails = cells.copy()
+                del heads_tails[1::3]
+                for table, keys, what, per_row in ((entity_row, heads_tails, "entity id", 2),
+                                                   (relation_row, cells[1::3], "relation id", 1)):
+                    new = list(dict.fromkeys(filterfalse(table.__contains__, keys)))
+                    table.update(zip(new, range(len(table), len(table) + len(new))))
+                    if faults[what] is None and _has_tab_or_newline("".join(new)):
+                        bad = next(filter(_has_tab_or_newline, new))
+                        row = sum(map(len, blocks)) + keys.index(bad) // per_row
+                        faults[what] = ValidationError(
+                            f"{what} contains a tab or newline: {bad!r}", split, row)
             # each id's row, -1 for one in no table
             block = np.fromiter(map(dict.get, cycle((entity_row, relation_row, entity_row)),
                                     cells, repeat(-1)), dtype=np.int32, count=len(cells))
-            if unknown is None and block.size and block.min() < 0:
+            if faults["unknown"] is None and block.size and block.min() < 0:
                 cell = int(np.argmax(block < 0))  # the first row with one, its first such cell
-                unknown = ValidationError(f"{_UNKNOWN[cell % 3]} {cells[cell]!r}", split,
-                                          sum(map(len, blocks)) + cell // 3)
+                faults["unknown"] = ValidationError(f"{_UNKNOWN[cell % 3]} {cells[cell]!r}",
+                                                    split, sum(map(len, blocks)) + cell // 3)
             blocks.append(block.reshape(-1, 3))
         rows[split] = np.concatenate(blocks)
         rows[split].flags.writeable = False  # shared by every graph renamed from one source
     del blocks  # the last split's blocks, before the repeat check sorts every triple's key
-    _check_ids("entities", ids[0], entity_row, "entity id")
-    _check_ids("relations", ids[1], relation_row, "relation id")
-    if unknown is not None:
-        raise unknown
+    if entities is None:  # grown ids are distinct by construction
+        ids = tuple(entity_row), tuple(relation_row)
+        entities, relations = (tuple(zip(keys, keys)) for keys in ids)
+    else:
+        _check_ids("entities", ids[0], entity_row, "entity id")
+        _check_ids("relations", ids[1], relation_row, "relation id")
+    for fault in filter(None, faults.values()):
+        raise fault
+    if len(descriptions) != len(entity_row):
+        descriptions.update((eid, "") for eid in ids[0] if eid not in descriptions)
     return KnowledgeGraph(entities, relations, descriptions, _Splits(ids, tables, rows))
 
 
-def read_graph(entities: tuple[tuple[str, str], ...], relations: tuple[tuple[str, str], ...],
+def read_graph(entities: tuple[tuple[str, str], ...] | None,
+               relations: tuple[tuple[str, str], ...] | None,
                description_rows: Sequence[tuple[str, str]],
                files: Mapping[str, Path]) -> KnowledgeGraph:
-    """The validated graph of the (id, name) tables, the (entity id,
-    description) rows (an entity they omit gets an empty one) and the split
-    files ``files[split]``, read a block at a time into int32 rows; a breach
-    on a row of a table read from ``files[table]`` names its file line."""
+    """The validated graph of the (id, name) tables (grown as ``_build`` says
+    if None), the (entity id, description) rows (an entity they omit gets an
+    empty one) and the split files ``files[split]``, read a block at a time
+    into int32 rows; a breach on a row of a table read from ``files[table]``
+    names its file line."""
     with file_lines(files):
         kg = _build(entities, relations, description_rows, {
             split: (cells for _, cells in _row_blocks(files[split], 3)) for split in SPLITS})

@@ -44,6 +44,7 @@ and one call per variant do the same work.
 from __future__ import annotations
 
 import hashlib
+import shutil
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -312,7 +313,7 @@ def generate_suite(
 
     Each variant gets the six dataset files plus mapping.tsv and recipe.tsv,
     under a seed derived from (seed, label). A failing variant is reported in
-    its result entry; the remaining variants still run.
+    its result entry, its directory removed; the remaining variants still run.
     """
     root = Path(output_dir)
     root.mkdir(parents=True, exist_ok=True)
@@ -322,6 +323,7 @@ def generate_suite(
             out_kg, mapping = apply_recipe(kg, kind, targets, _field_seed(seed, "suite", label))
             write_variant(kg, out_kg, mapping, label, root / label)
         except KgsynthError as exc:
+            shutil.rmtree(root / label, ignore_errors=True)
             results.append(VariantResult(label, kind, targets, None, None, str(exc)))
         else:
             results.append(VariantResult(label, kind, targets, root / label, mapping))

@@ -4,11 +4,13 @@ import gc
 import random
 import re
 import tracemalloc
+from collections import Counter
 from functools import partial
 
 import numpy as np
 import pytest
 
+from kgsynth import kg as kg_module
 from kgsynth.convert import (_clean, _find_file, _read_first_alias, _read_text_map,
                              convert_kgbert, convert_wikidata5m)
 from kgsynth.errors import ValidationError
@@ -31,6 +33,43 @@ def test_wikidata5m_bad_id_names_the_first_split_line_holding_it(tmp_path, split
         (tmp_path / f"wikidata5m_transductive_{split}.txt").write_bytes(text.encode("utf-8"))
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         convert_wikidata5m(tmp_path, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def _wikidata5m(root, splits, text="Q1\tall of space\n"):
+    """A Wikidata5m source under ``root`` with the given split texts."""
+    files = {f"wikidata5m_transductive_{split}.txt": lines for split, lines in splits.items()}
+    files.update({"wikidata5m_entity.txt": "Q1\tuniverse\nQ2\tEarth\n",
+                  "wikidata5m_relation.txt": "P1\tpart of\n", "wikidata5m_text.txt": text})
+    _write(root, files)
+    return root
+
+
+@pytest.mark.parametrize("block_chars", [1, kg_module._BLOCK_CHARS])
+def test_wikidata5m_bad_entity_id_is_reported_before_a_bad_relation_id(tmp_path, monkeypatch,
+                                                                      block_chars):
+    # the relation id's line comes first, alone in its block when block_chars is 1
+    monkeypatch.setattr(kg_module, "_BLOCK_CHARS", block_chars)
+    src = _wikidata5m(tmp_path / "src", {"train": "Q1\tP1\tQ2\nQ2\tP2\r\tQ1\nQ1\tP1\tQ3\r\n",
+                                         "valid": "Q1\tP1\tQ1\n", "test": "Q2\tP1\tQ2\n"})
+    message = "wikidata5m_transductive_train.txt:3: entity id contains a tab or newline: 'Q3\\r'"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        convert_wikidata5m(src, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_wikidata5m_split_faults_are_reported_before_text_file_faults(tmp_path):
+    # a text line without a tab, and a bad entity id in train: the split is read first
+    splits = {"train": "Q1\tP1\tQ3\r\n", "valid": "Q1\tP1\tQ1\n", "test": "Q1\tP1\tQ2\n"}
+    text = "Q1\tall of space\nQ2 third planet\n"
+    src = _wikidata5m(tmp_path / "both", splits, text)
+    message = "wikidata5m_transductive_train.txt:1: entity id contains a tab or newline: 'Q3\\r'"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        convert_wikidata5m(src, tmp_path / "out")
+    # with the split mended, the text file's fault is the one reported
+    src = _wikidata5m(tmp_path / "text", {**splits, "train": "Q1\tP1\tQ3\n"}, text)
+    with pytest.raises(ValidationError, match="^wikidata5m_text.txt:2: expected id<TAB>text$"):
+        convert_wikidata5m(src, tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
@@ -285,7 +324,7 @@ def test_converters_match_a_tuple_reference_on_random_sources(tmp_path, write_so
         assert any(message in error for error in errors), message
 
 
-# --- memory ------------------------------------------------------------------------------
+# --- one read per file, and memory ----------------------------------------------------------
 
 N_ENTITIES, N_RELATIONS = 400, 8
 
@@ -316,6 +355,30 @@ def _sources(root, n_train, triples):
     _write(root / "kgbert", kgbert)
     _write(root / "wikidata5m", wikidata5m)
     return root
+
+
+def test_converting_and_loading_read_each_file_once(tmp_path, triples, monkeypatch):
+    reads = Counter()
+    line_blocks = kg_module._line_blocks
+
+    def counted(path):
+        reads[path] += 1
+        return line_blocks(path)
+
+    monkeypatch.setattr(kg_module, "_line_blocks", counted)
+    root = _sources(tmp_path, 500, triples)
+    source_splits = {"kgbert": ["train.tsv", "valid.tsv", "test.tsv"],
+                     "wikidata5m": [f"wikidata5m_transductive_{split}.txt"
+                                    for split in ("train", "valid", "test")]}
+    for layout, convert in (("kgbert", convert_kgbert), ("wikidata5m", convert_wikidata5m)):
+        reads.clear()
+        convert(root / layout, tmp_path / layout)
+        assert reads == {root / layout / name: 1 for name in source_splits[layout]}
+        reads.clear()
+        load_dataset(tmp_path / layout)
+        assert reads == {tmp_path / layout / name: 1 for name in
+                         ("train.tsv", "valid.tsv", "test.tsv", "entities.tsv", "relations.tsv",
+                          "descriptions.tsv")}
 
 
 def _peak(fn):

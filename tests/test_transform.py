@@ -564,8 +564,11 @@ def test_a_variant_that_cannot_write_its_mapping_fails_alone(family_kg, tmp_path
     assert len(results) == len(SUITE_VARIANTS) == 13
     assert [r.label for r in results if not r.ok] == ["incons-d"]
     assert results[7].label == "incons-d" and "mapping.tsv" in results[7].error
-    for label, _, _ in SUITE_VARIANTS[8:]:
-        assert (tmp_path / label / "recipe.tsv").is_file(), label
+    # the failed variant leaves no directory that would load as a dataset
+    assert not (tmp_path / "incons-d").exists()
+    for result in results[:7] + results[8:]:
+        assert load_dataset(tmp_path / result.label).entity_ids == family_kg.entity_ids
+        assert (tmp_path / result.label / "recipe.tsv").is_file(), result.label
 
 
 def mentions(name, text):
