@@ -4,15 +4,15 @@ Pearson correlation, and IQR outlier detection.
 ``relation_distribution`` and ``description_leakage`` read the split rows
 (``KnowledgeGraph.split_rows``), whose ids and splits are checked once per
 graph structure, and build no tuple per triple; ``description_leakage``
-reads the mentions from the graph's cached ``mention_spans``, built per
-graph.
+reads the (entity row, name id) pairs of the graph's cached mention table
+(``KnowledgeGraph.mentions``), built per graph, with no loop over entities or
+mentions.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -113,26 +113,15 @@ def description_leakage(kg: KnowledgeGraph) -> LeakageTable:
 
     Every triple contributes two cases, (h, r, ?) and (?, r, t); occurrence
     uses the rewriter's token-boundary, case-sensitive matching rules, read
-    from the graph's one cached scan (``KnowledgeGraph.mention_spans``).
+    from the graph's one cached scan (``KnowledgeGraph.mentions``).
 
-    Each distinct non-empty entity name gets an id. A case hits when its key
-    (query entity row, answer's name id) is among the keys of the mentions,
-    each match of an entity's description read as the name id it spells; the
-    split rows are looked up in those keys as arrays.
+    A case hits when its key (query entity row, answer's name id) is among
+    the keys of all the table's matches, nested and overlapping ones
+    included; the split rows are looked up in those keys as arrays.
     """
-    name_id: dict[str, int] = {}
-    names = np.fromiter((name_id.setdefault(name, len(name_id)) if name else -1
-                         for _, name in kg.entities), dtype=np.int64, count=len(kg.entities))
-    n_names, entity_row, descriptions = len(name_id), kg.entity_row, kg.descriptions
-    known: list[int] = []
-    spelled: list[int] = []
-    for eid, matches in kg.mention_spans.items():
-        text = descriptions[eid]
-        known.extend(repeat(entity_row[eid], len(matches) // 2))
-        spelled.extend(map(name_id.__getitem__,
-                           map(text.__getitem__, map(slice, matches[0::2], matches[1::2]))))
-    keys = np.unique(np.array(known, dtype=np.int64) * n_names
-                     + np.array(spelled, dtype=np.int64))
+    table = kg.mentions
+    names, n_names = table.names, table.n_names
+    keys = np.sort(table.rows * n_names + table.ids)  # repeats do not change a search
 
     def hits(known: np.ndarray, answer: np.ndarray) -> int:
         """How many (known, answer) row pairs have the answer's name mentioned

@@ -16,7 +16,8 @@ Conversion builds the graph with ``kg.read_graph``, as loading does, so each
 split file is read once, straight into int32 rows: a kgbert source's after
 its text files, a Wikidata5m dump's first, growing its id tables in order of
 first use, and then its alias and text files, which name the graph through
-``KnowledgeGraph.renamed``. ``read_graph`` validates the graph before
+``KnowledgeGraph.renamed``. A dump without an alias file fails before any
+split is read. ``read_graph`` validates the graph before
 ``kg.write_dataset`` creates the output directory, so a rejected source
 leaves no partial dataset behind. A triple with an id that has no text entry
 (kgbert) or that is listed twice, in one split or in two, is reported with
@@ -109,10 +110,11 @@ def convert_wikidata5m(input_dir: str | Path, output_dir: str | Path) -> Dataset
         "valid": _find_file(src, ["wikidata5m_transductive_valid.txt", "valid.txt"]),
         "test": _find_file(src, ["wikidata5m_transductive_test.txt", "test.txt"]),
     }
+    alias_files = (_find_file(src, ["wikidata5m_entity.txt"]),
+                   _find_file(src, ["wikidata5m_relation.txt"]))
     kg = read_graph(None, None, (), split_files)  # the ids, in order of first use
 
-    entity_alias = _read_first_alias(_find_file(src, ["wikidata5m_entity.txt"]))
-    relation_alias = _read_first_alias(_find_file(src, ["wikidata5m_relation.txt"]))
+    entity_alias, relation_alias = map(_read_first_alias, alias_files)
     text_path = src / "wikidata5m_text.txt"
     texts = _read_text_map(text_path) if text_path.is_file() else {}
     kg = kg.renamed(tuple((eid, _clean(entity_alias.get(eid, eid))) for eid in kg.entity_ids),

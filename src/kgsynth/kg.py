@@ -46,7 +46,9 @@ passes allocates more than one block beyond what it returns; no reader
 builds a tuple per triple. Three passes over the triples still allocate over
 all of them: the builder joins a split's blocks (the split's rows twice, for
 a moment), the repeat check sorts one int64 key per triple in place, and
-``relation_pairs`` keys every triple.
+``relation_pairs`` keys every triple. The mention table (``mentions``) holds
+about 12 bytes per entity and 13 per name match, in int arrays: no text piece
+and no joined copy of the descriptions.
 """
 
 from __future__ import annotations
@@ -125,6 +127,62 @@ class Triples(Sequence):
         return repr(tuple(self))
 
 
+@dataclass(frozen=True, eq=False)
+class MentionTable:
+    """Every boundary match of an entity name in the descriptions, as flat
+    int arrays (``KnowledgeGraph.mentions``).
+
+    Each distinct non-empty name has an id, counted in order of the first
+    entity row that holds it. Row ``e``'s matches are
+    ``offsets[e]:offsets[e + 1]``, in ``rewriter.scan`` order: by start, at
+    one start the shorter name first, nested and overlapping ones included.
+    """
+
+    names: np.ndarray  # int32 per entity row: its name's id, -1 for an empty name
+    n_names: int
+    offsets: np.ndarray  # int64, one more than the entity rows
+    starts: np.ndarray  # int32 per match
+    ends: np.ndarray  # int32 per match
+    ids: np.ndarray  # int32 per match: the id of the name it spells
+    taken: np.ndarray  # bool per match: in the greedy selection (``rewriter.select``)
+
+    @classmethod
+    def build(cls, names: Sequence[str], texts: Sequence[str]) -> MentionTable:
+        """The table of the entity rows named ``names`` and described by
+        ``texts``: one ``rewriter.scan`` a text, with an index that maps each
+        name to its id and records the id of each match, then one greedy
+        selection over all texts."""
+        name_id: dict[str, int] = {}
+        row_names = np.fromiter((name_id.setdefault(name, len(name_id)) if name else -1
+                                 for name in names), dtype=np.int32, count=len(names))
+        index = rewriter.build_index(name_id)
+        index.record = ids = array("i")
+        spans, bounds = array("i"), array("q", [0])
+        for text in texts:
+            spans += rewriter.scan(index, text)
+            bounds.append(len(spans) // 2)
+        n_names = len(name_id)
+        del name_id, index  # before the selection's arrays are made
+        offsets = np.array(bounds, dtype=np.int64)
+        starts = np.frombuffer(spans[0::2], dtype=np.int32)
+        ends = np.frombuffer(spans[1::2], dtype=np.int32)
+        del spans, bounds
+        # each text's positions shifted past the texts before it, so one pass
+        # selects all; memoryviews, so no list holds an int per match
+        lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+        shifted = np.repeat(np.cumsum(lengths) - lengths, np.diff(offsets))
+        shifted_ends = shifted + ends
+        shifted += starts
+        taken = rewriter.select(memoryview(shifted), memoryview(shifted_ends))
+        return cls(row_names, n_names, offsets, starts, ends,
+                   np.frombuffer(ids, dtype=np.int32), np.frombuffer(taken, dtype=bool))
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Each match's entity row, int64."""
+        return np.repeat(np.arange(len(self.names), dtype=np.int64), np.diff(self.offsets))
+
+
 @dataclass(frozen=True)
 class KnowledgeGraph:
     """Immutable knowledge graph with per-entity descriptions.
@@ -190,26 +248,19 @@ class KnowledgeGraph:
         return self._splits.relation_pairs
 
     @cached_property
-    def mention_spans(self) -> dict[str, array[int]]:
-        """Per entity id whose description mentions an entity name, the
-        ``rewriter.scan`` matches of the distinct non-empty entity names
-        (flat int32 ``start, end, ...``, nested matches included); built on
+    def mentions(self) -> MentionTable:
+        """Every boundary match of a non-empty entity name in each entity's
+        description, as one table of flat arrays (``MentionTable``); built on
         first use.
 
-        This is the graph's one name index and one description scan: every
-        renaming of the entities rewrites from these matches with one
-        ``rewriter.join``, and ``analysis.description_leakage`` reads the
-        mentioned names from them. The scan filters where a name may start
-        in C, so the walk along token boundaries runs only from spans that
-        begin some name.
+        This is the graph's one name index and one description scan, one
+        ``rewriter.scan`` call per description: every renaming of the
+        entities rewrites from the table's greedy selection, and
+        ``analysis.description_leakage`` reads the (entity row, name id)
+        pairs of all its matches.
         """
-        index = rewriter.build_index({name: name for _, name in self.entities if name})
-        spans = {}
-        for eid, text in self.descriptions.items():
-            found = rewriter.scan(index, text)
-            if found:
-                spans[eid] = found
-        return spans
+        return MentionTable.build([name for _, name in self.entities],
+                                 list(map(self.descriptions.__getitem__, self.entity_ids)))
 
     @cached_property
     def unigram_model(self) -> textgen.UnigramModel:

@@ -14,20 +14,22 @@ overlapping ones included. It finds the places where a key may start in C:
 a compiled split cuts the text into its first spans (a key's first
 character at a token boundary, plus the run of letters and digits after it)
 and the plain text between them, and only the spans that begin some key go
-on to a walk along the token boundaries. ``join`` applies the greedy rule to
-those matches and puts a replacement in each span it takes; ``find_keys`` is
-the set of matched keys. Matches depend only on the keys, so a graph's
-descriptions are scanned once (``KnowledgeGraph.mention_spans``), joined for
-every renaming and read by ``analysis.description_leakage``.
-``rewrite_text`` and ``rewrite_descriptions`` are a scan plus a join.
+on to a walk along the token boundaries. ``select`` is the one greedy rule:
+it flags the matches it takes, of one text or of many at once. ``join`` puts
+a replacement in each span ``select`` takes; ``find_keys`` is the set of
+matched keys. Matches depend only on the keys, so a graph's descriptions are
+scanned once, into its mention table (``KnowledgeGraph.mentions``), whose
+greedy selection every renaming rewrites from and whose matches
+``analysis.description_leakage`` reads. ``rewrite_text`` and
+``rewrite_descriptions`` are a scan plus a join.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
-from collections.abc import Callable, Sequence
-from itertools import accumulate, compress, islice
+from collections.abc import Callable, Mapping, Sequence
+from itertools import accumulate, chain, compress, islice
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -52,10 +54,11 @@ def _split_pattern(first_chars: list[str]) -> re.Pattern[str]:
     return re.compile(r"([" + chars + r"](?<![^\W_].)[^\W_]*)", re.DOTALL)
 
 
-class PatternIndex(dict[str, str | None]):
-    """The keys of a NameMap, each mapped to its replacement, plus every
-    proper key prefix that ends just before a non-alphanumeric character of
-    its key, mapped to None.
+class PatternIndex(dict[str, object]):
+    """The keys of a NameMap, each mapped to its replacement (or of any map
+    of keys to values other than None, such as name ids), plus every proper
+    key prefix that ends just before a non-alphanumeric character of its
+    key, mapped to None.
 
     A key matches only at token boundaries, so a scan needs to look a span
     up only where it ends at a boundary, and it can stop at the first such
@@ -69,14 +72,17 @@ class PatternIndex(dict[str, str | None]):
 
     splits: tuple[re.Pattern[str], ...] = ()
     firsts: frozenset[str] = frozenset()
+    # when an int array, each scan appends to it the value of each match it returns
+    record: array[int] | None = None
 
     def lookup(self, key: str) -> str | None:
         """Replacement for an exact key, or None when the key is not indexed."""
         return self.get(key)
 
 
-def build_index(name_map: NameMap) -> PatternIndex:
-    """Build a PatternIndex holding exactly the keys of ``name_map``."""
+def build_index(name_map: Mapping[str, object]) -> PatternIndex:
+    """Build a PatternIndex holding exactly the keys of ``name_map``, each
+    mapped to its value."""
     index = PatternIndex()
     for key, replacement in name_map.items():
         if not key:
@@ -98,7 +104,8 @@ def scan(index: PatternIndex, text: str) -> array[int]:
 
     Returned as one flat int32 array ``start, end, start, end, ...`` (no
     object per match, so a cache of them stays small), in text order and, at
-    one start, shorter key first; empty when ``text`` mentions no key.
+    one start, shorter key first; empty when ``text`` mentions no key. Each
+    match's value in the index goes to ``index.record`` if that is set.
 
     Each split leaves the text as ``gap, span, gap, span, ..., gap``; the
     spans in ``index.firsts`` are kept with their offsets, all in C, and
@@ -113,7 +120,7 @@ def scan(index: PatternIndex, text: str) -> array[int]:
                            map(index.firsts.__contains__, islice(pieces, 1, None, 2)))
     if len(index.splits) > 1:
         starts.sort()  # the two splits' starts interleave in the text
-    get = index.get
+    get, record = index.get, index.record
     n = len(text)
     matches = array("i")
     for i in starts:
@@ -126,25 +133,39 @@ def scan(index: PatternIndex, text: str) -> array[int]:
             if found is not None:
                 matches.append(i)
                 matches.append(j)
+                if record is not None:
+                    record.append(found)
     return matches
 
 
-def join(text: str, matches: Sequence[int], replace: Callable[[str], str]) -> str:
-    """``text`` with the greedy selection of ``scan`` matches replaced by
-    ``replace(key)``.
+def select(starts: Sequence[int], ends: Sequence[int]) -> bytearray:
+    """One flag per match, 1 for each the greedy rule takes.
 
-    At each start the longest key is taken, and a match that starts inside a
-    key already replaced is skipped, so replacement text is never rescanned.
-    Spans that already are a greedy selection pass through unchanged.
+    ``starts`` ascend and, at one start, the shorter key comes first, as
+    ``scan`` returns them. At each start the longest key is taken, and a
+    match that starts inside a key already taken is skipped, so replacement
+    text is never rescanned. Matches of several texts are selected at once
+    when each text's positions lie above the previous text's.
     """
+    taken = bytearray(len(starts))
+    plain_start = 0
+    for k, (start, after) in enumerate(zip(starts, chain(islice(starts, 1, None), (None,)))):
+        if start < plain_start or after == start:
+            continue  # inside a taken key, or a longer key starts here
+        taken[k] = 1
+        plain_start = ends[k]
+    return taken
+
+
+def join(text: str, matches: Sequence[int], replace: Callable[[str], str]) -> str:
+    """``text`` with the greedy selection (``select``) of ``scan`` matches
+    replaced by ``replace(key)``. Spans that already are a greedy selection
+    pass through unchanged.
+    """
+    starts, ends = matches[0::2], matches[1::2]
     out: list[str] = []
     plain_start = 0
-    last = len(matches) - 2
-    for k in range(0, last + 2, 2):
-        start = matches[k]
-        if start < plain_start or (k < last and matches[k + 2] == start):
-            continue  # inside a replaced key, or a longer key starts here
-        end = matches[k + 1]
+    for start, end in compress(zip(starts, ends), select(starts, ends)):
         out.append(text[plain_start:start])
         out.append(replace(text[start:end]))
         plain_start = end

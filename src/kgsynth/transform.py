@@ -20,8 +20,8 @@ The operations:
   regenerated descriptions draw from one forbidden set, seeded with every
   original name and description, so all strings are distinct.
 - ``rewrite``: when entities are renamed, in-description mentions move to
-  the new names. Each variant joins its own replacements over the graph's
-  name matches with the greedy longest-match rule.
+  the new names. Each variant makes one replacement per name id and puts it
+  in the mentions of the graph's greedy longest-match selection.
 - ``reassign``: derange which entity each description belongs to; with
   entities targeted, each description travels with its name and its
   mentions are left as-is, which is the point.
@@ -34,8 +34,8 @@ Randomness is derived per (seed, kind, field) with a stable 64-bit mix, so
 results are reproducible for a fixed seed.
 
 What the variants of one graph need alike is built once per graph, on first
-use, and cached on it: the name matches (``KnowledgeGraph.mention_spans``,
-the same scan the leakage statistic reads), the fitted unigram model
+use, and cached on it: the mention table (``KnowledgeGraph.mentions``, the
+same scan the leakage statistic reads), the fitted unigram model
 (``unigram_model``) and the co-occurring relation rows (``relation_pairs``,
 shared with every graph renamed from the same source). So one suite call
 and one call per variant do the same work.
@@ -50,10 +50,12 @@ from itertools import chain
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from . import derangement as drg
 from .errors import InfeasibleError, KgsynthError, LoadError
 from .kg import KnowledgeGraph, write_dataset, write_rows
-from .rewriter import NameMap, join
+from .rewriter import NameMap
 from .textgen import sample_unique_strings
 
 
@@ -132,6 +134,27 @@ def _rewrite_map(kg: KnowledgeGraph, new_names: list[str]) -> NameMap:
     return name_map
 
 
+def _rewrite_mentions(kg: KnowledgeGraph, new_names: list[str],
+                      descriptions: dict[str, str]) -> None:
+    """Replace, in ``descriptions``, each mention the graph's greedy selection
+    takes (``KnowledgeGraph.mentions``) by its name's replacement."""
+    table = kg.mentions
+    # name ids count the distinct names in order of first row, as _rewrite_map's keys
+    replacement = list(_rewrite_map(kg, new_names).values())
+    # memoryviews of the table, so no copy of its taken matches is made
+    starts, ends, ids, taken = map(memoryview, (table.starts, table.ends, table.ids, table.taken))
+    rows = np.flatnonzero(np.diff(table.offsets))  # each row with a match has one taken
+    for eid, lo, hi in zip(map(kg.entity_ids.__getitem__, memoryview(rows)),
+                           memoryview(table.offsets[rows]), memoryview(table.offsets[rows + 1])):
+        text, pieces, plain_start = descriptions[eid], [], 0
+        for k in range(lo, hi):
+            if taken[k]:
+                pieces += text[plain_start:starts[k]], replacement[ids[k]]
+                plain_start = ends[k]
+        pieces.append(text[plain_start:])
+        descriptions[eid] = "".join(pieces)
+
+
 def _derange_names(kg: KnowledgeGraph, part: str, seed: int) -> drg.DerangementResult:
     """Derange one name table; relation names also avoid the removed edges."""
     if part == "entities":
@@ -191,9 +214,7 @@ def apply_recipe(
     descriptions = dict(kg.descriptions)
     description_map: dict[str, str] = {}
     if ops.descriptions == "rewrite" and "entities" in targets:
-        replace = _rewrite_map(kg, list(maps["entities"].values())).__getitem__
-        for eid, matches in kg.mention_spans.items():
-            descriptions[eid] = join(descriptions[eid], matches, replace)
+        _rewrite_mentions(kg, list(maps["entities"].values()), descriptions)
     elif ops.descriptions == "reassign":
         ids = kg.entity_ids
         if source is None:

@@ -10,7 +10,7 @@ from kgsynth.analysis import (
     pearson_matrix,
     relation_distribution,
 )
-from kgsynth.kg import SPLITS
+from kgsynth.kg import SPLITS, from_triples
 from kgsynth.transform import apply_recipe
 
 from conftest import make_kg, random_kg
@@ -80,6 +80,12 @@ def test_leakage_zero_when_nothing_mentioned():
     assert table.percentages["total"] == 0.0
 
 
+def test_leakage_zero_on_a_graph_with_no_entities():
+    kg = from_triples((), (), (), (), (), {})
+    assert kg.mentions.offsets.tolist() == [0]
+    assert description_leakage(kg).percentages == dict.fromkeys((*SPLITS, "total"), 0.0)
+
+
 def test_leakage_hand_marked_worksheet(family_kg):
     table = description_leakage(family_kg)
     assert table.percentages["train"] == pytest.approx(100.0 * 4 / 10)
@@ -119,6 +125,68 @@ def test_leakage_invariance_on_random_fixtures():
         kg = random_kg(rng, n_entities=9, n_relations=3, n_train=12, n_valid=2, n_test=2)
         shuffled, _ = apply_recipe(kg, "virtual_world", {"entities"}, trial)
         assert description_leakage(shuffled) == description_leakage(kg)
+
+
+# Names that nest in and overlap each other ("New York", "York City"), an
+# empty name, and non-ASCII letters (é, ß, Æ) and digits (٣) at boundaries.
+LEAK_NAMES = ["New York", "York", "New", "York City", "Zürich", "Zürich 2", "ßé", "é", "٣",
+              "x٣", "a b", "b", "Æon", ""]
+# Glue between words: some of it is a token boundary, some a word character.
+LEAK_GLUE = [" ", " ", " ", "-", ".", "", "é", "٣", "_"]
+
+
+def _leak_kg(rng):
+    """Random graph with homonyms, empty names and descriptions glued from
+    entity names (an entity's own among them), other words and glue."""
+    n = rng.randint(8, 20)
+    names = [rng.choice(LEAK_NAMES) for _ in range(n)]
+    entities = [(f"e{i}", name) for i, name in enumerate(names)]
+    descriptions = {}
+    for i in range(n):
+        words = [rng.choice(names + ["town", "Yorker", names[i]])
+                 for _ in range(rng.randint(0, 8))]
+        descriptions[f"e{i}"] = "".join(word + rng.choice(LEAK_GLUE) for word in words)
+    triples = list(dict.fromkeys((f"e{rng.randrange(n)}", f"r{rng.randrange(3)}",
+                                  f"e{rng.randrange(n)}") for _ in range(3 * n)))
+    a, b = len(triples) * 3 // 5, len(triples) * 4 // 5
+    return make_kg(entities, [(f"r{i}", f"rel{i}") for i in range(3)], train=triples[:a],
+                   valid=triples[a:b], test=triples[b:], descriptions=descriptions)
+
+
+def _mentions(name, text):
+    """Whether ``name`` occurs in ``text`` with no letter or digit on either side."""
+    return bool(name) and any(
+        text.startswith(name, i)
+        and (i == 0 or not text[i - 1].isalnum())
+        and (i + len(name) == len(text) or not text[i + len(name)].isalnum())
+        for i in range(len(text) - len(name) + 1))
+
+
+def _brute_force_leakage(kg):
+    """Each (triple, direction) case checked on its own: the answer's name in
+    the known entity's description."""
+    names, texts = kg.entity_names, kg.descriptions
+    found = {split: sum(_mentions(names[t], texts[h]) + _mentions(names[h], texts[t])
+                        for h, _, t in kg.split(split)) for split in SPLITS}
+    cases = {split: 2 * len(kg.split(split)) for split in SPLITS}
+    percentages = {split: 100.0 * found[split] / cases[split] if cases[split] else 0.0
+                   for split in SPLITS}
+    total = sum(cases.values())
+    percentages["total"] = 100.0 * sum(found.values()) / total if total else 0.0
+    return percentages, sum(found.values())
+
+
+def test_leakage_matches_a_per_case_brute_force():
+    # on each graph and its vw-e variant, whose descriptions name the new names
+    rng = random.Random(616)
+    hits = 0
+    for trial in range(60):
+        kg = _leak_kg(rng)
+        for graph in (kg, apply_recipe(kg, "virtual_world", {"entities"}, trial)[0]):
+            expected, found = _brute_force_leakage(graph)
+            assert description_leakage(graph).percentages == expected, trial
+            hits += found
+    assert hits > 1000, hits
 
 
 # --- pearson_matrix -----------------------------------------------------------------

@@ -98,6 +98,28 @@ def test_load_transient_does_not_grow_with_description_characters(tmp_path, trip
     assert per_char <= 0.5, per_char
 
 
+def test_mention_table_holds_a_few_bytes_per_match_and_per_entity(tmp_path, triples):
+    # 8,000 entities, each description mentioning two names, one run into a
+    # word: the table holds a name id and an offset per entity and a start,
+    # an end, a name id and a selection flag per match, and the index it was
+    # scanned with is dropped. The dict of one match array per described
+    # entity it replaced held 111 B per entity on a WN18RR-shaped graph.
+    n = 8000
+    kg = load_dataset(write_graph(
+        tmp_path / "graph", 2000, triples, n,
+        lambda i: f"entity {i * 7 % n} and entity {i * 13 % n}, not entity {i}x"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        table = kg.mentions
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matches = len(table.starts)
+    assert matches == 2 * n
+    assert held <= 13 * matches + 12 * n + (16 << 10), (held, matches)
+
+
 def test_training_transient_does_not_grow_with_the_model(tmp_path, triples):
     # The same 2,000 train triples over 2,000 and 20,000 entities: one epoch
     # allocates its pair arrays and a block of rows to renormalize beyond the

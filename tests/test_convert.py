@@ -13,7 +13,7 @@ import pytest
 from kgsynth import kg as kg_module
 from kgsynth.convert import (_clean, _find_file, _read_first_alias, _read_text_map,
                              convert_kgbert, convert_wikidata5m)
-from kgsynth.errors import ValidationError
+from kgsynth.errors import LoadError, ValidationError
 from kgsynth.kg import compute_stats, file_lines, from_triples, load_dataset, write_dataset
 
 
@@ -70,6 +70,27 @@ def test_wikidata5m_split_faults_are_reported_before_text_file_faults(tmp_path):
     src = _wikidata5m(tmp_path / "text", {**splits, "train": "Q1\tP1\tQ3\n"}, text)
     with pytest.raises(ValidationError, match="^wikidata5m_text.txt:2: expected id<TAB>text$"):
         convert_wikidata5m(src, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("missing", ["wikidata5m_entity.txt", "wikidata5m_relation.txt"])
+def test_wikidata5m_without_an_alias_file_fails_before_any_split_is_read(tmp_path, monkeypatch,
+                                                                         missing):
+    # a malformed train split, which a read would report first
+    src = _wikidata5m(tmp_path / "src", {"train": "Q1\tP1\n", "valid": "Q1\tP1\tQ1\n",
+                                         "test": "Q1\tP1\tQ2\n"})
+    (src / missing).unlink()
+    reads = []
+    line_blocks = kg_module._line_blocks
+
+    def counted(path):
+        reads.append(path)
+        return line_blocks(path)
+
+    monkeypatch.setattr(kg_module, "_line_blocks", counted)
+    with pytest.raises(LoadError, match=re.escape(f"none of ['{missing}'] found under {src}")):
+        convert_wikidata5m(src, tmp_path / "out")
+    assert reads == []
     assert not (tmp_path / "out").exists()
 
 

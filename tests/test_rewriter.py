@@ -1,6 +1,7 @@
 import random
 import string
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -205,6 +206,13 @@ def test_scan_returns_flat_matches():
     assert list(scan(index, text)) == [0, 8, 4, 8, 10, 14]
     assert not scan(index, "no mention here")
     assert not scan(build_index({}), text)
+
+
+def test_scan_records_the_value_of_each_match():
+    index = build_index({"New York": 0, "York": 1, "Yorkshire": 2})
+    index.record = array("i")
+    assert list(scan(index, "New York, York and Yorkshire")) == [0, 8, 4, 8, 10, 14, 19, 28]
+    assert list(index.record) == [0, 1, 1, 2]
 
 
 def test_join_takes_the_longest_key_and_skips_nested_matches():
