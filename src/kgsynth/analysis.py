@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kg import _BLOCK_ROWS, SPLITS, KnowledgeGraph
+from .kg import _BLOCK_ROWS, SPLITS, KnowledgeGraph, _sorted_distinct
 
 BUCKETS = ("1", "2", "3", "4", "5", "Over")
 COLUMNS = ("train", "valid", "test", "total")
@@ -100,12 +100,12 @@ def _distinct(chunks: Iterable[np.ndarray]) -> np.ndarray:
     waiting: list[np.ndarray] = []
     size = 0
     for chunk in chunks:
-        waiting.append(np.unique(chunk))
+        waiting.append(_sorted_distinct(chunk))
         size += len(waiting[-1])
         if size >= len(merged):
-            merged = np.unique(np.concatenate([merged, *waiting]))
+            merged = _sorted_distinct(np.concatenate([merged, *waiting]))
             waiting, size = [], 0
-    return np.unique(np.concatenate([merged, *waiting]))
+    return _sorted_distinct(np.concatenate([merged, *waiting]))
 
 
 def description_leakage(kg: KnowledgeGraph) -> LeakageTable:

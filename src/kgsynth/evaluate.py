@@ -6,10 +6,11 @@ every rival with an equal score) and filtered by default: candidates that
 form other known-true triples for the same query, in any split, are removed
 before ranking. Both choices are stamped into every MetricsReport.
 
-Every report ranks through ``rank_split``, which hands each query's rows
-and filtered rivals to a ranker's own counting rule and returns one int64
-rank per query, and aggregates the ranks with ``rank_metrics``. The objects
-at the end of the module, one per query, are the rankers' test oracle.
+Every report ranks through ``rank_split``, which hands ``QUERY_CHUNK``
+consecutive queries at a time, with their rows and filtered rivals, to a
+ranker's own counting rule and returns one int64 rank per query, and
+aggregates the ranks with ``rank_metrics``. The objects at the end of the
+module, one per query, are the rankers' test oracle.
 
 Memory contract: ``filter_rows``, the one pass over every split, reads the
 splits ``_BLOCK_ROWS`` rows at a time, so beyond the answers it returns it
@@ -22,12 +23,13 @@ import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .kg import _BLOCK_ROWS, KnowledgeGraph, read_rows
+from .kg import _BLOCK_ROWS, KnowledgeGraph, _sorted_distinct, read_rows
 
 HITS_KS = (1, 3, 10)
 
@@ -97,7 +99,7 @@ def filter_rows(kg: KnowledgeGraph, triples: np.ndarray) -> tuple[np.ndarray, ..
     # key = (known entity * |R| + relation) * 2 + (0 for tail, 1 for head)
     query_keys = ((triples[:, [0, 2]].astype(np.int64) * n_relations + triples[:, 1:2]) * 2
                   + (0, 1)).ravel()
-    wanted = np.unique(query_keys)
+    wanted = _sorted_distinct(query_keys)
     # per direction, the entities some query knows: only their facts can match
     known = np.zeros((2, n_entities), dtype=bool)
     known[wanted % 2, wanted // 2 // n_relations] = True
@@ -130,42 +132,46 @@ def _usable_cpus() -> int:
 
 
 def rank_split(kg: KnowledgeGraph, split: str, filtered: bool,
-               rank_of: Callable[[int, int, int, int, np.ndarray], int]) -> np.ndarray:
+               rank_chunk: Callable[[range, np.ndarray, np.ndarray, np.ndarray,
+                                     list[np.ndarray]], np.ndarray]) -> np.ndarray:
     """Gold rank of every split query as one int64 array: the one ranking loop.
 
     A split's queries are its rows plus a direction: query 2i asks for the
-    tail of split row i, query 2i + 1 for its head. ``rank_of(query, known,
-    relation, gold, rivals)`` gets the query's index and its known entity,
-    relation and gold entity rows, and returns the gold's rank given the
-    entity rows ``rivals`` that must not count against it: with
-    ``filtered``, the query's other known-true answers in any split
-    (``filter_rows``), and none otherwise. Each ranker owns its counting rule.
+    tail of split row i, query 2i + 1 for its head. The loop hands its
+    ranker ``QUERY_CHUNK`` consecutive queries at a time: ``rank_chunk(queries,
+    known, relation, gold, rivals)`` gets the chunk's query indices as a
+    ``range``, its known entity, relation and gold entity rows as int64
+    arrays, and per query the entity rows that must not count against the
+    gold: with ``filtered``, the query's other known-true answers in any
+    split (``filter_rows``), and none otherwise. It returns the chunk's gold
+    ranks, one per query, in order. Each ranker owns its counting rule.
 
-    Chunks of ``QUERY_CHUNK`` consecutive queries are ranked on a thread
-    pool sized to the usable CPUs, so ``rank_of`` may be called from several
-    threads at once. Each chunk writes only its own rank slots, so the
-    ranks do not depend on thread timing or the number of CPUs.
+    Chunks are ranked on a thread pool sized to the usable CPUs, so
+    ``rank_chunk`` may be called from several threads at once. Each chunk
+    writes only its own rank slots, so the ranks do not depend on thread
+    timing or the number of CPUs.
     """
     triples = _split_rows(kg, split)
     n = 2 * len(triples)
     if filtered:
         answers, starts, ends = filter_rows(kg, triples)
-        starts, ends = starts.tolist(), ends.tolist()
     else:
-        answers, starts, ends = np.empty(0, dtype=np.int64), [0] * n, [0] * n
-    known, gold = triples[:, [0, 2]].ravel().tolist(), triples[:, [2, 0]].ravel().tolist()
-    relation = triples[:, 1].tolist()
+        answers, starts, ends = np.empty(0, dtype=np.int64), np.zeros(n, int), np.zeros(n, int)
+    rows = triples.astype(np.int64)
+    known, gold, relation = rows[:, [0, 2]].ravel(), rows[:, [2, 0]].ravel(), rows[:, 1].repeat(2)
     ranks = np.empty(n, dtype=np.int64)
 
-    def rank_chunk(start: int) -> None:
-        for i in range(start, min(start + QUERY_CHUNK, n)):
-            found = answers[starts[i]:ends[i]]
-            ranks[i] = rank_of(i, known[i], relation[i // 2], gold[i], found[found != gold[i]])
+    def rank(start: int) -> None:
+        chunk = slice(start, min(start + QUERY_CHUNK, n))
+        golds = gold[chunk]
+        found = [answers[a:b] for a, b in zip(starts[chunk].tolist(), ends[chunk].tolist())]
+        ranks[chunk] = rank_chunk(range(chunk.start, chunk.stop), known[chunk], relation[chunk],
+                                  golds, [f[f != g] for f, g in zip(found, golds.tolist())])
 
     chunks = range(0, n, QUERY_CHUNK)
     with ThreadPoolExecutor(max(1, min(_usable_cpus(), len(chunks)))) as pool:
         # reading every result re-raises the first failure
-        for _ in pool.map(rank_chunk, chunks):
+        for _ in pool.map(rank, chunks):
             pass
     return ranks
 
@@ -226,17 +232,37 @@ def evaluate_predictions(kg: KnowledgeGraph, predictions_file: str | Path,
         raise ValidationError(f"predictions missing for {len(missing)} (triple, direction) "
                               f"queries: {shown}")
 
-    def rank_of(query: int, known: int, relation: int, gold: int, rivals: np.ndarray) -> int:
+    # every listed candidate keyed by (query, entity row), sorted, with its
+    # 0-based list position; a last key above them all ends every search
+    lengths = np.array([len(listed) for listed in ranked])
+    keys = np.fromiter(chain.from_iterable(ranked), dtype=np.int64, count=int(lengths.sum()))
+    keys += np.repeat(np.arange(len(ranked)) * n_entities, lengths)
+    positions = np.arange(len(keys)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    order = np.argsort(keys)
+    keys = np.append(keys[order], len(ranked) * n_entities)
+    positions = np.append(positions[order], -1)
+    del ranked, order
+
+    def position(queries: np.ndarray, entities: np.ndarray) -> np.ndarray:
+        """Each entity's place in its query's list, or -1 if it is not listed."""
+        wanted = queries * n_entities + entities
+        at = np.searchsorted(keys, wanted)
+        return np.where(keys[at] == wanted, positions[at], -1)
+
+    def rank_chunk(queries: range, known: np.ndarray, relation: np.ndarray, gold: np.ndarray,
+                   rivals: list[np.ndarray]) -> np.ndarray:
         # the gold's list position, less the rivals listed before it; an
         # absent gold ranks below every entity that is not a rival
-        listed = ranked[query]
-        try:
-            position = listed.index(gold)
-        except ValueError:
-            return n_entities - len(rivals)
-        return position + 1 - len(set(rivals.tolist()).intersection(listed[:position]))
+        queries = np.arange(queries.start, queries.stop)
+        counts = np.array([len(found) for found in rivals])
+        owner = np.repeat(np.arange(len(queries)), counts)
+        gold_at = position(queries, gold)
+        rival_at = position(queries[owner], np.concatenate(rivals))
+        before = np.bincount(owner[(rival_at >= 0) & (rival_at < gold_at[owner])],
+                             minlength=len(queries))
+        return np.where(gold_at >= 0, gold_at + 1 - before, n_entities - counts)
 
-    return rank_metrics(rank_split(kg, "test", filtered, rank_of), filtered, CANDIDATE_ORDER)
+    return rank_metrics(rank_split(kg, "test", filtered, rank_chunk), filtered, CANDIDATE_ORDER)
 
 
 # --- the oracle: one object per query and one scores table per query --------

@@ -13,9 +13,13 @@ beyond what they return: rows are renormalized ``_NORM_ROWS`` at a time and
 finiteness is checked with two reductions. Each epoch of ``train`` still
 builds its (triple, negative) pair arrays whole, about 100 bytes per train
 triple. Ranking lays the entity vectors out once per call as a dim-major
-float32 copy and scores a query ``_ENTITY_BLOCK`` columns at a time; it
-holds the copy, a norm per entity and, per thread, a ``(dim, _ENTITY_BLOCK)``
-float32 buffer and |E| float32 distances.
+float32 copy and ranks a chunk of queries ``_ENTITY_BLOCK`` columns at a
+time; it holds the copy, a norm and a model row per entity and, per thread,
+one ``(dim, _ENTITY_BLOCK)`` float32 buffer (the chunk's comparison flags
+reuse it), one ``(QUERY_CHUNK, _ENTITY_BLOCK)`` float32 buffer of cheap
+distances and, for the exact re-score, at most a block of gathered rows and
+about ``QUERY_CHUNK + 1`` blocks of band entries: nothing per thread grows
+with |E|.
 """
 
 from __future__ import annotations
@@ -322,6 +326,25 @@ def score_all(model: EmbeddingModel, known_id: str, relation_id: str,
     return dict(zip(model.entity_ids, np.negative(_distance(diff, model.norm)).tolist()))
 
 
+def _float32_table(entities: np.ndarray, to_entity: np.ndarray, norm: str,
+                   block: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``to_entity`` of ``entities`` as a float32 dim-major table,
+    copied a block of rows at a time, and each row's float64 norm.
+
+    A spare column keeps every block of the table a strided view: numpy 2.4
+    buffers a broadcast subtract whose operands are all contiguous, which
+    made a one-block table's cheap pass 1.7x slower.
+    """
+    n = len(to_entity)
+    table = np.empty((entities.shape[1], n + 1), dtype=np.float32)[:, :n]
+    sizes = np.empty(n)
+    for start in range(0, n, block):
+        rows = entities[to_entity[start:start + block]]
+        table[:, start:start + block] = rows.T
+        sizes[start:start + block] = _distance(rows, norm)
+    return table, sizes
+
+
 def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
                  filtered: bool = True) -> np.ndarray:
     """Gold rank of every split query, through ``rank_split``: int64, in its query order.
@@ -333,20 +356,27 @@ def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
 
     Filter and verify: a rank counts the entities whose exact distance D_j
     is at most the gold's, D_g. Each call copies the entity vectors once
-    into a float32 dim-major table in graph row order. Each thread takes a
-    query's cheap distances d_j from it ``_ENTITY_BLOCK`` columns at a time
-    (one subtract, one abs or square, one ``sum(axis=0)``); for L2, d and D
-    are sums of squares before the root. If |d_j - D_j| <= eps for every
-    entity, d_j < lo = d_g - 2 eps surely counts and d_j > hi = d_g + 2 eps
-    surely does not. Only the band between, the gold and the rivals get
-    exact distances, from ``_distance`` on their float64 residual rows.
+    into a float32 dim-major table in graph row order. Each thread ranks one
+    of ``rank_split``'s chunks of queries at a time, ``_ENTITY_BLOCK``
+    columns of the table at a time, blocks outer and queries inner: each
+    query's cheap distances d_j to the block (one subtract, one abs or
+    square, one ``sum(axis=0)``) go into one buffer for the chunk, which is
+    then compared with the chunk's bounds at once. For L2, d and D are sums
+    of squares before the root. If |d_j - D_j| <= eps for every entity, d_j
+    < lo = d_g - 2 eps surely counts and d_j > hi = d_g + 2 eps surely does
+    not. Only the band between, the gold and the rivals get exact distances,
+    from ``_distance`` on their float64 residual rows, in one pass per chunk
+    that gathers at most a block of rows at a time; a band that outgrows a
+    block is re-scored as it grows. The gold's cheap distance d_g comes from
+    its own column of the table and may be summed in another order than its
+    block's; the bound below holds for any order.
 
     The bound. Let u = 2^-24 and v = 2^-53 (unit roundoffs), n = dim, k, r
     and c the known, relation and candidate vectors, t the real residual
-    (tail: a - c with a = fl64(k + r), as ``_distance`` forms it; head: c +
-    r - k) and w_i = |k_i| + |r_i| + |c_i|. A float32 (float64) rounding
-    errs by at most u|x| + 2^-150 (v|x| + 2^-1074); a sum or difference
-    that underflows is exact.
+    (tail: a - c with a = fl64(k + r), which the exact pass forms as c - a,
+    the same terms negated; head: c + r - k) and w_i = |k_i| + |r_i| +
+    |c_i|. A float32 (float64) rounding errs by at most u|x| + 2^-150 (v|x|
+    + 2^-1074); a sum or difference that underflows is exact.
     - Cheap terms fl32(fl32(a) - fl32(c)), a head's a being fl64(k - r),
       lie within (2u + u^2)(1 + v) w_i + v w_i + 2(1 + u) 2^-150 of t_i
       (v w_i pays for a head's c - (k - r) in place of (c + r) - k).
@@ -381,74 +411,100 @@ def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
     n_entities = len(to_entity)
     block = min(_ENTITY_BLOCK, n_entities) or 1
     power = 1 if norm == "L1" else 2
-    # the float32 table in graph row order, a block of rows at a time, and each entity's norm
-    table = np.empty((dim, n_entities), dtype=np.float32)
-    sizes = np.empty(n_entities)
     # a model beyond float32's range overflows here; it then verifies every entity
     with np.errstate(over="ignore"):
-        for start in range(0, n_entities, block):
-            rows = entities[to_entity[start:start + block]]
-            table[:, start:start + block] = rows.T
-            sizes[start:start + block] = _distance(rows, norm)
+        table, sizes = _float32_table(entities, to_entity, norm, block)
         relation_sizes = _distance(relations, norm)
         filtering = dim <= 1 << 14 and (
             4 * (2 * sizes.max(initial=0.0) + relation_sizes.max(initial=0.0)) ** power
             <= np.finfo(np.float32).max)
-    largest, relation_sizes = float(sizes.max(initial=0.0)), relation_sizes.tolist()
+    largest = sizes.max(initial=0.0)
     kappa = 1.01 * (dim + (1 if norm == "L1" else 4)) * 2.0 ** -24
     # the root's rounding widens the band above the gold (L2 only)
     zeta = 1.0 if norm == "L1" else 1 + 2.0 ** -50
-    outward = np.array([-np.inf, np.inf], dtype=np.float32)
+    outward = np.array([[-np.inf], [np.inf]], dtype=np.float32)
     square = np.abs if norm == "L1" else np.square
     buffers = threading.local()
 
-    def cheap_distances(offset: np.ndarray) -> np.ndarray:
-        if not hasattr(buffers, "dists"):
-            buffers.terms = np.empty(dim * block, dtype=np.float32)
-            buffers.dists = np.empty(n_entities, dtype=np.float32)
-        terms, dists = buffers.terms, buffers.dists
-        column = offset.astype(np.float32)[:, None]
-        for start in range(0, n_entities, block):
-            stop = min(start + block, n_entities)
-            # a contiguous (dim, width) view, so numpy takes its fast path on a short last block
-            out = terms[:dim * (stop - start)].reshape(dim, stop - start)
-            np.subtract(column, table[:, start:stop], out=out)
-            square(out, out=out)
-            np.add.reduce(out, axis=0, out=dists[start:stop])
-        return dists
+    def rank_chunk(queries: range, k_rows: np.ndarray, r_rows: np.ndarray, gold: np.ndarray,
+                   rivals: list[np.ndarray]) -> np.ndarray:
+        m = len(queries)
+        known, rel = entities[to_entity[k_rows]], relations[r_rows]
+        tail = (np.arange(queries.start, queries.stop) % 2 == 0)[:, None]
+        ahead = known + rel
+        # exact residuals are (c + plus) - minus: a head's (c + r) - k, and a
+        # tail's c - fl64(k + r), the negated a - c, whose distance has the same bits
+        plus, minus = np.where(tail, 0.0, rel), np.where(tail, ahead, known)
 
-    def rank_of(query: int, k_row: int, r_row: int, gold: int, rivals: np.ndarray) -> int:
-        known, rel = entities[to_entity.item(k_row)], relations[r_row]
-        tail = query % 2 == 0
-        # the cheap terms are offset - c: exactly the residual of a tail,
-        # (k + r) - c, and near the residual (c + r) - k of a head
-        offset = known + rel if tail else known - rel
+        def at_or_below(q: np.ndarray, e: np.ndarray) -> np.ndarray:
+            """Whether each (chunk query, entity row) pair's exact distance is at
+            most its query's gold's, gathering at most a block of rows at a time."""
+            q, e = np.concatenate((q, np.arange(m))), np.concatenate((e, gold))
+            exact = np.empty(len(q))
+            for start in range(0, len(q), block):
+                at = slice(start, start + block)
+                vectors = entities[to_entity[e[at]]]
+                vectors += plus[q[at]]
+                vectors -= minus[q[at]]
+                exact[at] = _distance(vectors, norm)
+            # pessimistic_rank over the scores -exact: -d >= -g exactly when d <= g
+            return exact[:-m] <= exact[-m:][q[:-m]]
+
+        ranks = np.zeros(m, dtype=np.int64)
         if filtering:
-            dists = cheap_distances(offset)
-            cheap_gold = dists.item(gold)
-            eps = (kappa * (sizes.item(k_row) + relation_sizes[r_row] + largest) ** power
+            if getattr(buffers, "chunk", 0) < m:  # a thread's buffers, made for its largest chunk
+                buffers.chunk = m
+                # one buffer holds a query's float32 terms, then the chunk's two flag tables
+                buffers.terms = np.empty(max(dim, -(-m // 2)) * block, dtype=np.float32)
+                buffers.dists = np.empty(m * block, dtype=np.float32)
+            # the cheap terms are offset - c: exactly the residual of a tail,
+            # (k + r) - c, and near the residual (c + r) - k of a head
+            columns = np.where(tail, ahead, known - rel).astype(np.float32)[:, :, None]
+            # the golds' cheap distances, from their own columns of the table
+            terms = columns[:, :, 0].T - table[:, gold]
+            cheap_gold = np.add.reduce(square(terms, out=terms), axis=0).astype(float)
+            eps = (kappa * (sizes[k_rows] + relation_sizes[r_rows] + largest) ** power
                    + dim * 2.0 ** -148)
             lo, hi = np.nextafter(np.array([cheap_gold - 2 * eps,
                                             zeta * cheap_gold + (1 + zeta) * eps],
-                                           dtype=np.float32), outward)
-            below = int(np.count_nonzero(dists < lo))
-            band = np.flatnonzero((dists >= lo) & (dists <= hi))
-        else:
-            below, band = 0, np.arange(n_entities)
-        # exact distances of the band, the rivals and, last, the gold
-        vectors = entities[to_entity[np.concatenate((band, rivals, (gold,)))]]
-        if tail:
-            np.subtract(offset, vectors, out=vectors)
-        else:
-            np.add(vectors, rel, out=vectors)
-            np.subtract(vectors, known, out=vectors)
-        exact = _distance(vectors, norm)
-        # pessimistic_rank over the scores -exact: -d >= -g exactly when d <= g
-        counted = exact <= exact[-1]
-        return below + int(np.count_nonzero(counted[:len(band)])
-                           - np.count_nonzero(counted[len(band):-1]))
+                                           dtype=np.float32), outward)[:, :, None]
+        band_q, band_e, banded = [], [], 0
+        for start in range(0, n_entities, block):
+            width = min(block, n_entities - start)
+            if filtering:
+                # contiguous views, so numpy takes its fast path on a short last block
+                out = buffers.terms[:dim * width].reshape(dim, width)
+                dists = buffers.dists[:m * width].reshape(m, width)
+                below, band = buffers.terms.view(bool)[:2 * m * width].reshape(2, m, width)
+                part = table[:, start:start + width]
+                for i in range(m):
+                    np.subtract(columns[i], part, out=out)
+                    square(out, out=out)
+                    np.add.reduce(out, axis=0, out=dists[i])
+                np.less(dists, lo, out=below)
+                ranks += [np.count_nonzero(row) for row in below]
+                # the band, lo <= d <= hi: d <= hi but not d < lo
+                np.less_equal(dists, hi, out=band)
+                np.not_equal(band, below, out=band)
+                # numpy 2.4's nonzero of a (16, 4096) array takes 100 us however few are set
+                q, e = np.divmod(np.flatnonzero(band), width)
+            else:
+                q, e = np.divmod(np.arange(m * width), width)
+            band_q.append(q)
+            band_e.append(e + start)
+            banded += len(q)
+            if banded >= block:  # a wide band is re-scored a block of pairs at a time
+                q = np.concatenate(band_q)
+                ranks += np.bincount(q[at_or_below(q, np.concatenate(band_e))], minlength=m)
+                band_q, band_e, banded = [], [], 0
+        # one exact pass over the rest of the band, then the rivals
+        q = np.concatenate(band_q + [np.repeat(np.arange(m), [len(f) for f in rivals])])
+        counted = at_or_below(q, np.concatenate(band_e + rivals))
+        ranks += np.bincount(q[:banded][counted[:banded]], minlength=m)
+        ranks -= np.bincount(q[banded:][counted[banded:]], minlength=m)
+        return ranks
 
-    return rank_split(kg, split, filtered, rank_of)
+    return rank_split(kg, split, filtered, rank_chunk)
 
 
 def evaluate_model(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",

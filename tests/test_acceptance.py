@@ -356,15 +356,19 @@ def test_criterion_08_metrics_oracle():
         row_scores = np.array([scores[eid] for eid in kg.entity_ids])
         asked = {}
 
-        def rank_of(query, known, relation, gold, rivals):
-            asked[query] = Query((kg.entity_ids[known], kg.relation_ids[relation]),
-                                 ("tail", "head")[query % 2], kg.entity_ids[gold])
-            return pessimistic_rank(row_scores, row_scores[gold], row_scores[rivals])
+        def rank_chunk(queries, known, relation, gold, rivals):
+            ranks = []
+            for query, k, r, g, found in zip(queries, known.tolist(), relation.tolist(),
+                                             gold.tolist(), rivals):
+                asked[query] = Query((kg.entity_ids[k], kg.relation_ids[r]),
+                                     ("tail", "head")[query % 2], kg.entity_ids[g])
+                ranks.append(pessimistic_rank(row_scores, row_scores[g], row_scores[found]))
+            return ranks
 
         for split in ("test", "valid"):
             for filtered in (False, True):
                 asked.clear()
-                ranks = rank_split(kg, split, filtered, rank_of)
+                ranks = rank_split(kg, split, filtered, rank_chunk)
                 queries = [asked[i] for i in range(len(ranks))]
                 assert queries == split_queries(kg, split)
                 for query, rank in zip(queries, ranks.tolist()):

@@ -5,6 +5,7 @@ equivalence tests that pin the block-wise passes to their one-shot forms."""
 import gc
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,26 +135,60 @@ def test_training_transient_does_not_grow_with_the_model(tmp_path, triples):
     assert per_value <= 1, per_value
 
 
-def test_ranking_holds_a_float32_table_and_a_block_per_worker(tmp_path, triples, monkeypatch):
-    # 50,000 entities, 100 queries and two workers. Beyond the model and
-    # what rank_split itself holds, ranking allocates the float32 table, a
-    # float64 norm and a model row per entity and, per worker, one (dim,
-    # _ENTITY_BLOCK) float32 buffer, |E| float32 distances with their
-    # comparison flags, and the band's gathered rows: less than the float64
-    # (dim, |E|) table, the two (8, _ENTITY_BLOCK) float64 buffers and the
-    # |E| float64 distances per worker that the column kernel held.
-    n, dim, workers = 50_000, 16, 2
-    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: workers)
-    kg = load_dataset(write_graph(tmp_path / "graph", 2000, triples, n))
-    model = init_model(kg, dim, 0)
+def ranking_transient(kg, model):
+    """What ``rank_queries`` allocates beyond the model and what
+    ``rank_split`` itself holds, after a warm-up call."""
     evaluate_model(model, kg)  # warm what the first call caches per graph
     ranking = transient(lambda: transe.rank_queries(model, kg))
-    unranked = transient(lambda: evaluate.rank_split(kg, "test", True, lambda *_: 1))
-    block = min(transe._ENTITY_BLOCK, n)
-    table = 4 * dim * n
-    allowed = table + 16 * n + workers * (4 * dim * block + 7 * n) + (64 << 10)
-    column_kernel = 8 * dim * n + workers * (2 * 8 * 8 * block + 8 * n)
-    assert table <= ranking - unranked <= allowed < column_kernel, (ranking - unranked, allowed)
+    return ranking - transient(lambda: evaluate.rank_split(kg, "test", True, lambda *_: 1))
+
+
+def test_ranking_holds_a_float32_table_and_a_block_per_worker(tmp_path, triples, monkeypatch):
+    # 50,000 and 100,000 entities, 100 queries and two workers. Ranking
+    # allocates the float32 table, a float64 norm and a model row per entity
+    # and, per worker, one (dim, _ENTITY_BLOCK) float32 buffer (the chunk's
+    # comparison flags reuse it), one (QUERY_CHUNK, _ENTITY_BLOCK) float32
+    # buffer of cheap distances, numpy's 32 KiB buffer for a broadcast
+    # comparison, and the band's gathered rows. That is less than the |E|
+    # float32 distances and their flags per worker that ranking a query at a
+    # time held, and than the float64 (dim, |E|) table, the two (8,
+    # _ENTITY_BLOCK) float64 buffers and the |E| float64 distances per
+    # worker of the column kernel before it. Only the table, the norms and
+    # the model rows grow with |E|.
+    dim, workers, chunk = 16, 2, evaluate.QUERY_CHUNK
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: workers)
+    held = {}
+    for n in (50_000, 100_000):
+        kg = load_dataset(write_graph(tmp_path / str(n), 2000, triples, n))
+        held[n] = ranking_transient(kg, init_model(kg, dim, 0))
+        block = min(transe._ENTITY_BLOCK, n)
+        table = 4 * dim * n
+        allowed = (table + 16 * n + workers * (4 * dim * block + 4 * chunk * block + (32 << 10))
+                   + (64 << 10))
+        query_at_a_time = table + 16 * n + workers * (4 * dim * block + 7 * n) + (64 << 10)
+        column_kernel = 8 * dim * n + workers * (2 * 8 * 8 * block + 8 * n)
+        assert table <= held[n] <= allowed <= query_at_a_time < column_kernel, (n, held[n])
+    assert held[100_000] - held[50_000] <= (4 * dim + 16) * 50_000 + (64 << 10), held
+
+
+def test_a_wide_band_is_re_scored_a_block_of_rows_at_a_time(tmp_path, triples, monkeypatch):
+    # An L2 model scaled by 2^-80: its float32 squares underflow, so every
+    # entity falls in every query's band and gets an exact distance. The
+    # band is re-scored as it grows, a block of gathered rows at a time, so
+    # the transient still grows only by the table, the norms and the model
+    # rows per entity; gathering each query's band at once grew it by
+    # several float64 rows per entity and worker.
+    dim, workers = 16, 2
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: workers)
+    monkeypatch.setattr(transe, "_ENTITY_BLOCK", 1024)
+    held = {}
+    for n in (4000, 8000):
+        kg = load_dataset(write_graph(tmp_path / str(n), 2000, triples, n))
+        model = init_model(kg, dim, 0, norm="L2")
+        tiny = replace(model, entity_vectors=model.entity_vectors * 2.0 ** -80,
+                       relation_vectors=model.relation_vectors * 2.0 ** -80)
+        held[n] = ranking_transient(kg, tiny)
+    assert held[8000] - held[4000] <= (4 * dim + 16) * 4000 + (64 << 10), held
 
 
 def reference_filter_rows(kg, triples):

@@ -180,13 +180,17 @@ def test_rank_split_returns_one_int64_rank_per_query_in_row_order(monkeypatch):
             seed = [trial, head, known, relation]
             return np.random.default_rng(seed).integers(0, 3, size=n).astype(float)
 
-        def rank_of(query, known, relation, gold, rivals):
-            scores = table(query % 2, known, relation)
-            return pessimistic_rank(scores, scores[gold], scores[rivals])
+        def rank_chunk(queries, known, relation, gold, rivals):
+            ranks = []
+            for query, k, r, g, found in zip(queries, known.tolist(), relation.tolist(),
+                                             gold.tolist(), rivals):
+                scores = table(query % 2, k, r)
+                ranks.append(pessimistic_rank(scores, scores[g], scores[found]))
+            return ranks
 
         for split in ("test", "valid"):
             for filtered in (False, True):
-                ranks = rank_split(kg, split, filtered, rank_of)
+                ranks = rank_split(kg, split, filtered, rank_chunk)
                 assert ranks.dtype == np.int64
                 assert ranks.shape == (2 * len(kg.split(split)),)
                 for i, (h, r, t) in enumerate(kg.split(split)):
@@ -221,13 +225,13 @@ def test_rank_split_raises_a_worker_failure(monkeypatch):
     assert len(queries) > 4 * evaluate.QUERY_CHUNK
     failing = 3 * evaluate.QUERY_CHUNK + 1
 
-    def rank_of(query, known, relation, gold, rivals):
-        if query == failing:
+    def rank_chunk(queries, known, relation, gold, rivals):
+        if failing in queries:
             raise RuntimeError("ranker failed")
-        return 1
+        return np.ones(len(queries), dtype=np.int64)
 
     with pytest.raises(RuntimeError, match="ranker failed"):
-        evaluate.rank_split(kg, "test", True, rank_of)
+        evaluate.rank_split(kg, "test", True, rank_chunk)
 
 
 def test_predictions_gold_first_everywhere(six_entity_kg, tmp_path):

@@ -14,6 +14,7 @@ from kgsynth.kg import (
     DATASET_FILES,
     SPLITS,
     Triples,
+    _sorted_distinct,
     compute_stats,
     file_lines,
     from_triples,
@@ -183,6 +184,28 @@ def test_split_rows_equal_a_per_triple_oracle():
             assert rows.dtype == np.int32
             assert rows.shape == (len(kg.split(name)), 3)
             assert rows.tolist() == expected
+
+
+def test_sorted_distinct_and_relation_pairs_equal_their_set_oracles():
+    rng = np.random.default_rng(3)
+    for size in (0, 1, 2, 7, 100):
+        for high in (1, 5, 1 << 40):
+            keys = rng.integers(-high, high, size=size)
+            np.testing.assert_array_equal(_sorted_distinct(keys), np.unique(keys))
+    # relation_pairs: each (a, b), a < b, of relations that link one (head, tail) pair
+    pyrng = random.Random(31)
+    found = 0
+    for _ in range(20):
+        kg = random_kg(pyrng, n_entities=pyrng.randint(2, 6), n_relations=pyrng.randint(1, 5),
+                       n_train=pyrng.randint(1, 30), n_valid=2, n_test=2)
+        linking: dict[tuple[int, int], set[int]] = {}
+        for rows in kg.split_rows.values():
+            for h, r, t in rows.tolist():
+                linking.setdefault((h, t), set()).add(r)
+        want = sorted({(a, b) for rels in linking.values() for a in rels for b in rels if a < b})
+        assert kg.relation_pairs.tolist() == [list(pair) for pair in want]
+        found += len(want)
+    assert found > 20, found
 
 
 def test_stream_stats_agrees_with_full_load(family_kg, tmp_path):

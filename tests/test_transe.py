@@ -563,6 +563,71 @@ def test_filter_and_verify_ranks_equal_brute_force(monkeypatch, norm):
                         dim, profile, exponent, filtered)
 
 
+def _hub_kg():
+    """60 entities and 25 test triples, so 50 queries: hub e0 answers (e0, r,
+    ?) with e1..e30 and (?, s, e0) with e31..e50, and the test holds some of
+    both, so their queries carry up to 29 and 19 rivals; the rest is random."""
+    ids = [f"e{i}" for i in range(60)]
+    rng = random.Random(11)
+    hub = [("e0", "r", f"e{i}") for i in range(1, 31)] + [(f"e{i}", "s", "e0")
+                                                        for i in range(31, 51)]
+    test = hub[::4]
+    facts = set(hub)
+    while len(test) < 25:
+        triple = (rng.choice(ids), rng.choice("rs"), rng.choice(ids))
+        if triple not in facts:
+            facts.add(triple)
+            test.append(triple)
+    while len(facts) < 150:
+        facts.add((rng.choice(ids), rng.choice("rs"), rng.choice(ids)))
+    rest = sorted(facts - set(test))
+    return make_kg(ids, ["r", "s"], train=rest[5:], valid=rest[:5], test=test)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 16])
+def test_chunked_ranks_equal_brute_force(monkeypatch, chunk):
+    # 50 queries leave a short last chunk of 3 and of 16; chunks of 3 start
+    # on tail and head queries alike. A block of 7 columns splits every cheap
+    # pass. L2 models scaled by 2^-80 or 2^-100 put every entity in the band
+    # (float32 squares underflow), which must then be re-scored exactly, a
+    # block of rows at a time; L1 models at those scales keep a narrow band.
+    monkeypatch.setattr(evaluate, "QUERY_CHUNK", chunk)
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 3)
+    block = 7
+    monkeypatch.setattr(transe, "_ENTITY_BLOCK", block)
+    distance = transe._distance
+    rows = []
+
+    def spied(diff, norm):
+        rows.append(len(diff))
+        return distance(diff, norm)
+
+    monkeypatch.setattr(transe, "_distance", spied)
+    kg = _hub_kg()
+    n, queries = len(kg.entities), 2 * len(kg.test)
+    assert queries % chunk or chunk == 1
+    hubs = (("tail", "e0", "r"), ("head", "e0", "s"))
+    assert min(len(kg.answer_index[key]) for key in hubs) > 15
+    rng = np.random.default_rng(chunk)
+    vectors, relations = rng.normal(size=(n, 6)), rng.normal(size=(2, 6))
+    vectors[[3, 5, 7]] = vectors[1]  # exact ties
+    for norm in ("L1", "L2"):
+        for exponent in (0, -80, -100):
+            scale = 2.0 ** exponent
+            model = EmbeddingModel(kg.entity_ids, kg.relation_ids, vectors * scale,
+                                   relations * scale, norm=norm)
+            for filtered in (True, False):
+                rows.clear()
+                got = rank_queries(model, kg, "test", filtered)
+                # every pass gathers at most a block of rows
+                assert max(rows) <= block, (norm, exponent, filtered)
+                wide = norm == "L2" and exponent < 0
+                # a wide band re-scores every (query, entity) pair
+                assert (sum(rows) >= queries * n) == wide, (norm, exponent, filtered)
+                assert got.tolist() == _ranks(_dict_path_records(model, kg, "test", filtered)), (
+                    norm, exponent, filtered)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_ranking_a_non_finite_model_is_a_validation_error(value):
     kg = random_kg(random.Random(3))
