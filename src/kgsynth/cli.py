@@ -184,13 +184,21 @@ def leakage(input_dir: str, output: str | None) -> str:
     return analysis.description_leakage(kg.load_dataset(input_dir)).to_text()
 
 
+def _finite(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    """A float option's value; a NaN or infinity is a usage error."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"non-finite value {str(value)!r}")
+    return value
+
+
 @cli.command("train-baseline", cls=RecordedCommand)
 @click.option("--input", "input_dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--output", "output_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--dim", type=click.IntRange(min=1), default=100, show_default=True)
-@click.option("--margin", type=float, default=1.0, show_default=True)
+@click.option("--margin", type=float, default=1.0, show_default=True, callback=_finite)
 @click.option("--norm", type=click.Choice(["L1", "L2"]), default="L1", show_default=True)
-@click.option("--learning-rate", type=float, default=0.01, show_default=True)
+@click.option("--learning-rate", type=click.FloatRange(min=0), default=0.01, show_default=True,
+              callback=_finite)
 @click.option("--epochs", type=click.IntRange(min=0), default=100, show_default=True)
 @click.option("--negatives", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)

@@ -48,7 +48,8 @@ all of them: the builder joins a split's blocks (the split's rows twice, for
 a moment), the repeat check sorts one int64 key per triple in place, and
 ``relation_pairs`` keys every triple. The mention table (``mentions``) holds
 about 12 bytes per entity and 13 per name match, in int arrays: no text piece
-and no joined copy of the descriptions.
+and no joined copy of the descriptions (its build joins ``_SCAN_TEXTS`` of
+them at a time).
 """
 
 from __future__ import annotations
@@ -88,6 +89,8 @@ _BLOCK_CHARS = 1 << 16
 _BLOCK_ROWS = 1 << 14
 # names, ids or descriptions joined at once to look for a tab or newline
 _CHECK_CELLS = 1 << 10
+# descriptions joined by a newline into one text for each mention scan
+_SCAN_TEXTS = 1 << 8
 
 _UNKNOWN = ("unknown head entity", "unknown relation", "unknown tail entity")
 
@@ -149,33 +152,52 @@ class MentionTable:
     @classmethod
     def build(cls, names: Sequence[str], texts: Sequence[str]) -> MentionTable:
         """The table of the entity rows named ``names`` and described by
-        ``texts``: one ``rewriter.scan`` a text, with an index that maps each
-        name to its id and records the id of each match, then one greedy
-        selection over all texts."""
+        ``texts``: ``rewriter.scan`` with an index that maps each name to its
+        id and records the id of each match, then one greedy selection over
+        all texts.
+
+        Each scan takes ``_SCAN_TEXTS`` texts joined by a newline, which
+        bounds matches as a text's edges do, and each match goes back to its
+        text by its start. A match that takes in a joining newline, of a
+        name holding one, belongs to no text and is dropped; a graph that
+        validates has no such name.
+        """
         name_id: dict[str, int] = {}
         row_names = np.fromiter((name_id.setdefault(name, len(name_id)) if name else -1
                                  for name in names), dtype=np.int32, count=len(names))
         index = rewriter.build_index(name_id)
-        index.record = ids = array("i")
-        spans, bounds = array("i"), array("q", [0])
-        for text in texts:
-            spans += rewriter.scan(index, text)
-            bounds.append(len(spans) // 2)
+        lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+        spans, id_blocks, counts = [], [], np.zeros(len(texts), dtype=np.int64)
+        for start in range(0, len(texts), _SCAN_TEXTS):
+            stop = min(start + _SCAN_TEXTS, len(texts))
+            # where each text ends in the joined block: at the newline after it
+            text_ends = np.cumsum(lengths[start:stop] + 1) - 1
+            index.record = ids = array("i")
+            found = np.frombuffer(rewriter.scan(index, "\n".join(texts[start:stop])),
+                                  dtype=np.int32).reshape(-1, 2)
+            text = np.searchsorted(text_ends, found[:, 0], side="right")
+            first = text_ends[text] - lengths[start + text]
+            inside = (found[:, 0] >= first) & (found[:, 1] <= text_ends[text])
+            spans.append(found[inside] - first[inside, None].astype(np.int32))
+            id_blocks.append(np.frombuffer(ids, dtype=np.int32)[inside])
+            counts[start:stop] = np.bincount(text[inside], minlength=stop - start)
         n_names = len(name_id)
         del name_id, index  # before the selection's arrays are made
-        offsets = np.array(bounds, dtype=np.int64)
-        starts = np.frombuffer(spans[0::2], dtype=np.int32)
-        ends = np.frombuffer(spans[1::2], dtype=np.int32)
-        del spans, bounds
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        bounds = np.concatenate([np.empty((0, 2), dtype=np.int32), *spans])
+        del spans
+        starts, ends = bounds[:, 0].copy(), bounds[:, 1].copy()
+        del bounds
+        ids = np.concatenate([np.empty(0, dtype=np.int32), *id_blocks])
+        del id_blocks
         # each text's positions shifted past the texts before it, so one pass
         # selects all; memoryviews, so no list holds an int per match
-        lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
         shifted = np.repeat(np.cumsum(lengths) - lengths, np.diff(offsets))
         shifted_ends = shifted + ends
         shifted += starts
         taken = rewriter.select(memoryview(shifted), memoryview(shifted_ends))
-        return cls(row_names, n_names, offsets, starts, ends,
-                   np.frombuffer(ids, dtype=np.int32), np.frombuffer(taken, dtype=bool))
+        return cls(row_names, n_names, offsets, starts, ends, ids,
+                   np.frombuffer(taken, dtype=bool))
 
     @property
     def rows(self) -> np.ndarray:
@@ -254,7 +276,7 @@ class KnowledgeGraph:
         first use.
 
         This is the graph's one name index and one description scan, one
-        ``rewriter.scan`` call per description: every renaming of the
+        ``rewriter.scan`` call per block of descriptions: every renaming of the
         entities rewrites from the table's greedy selection, and
         ``analysis.description_leakage`` reads the (entity row, name id)
         pairs of all its matches.

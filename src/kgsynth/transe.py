@@ -10,9 +10,11 @@ perturbation-invariance oracle for the transform suite.
 
 Memory contract: training's passes over the model allocate at most one block
 beyond what they return: rows are renormalized ``_NORM_ROWS`` at a time and
-finiteness is checked with two reductions. Each epoch of ``train`` still
-builds its (triple, negative) pair arrays whole, about 100 bytes per train
-triple. Ranking lays the entity vectors out once per call as a dim-major
+finiteness is checked with two reductions. Each epoch of ``train`` holds its
+draws, 17 bytes per (triple, negative) pair, and builds the pairs
+``_PAIR_BLOCK`` at a time, in whole batches; every batch's update works in
+buffers made once per call for one batch, so no batch allocates a table the
+batch's size. Ranking lays the entity vectors out once per call as a dim-major
 float32 copy and ranks a chunk of queries ``_ENTITY_BLOCK`` columns at a
 time; it holds the copy, a norm and a model row per entity and, per thread,
 one ``(dim, _ENTITY_BLOCK)`` float32 buffer (the chunk's comparison flags
@@ -24,6 +26,7 @@ with |E|.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,6 +44,8 @@ NORMS = ("L1", "L2")
 _ENTITY_BLOCK = 4096
 # rows of a vector table renormalized at once
 _NORM_ROWS = 1 << 10
+# (triple, negative) pairs train builds at once, rounded to whole batches
+_PAIR_BLOCK = 1 << 14
 
 
 class DivergenceError(KgsynthError):
@@ -197,12 +202,25 @@ def train(kg: KnowledgeGraph, config: TrainConfig = TrainConfig()) -> EmbeddingM
     stood before the batch, in pair order; ``batch_size=1`` is per-triple
     SGD. Every run is bit-reproducible for a fixed config. Entity vectors
     are renormalized to unit L2 norm after every epoch.
+
+    Memory: an epoch holds its draws, 17 bytes per (triple, negative) pair
+    (the order, whether to corrupt the tail, the entity that corrupts it).
+    The pairs themselves are built ``_PAIR_BLOCK`` at a time, in whole
+    batches, and every batch's update works in buffers made once per call,
+    which hold one batch.
+
+    Raises ValueError for an empty train split, a count below its minimum,
+    a non-finite margin, or a learning rate that is negative or not finite.
     """
     if not kg.train:
         raise ValueError("train split is empty")
     for name, low in (("negatives_per_positive", 1), ("batch_size", 1), ("epochs", 0)):
         if getattr(config, name) < low:
             raise ValueError(f"{name} must be >= {low}, got {getattr(config, name)}")
+    if not math.isfinite(config.margin):
+        raise ValueError(f"margin must be finite, got {config.margin}")
+    if not (math.isfinite(config.learning_rate) and config.learning_rate >= 0):
+        raise ValueError(f"learning_rate must be finite and >= 0, got {config.learning_rate}")
     model = init_model(kg, config.dim, config.seed, norm=config.norm, margin=config.margin)
     # init_model orders the model's rows as the graph's
     rows = kg.split_rows["train"]
@@ -211,23 +229,38 @@ def train(kg: KnowledgeGraph, config: TrainConfig = TrainConfig()) -> EmbeddingM
     relations = model.relation_vectors
     n_train = len(kg.train)
     n_entities = len(kg.entity_ids)
+    repeats = config.negatives_per_positive
+    n_pairs = n_train * repeats
+    batch = min(config.batch_size, n_pairs)
+    block = batch * max(1, _PAIR_BLOCK // batch)
+    step = _Step(entities, relations, batch, config)
+    corrupt_tail = np.empty(n_pairs, dtype=bool)
     rng = np.random.default_rng([config.seed, 1])
 
     # overflow inside a diverging epoch is reported via the finiteness check,
     # not as a stream of runtime warnings
     with np.errstate(all="ignore"):
         for epoch in range(config.epochs):
+            # each train row's draws; a block of doubles at a time is the
+            # stream one call would draw
             order = rng.permutation(n_train)
-            repeats = config.negatives_per_positive
-            corrupt_tail = rng.random((n_train, repeats)) < 0.5
-            corrupt_with = rng.integers(0, n_entities, size=(n_train, repeats))
-            # (h, r, t, h_neg, t_neg) pairs: triples in order, each one's negatives in turn
-            triples = rows[np.repeat(order, repeats)]
-            tail, other = corrupt_tail[order].ravel(), corrupt_with[order].ravel()
-            pairs = np.column_stack([triples, np.where(tail, triples[:, 0], other),
-                                     np.where(tail, other, triples[:, 2])])
-            for start in range(0, len(pairs), config.batch_size):
-                _step(entities, relations, pairs[start:start + config.batch_size], config)
+            for start in range(0, n_pairs, block):
+                stop = min(start + block, n_pairs)
+                np.less(rng.random(stop - start), 0.5, out=corrupt_tail[start:stop])
+            corrupt_with = rng.integers(0, n_entities, size=n_pairs)
+            # (h, r, t, h_neg, t_neg) pairs: the triples in order, each one's
+            # negatives in turn; pair p is negative p % repeats of order[p // repeats]
+            for start in range(0, n_pairs, block):
+                position, negative = np.divmod(
+                    np.arange(start, min(start + block, n_pairs)), repeats)
+                triple = order[position]
+                draw = triple * repeats + negative
+                h, r, t = rows[triple].T.astype(np.intp)
+                tail, other = corrupt_tail[draw], corrupt_with[draw]
+                h_neg, t_neg = np.where(tail, h, other), np.where(tail, other, t)
+                for first in range(0, len(draw), batch):
+                    at = slice(first, first + batch)
+                    step(h[at], r[at], t[at], h_neg[at], t_neg[at])
             _normalize_rows(entities)
             if not (_all_finite(entities) and _all_finite(relations)):
                 raise DivergenceError(f"non-finite embeddings after epoch {epoch + 1}")
@@ -243,35 +276,114 @@ def _hinge(entities, relations, h, r, t, h_neg, t_neg, margin, norm):
     return loss, diff_pos, diff_neg
 
 
-def _step(entities, relations, pairs: np.ndarray, config: TrainConfig) -> None:
-    """One update from the summed hinge gradients of (h, r, t, h_neg, t_neg) pairs.
+class _Step:
+    """One update from the summed hinge gradients of a batch of (h, r, t,
+    h_neg, t_neg) pairs, in buffers made once for ``capacity`` pairs.
 
-    ``subtract.at`` applies them in pair order (h, t, h_neg, t_neg within a
-    pair), as per-triple SGD on ``margin_loss_and_grads`` does, so a one-pair
-    batch is bit-identical to it.
+    A batch gets the bits ``_hinge`` and ``_distance_grad`` give, from the
+    same operations on the same rows. ``subtract.at`` applies the steps in
+    pair order (h, t, h_neg, t_neg within a pair), as per-triple SGD on
+    ``margin_loss_and_grads`` does, so a one-pair batch is bit-identical to
+    it. A batch allocates only a few values per pair: the 1.6 MB of
+    temporaries a batch of 1,024 pairs at dim 50 made lay above glibc's mmap
+    threshold, so training's speed hung on what the process had freed before.
     """
-    loss, diff_pos, diff_neg = _hinge(entities, relations, *pairs.T, config.margin, config.norm)
-    active = ~(loss <= 0.0)  # a NaN loss updates, as in the scalar path
-    if not active.any():
-        return
-    g_pos = _distance_grad(diff_pos[active], config.norm)
-    g_neg = _distance_grad(diff_neg[active], config.norm)
-    lr = config.learning_rate
-    pairs = pairs[active]
-    _subtract_rows_at(relations, pairs[:, 1], lr * (g_pos - g_neg))
-    step_pos, step_neg = lr * g_pos, lr * g_neg
-    steps = np.stack([step_pos, -step_pos, -step_neg, step_neg], axis=1)
-    _subtract_rows_at(entities, pairs[:, [0, 2, 3, 4]].ravel(), steps)
+
+    def __init__(self, entities: np.ndarray, relations: np.ndarray, capacity: int,
+                 config: TrainConfig) -> None:
+        self.entities, self.relations, self.config = entities, relations, config
+        dim = entities.shape[1]
+        capacity = 4 * -(-capacity // 4)  # so a quarter of the pairs' steps fill one buffer
+        # (capacity, dim) rows: the two residuals, then the active pairs'
+        # gradients; the relation rows and the terms of a distance, then the
+        # active pairs' residuals (or, when all are active, their gradients)
+        self.pos, self.neg, self.rel, self.terms = np.empty((4, capacity, dim))
+        self.losses = np.empty((3, capacity))  # d_pos, d_neg and the hinge
+        self.active = np.empty(capacity, dtype=bool)
+        self.rows = np.empty((capacity, 4), dtype=np.intp)  # h, t, h_neg, t_neg
+        self.flat = np.empty((capacity, dim), dtype=np.intp)
+
+    def _distance(self, diff: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``_distance(diff, norm)`` into ``out``, its terms in ``self.terms``."""
+        terms = self.terms[:len(diff)]
+        if self.config.norm == "L1":
+            np.abs(diff, out=terms)
+            return np.add.reduce(terms, axis=-1, out=out)
+        np.multiply(diff, diff, out=terms)
+        return np.sqrt(np.add.reduce(terms, axis=-1, out=out), out=out)
+
+    def __call__(self, h: np.ndarray, r: np.ndarray, t: np.ndarray, h_neg: np.ndarray,
+                 t_neg: np.ndarray) -> None:
+        entities, relations, config = self.entities, self.relations, self.config
+        n = len(h)
+        rel, pos, neg, other = self.rel[:n], self.pos[:n], self.neg[:n], self.terms[:n]
+        # rows in range, so mode="clip" gathers what "raise" would, unbuffered
+        np.take(relations, r, axis=0, out=rel, mode="clip")
+        np.add(np.take(entities, h, axis=0, out=pos, mode="clip"), rel, out=pos)
+        pos -= np.take(entities, t, axis=0, out=other, mode="clip")
+        np.add(np.take(entities, h_neg, axis=0, out=neg, mode="clip"), rel, out=neg)
+        neg -= np.take(entities, t_neg, axis=0, out=other, mode="clip")
+        d_pos, d_neg, loss = self.losses[:, :n]
+        np.add(self._distance(pos, d_pos), config.margin, out=loss)
+        loss -= self._distance(neg, d_neg)
+        active = np.less_equal(loss, 0.0, out=self.active[:n])
+        np.logical_not(active, out=active)  # a NaN loss updates, as in the scalar path
+        picked = np.flatnonzero(active)
+        k = len(picked)
+        if k == 0:
+            return
+        rows = self.rows[:k]
+        if k == n:
+            g_pos, g_neg, free = self.terms[:k], self.rel[:k], self.pos
+            for column, field in enumerate((h, t, h_neg, t_neg)):
+                rows[:, column] = field
+        else:
+            pos = np.take(pos, picked, axis=0, out=self.terms[:k], mode="clip")
+            neg = np.take(neg, picked, axis=0, out=self.rel[:k], mode="clip")
+            g_pos, g_neg, free = self.pos[:k], self.neg[:k], self.terms
+            d_pos, d_neg, r = d_pos[picked], d_neg[picked], r[picked]
+            for column, field in enumerate((h, t, h_neg, t_neg)):
+                rows[:, column] = field[picked]
+        # _distance_grad, from the distances the hinge took (a row's sum does
+        # not depend on the other rows), each gradient into a buffer of its
+        # own: numpy 2.4's sign takes twice as long in place
+        if config.norm == "L1":
+            np.sign(pos, out=g_pos)
+            np.sign(neg, out=g_neg)
+        else:
+            for diff, g, d in ((pos, g_pos, d_pos), (neg, g_neg, d_neg)):
+                g[...] = 0.0
+                np.divide(diff, d[:, None], out=g, where=(d >= _EPS)[:, None])
+        # the entity steps of a quarter of the capacity at a time, in pair
+        # order, in the buffer no gradient is in
+        lr = config.learning_rate
+        chunk = len(free) // 4
+        for first in range(0, k, chunk):
+            part = slice(first, first + chunk)
+            m = min(chunk, k - first)
+            steps = free.reshape(chunk, 4, -1)[:m]
+            np.multiply(g_pos[part], lr, out=steps[:, 0])
+            np.negative(steps[:, 0], out=steps[:, 1])
+            np.multiply(g_neg[part], lr, out=steps[:, 3])
+            np.negative(steps[:, 3], out=steps[:, 2])
+            _subtract_rows_at(entities, rows[part].reshape(-1), steps.reshape(4 * m, -1),
+                              self.flat[:4 * m])
+        g_pos -= g_neg
+        g_pos *= lr
+        _subtract_rows_at(relations, r, g_pos, self.flat[:k])
 
 
-def _subtract_rows_at(matrix: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """``np.subtract.at(matrix, rows, values)`` bit for bit, on numpy's faster 1-D path.
+def _subtract_rows_at(matrix: np.ndarray, rows: np.ndarray, values: np.ndarray,
+                      flat: np.ndarray) -> None:
+    """``np.subtract.at(matrix, rows, values)`` bit for bit, on numpy's faster
+    1-D path: ``flat``, an intp ``values``-shaped buffer, takes each value's
+    index into the flat ``matrix``.
 
     ``matrix`` must be C-contiguous, so that ``reshape`` returns a view.
     """
     dim = matrix.shape[1]
-    flat = (rows[:, None] * dim + np.arange(dim)).ravel()
-    np.subtract.at(matrix.reshape(-1), flat, values.ravel())
+    np.add((rows * dim)[:, None], np.arange(dim), out=flat)
+    np.subtract.at(matrix.reshape(-1), flat.reshape(-1), values.reshape(-1))
 
 
 def probe_loss(model: EmbeddingModel, kg: KnowledgeGraph, seed: int = 0,

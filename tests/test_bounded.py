@@ -85,6 +85,21 @@ def test_transient_does_not_grow_with_triples(graphs, name, monkeypatch):
     assert per_triple <= 8, per_triple
 
 
+@pytest.mark.parametrize("negatives", [1, 3])
+def test_training_transient_grows_by_its_draws_alone(graphs, negatives):
+    # One epoch over 40,000 and 100,000 train triples of the same entities:
+    # train holds the epoch's draws, 17 B a (triple, negative) pair (its
+    # order, whether the tail is corrupted, the corrupting entity), and
+    # builds the pairs a block at a time into buffers made once per call.
+    # Building an epoch's pairs whole grew the transient by 78-88 B a pair.
+    (small, small_kg), (large, large_kg) = graphs.items()
+    config = TrainConfig(dim=8, epochs=1, negatives_per_positive=negatives)
+    train(small_kg, config)  # warm the first call's caches
+    per_pair = (transient(lambda: train(large_kg, config))
+                - transient(lambda: train(small_kg, config))) / ((large - small) * negatives)
+    assert per_pair <= 18, per_pair
+
+
 def test_load_transient_does_not_grow_with_description_characters(tmp_path, triples):
     # The same 8,000 entities and triples, descriptions of 50 and 550
     # characters: loading and validating them allocates at most a chunk of
@@ -123,8 +138,9 @@ def test_mention_table_holds_a_few_bytes_per_match_and_per_entity(tmp_path, trip
 
 def test_training_transient_does_not_grow_with_the_model(tmp_path, triples):
     # The same 2,000 train triples over 2,000 and 20,000 entities: one epoch
-    # allocates its pair arrays and a block of rows to renormalize beyond the
-    # model it returns, never a table the model's size.
+    # allocates its draws, a block of pairs, one batch's buffers and a block
+    # of rows to renormalize beyond the model it returns, never a table the
+    # model's size.
     small, large, dim = 2000, 20_000, 8
     graphs = {n: load_dataset(write_graph(tmp_path / str(n), 2000, triples, n))
               for n in (small, large)}

@@ -294,6 +294,25 @@ def test_train_baseline_empty_split_is_data_error_and_writes_nothing(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--margin", "nan", "non-finite value 'nan'"),
+    ("--margin", "inf", "non-finite value 'inf'"),
+    ("--learning-rate", "-0.5", "-0.5 is not in the range x>=0"),
+    ("--learning-rate", "nan", "non-finite value 'nan'"),
+    ("--learning-rate", "inf", "non-finite value 'inf'"),
+])
+def test_train_baseline_bad_margin_or_learning_rate_is_usage_error(dataset_dir, tmp_path, capsys,
+                                                                   option, value, message):
+    out = tmp_path / "model"
+    code = main([
+        "train-baseline", "--input", str(dataset_dir), "--output", str(out),
+        "--dim", "4", "--epochs", "1", option, value,
+    ])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_baseline_is_reproducible(dataset_dir, tmp_path):
     vectors = []
     for run in ("a", "b"):

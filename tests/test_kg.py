@@ -2,11 +2,13 @@ import gc
 import random
 import re
 import tracemalloc
+from array import array
 from functools import partial
 
 import numpy as np
 import pytest
 
+from kgsynth import kg as kgmod, rewriter
 from kgsynth.analysis import description_leakage
 from kgsynth.errors import LoadError, ValidationError
 from kgsynth.evaluate import evaluate_predictions
@@ -783,3 +785,68 @@ def test_two_faults_keep_their_precedence(family_kg, tmp_path, files, message):
         load_dataset(tmp_path)
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         reference_load(tmp_path)
+
+
+def reference_mention_table(names, texts):
+    """The table from one ``rewriter.scan`` per text and one greedy selection
+    per text, as plain lists."""
+    name_id = {}
+    row_names = [name_id.setdefault(name, len(name_id)) if name else -1 for name in names]
+    index = rewriter.build_index(name_id)
+    index.record = ids = array("i")
+    starts, ends, offsets, taken = [], [], [0], []
+    for text in texts:
+        found = rewriter.scan(index, text)
+        starts += found[0::2]
+        ends += found[1::2]
+        taken += rewriter.select(found[0::2], found[1::2])
+        offsets.append(len(starts))
+    return row_names, len(name_id), offsets, starts, ends, ids.tolist(), taken
+
+
+MENTION_KEYS = ["ab", "ab cd", "cd", "x-y", "x", "é", "Ab", "q\nr", "\nab", "-"]
+
+
+def mention_texts(rng, n, names):
+    """``n`` texts of keys, glue and names run into words; some are exactly a
+    name, some empty, some start or end with a name."""
+    pieces = MENTION_KEYS + [" ", " ", ", ", "z", "9", "(", ")", "\n"]
+    texts = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.1:
+            texts.append("")
+        elif kind < 0.25:
+            texts.append(rng.choice(names) or "ab")
+        else:
+            texts.append("".join(rng.choice(pieces) for _ in range(rng.randint(1, 9))))
+    return texts
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7, None])
+def test_block_scanned_mention_table_equals_a_scan_per_text(monkeypatch, block):
+    # Texts scanned a block at a time, joined by newlines, give the table of
+    # one scan per text: matches at both edges of a text and of a block, in
+    # empty texts beside a block boundary, and no match of "q\nr" across two
+    # texts, though one inside a text is kept.
+    if block is not None:
+        monkeypatch.setattr(kgmod, "_SCAN_TEXTS", block)
+    rng = random.Random(block or 0)
+    n = 2 * kgmod._SCAN_TEXTS + 5
+    for trial in range(40):
+        names = [rng.choice(MENTION_KEYS + [""]) for _ in range(rng.randint(1, 12))]
+        names += [rng.choice(MENTION_KEYS) for _ in range(n - len(names))]
+        texts = mention_texts(rng, n if trial % 4 else rng.randint(1, n), names)
+        if trial == 0:  # names at both sides of a block boundary, one across two texts
+            at = max(kgmod._SCAN_TEXTS - 2, 1)
+            texts[at:at + 3] = ["ab q", "r cd", "x-y ab"]
+            texts[0] = "q\nr"
+            names[1] = "q\nr"
+        table = kgmod.MentionTable.build(names[:len(texts)], texts)
+        want = reference_mention_table(names[:len(texts)], texts)
+        got = (table.names.tolist(), table.n_names, table.offsets.tolist(),
+               table.starts.tolist(), table.ends.tolist(), table.ids.tolist(),
+               table.taken.astype(int).tolist())
+        assert got == want, (trial, texts)
+        assert table.offsets.dtype == np.int64 and table.taken.dtype == bool
+        assert all(a.dtype == np.int32 for a in (table.starts, table.ends, table.ids))

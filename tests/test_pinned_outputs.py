@@ -11,9 +11,12 @@ one ``kgsynth transform`` run are pinned the same way, except its manifest,
 which holds paths and timestamps. So are the checkpoint and ``metrics.tsv``
 of ``kgsynth train-baseline --eval-split test`` runs, for both norms and for
 dims below 8, between 8 and 128 with leftover dims, and above 128: the three
-summation orders of numpy's ``sum`` that the scoring reproduces. The pins
-live in ``data/pinned_outputs.json``; a change that alters any of these bytes
-must say why and update them.
+summation orders of numpy's ``sum`` that the scoring reproduces. The vectors
+``transe.train`` returns on a 9,000-triple graph are pinned for both norms
+and for batches of one pair, of a few pairs with several negatives, of several
+batches per block of pairs, of one batch wider than a block and of one batch
+wider than the split. The pins live in ``data/pinned_outputs.json``; a change
+that alters any of these bytes must say why and update them.
 """
 
 import hashlib
@@ -21,10 +24,12 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kgsynth.cli import main
-from kgsynth.kg import write_dataset
+from kgsynth.kg import from_triples, write_dataset
+from kgsynth.transe import TrainConfig, train
 from kgsynth.transform import generate_suite
 
 from conftest import random_kg
@@ -103,3 +108,28 @@ def test_train_baseline_bytes_are_pinned(name, norm, dim, family_kg, tmp_path):
         "--seed", "3", "--eval-split", "test",
     ]) == 0
     assert tree_digests(out, skip={"manifest.tsv"}) == PINS["train_baseline"][f"{name}/{norm}/{dim}"]
+
+
+def training_kg():
+    # 9,000 distinct train triples over 1,500 entities and 6 relations: with
+    # two or more negatives a triple, more pairs than a block of them
+    n_entities, n_relations, n_train = 1500, 6, 9000
+    keys = np.random.default_rng(29).choice(n_entities * n_relations * n_entities, n_train,
+                                            replace=False)
+    h, r, t = np.unravel_index(keys, (n_entities, n_relations, n_entities))
+    return from_triples([(f"e{i}", f"e{i}") for i in range(n_entities)],
+                        [(f"r{i}", f"r{i}") for i in range(n_relations)],
+                        [(f"e{a}", f"r{b}", f"e{c}")
+                         for a, b, c in zip(h.tolist(), r.tolist(), t.tolist())], (), (), {})
+
+
+@pytest.mark.parametrize("batch_size,negatives,epochs", [
+    (1, 2, 1), (7, 3, 1), (1024, 1, 2), (5000, 2, 2), (20_000, 3, 2), (10**6, 1, 2),
+])
+@pytest.mark.parametrize("norm", ["L1", "L2"])
+def test_trained_vectors_are_pinned(norm, batch_size, negatives, epochs):
+    model = train(training_kg(), TrainConfig(
+        dim=8, norm=norm, learning_rate=0.05, epochs=epochs, seed=3,
+        negatives_per_positive=negatives, batch_size=batch_size))
+    digest = hashlib.sha256(model.entity_vectors.tobytes() + model.relation_vectors.tobytes())
+    assert digest.hexdigest() == PINS["train"][f"{norm}/{batch_size}/{negatives}/{epochs}"]

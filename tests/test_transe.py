@@ -327,6 +327,65 @@ def test_batch_of_one_is_bit_identical_to_per_triple_sgd(pattern_kg):
                 assert np.array_equal(got.relation_vectors, expected.relation_vectors), case
 
 
+def _subtract_rows_at(matrix, rows, values):
+    """``np.subtract.at(matrix, rows, values)`` on the flat matrix, as train did."""
+    dim = matrix.shape[1]
+    np.subtract.at(matrix.reshape(-1), (rows[:, None] * dim + np.arange(dim)).ravel(),
+                   values.ravel())
+
+
+def _whole_epoch_reference(kg, config):
+    """train with each epoch built whole: its draws in one call each, all its
+    (h, r, t, h_neg, t_neg) pairs at once, and each batch's update on arrays
+    of its own."""
+    model = init_model(kg, config.dim, config.seed, norm=config.norm, margin=config.margin)
+    entities, relations = model.entity_vectors, model.relation_vectors
+    rows = kg.split_rows["train"]
+    rng = np.random.default_rng([config.seed, 1])
+    lr, k = config.learning_rate, config.negatives_per_positive
+    for _ in range(config.epochs):
+        order = rng.permutation(len(rows))
+        corrupt_tail = rng.random((len(rows), k)) < 0.5
+        corrupt_with = rng.integers(0, len(kg.entity_ids), size=(len(rows), k))
+        triples = rows[np.repeat(order, k)]
+        tail, other = corrupt_tail[order].ravel(), corrupt_with[order].ravel()
+        pairs = np.column_stack([triples, np.where(tail, triples[:, 0], other),
+                                 np.where(tail, other, triples[:, 2])])
+        for start in range(0, len(pairs), config.batch_size):
+            batch = pairs[start:start + config.batch_size]
+            loss, diff_pos, diff_neg = transe._hinge(entities, relations, *batch.T,
+                                                     config.margin, config.norm)
+            active = ~(loss <= 0.0)
+            g_pos = transe._distance_grad(diff_pos[active], config.norm)
+            g_neg = transe._distance_grad(diff_neg[active], config.norm)
+            batch = batch[active]
+            _subtract_rows_at(relations, batch[:, 1], lr * (g_pos - g_neg))
+            steps = np.stack([lr * g_pos, -(lr * g_pos), -(lr * g_neg), lr * g_neg], axis=1)
+            _subtract_rows_at(entities, batch[:, [0, 2, 3, 4]].ravel(), steps)
+        _normalize_rows(entities)
+    return model
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_pairs_in_blocks_are_bit_identical_to_whole_epochs(monkeypatch, block):
+    # Blocks of whole batches that cut a triple's negatives apart, draws of
+    # the corrupted side a block at a time, batches wider than a block and
+    # than the split, and the buffers one call reuses across its batches.
+    monkeypatch.setattr(transe, "_PAIR_BLOCK", block)
+    rng = random.Random(block)
+    graphs = [random_kg(rng, n_entities=rng.randint(5, 30), n_relations=rng.randint(1, 4),
+                        n_train=rng.randint(20, 60)) for _ in range(3)]
+    for kg in graphs:
+        for norm in ("L1", "L2"):
+            for batch_size, negatives in ((1, 2), (3, 3), (7, 1), (64, 2), (1000, 3)):
+                config = TrainConfig(dim=6, epochs=3, learning_rate=0.05, norm=norm, seed=block,
+                                     negatives_per_positive=negatives, batch_size=batch_size)
+                got, expected = train(kg, config), _whole_epoch_reference(kg, config)
+                case = (norm, batch_size, negatives)
+                assert got.entity_vectors.tobytes() == expected.entity_vectors.tobytes(), case
+                assert got.relation_vectors.tobytes() == expected.relation_vectors.tobytes(), case
+
+
 def test_batch_larger_than_train_split(pattern_kg):
     # one step per epoch over every (triple, negative) pair
     config = TrainConfig(dim=8, epochs=6, learning_rate=0.05, seed=2, negatives_per_positive=2,
@@ -341,6 +400,10 @@ def test_batch_larger_than_train_split(pattern_kg):
 
 @pytest.mark.parametrize("field, value", [
     ("negatives_per_positive", 0), ("batch_size", 0), ("epochs", -1),
+    # a NaN or infinite margin made every pair active, a negative learning
+    # rate ran gradient ascent, and a NaN one failed only after an epoch
+    ("margin", float("nan")), ("margin", float("inf")), ("margin", -float("inf")),
+    ("learning_rate", -0.5), ("learning_rate", float("nan")), ("learning_rate", float("inf")),
 ])
 def test_train_rejects_out_of_range_config(pattern_kg, field, value):
     with pytest.raises(ValueError, match=field):
