@@ -48,8 +48,13 @@ all of them: the builder joins a split's blocks (the split's rows twice, for
 a moment), the repeat check sorts one int64 key per triple in place, and
 ``relation_pairs`` keys every triple. The mention table (``mentions``) holds
 about 12 bytes per entity and 13 per name match, in int arrays: no text piece
-and no joined copy of the descriptions (its build joins ``_SCAN_TEXTS`` of
-them at a time).
+and no joined copy of the descriptions. Its build joins about
+``_SCAN_CHARS`` characters of them at a time and scans each such block in
+about 50 bytes per character of the block (code points, boundaries, hash
+sums and the index's powers: 3.5 MB at 64 Ki characters, under
+tracemalloc), plus up to 2.2 MB of code point tables for non-BMP text; it
+grows the match arrays it returns in place and holds one int64 per
+description beside them.
 """
 
 from __future__ import annotations
@@ -89,8 +94,8 @@ _BLOCK_CHARS = 1 << 16
 _BLOCK_ROWS = 1 << 14
 # names, ids or descriptions joined at once to look for a tab or newline
 _CHECK_CELLS = 1 << 10
-# descriptions joined by a newline into one text for each mention scan
-_SCAN_TEXTS = 1 << 8
+# characters of the descriptions, joined by newlines, scanned for mentions at once
+_SCAN_CHARS = 1 << 16
 
 _UNKNOWN = ("unknown head entity", "unknown relation", "unknown tail entity")
 
@@ -152,52 +157,55 @@ class MentionTable:
     @classmethod
     def build(cls, names: Sequence[str], texts: Sequence[str]) -> MentionTable:
         """The table of the entity rows named ``names`` and described by
-        ``texts``: ``rewriter.scan`` with an index that maps each name to its
-        id and records the id of each match, then one greedy selection over
-        all texts.
+        ``texts``: ``rewriter.spans`` with an index of the names, whose key
+        numbers are the name ids, and the greedy selection
+        (``rewriter.select``) of the matches.
 
-        Each scan takes ``_SCAN_TEXTS`` texts joined by a newline, which
-        bounds matches as a text's edges do, and each match goes back to its
-        text by its start. A match that takes in a joining newline, of a
-        name holding one, belongs to no text and is dropped; a graph that
-        validates has no such name.
+        Each scan takes a block of texts joined by a newline, which bounds
+        matches as a text's edges do: the texts that end within
+        ``_SCAN_CHARS`` characters of the block's start, and at least one.
+        Each match goes back to its text by its start. A match that takes in
+        a joining newline, of a name holding one, belongs to no text and is
+        dropped; a graph that validates has no such name.
         """
         name_id: dict[str, int] = {}
         row_names = np.fromiter((name_id.setdefault(name, len(name_id)) if name else -1
                                  for name in names), dtype=np.int32, count=len(names))
         index = rewriter.build_index(name_id)
-        lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-        spans, id_blocks, counts = [], [], np.zeros(len(texts), dtype=np.int64)
-        for start in range(0, len(texts), _SCAN_TEXTS):
-            stop = min(start + _SCAN_TEXTS, len(texts))
-            # where each text ends in the joined block: at the newline after it
-            text_ends = np.cumsum(lengths[start:stop] + 1) - 1
-            index.record = ids = array("i")
-            found = np.frombuffer(rewriter.scan(index, "\n".join(texts[start:stop])),
-                                  dtype=np.int32).reshape(-1, 2)
-            text = np.searchsorted(text_ends, found[:, 0], side="right")
-            first = text_ends[text] - lengths[start + text]
-            inside = (found[:, 0] >= first) & (found[:, 1] <= text_ends[text])
-            spans.append(found[inside] - first[inside, None].astype(np.int32))
-            id_blocks.append(np.frombuffer(ids, dtype=np.int32)[inside])
-            counts[start:stop] = np.bincount(text[inside], minlength=stop - start)
-        n_names = len(name_id)
-        del name_id, index  # before the selection's arrays are made
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        bounds = np.concatenate([np.empty((0, 2), dtype=np.int32), *spans])
-        del spans
-        starts, ends = bounds[:, 0].copy(), bounds[:, 1].copy()
-        del bounds
-        ids = np.concatenate([np.empty(0, dtype=np.int32), *id_blocks])
-        del id_blocks
-        # each text's positions shifted past the texts before it, so one pass
-        # selects all; memoryviews, so no list holds an int per match
-        shifted = np.repeat(np.cumsum(lengths) - lengths, np.diff(offsets))
-        shifted_ends = shifted + ends
-        shifted += starts
-        taken = rewriter.select(memoryview(shifted), memoryview(shifted_ends))
-        return cls(row_names, n_names, offsets, starts, ends, ids,
-                   np.frombuffer(taken, dtype=bool))
+        # where each text ends in the descriptions joined by newlines: at the newline after it
+        text_ends = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+        text_ends += 1
+        np.cumsum(text_ends, out=text_ends)
+        text_ends -= 1
+        # the match arrays grow a block at a time in place (realloc), to their
+        # exact size, so no copy of them is made
+        table = [np.empty(0, dtype=np.int32) for _ in range(3)] + [np.empty(0, dtype=bool)]
+        offsets = np.zeros(len(texts) + 1, dtype=np.int64)
+        start = 0
+        while start < len(texts):
+            # the texts that end within _SCAN_CHARS of the block's first character, at least one
+            base = text_ends[start - 1] + 1 if start else 0
+            stop = max(int(np.searchsorted(text_ends, base + _SCAN_CHARS, side="right")),
+                       start + 1)
+            found_starts, found_ends, found_ids = rewriter.spans(
+                index, "\n".join(texts[start:stop]))
+            block_ends = text_ends[start:stop] - base
+            text = np.searchsorted(block_ends, found_starts, side="right")
+            first = np.append(0, block_ends[:-1] + 1)[text]
+            inside = np.flatnonzero((found_starts >= first) & (found_ends <= block_ends[text]))
+            found_starts, found_ends, text = found_starts[inside], found_ends[inside], text[inside]
+            first = first[inside]
+            # the block's texts lie one after another, so one pass selects them all;
+            # memoryviews, so no list holds an int per match
+            taken = rewriter.select(memoryview(found_starts), memoryview(found_ends))
+            for whole, part in zip(table, (found_starts - first, found_ends - first,
+                                           found_ids[inside], np.frombuffer(taken, dtype=bool))):
+                whole.resize(len(whole) + len(part), refcheck=False)
+                whole[len(whole) - len(part):] = part
+            offsets[start + 1:stop + 1] = np.bincount(text, minlength=stop - start)
+            start = stop
+        np.cumsum(offsets, out=offsets)
+        return cls(row_names, len(name_id), offsets, *table)
 
     @property
     def rows(self) -> np.ndarray:
@@ -276,7 +284,7 @@ class KnowledgeGraph:
         first use.
 
         This is the graph's one name index and one description scan, one
-        ``rewriter.scan`` call per block of descriptions: every renaming of the
+        ``rewriter.spans`` call per block of descriptions: every renaming of the
         entities rewrites from the table's greedy selection, and
         ``analysis.description_leakage`` reads the (entity row, name id)
         pairs of all its matches.
@@ -523,10 +531,22 @@ def read_rows(path: str | os.PathLike, width: int | None = None) -> Iterator[tup
 
 
 def write_rows(path: str | os.PathLike, rows: Iterable[Sequence[str]]) -> None:
-    """Write each row as its tab-joined cells plus LF, the layout ``read_rows`` reads."""
+    """Write each row as its tab-joined cells plus LF, the layout ``read_rows``
+    reads: one write per block of rows, a block ending at the first row that
+    brings it to ``_BLOCK_CHARS`` characters."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row in rows:
-            fh.write("\t".join(row) + "\n")
+        block: list[str] = []
+        size = 0
+        for line in map("\t".join, rows):
+            block.append(line)
+            size += len(line) + 1
+            if size >= _BLOCK_CHARS:
+                block.append("")
+                fh.write("\n".join(block))
+                block, size = [], 0
+        if block:
+            block.append("")
+            fh.write("\n".join(block))
 
 
 def float_cells(path: str | os.PathLike, lineno: int, cells: Iterable[str]) -> list[float]:

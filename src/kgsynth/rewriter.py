@@ -10,15 +10,21 @@ diverge:
   each position, and replacement text is never rescanned.
 
 ``scan`` is the one matcher: it returns every boundary match, nested and
-overlapping ones included. It finds the places where a key may start in C:
-a compiled split cuts the text into its first spans (a key's first
-character at a token boundary, plus the run of letters and digits after it)
-and the plain text between them, and only the spans that begin some key go
-on to a walk along the token boundaries. ``select`` is the one greedy rule:
-it flags the matches it takes, of one text or of many at once. ``join`` puts
-a replacement in each span ``select`` takes; ``find_keys`` is the set of
-matched keys. Matches depend only on the keys, so a graph's descriptions are
-scanned once, into its mention table (``KnowledgeGraph.mentions``), whose
+overlapping ones included, found by numpy passes over the text's code
+points. Token boundaries come from ``str.isalnum`` of the code points
+present; a match may start only at a boundary on one of the keys' first
+characters, and may end only at a later boundary. From each start the
+candidate ends are walked level by level, one boundary further per level,
+and each span's uint64 polynomial hash (base ``_HASH_BASE``, modulo 2^64) is
+looked up among the hashes of the keys and of the key prefixes a longer key
+continues from; a start drops out at the first span that is neither. Every
+span whose hash is a key's is compared with that key's text before it is
+reported, so a hash collision costs time, never a match. ``select`` is the
+one greedy rule: it flags the matches it takes, of one text or of many at
+once. ``join`` puts a replacement in each span ``select`` takes;
+``find_keys`` is the set of matched keys. Matches depend only on the keys,
+so a graph's descriptions are scanned once, a block of them at a time
+(``spans``), into its mention table (``KnowledgeGraph.mentions``), whose
 greedy selection every renaming rewrites from and whose matches
 ``analysis.description_leakage`` reads. ``rewrite_text`` and
 ``rewrite_descriptions`` are a scan plus a join.
@@ -26,11 +32,12 @@ greedy selection every renaming rewrites from and whose matches
 
 from __future__ import annotations
 
-import re
 from array import array
 from collections.abc import Callable, Mapping, Sequence
-from itertools import accumulate, chain, compress, islice
+from itertools import chain, compress, islice
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 if TYPE_CHECKING:
     from .kg import KnowledgeGraph
@@ -38,64 +45,197 @@ if TYPE_CHECKING:
 # Original surface name -> replacement, insertion-ordered.
 NameMap = dict[str, str]
 
-_ABSENT = object()
-_skip_alnum = re.compile(r"[^\W_]*").match  # ``[^\W_]`` is exactly ``str.isalnum``
+# The base of the span hashes: odd, so it has an inverse modulo 2^64.
+_HASH_BASE = 0x9E3779B97F4A7C15
 
 
-def _split_pattern(first_chars: list[str]) -> re.Pattern[str]:
-    """Capture, as ``re.split`` pieces, the first spans that begin with one
-    of ``first_chars`` at a token boundary.
+def _code_points(text: str) -> np.ndarray:
+    """``text`` as one uint32 code point per character."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
 
-    The character class leads, so ``re`` skips in C to the next position
-    holding one of ``first_chars``; the lookbehind then checks the character
-    before it (DOTALL, so ``.`` takes a newline too).
-    """
-    chars = "".join(map(re.escape, sorted(first_chars)))
-    return re.compile(r"([" + chars + r"](?<![^\W_].)[^\W_]*)", re.DOTALL)
+
+def _powers(base: int, n: int) -> np.ndarray:
+    """``base ** k`` modulo 2^64 for k < n, as uint64 (numpy's integer
+    products wrap)."""
+    powers = np.full(n, np.uint64(base), dtype=np.uint64)
+    powers[:1] = 1
+    return np.cumprod(powers, out=powers)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending."""
+    values = np.sort(values)
+    return values[np.append(True, values[1:] != values[:-1])] if len(values) else values
+
+
+def _boundaries(points: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two bool tables over the code points up to the largest of ``points``
+    (at most 1.1 MB, for non-BMP text): which are not ``str.isalnum``, a
+    token boundary, and which are one of ``heads``. ``str.isalnum`` is called
+    once per distinct code point of ``points``."""
+    top = int(points.max(initial=0)) + 1
+    stop = np.zeros(top, dtype=bool)
+    stop[points] = True
+    present = np.flatnonzero(stop)
+    stop[present] = [not chr(c).isalnum() for c in present.tolist()]
+    head = np.zeros(top, dtype=bool)
+    head[heads[heads < top]] = True
+    return stop, head
 
 
 class PatternIndex(dict[str, object]):
     """The keys of a NameMap, each mapped to its replacement (or of any map
-    of keys to values other than None, such as name ids), plus every proper
-    key prefix that ends just before a non-alphanumeric character of its
-    key, mapped to None.
+    of keys to values, such as name ids), plus the hash tables ``spans``
+    looks spans up in.
 
-    A key matches only at token boundaries, so a scan needs to look a span
-    up only where it ends at a boundary, and it can stop at the first such
-    span that is absent: no key extends it. The first span it looks up is a
-    first span: a key's first character plus the run of letters and digits
-    after it. ``firsts`` holds every key's first span, and ``splits`` cut a
-    text into first spans and the text between them: one split for keys led
-    by a letter or digit, one for the others, since a span led by
-    punctuation takes in the word after it, where a letter-led key may start.
+    ``codes`` holds the keys' code points one after another, key ``k`` at
+    ``bounds[k]:bounds[k + 1]`` (keys number in insertion order), and
+    ``heads`` their distinct first code points. ``table`` holds, ascending
+    and distinct, the hashes of the keys and of every proper key prefix that
+    ends just before a non-alphanumeric character of its key, then a copy of
+    its last hash, at which nothing is flagged, so that a span hashed above
+    all of them is looked up there. At ``table[p]``, ``continues[p]`` says
+    whether it is such a prefix's hash, and ``by_hash[first[p]:last[p]]``
+    are the keys that hash to it (``keyed[p]``: some do).
+
+    A scan of ``n`` characters hashes its spans with the powers of the base
+    and of its inverse up to ``n``, which the index keeps for its next scan
+    (16 bytes per character of the longest text it has scanned, and 1/8 more
+    when it grew them).
     """
 
-    splits: tuple[re.Pattern[str], ...] = ()
-    firsts: frozenset[str] = frozenset()
+    codes: np.ndarray
+    bounds: np.ndarray
+    heads: np.ndarray
+    table: np.ndarray
+    continues: np.ndarray
+    keyed: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    by_hash: np.ndarray
+    _powers: np.ndarray = np.ones(1, dtype=np.uint64)
+    _shifts: np.ndarray = np.ones(1, dtype=np.uint64)
     # when an int array, each scan appends to it the value of each match it returns
     record: array[int] | None = None
 
-    def lookup(self, key: str) -> str | None:
+    def lookup(self, key: str) -> object | None:
         """Replacement for an exact key, or None when the key is not indexed."""
         return self.get(key)
+
+    def powers(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """At least ``n`` powers of the hash base and of its inverse, modulo 2^64."""
+        if len(self._powers) < n:
+            size = max(n, len(self._powers) * 9 // 8)
+            self._powers = _powers(_HASH_BASE, size)
+            self._shifts = _powers(pow(_HASH_BASE, -1, 1 << 64), size)
+        return self._powers, self._shifts
 
 
 def build_index(name_map: Mapping[str, object]) -> PatternIndex:
     """Build a PatternIndex holding exactly the keys of ``name_map``, each
     mapped to its value."""
-    index = PatternIndex()
-    for key, replacement in name_map.items():
-        if not key:
-            raise ValueError("cannot index an empty key")
-        for j in range(1, len(key)):
-            if not key[j].isalnum():
-                index.setdefault(key[:j], None)
-        index[key] = replacement
-    heads = {key[0] for key in name_map}
-    index.splits = tuple(_split_pattern(chars) for chars in (
-        [c for c in heads if c.isalnum()], [c for c in heads if not c.isalnum()]) if chars)
-    index.firsts = frozenset(key[:_skip_alnum(key, 1).end()] for key in name_map)
+    index = PatternIndex(name_map)
+    if "" in index:
+        raise ValueError("cannot index an empty key")
+    index.codes = _code_points("".join(index))
+    lengths = np.fromiter(map(len, index), dtype=np.int64, count=len(index))
+    index.bounds = np.concatenate(([0], np.cumsum(lengths)))
+    starts = index.bounds[:-1]
+    index.heads = _distinct(index.codes[starts])
+    # the hash of a key or prefix is ``sum(codes[m] * B**t)``, ``t`` the
+    # position of ``m`` in its key: a difference of prefix sums of the terms
+    owner = np.repeat(starts, lengths)
+    terms = _powers(_HASH_BASE, int(lengths.max(initial=0)))[
+        np.arange(len(index.codes)) - owner] * index.codes
+    sums = np.concatenate(([np.uint64(0)], np.cumsum(terms)))
+    keys = sums[index.bounds[1:]] - sums[starts]
+    # a prefix ends at each non-alphanumeric character but a key's first
+    points = index.codes.astype(np.intp)
+    stop = _boundaries(points, index.heads)[0][points]
+    stop[starts] = False
+    ends = np.flatnonzero(stop)
+    prefixes = sums[ends] - sums[owner[ends]]
+    del owner, terms, sums, points, stop, ends
+    index.by_hash = np.argsort(keys, kind="stable").astype(np.int32)
+    keys = keys[index.by_hash]
+    table = _distinct(np.concatenate([keys, prefixes]))
+    index.table = np.append(table, table[-1:])
+    index.continues = np.zeros(len(index.table), dtype=bool)
+    index.continues[np.searchsorted(table, prefixes)] = True
+    index.first = np.searchsorted(keys, index.table, side="left")
+    index.last = np.searchsorted(keys, index.table, side="right")
+    index.keyed = index.last > index.first
+    index.keyed[-1:] = False
     return index
+
+
+def spans(index: PatternIndex, text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every boundary occurrence of an indexed key in ``text``: int64 starts
+    and ends, in text order and, at one start, shorter key first, and the
+    number of each match's key.
+
+    A block of many texts joined by a non-alphanumeric character is scanned
+    as they are one at a time, but for the matches that take in a joining
+    character.
+    """
+    codes = _code_points(text)
+    n = len(codes)
+    empty = np.empty(0, dtype=np.int64)
+    if not len(index) or not n:
+        return empty, empty, empty
+    points = codes.astype(np.intp)
+    stop, head = _boundaries(points, index.heads)
+    stops = np.flatnonzero(stop[points])
+    del stop
+    # the places a key may start: the text's start and each place after a
+    # boundary, ``after[k]`` the one after the ``k``-th boundary (``after[0]`` = 0)
+    after = np.append(0, stops + 1)
+    ends = np.append(stops, n)  # the places a key may end
+    powers, shifts = index.powers(n)
+    # prefix sums of ``codes[m] * B**m`` at each boundary, from sums of the
+    # terms between boundaries; ``terms[m + 1]`` is ``codes[m]``'s term
+    terms = np.zeros(n + 1, dtype=np.uint64)
+    np.multiply(powers[:n], codes, out=terms[1:])
+    sums = np.cumsum(np.add.reduceat(terms, after))
+    del points
+    starts = np.flatnonzero(head[codes[after[after < n]]])
+    at = after[starts]
+    # the hash of ``codes[at:ends[k]]`` is ``(sums[k] - base) * shift``
+    base = np.append(np.uint64(0), sums[:-1])[starts] + terms[at]
+    shift = shifts[at]
+    del terms
+    level = np.searchsorted(ends, at + 1)  # each start's first candidate end
+    table, keyed, continues = index.table, index.keyed, index.continues
+    last_end = len(ends) - 1
+    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [(empty, empty, empty)]
+    while len(at):
+        hashed = (sums[level] - base) * shift
+        p = np.searchsorted(table[:-1], hashed)
+        hit = table[p] == hashed
+        take = np.flatnonzero(hit & keyed[p])
+        found.append((at[take], level[take], p[take]))
+        more = np.flatnonzero(hit & continues[p] & (level < last_end))
+        at, level, base, shift = at[more], level[more] + 1, base[more], shift[more]
+    at, level, p = (np.concatenate(part) for part in zip(*found))
+    del sums, base, shift, found
+    # every key that hashes to a span, checked against its text
+    counts = index.last[p] - index.first[p]
+    span = np.repeat(np.arange(len(p)), counts)
+    key = index.by_hash[np.repeat(index.first[p] - np.cumsum(counts) + counts, counts)
+                        + np.arange(len(span))]
+    lengths = index.bounds[key + 1] - index.bounds[key]
+    same = lengths == ends[level[span]] - at[span]
+    span, key, lengths = span[same], key[same], lengths[same]
+    within = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    differ = (codes[np.repeat(at[span], lengths) + within]
+              != index.codes[np.repeat(index.bounds[key], lengths) + within])
+    exact = np.bincount(np.repeat(np.arange(len(key)), lengths)[differ],
+                        minlength=len(key)) == 0
+    span, key = span[exact], key[exact]
+    # levels were found in turn, so a stable sort by start keeps the shorter key first
+    order = np.argsort(at[span], kind="stable")
+    span = span[order]
+    return at[span], ends[level[span]], key[order].astype(np.int64)
 
 
 def scan(index: PatternIndex, text: str) -> array[int]:
@@ -106,35 +246,12 @@ def scan(index: PatternIndex, text: str) -> array[int]:
     object per match, so a cache of them stays small), in text order and, at
     one start, shorter key first; empty when ``text`` mentions no key. Each
     match's value in the index goes to ``index.record`` if that is set.
-
-    Each split leaves the text as ``gap, span, gap, span, ..., gap``; the
-    spans in ``index.firsts`` are kept with their offsets, all in C, and
-    only from those starts does a walk look longer spans up, one token
-    boundary at a time, until the index holds no entry for one.
     """
-    starts: list[int] = []
-    for split in index.splits:
-        pieces = split.split(text)
-        offsets = accumulate(map(len, pieces))  # where each piece after the first starts
-        starts += compress(islice(offsets, 0, None, 2),
-                           map(index.firsts.__contains__, islice(pieces, 1, None, 2)))
-    if len(index.splits) > 1:
-        starts.sort()  # the two splits' starts interleave in the text
-    get, record = index.get, index.record
-    n = len(text)
-    matches = array("i")
-    for i in starts:
-        j = i
-        while j < n:
-            j = _skip_alnum(text, j + 1).end()  # the next token boundary
-            found = get(text[i:j], _ABSENT)
-            if found is _ABSENT:
-                break
-            if found is not None:
-                matches.append(i)
-                matches.append(j)
-                if record is not None:
-                    record.append(found)
+    starts, ends, keys = spans(index, text)
+    matches = array("i", np.stack([starts, ends], axis=1).astype(np.int32).tobytes())
+    if index.record is not None:
+        values = list(index.values())
+        index.record.extend(map(values.__getitem__, keys.tolist()))
     return matches
 
 

@@ -11,7 +11,12 @@ stream as ``random.Random(seed)`` in numpy blocks: it copies the generator's
 state into numpy's legacy ``RandomState``, whose ``random_sample`` doubles
 NEP 19 keeps stable and equal to ``random()``'s, and cuts the drawn symbols
 into strings at end-of-sequence events under ``sample_string``'s rules, so it
-returns what a ``sample_string`` loop over that generator would.
+returns what a ``sample_string`` loop over that generator would. It finds
+each draw's symbol through a guide table: bucket ``b`` of ``2**_GUIDE_BITS``
+holds ``bisect_right(cumulative, b / 2**_GUIDE_BITS)``, the first symbol a
+draw ``u`` in that bucket can map to, and the draw steps forward from there
+while ``cumulative[symbol] <= u``. ``u * 2**_GUIDE_BITS`` is exact for a
+double, so its bucket is exact too and the symbol is ``bisect_right``'s.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ EOS = "<EOS>"
 # One sample_string call may consume at most this many symbol draws (characters
 # plus end-of-sequence events); exceeding it signals a degenerate model.
 _MAX_SYMBOL_DRAWS = 10_000
+# the guide table of sample_unique_strings has 2**_GUIDE_BITS buckets
+_GUIDE_BITS = 12
 _DEGENERATE = (f"no string produced within {_MAX_SYMBOL_DRAWS} symbol draws; "
                "the model is degenerate")
 
@@ -123,6 +130,8 @@ def sample_unique_strings(
     stream.set_state(("MT19937", np.array(state[:-1], dtype=np.uint32), state[-1]))
     cumulative = np.array(model._cumulative)
     eos = len(cumulative) - 1
+    buckets = 1 << _GUIDE_BITS
+    guide = np.searchsorted(cumulative, np.arange(buckets) / buckets, side="right")
     # each symbol's code points, EOS's none: a draw's text is a run of ``codes``
     texts = model._symbols[:-1]
     codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
@@ -137,8 +146,13 @@ def sample_unique_strings(
         # about the draws the missing strings take (the stream is dropped after the call),
         # at most 2^15, so a block's arrays stay small and cache-resident
         size = min(int((count - len(out)) * 1.25 / model.eos_probability) + 64, 1 << 15)
-        draws = np.concatenate(
-            [draws, np.searchsorted(cumulative, stream.random_sample(size), side="right")])
+        u = stream.random_sample(size)
+        drawn = guide[(u * buckets).astype(np.intp)]
+        step = np.flatnonzero(cumulative[drawn] <= u)
+        while len(step):
+            drawn[step] += 1
+            step = step[cumulative[drawn[step]] <= u[step]]
+        draws = np.concatenate([draws, drawn])
         # an attempt ends at the first EOS after a character, the one EOS a character precedes
         is_eos = draws == eos
         ends = np.flatnonzero(is_eos[1:] & ~is_eos[:-1]) + 1

@@ -136,6 +136,30 @@ def test_mention_table_holds_a_few_bytes_per_match_and_per_entity(tmp_path, trip
     assert held <= 13 * matches + 12 * n + (16 << 10), (held, matches)
 
 
+def test_mention_table_build_transient_does_not_grow_with_descriptions():
+    # 2,000 and 8,000 descriptions of about 100 characters over the same
+    # 1,000 names, so both fill several blocks of characters: the build
+    # allocates a block's code points, boundaries, hashes and powers at a
+    # time, grows the match arrays it returns in place, and drops its index,
+    # so beyond the table it returns it holds one int64 per description
+    # (where the text ends in the joined descriptions). The build that
+    # concatenated its blocks' matches and shifted them for one selection
+    # grew by 42 B per description here.
+    names = [f"entity {i}" for i in range(1000)]
+
+    def build(n):
+        rows = [names[i % 1000] for i in range(n)]
+        texts = [f"entity {i * 7 % 1000} and entity {i * 13 % 1000}, not entity {i}x, "
+                 f"nor (entity {i % 997}), a text of about a hundred characters"[:100]
+                 for i in range(n)]
+        return lambda: kgmod.MentionTable.build(rows, texts)
+
+    small, large = build(2000), build(8000)
+    small()  # warm the first call's imports and caches
+    per_description = (transient(large) - transient(small)) / 6000
+    assert per_description <= 9, per_description
+
+
 def test_training_transient_does_not_grow_with_the_model(tmp_path, triples):
     # The same 2,000 train triples over 2,000 and 20,000 entities: one epoch
     # allocates its draws, a block of pairs, one batch's buffers and a block

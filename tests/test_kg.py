@@ -823,23 +823,23 @@ def mention_texts(rng, n, names):
     return texts
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, 7, None])
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64, None])
 def test_block_scanned_mention_table_equals_a_scan_per_text(monkeypatch, block):
-    # Texts scanned a block at a time, joined by newlines, give the table of
-    # one scan per text: matches at both edges of a text and of a block, in
-    # empty texts beside a block boundary, and no match of "q\nr" across two
-    # texts, though one inside a text is kept.
+    # Texts scanned a block of characters at a time, joined by newlines, give
+    # the table of one scan per text: matches at both edges of a text and of
+    # a block, in empty texts beside a block boundary, in texts longer than a
+    # block, and no match of "q\nr" across two texts, though one inside a
+    # text is kept.
     if block is not None:
-        monkeypatch.setattr(kgmod, "_SCAN_TEXTS", block)
+        monkeypatch.setattr(kgmod, "_SCAN_CHARS", block)
     rng = random.Random(block or 0)
-    n = 2 * kgmod._SCAN_TEXTS + 5
+    n = 60
     for trial in range(40):
         names = [rng.choice(MENTION_KEYS + [""]) for _ in range(rng.randint(1, 12))]
         names += [rng.choice(MENTION_KEYS) for _ in range(n - len(names))]
         texts = mention_texts(rng, n if trial % 4 else rng.randint(1, n), names)
-        if trial == 0:  # names at both sides of a block boundary, one across two texts
-            at = max(kgmod._SCAN_TEXTS - 2, 1)
-            texts[at:at + 3] = ["ab q", "r cd", "x-y ab"]
+        if trial == 0:  # names at both sides of a text boundary, one across two texts
+            texts[20:23] = ["ab q", "r cd", "x-y ab"]
             texts[0] = "q\nr"
             names[1] = "q\nr"
         table = kgmod.MentionTable.build(names[:len(texts)], texts)
@@ -850,3 +850,20 @@ def test_block_scanned_mention_table_equals_a_scan_per_text(monkeypatch, block):
         assert got == want, (trial, texts)
         assert table.offsets.dtype == np.int64 and table.taken.dtype == bool
         assert all(a.dtype == np.int32 for a in (table.starts, table.ends, table.ids))
+
+
+def test_mention_table_is_exact_when_distinct_spans_share_a_hash(monkeypatch):
+    # With hash base 1 a span's hash is the sum of its code points, so keys
+    # such as "ab cd" and "cd ab" collide, and so do unrelated spans; every
+    # field of the table still equals the table built with the usual base.
+    rng = random.Random(3)
+    names = [rng.choice(MENTION_KEYS + ["cd ab", "ba", "dc", ""]) for _ in range(40)]
+    texts = mention_texts(rng, 40, names)
+    texts[:3] = ["ab cd cd ab ba ab", "dc cd x-y y-x", "ba ab cd ab"]
+    want = kgmod.MentionTable.build(names, texts)
+    monkeypatch.setattr(rewriter, "_HASH_BASE", 1)
+    monkeypatch.setattr(kgmod, "_SCAN_CHARS", 64)
+    got = kgmod.MentionTable.build(names, texts)
+    for field in ("names", "offsets", "starts", "ends", "ids", "taken"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.n_names == want.n_names and len(got.starts) > 40

@@ -5,6 +5,7 @@ from array import array
 
 import pytest
 
+from kgsynth import kg as kgmod, rewriter
 from kgsynth.rewriter import (
     build_index,
     find_keys,
@@ -176,10 +177,61 @@ def test_fuzz_scan_against_brute_force():
     (["\nfoo", "foo", "\n"], "a \nfoo\n\nfoo a\nfoo"),
     (["]x", "^y", "\\z", "x"], "]x ^y \\z x]x"),
     (["é", "éa-b", "٣x", "7"], "é éa-b ٣x 7 x7 é٣x"),
+    # an alphanumeric and a non-alphanumeric code point outside the BMP
+    (["\U0001d538", "\U0001d538b", "\U0001f600", "\U0001f600 x", "x\U0001f600"],
+     "\U0001d538 \U0001d538b\U0001f600 x x\U0001f600 \U0001f600\U0001d538 a\U0001d538"),
+    # keys that begin or end with punctuation or a space
+    (["(a)", "a.", " a", "a ", "- -", " "], "(a) a. a  a - - -(a).  a"),
 ], ids=["paren-then-word", "paren-nested", "one-char-punctuation", "underscore",
-        "newline", "class-metacharacters", "non-ascii"])
+        "newline", "class-metacharacters", "non-ascii", "non-bmp", "punctuation-edges"])
 def test_scan_against_brute_force_on_key_starts(keys, text):
     assert list(scan(build_index({k: k for k in keys}), text)) == brute_force_scan(keys, text)
+
+
+def test_fuzz_scan_against_brute_force_on_non_bmp_text():
+    # An alphanumeric (𝔸) and a non-alphanumeric (😀) code point outside the
+    # BMP, and keys that begin or end with punctuation or a space.
+    rng = random.Random(910)
+    alphabet = "a\U0001d538 \U0001f600-."
+    found = 0
+    for _ in range(600):
+        keys = random_keys(rng, alphabet)
+        text = "".join(rng.choice(keys + list(alphabet)) for _ in range(rng.randint(0, 20)))
+        matches = scan(build_index({k: k for k in keys}), text)
+        assert list(matches) == brute_force_scan(keys, text), (keys, text)
+        found += len(matches) // 2
+    assert found > 600, found
+
+
+def test_scan_of_a_text_longer_than_a_block():
+    # longer than the mention table's block of characters, so the hashes run
+    # past a block's powers
+    rng = random.Random(911)
+    keys = ["ka lo", "ka", "lo mi", "(re)", "su-", "\U0001d538 ka"]
+    words = keys + ["mi", "tan", "\U0001f600", "x"]
+    text = " ".join(rng.choice(words) for _ in range(kgmod._SCAN_CHARS // 3))
+    assert len(text) > kgmod._SCAN_CHARS
+    matches = scan(build_index({k: k for k in keys}), text)
+    assert list(matches) == brute_force_scan(keys, text)
+    assert len(matches) > 20_000
+
+
+def test_hash_collisions_cost_time_never_a_match(monkeypatch):
+    # With base 1 a span's hash is the sum of its code points, so "ab" and
+    # "ba", or "a b" and "b a", collide, as do keys and unrelated spans;
+    # checking each hashed match against its key's text keeps the scan exact.
+    keys = ["ab", "ba", "a b", "b a", "ab ba", "c"]
+    text = "ab ba a b b a ab ba ba ab c b-a a-b ab  ba"
+    rng = random.Random(912)
+    cases = [(keys, text)] + [
+        (random_keys(rng, "ab -"), "".join(rng.choice("ab -") for _ in range(40)))
+        for _ in range(300)]
+    monkeypatch.setattr(rewriter, "_HASH_BASE", 1)
+    index = build_index({k: k for k in keys})
+    assert (index.last - index.first).max() > 1  # distinct keys share a hash
+    for case_keys, case_text in cases:
+        assert list(scan(build_index({k: k for k in case_keys}), case_text)) \
+            == brute_force_scan(case_keys, case_text), (case_keys, case_text)
 
 
 def test_scan_against_brute_force_on_long_texts_of_generated_names():

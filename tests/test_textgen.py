@@ -142,6 +142,11 @@ ORACLE_MODELS = {
     "non-bmp": fit_unigram(["\U0001d538\U0001d539c", "\U0001f600 ok", "\u00fc\U0001d54f", "ab"]),
     # hand-built: each symbol is several characters
     "multi-char": UnigramModel({"ab": 0.4, "\U0001d538c": 0.35, "x y": 0.05}, 0.2),
+    # every cumulative probability on an edge of the sampler's 2^12 guide buckets
+    "bucket-edges": UnigramModel({"a": 1 / 4096, "b": 2047 / 4096, "c": 1024 / 4096}, 0.25),
+    # forty symbols in the first guide bucket, then three that fill most of the rest
+    "one-bucket": UnigramModel({**{chr(0x100 + k): 6e-6 for k in range(40)},
+                                "x": 0.3, "y": 0.3, "z": 0.3 - 40 * 6e-6}, 0.1),
 }
 
 

@@ -410,11 +410,11 @@ def test_descriptions_are_scanned_once_per_graph(monkeypatch, tmp_path, variants
                                                  scans):
     kg = mention_kg(random.Random(5))
     calls = []
-    scan = rewriter.scan
+    spans = rewriter.spans
 
     def counting(index, text):
         calls.append(text)
-        return scan(index, text)
+        return spans(index, text)
 
     def run_suite(kg):
         for batch in ([(v,) for v in variants] if one_call_each else [variants]):
@@ -423,7 +423,7 @@ def test_descriptions_are_scanned_once_per_graph(monkeypatch, tmp_path, variants
 
     # the scans take the descriptions a block at a time, joined by newlines
     texts = "\n".join(kg.descriptions[eid] for eid in kg.entity_ids)
-    monkeypatch.setattr(rewriter, "scan", counting)
+    monkeypatch.setattr(rewriter, "spans", counting)
     run_suite(kg)
     # one scan covers every description once
     assert "\n".join(calls) == "\n".join([texts] * scans)
