@@ -50,11 +50,11 @@ a moment), the repeat check sorts one int64 key per triple in place, and
 about 12 bytes per entity and 13 per name match, in int arrays: no text piece
 and no joined copy of the descriptions. Its build joins about
 ``_SCAN_CHARS`` characters of them at a time and scans each such block in
-about 50 bytes per character of the block (code points, boundaries, hash
-sums and the index's powers: 3.5 MB at 64 Ki characters, under
-tracemalloc), plus up to 2.2 MB of code point tables for non-BMP text; it
-grows the match arrays it returns in place and holds one int64 per
-description beside them.
+about 20 bytes per character of the block beside its text (code points,
+boundary flags and positions, and one uint64 hash term per character: 1.2 MB
+at 64 Ki characters, under tracemalloc), plus up to 2.2 MB of code point
+tables for non-BMP text; no power table outlives a scan. It grows the match
+arrays it returns in place and holds one int64 per description beside them.
 """
 
 from __future__ import annotations

@@ -47,6 +47,9 @@ NameMap = dict[str, str]
 
 # The base of the span hashes: odd, so it has an inverse modulo 2^64.
 _HASH_BASE = 0x9E3779B97F4A7C15
+# A scan takes the power of the base at a text position from two tables, one
+# indexed by the position modulo _ROW (``_row_powers``).
+_ROW = 256
 
 
 def _code_points(text: str) -> np.ndarray:
@@ -62,6 +65,13 @@ def _powers(base: int, n: int) -> np.ndarray:
     return np.cumprod(powers, out=powers)
 
 
+def _row_powers(base: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """``base ** m`` modulo 2^64 for ``m < rows * _ROW`` as the product of
+    ``low[m % _ROW]`` and ``high[m // _ROW]``: two short tables, so no power
+    table has an entry per character."""
+    return _powers(base, _ROW), _powers(pow(base, _ROW, 1 << 64), rows)
+
+
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values, ascending."""
     values = np.sort(values)
@@ -75,7 +85,7 @@ def _boundaries(points: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.n
     once per distinct code point of ``points``."""
     top = int(points.max(initial=0)) + 1
     stop = np.zeros(top, dtype=bool)
-    stop[points] = True
+    stop[points.astype(np.intp)] = True
     present = np.flatnonzero(stop)
     stop[present] = [not chr(c).isalnum() for c in present.tolist()]
     head = np.zeros(top, dtype=bool)
@@ -97,11 +107,6 @@ class PatternIndex(dict[str, object]):
     all of them is looked up there. At ``table[p]``, ``continues[p]`` says
     whether it is such a prefix's hash, and ``by_hash[first[p]:last[p]]``
     are the keys that hash to it (``keyed[p]``: some do).
-
-    A scan of ``n`` characters hashes its spans with the powers of the base
-    and of its inverse up to ``n``, which the index keeps for its next scan
-    (16 bytes per character of the longest text it has scanned, and 1/8 more
-    when it grew them).
     """
 
     codes: np.ndarray
@@ -113,22 +118,12 @@ class PatternIndex(dict[str, object]):
     first: np.ndarray
     last: np.ndarray
     by_hash: np.ndarray
-    _powers: np.ndarray = np.ones(1, dtype=np.uint64)
-    _shifts: np.ndarray = np.ones(1, dtype=np.uint64)
     # when an int array, each scan appends to it the value of each match it returns
     record: array[int] | None = None
 
     def lookup(self, key: str) -> object | None:
         """Replacement for an exact key, or None when the key is not indexed."""
         return self.get(key)
-
-    def powers(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """At least ``n`` powers of the hash base and of its inverse, modulo 2^64."""
-        if len(self._powers) < n:
-            size = max(n, len(self._powers) * 9 // 8)
-            self._powers = _powers(_HASH_BASE, size)
-            self._shifts = _powers(pow(_HASH_BASE, -1, 1 << 64), size)
-        return self._powers, self._shifts
 
 
 def build_index(name_map: Mapping[str, object]) -> PatternIndex:
@@ -142,20 +137,28 @@ def build_index(name_map: Mapping[str, object]) -> PatternIndex:
     index.bounds = np.concatenate(([0], np.cumsum(lengths)))
     starts = index.bounds[:-1]
     index.heads = _distinct(index.codes[starts])
+    stop = _boundaries(index.codes, index.heads)[0]
     # the hash of a key or prefix is ``sum(codes[m] * B**t)``, ``t`` the
-    # position of ``m`` in its key: a difference of prefix sums of the terms
-    owner = np.repeat(starts, lengths)
-    terms = _powers(_HASH_BASE, int(lengths.max(initial=0)))[
-        np.arange(len(index.codes)) - owner] * index.codes
-    sums = np.concatenate(([np.uint64(0)], np.cumsum(terms)))
-    keys = sums[index.bounds[1:]] - sums[starts]
-    # a prefix ends at each non-alphanumeric character but a key's first
-    points = index.codes.astype(np.intp)
-    stop = _boundaries(points, index.heads)[0][points]
-    stop[starts] = False
-    ends = np.flatnonzero(stop)
-    prefixes = sums[ends] - sums[owner[ends]]
-    del owner, terms, sums, points, stop, ends
+    # position of ``m`` in its key, summed one position at a time over the
+    # keys that long, longest key first; a prefix ends at each
+    # non-alphanumeric character but a key's first
+    longest = np.argsort(-lengths, kind="stable")
+    first_codes = starts[longest]
+    alive = np.searchsorted(-lengths[longest], -np.arange(int(lengths.max(initial=0))),
+                            side="left")
+    hashes = np.zeros(len(index), dtype=np.uint64)
+    prefixes: list[np.ndarray] = []
+    power = 1
+    for t, n in enumerate(alive.tolist()):
+        codes = index.codes[first_codes[:n] + t]
+        if t:
+            prefixes.append(hashes[:n][stop.take(codes)])
+        hashes[:n] += np.multiply(codes, np.uint64(power), dtype=np.uint64)
+        power = power * _HASH_BASE % (1 << 64)
+    del first_codes, stop
+    keys = np.empty_like(hashes)
+    keys[longest] = hashes
+    prefixes = np.concatenate([np.empty(0, dtype=np.uint64), *prefixes])
     index.by_hash = np.argsort(keys, kind="stable").astype(np.int32)
     keys = keys[index.by_hash]
     table = _distinct(np.concatenate([keys, prefixes]))
@@ -183,27 +186,32 @@ def spans(index: PatternIndex, text: str) -> tuple[np.ndarray, np.ndarray, np.nd
     empty = np.empty(0, dtype=np.int64)
     if not len(index) or not n:
         return empty, empty, empty
-    points = codes.astype(np.intp)
-    stop, head = _boundaries(points, index.heads)
-    stops = np.flatnonzero(stop[points])
+    stop, head = _boundaries(codes, index.heads)
+    stops = np.flatnonzero(stop.take(codes))
     del stop
     # the places a key may start: the text's start and each place after a
     # boundary, ``after[k]`` the one after the ``k``-th boundary (``after[0]`` = 0)
     after = np.append(0, stops + 1)
     ends = np.append(stops, n)  # the places a key may end
-    powers, shifts = index.powers(n)
     # prefix sums of ``codes[m] * B**m`` at each boundary, from sums of the
-    # terms between boundaries; ``terms[m + 1]`` is ``codes[m]``'s term
-    terms = np.zeros(n + 1, dtype=np.uint64)
-    np.multiply(powers[:n], codes, out=terms[1:])
+    # terms between boundaries; ``terms[m + 1]`` is ``codes[m]``'s term, zero
+    # past the text, made a row of _ROW characters at a time
+    rows = -(-n // _ROW)
+    low, high = _row_powers(_HASH_BASE, rows)
+    terms = np.zeros(rows * _ROW + 1, dtype=np.uint64)
+    terms[1:n + 1] = codes
+    block = terms[1:].reshape(rows, _ROW)
+    block *= low
+    block *= high[:, None]
+    del block
     sums = np.cumsum(np.add.reduceat(terms, after))
-    del points
-    starts = np.flatnonzero(head[codes[after[after < n]]])
+    starts = np.flatnonzero(head.take(codes[after[after < n]]))
     at = after[starts]
     # the hash of ``codes[at:ends[k]]`` is ``(sums[k] - base) * shift``
     base = np.append(np.uint64(0), sums[:-1])[starts] + terms[at]
-    shift = shifts[at]
     del terms
+    low, high = _row_powers(pow(_HASH_BASE, -1, 1 << 64), rows)
+    shift = low[at % _ROW] * high[at // _ROW]
     level = np.searchsorted(ends, at + 1)  # each start's first candidate end
     table, keyed, continues = index.table, index.keyed, index.continues
     last_end = len(ends) - 1

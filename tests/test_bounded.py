@@ -139,7 +139,7 @@ def test_mention_table_holds_a_few_bytes_per_match_and_per_entity(tmp_path, trip
 def test_mention_table_build_transient_does_not_grow_with_descriptions():
     # 2,000 and 8,000 descriptions of about 100 characters over the same
     # 1,000 names, so both fill several blocks of characters: the build
-    # allocates a block's code points, boundaries, hashes and powers at a
+    # allocates a block's code points, boundaries and hash terms at a
     # time, grows the match arrays it returns in place, and drops its index,
     # so beyond the table it returns it holds one int64 per description
     # (where the text ends in the joined descriptions). The build that

@@ -204,8 +204,8 @@ def test_fuzz_scan_against_brute_force_on_non_bmp_text():
 
 
 def test_scan_of_a_text_longer_than_a_block():
-    # longer than the mention table's block of characters, so the hashes run
-    # past a block's powers
+    # longer than the mention table's block of characters, and than many
+    # rows of the powers a scan hashes with
     rng = random.Random(911)
     keys = ["ka lo", "ka", "lo mi", "(re)", "su-", "\U0001d538 ka"]
     words = keys + ["mi", "tan", "\U0001f600", "x"]
