@@ -33,7 +33,7 @@ from .kg import (
     stream_stats,
     write_dataset,
 )
-from .rewriter import PatternIndex, build_index, find_keys, rewrite_descriptions, rewrite_text
+from .rewriter import PatternIndex, build_index
 from .textgen import UnigramModel, fit_unigram, sample_string, sample_unique_strings
 from .transform import (
     SUITE_VARIANTS,

@@ -227,8 +227,8 @@ def evaluate_predictions(kg: KnowledgeGraph, predictions_file: str | Path,
 
     missing = [query for query, listed in enumerate(ranked) if listed is None]
     if missing:
-        named = split_queries(kg, "test")
-        shown = ", ".join(str(named[query]) for query in missing[:5])
+        shown = ", ".join(str((*kg.test[query // 2], ("tail", "head")[query % 2]))
+                          for query in missing[:5])
         raise ValidationError(f"predictions missing for {len(missing)} (triple, direction) "
                               f"queries: {shown}")
 

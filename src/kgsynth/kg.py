@@ -142,7 +142,7 @@ class MentionTable:
 
     Each distinct non-empty name has an id, counted in order of the first
     entity row that holds it. Row ``e``'s matches are
-    ``offsets[e]:offsets[e + 1]``, in ``rewriter.scan`` order: by start, at
+    ``offsets[e]:offsets[e + 1]``, in ``rewriter.spans`` order: by start, at
     one start the shorter name first, nested and overlapping ones included.
     """
 

@@ -9,41 +9,27 @@ diverge:
 - rewriting is a single greedy left-to-right pass taking the longest key at
   each position, and replacement text is never rescanned.
 
-``scan`` is the one matcher: it returns every boundary match, nested and
-overlapping ones included, found by numpy passes over the text's code
-points. Token boundaries come from ``str.isalnum`` of the code points
-present; a match may start only at a boundary on one of the keys' first
-characters, and may end only at a later boundary. From each start the
-candidate ends are walked level by level, one boundary further per level,
-and each span's uint64 polynomial hash (base ``_HASH_BASE``, modulo 2^64) is
-looked up among the hashes of the keys and of the key prefixes a longer key
-continues from; a start drops out at the first span that is neither. Every
-span whose hash is a key's is compared with that key's text before it is
-reported, so a hash collision costs time, never a match. ``select`` is the
-one greedy rule: it flags the matches it takes, of one text or of many at
-once. ``join`` puts a replacement in each span ``select`` takes;
-``find_keys`` is the set of matched keys. Matches depend only on the keys,
-so a graph's descriptions are scanned once, a block of them at a time
-(``spans``), into its mention table (``KnowledgeGraph.mentions``), whose
-greedy selection every renaming rewrites from and whose matches
-``analysis.description_leakage`` reads. ``rewrite_text`` and
-``rewrite_descriptions`` are a scan plus a join.
+``spans`` is the one matcher: every boundary match, nested and overlapping
+ones included, as int64 starts, ends and key numbers, found by numpy passes
+over the text's code points. A match starts after a boundary on one of the
+keys' first characters; from each start, the candidate ends are walked one
+boundary further per level while the span's uint64 polynomial hash (base
+``_HASH_BASE``, modulo 2^64) is a key's or a key prefix's. Every span whose
+hash is a key's is compared with that key's text before it is reported, so
+a hash collision costs time, never a match. A key number gives the key and
+its value (``PatternIndex.keys``, ``.values``). ``select`` is the one greedy
+rule, and ``splice`` puts replacements in the matches it takes. A graph's
+descriptions are scanned once, into its mention table
+(``KnowledgeGraph.mentions``), which renaming and leakage read.
 """
 
 from __future__ import annotations
 
-from array import array
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass
 from itertools import chain, compress, islice
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .kg import KnowledgeGraph
-
-# Original surface name -> replacement, insertion-ordered.
-NameMap = dict[str, str]
 
 # The base of the span hashes: odd, so it has an inverse modulo 2^64.
 _HASH_BASE = 0x9E3779B97F4A7C15
@@ -93,22 +79,26 @@ def _boundaries(points: np.ndarray, heads: np.ndarray) -> tuple[np.ndarray, np.n
     return stop, head
 
 
-class PatternIndex(dict[str, object]):
-    """The keys of a NameMap, each mapped to its replacement (or of any map
-    of keys to values, such as name ids), plus the hash tables ``spans``
+@dataclass(frozen=True, eq=False)
+class PatternIndex:
+    """The keys of a map, numbered in insertion order, with their values
+    (such as replacements, or name ids), plus the hash tables ``spans``
     looks spans up in.
 
-    ``codes`` holds the keys' code points one after another, key ``k`` at
-    ``bounds[k]:bounds[k + 1]`` (keys number in insertion order), and
-    ``heads`` their distinct first code points. ``table`` holds, ascending
-    and distinct, the hashes of the keys and of every proper key prefix that
-    ends just before a non-alphanumeric character of its key, then a copy of
-    its last hash, at which nothing is flagged, so that a span hashed above
-    all of them is looked up there. At ``table[p]``, ``continues[p]`` says
-    whether it is such a prefix's hash, and ``by_hash[first[p]:last[p]]``
-    are the keys that hash to it (``keyed[p]``: some do).
+    Key ``k`` is ``keys[k]``, its value ``values[k]``. ``codes`` holds the
+    keys' code points one after another, key ``k`` at
+    ``bounds[k]:bounds[k + 1]``, and ``heads`` their distinct first code
+    points. ``table`` holds, ascending and distinct, the hashes of the keys
+    and of every proper key prefix that ends just before a non-alphanumeric
+    character of its key, then a copy of its last hash, at which nothing is
+    flagged, so that a span hashed above all of them is looked up there. At
+    ``table[p]``, ``continues[p]`` says whether it is such a prefix's hash,
+    and ``by_hash[first[p]:last[p]]`` are the keys that hash to it
+    (``keyed[p]``: some do).
     """
 
+    keys: tuple[str, ...]
+    values: tuple[object, ...]
     codes: np.ndarray
     bounds: np.ndarray
     heads: np.ndarray
@@ -118,26 +108,19 @@ class PatternIndex(dict[str, object]):
     first: np.ndarray
     last: np.ndarray
     by_hash: np.ndarray
-    # when an int array, each scan appends to it the value of each match it returns
-    record: array[int] | None = None
-
-    def lookup(self, key: str) -> object | None:
-        """Replacement for an exact key, or None when the key is not indexed."""
-        return self.get(key)
 
 
 def build_index(name_map: Mapping[str, object]) -> PatternIndex:
     """Build a PatternIndex holding exactly the keys of ``name_map``, each
-    mapped to its value."""
-    index = PatternIndex(name_map)
-    if "" in index:
+    with its value."""
+    if "" in name_map:
         raise ValueError("cannot index an empty key")
-    index.codes = _code_points("".join(index))
-    lengths = np.fromiter(map(len, index), dtype=np.int64, count=len(index))
-    index.bounds = np.concatenate(([0], np.cumsum(lengths)))
-    starts = index.bounds[:-1]
-    index.heads = _distinct(index.codes[starts])
-    stop = _boundaries(index.codes, index.heads)[0]
+    codes = _code_points("".join(name_map))
+    lengths = np.fromiter(map(len, name_map), dtype=np.int64, count=len(name_map))
+    bounds = np.concatenate(([0], np.cumsum(lengths)))
+    starts = bounds[:-1]
+    heads = _distinct(codes[starts])
+    stop = _boundaries(codes, heads)[0]
     # the hash of a key or prefix is ``sum(codes[m] * B**t)``, ``t`` the
     # position of ``m`` in its key, summed one position at a time over the
     # keys that long, longest key first; a prefix ends at each
@@ -146,30 +129,31 @@ def build_index(name_map: Mapping[str, object]) -> PatternIndex:
     first_codes = starts[longest]
     alive = np.searchsorted(-lengths[longest], -np.arange(int(lengths.max(initial=0))),
                             side="left")
-    hashes = np.zeros(len(index), dtype=np.uint64)
+    hashes = np.zeros(len(name_map), dtype=np.uint64)
     prefixes: list[np.ndarray] = []
     power = 1
     for t, n in enumerate(alive.tolist()):
-        codes = index.codes[first_codes[:n] + t]
+        key_codes = codes[first_codes[:n] + t]
         if t:
-            prefixes.append(hashes[:n][stop.take(codes)])
-        hashes[:n] += np.multiply(codes, np.uint64(power), dtype=np.uint64)
+            prefixes.append(hashes[:n][stop.take(key_codes)])
+        hashes[:n] += np.multiply(key_codes, np.uint64(power), dtype=np.uint64)
         power = power * _HASH_BASE % (1 << 64)
     del first_codes, stop
-    keys = np.empty_like(hashes)
-    keys[longest] = hashes
+    key_hashes = np.empty_like(hashes)
+    key_hashes[longest] = hashes
     prefixes = np.concatenate([np.empty(0, dtype=np.uint64), *prefixes])
-    index.by_hash = np.argsort(keys, kind="stable").astype(np.int32)
-    keys = keys[index.by_hash]
-    table = _distinct(np.concatenate([keys, prefixes]))
-    index.table = np.append(table, table[-1:])
-    index.continues = np.zeros(len(index.table), dtype=bool)
-    index.continues[np.searchsorted(table, prefixes)] = True
-    index.first = np.searchsorted(keys, index.table, side="left")
-    index.last = np.searchsorted(keys, index.table, side="right")
-    index.keyed = index.last > index.first
-    index.keyed[-1:] = False
-    return index
+    by_hash = np.argsort(key_hashes, kind="stable").astype(np.int32)
+    key_hashes = key_hashes[by_hash]
+    distinct = _distinct(np.concatenate([key_hashes, prefixes]))
+    table = np.append(distinct, distinct[-1:])
+    continues = np.zeros(len(table), dtype=bool)
+    continues[np.searchsorted(distinct, prefixes)] = True
+    first = np.searchsorted(key_hashes, table, side="left")
+    last = np.searchsorted(key_hashes, table, side="right")
+    keyed = last > first
+    keyed[-1:] = False
+    return PatternIndex(tuple(name_map), tuple(name_map.values()), codes, bounds, heads, table,
+                        continues, keyed, first, last, by_hash)
 
 
 def spans(index: PatternIndex, text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -184,7 +168,7 @@ def spans(index: PatternIndex, text: str) -> tuple[np.ndarray, np.ndarray, np.nd
     codes = _code_points(text)
     n = len(codes)
     empty = np.empty(0, dtype=np.int64)
-    if not len(index) or not n:
+    if not index.keys or not n:
         return empty, empty, empty
     stop, head = _boundaries(codes, index.heads)
     stops = np.flatnonzero(stop.take(codes))
@@ -246,28 +230,11 @@ def spans(index: PatternIndex, text: str) -> tuple[np.ndarray, np.ndarray, np.nd
     return at[span], ends[level[span]], key[order].astype(np.int64)
 
 
-def scan(index: PatternIndex, text: str) -> array[int]:
-    """Every boundary occurrence of an indexed key, nested and overlapping
-    ones included.
-
-    Returned as one flat int32 array ``start, end, start, end, ...`` (no
-    object per match, so a cache of them stays small), in text order and, at
-    one start, shorter key first; empty when ``text`` mentions no key. Each
-    match's value in the index goes to ``index.record`` if that is set.
-    """
-    starts, ends, keys = spans(index, text)
-    matches = array("i", np.stack([starts, ends], axis=1).astype(np.int32).tobytes())
-    if index.record is not None:
-        values = list(index.values())
-        index.record.extend(map(values.__getitem__, keys.tolist()))
-    return matches
-
-
 def select(starts: Sequence[int], ends: Sequence[int]) -> bytearray:
     """One flag per match, 1 for each the greedy rule takes.
 
     ``starts`` ascend and, at one start, the shorter key comes first, as
-    ``scan`` returns them. At each start the longest key is taken, and a
+    ``spans`` returns them. At each start the longest key is taken, and a
     match that starts inside a key already taken is skipped, so replacement
     text is never rescanned. Matches of several texts are selected at once
     when each text's positions lie above the previous text's.
@@ -282,43 +249,30 @@ def select(starts: Sequence[int], ends: Sequence[int]) -> bytearray:
     return taken
 
 
-def join(text: str, matches: Sequence[int], replace: Callable[[str], str]) -> str:
-    """``text`` with the greedy selection (``select``) of ``scan`` matches
-    replaced by ``replace(key)``. Spans that already are a greedy selection
-    pass through unchanged.
-    """
-    starts, ends = matches[0::2], matches[1::2]
-    out: list[str] = []
+def splice(text: str, starts: Iterable[int], ends: Iterable[int],
+           replacements: Iterable[str]) -> str:
+    """``text`` with each span ``starts[k]:ends[k]`` replaced by
+    ``replacements[k]``; the spans ascend and are disjoint, as the matches
+    ``select`` takes are."""
+    pieces: list[str] = []
     plain_start = 0
-    for start, end in compress(zip(starts, ends), select(starts, ends)):
-        out.append(text[plain_start:start])
-        out.append(replace(text[start:end]))
+    for start, end, replacement in zip(starts, ends, replacements):
+        pieces += text[plain_start:start], replacement
         plain_start = end
-    out.append(text[plain_start:])
-    return "".join(out)
+    pieces.append(text[plain_start:])
+    return "".join(pieces)
 
 
 def rewrite_text(index: PatternIndex, text: str) -> str:
-    """Replace every boundary occurrence of an indexed key, longest key first.
-
-    Scanning resumes after each replacement, so replacement text cannot
-    trigger further matches within the same pass.
-    """
-    return join(text, scan(index, text), index.lookup)
+    """Each boundary occurrence of an indexed key that the greedy rule takes,
+    replaced by its value; replacement text is never rescanned."""
+    starts, ends, keys = (found.tolist() for found in spans(index, text))
+    taken = select(starts, ends)
+    return splice(text, compress(starts, taken), compress(ends, taken),
+                  map(index.values.__getitem__, compress(keys, taken)))
 
 
 def find_keys(index: PatternIndex, text: str) -> set[str]:
     """All indexed keys occurring in ``text`` at token boundaries, nested and
-    overlapping ones included; the keys of ``scan``'s matches."""
-    bounds = iter(scan(index, text))
-    return {text[start:end] for start, end in zip(bounds, bounds)}
-
-
-def rewrite_descriptions(kg: KnowledgeGraph, name_map: NameMap) -> dict[str, str]:
-    """Apply rewrite_text to every description; ids and order are untouched."""
-    if not name_map:
-        return dict(kg.descriptions)
-    index = build_index(name_map)
-    replace = name_map.__getitem__
-    return {eid: join(text, scan(index, text), replace)
-            for eid, text in kg.descriptions.items()}
+    overlapping ones included; the keys of ``spans``' matches."""
+    return set(map(index.keys.__getitem__, spans(index, text)[2].tolist()))

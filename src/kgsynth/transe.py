@@ -393,6 +393,8 @@ def probe_loss(model: EmbeddingModel, kg: KnowledgeGraph, seed: int = 0,
     Depends only on (kg, seed, batch_size) for the batch, which names its
     entities by id, so any two models over the graph are directly comparable.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n = min(batch_size, len(kg.train))
     if n == 0:
         raise ValueError("train split is empty")

@@ -20,8 +20,8 @@ The operations:
   regenerated descriptions draw from one forbidden set, seeded with every
   original name and description, so all strings are distinct.
 - ``rewrite``: when entities are renamed, in-description mentions move to
-  the new names. Each variant makes one replacement per name id and puts it
-  in the mentions of the graph's greedy longest-match selection.
+  the new names. A name's replacement is the new name of its first entity
+  row, spliced into the graph's greedy longest-match selection by name id.
 - ``reassign``: derange which entity each description belongs to; with
   entities targeted, each description travels with its name and its
   mentions are left as-is, which is the point.
@@ -55,7 +55,7 @@ import numpy as np
 from . import derangement as drg
 from .errors import InfeasibleError, KgsynthError, LoadError
 from .kg import KnowledgeGraph, write_dataset, write_rows
-from .rewriter import NameMap
+from .rewriter import splice
 from .textgen import sample_unique_strings
 
 
@@ -124,35 +124,25 @@ def _field_seed(seed: int, kind: str, part: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _rewrite_map(kg: KnowledgeGraph, new_names: list[str]) -> NameMap:
-    # One replacement per distinct surface form; first occurrence wins when
-    # several entities share a name (the per-id mapping stays exact).
-    name_map: NameMap = {}
-    for (_, old_name), new_name in zip(kg.entities, new_names):
-        if old_name and old_name not in name_map:
-            name_map[old_name] = new_name
-    return name_map
-
-
 def _rewrite_mentions(kg: KnowledgeGraph, new_names: list[str],
                       descriptions: dict[str, str]) -> None:
     """Replace, in ``descriptions``, each mention the graph's greedy selection
-    takes (``KnowledgeGraph.mentions``) by its name's replacement."""
+    takes (``KnowledgeGraph.mentions``) by the new name of the first entity
+    row holding its name."""
     table = kg.mentions
-    # name ids count the distinct names in order of first row, as _rewrite_map's keys
-    replacement = list(_rewrite_map(kg, new_names).values())
-    # memoryviews of the table, so no copy of its taken matches is made
-    starts, ends, ids, taken = map(memoryview, (table.starts, table.ends, table.ids, table.taken))
-    rows = np.flatnonzero(np.diff(table.offsets))  # each row with a match has one taken
-    for eid, lo, hi in zip(map(kg.entity_ids.__getitem__, memoryview(rows)),
-                           memoryview(table.offsets[rows]), memoryview(table.offsets[rows + 1])):
-        text, pieces, plain_start = descriptions[eid], [], 0
-        for k in range(lo, hi):
-            if taken[k]:
-                pieces += text[plain_start:starts[k]], replacement[ids[k]]
-                plain_start = ends[k]
-        pieces.append(text[plain_start:])
-        descriptions[eid] = "".join(pieces)
+    ids, first_row = np.unique(table.names, return_index=True)
+    taken = np.flatnonzero(table.taken)
+    by_name = np.array(new_names, dtype=object)[first_row[ids >= 0]]
+    replacements = by_name[table.ids[taken]].tolist()
+    # memoryviews, so no list holds an int per match
+    starts, ends = memoryview(table.starts[taken]), memoryview(table.ends[taken])
+    # row e's taken matches are at bounds[e]:bounds[e + 1]
+    bounds = np.searchsorted(taken, table.offsets)
+    rows = np.flatnonzero(np.diff(bounds))
+    for eid, lo, hi in zip(map(kg.entity_ids.__getitem__, rows.tolist()),
+                           bounds[rows].tolist(), bounds[rows + 1].tolist()):
+        descriptions[eid] = splice(descriptions[eid], starts[lo:hi], ends[lo:hi],
+                                   replacements[lo:hi])
 
 
 def _derange_names(kg: KnowledgeGraph, part: str, seed: int) -> drg.DerangementResult:

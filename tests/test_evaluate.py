@@ -418,8 +418,12 @@ def test_predictions_missing_queries_listed(six_entity_kg, tmp_path):
     rows = [("e0", "r1", "e4", "tail", ["e4"])]
     path = tmp_path / "preds.tsv"
     _write_predictions(path, rows)
-    with pytest.raises(ValidationError, match="missing"):
+    with pytest.raises(ValidationError, match="missing") as raised:
         evaluate_predictions(six_entity_kg, path)
+    # named from the test rows as (h, r, t, direction), like the file's other errors
+    assert str(raised.value).endswith("predictions missing for 3 (triple, direction) queries: "
+                                      "('e0', 'r1', 'e4', 'head'), ('e5', 'r2', 'e0', 'tail'), "
+                                      "('e5', 'r2', 'e0', 'head')")
 
 
 def test_predictions_duplicate_line_rejected(six_entity_kg, tmp_path):

@@ -2,7 +2,6 @@ import gc
 import random
 import re
 import tracemalloc
-from array import array
 from functools import partial
 
 import numpy as np
@@ -788,20 +787,21 @@ def test_two_faults_keep_their_precedence(family_kg, tmp_path, files, message):
 
 
 def reference_mention_table(names, texts):
-    """The table from one ``rewriter.scan`` per text and one greedy selection
-    per text, as plain lists."""
+    """The table from one ``rewriter.spans`` per text, whose key numbers are
+    the name ids, and one greedy selection per text, as plain lists."""
     name_id = {}
     row_names = [name_id.setdefault(name, len(name_id)) if name else -1 for name in names]
     index = rewriter.build_index(name_id)
-    index.record = ids = array("i")
-    starts, ends, offsets, taken = [], [], [0], []
+    starts, ends, ids, offsets, taken = [], [], [], [0], []
     for text in texts:
-        found = rewriter.scan(index, text)
-        starts += found[0::2]
-        ends += found[1::2]
-        taken += rewriter.select(found[0::2], found[1::2])
+        found_starts, found_ends, found_ids = (found.tolist()
+                                               for found in rewriter.spans(index, text))
+        starts += found_starts
+        ends += found_ends
+        ids += found_ids
+        taken += rewriter.select(found_starts, found_ends)
         offsets.append(len(starts))
-    return row_names, len(name_id), offsets, starts, ends, ids.tolist(), taken
+    return row_names, len(name_id), offsets, starts, ends, ids, taken
 
 
 MENTION_KEYS = ["ab", "ab cd", "cd", "x-y", "x", "é", "Ab", "q\nr", "\nab", "-"]

@@ -1,19 +1,11 @@
 import random
-import string
 import tracemalloc
-from array import array
 
+import numpy as np
 import pytest
 
 from kgsynth import kg as kgmod, rewriter
-from kgsynth.rewriter import (
-    build_index,
-    find_keys,
-    join,
-    rewrite_descriptions,
-    rewrite_text,
-    scan,
-)
+from kgsynth.rewriter import build_index, find_keys, rewrite_text, select, spans
 
 
 def quadratic_rewrite(mapping, text):
@@ -39,7 +31,8 @@ def quadratic_rewrite(mapping, text):
 
 
 def brute_force_scan(keys, text):
-    """Reference scanner: try every key at every boundary position."""
+    """Reference scanner: try every key at every boundary position. Each
+    match as (start, end, key), by start and, at one start, shorter key first."""
     matches = []
     for i in range(len(text)):
         if i and text[i - 1].isalnum():
@@ -47,8 +40,19 @@ def brute_force_scan(keys, text):
         for key in keys:
             j = i + len(key)
             if text[i:j] == key and (j == len(text) or not text[j].isalnum()):
-                matches.append((i, j))
-    return [bound for match in sorted(matches) for bound in match]
+                matches.append((i, j, key))
+    return sorted(matches)
+
+
+def scanned(index, text):
+    """``spans``' matches as (start, end, key), the key read by its number."""
+    starts, ends, keys = spans(index, text)
+    assert starts.dtype == ends.dtype == keys.dtype == np.int64
+    return list(zip(starts.tolist(), ends.tolist(), map(index.keys.__getitem__, keys.tolist())))
+
+
+def scan_keys(keys, text):
+    return scanned(build_index({k: k for k in keys}), text)
 
 
 def random_keys(rng, alphabet):
@@ -100,18 +104,6 @@ def test_text_edges_count_as_boundaries():
     assert rewrite_text(index, "end to end") == "X to X"
 
 
-def test_lookup_membership_exactness():
-    mapping = {f"name {i}": f"repl {i}" for i in range(500)}
-    index = build_index(mapping)
-    for key, value in mapping.items():
-        assert index.lookup(key) == value
-    rng = random.Random(4)
-    for _ in range(500):
-        probe = "".join(rng.choice(string.ascii_lowercase + " ") for _ in range(8))
-        assert (index.lookup(probe) == mapping.get(probe)) or probe not in mapping
-    assert sum(value is not None for value in index.values()) == 500
-
-
 def test_find_keys_reports_all_boundary_occurrences():
     index = build_index({"New York": "a", "York": "b", "Basel": "c"})
     found = find_keys(index, "New York and York, not newYork")
@@ -135,7 +127,7 @@ def test_fuzz_equality_with_quadratic_reference():
         assert rewrite_text(index, text) == quadratic_rewrite(mapping, text), (mapping, text)
 
 
-def test_fuzz_scan_and_join_against_reference():
+def test_fuzz_rewrite_text_against_reference_on_non_ascii_text():
     # Non-ASCII letters (é, ß) and digits (٣, ７) count as word characters at
     # key boundaries; "_", "-" and "." do not.
     rng = random.Random(808)
@@ -144,12 +136,11 @@ def test_fuzz_scan_and_join_against_reference():
         keys = random_keys(rng, alphabet)
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
         mapping = {k: f"<{i}>" for i, k in enumerate(keys)}
-        matches = scan(build_index(mapping), text)
-        got = join(text, matches, mapping.__getitem__)
-        assert got == quadratic_rewrite(mapping, text), (mapping, text)
+        assert rewrite_text(build_index(mapping), text) == quadratic_rewrite(mapping, text), \
+            (mapping, text)
 
 
-def test_fuzz_scan_against_brute_force():
+def test_fuzz_spans_against_brute_force():
     # Texts are glued from keys and single characters, so keys nest, overlap
     # and share starts.
     rng = random.Random(909)
@@ -159,11 +150,11 @@ def test_fuzz_scan_against_brute_force():
         keys = random_keys(rng, alphabet)
         text = "".join(rng.choice(keys + list(alphabet)) for _ in range(rng.randint(0, 20)))
         index = build_index({k: k for k in keys})
-        matches = scan(index, text)
-        assert list(matches) == brute_force_scan(keys, text), (keys, text)
-        assert find_keys(index, text) == {text[s:e] for s, e in zip(matches[::2], matches[1::2])}
-        found += len(matches) // 2
-        nested += sum(matches[k + 2] < matches[k + 1] for k in range(0, len(matches) - 2, 2))
+        matches = scanned(index, text)
+        assert matches == brute_force_scan(keys, text), (keys, text)
+        assert find_keys(index, text) == {key for _, _, key in matches}
+        found += len(matches)
+        nested += sum(after[0] < before[1] for before, after in zip(matches, matches[1:]))
     assert found > 800 and nested > 50, (found, nested)
 
 
@@ -184,11 +175,11 @@ def test_fuzz_scan_against_brute_force():
     (["(a)", "a.", " a", "a ", "- -", " "], "(a) a. a  a - - -(a).  a"),
 ], ids=["paren-then-word", "paren-nested", "one-char-punctuation", "underscore",
         "newline", "class-metacharacters", "non-ascii", "non-bmp", "punctuation-edges"])
-def test_scan_against_brute_force_on_key_starts(keys, text):
-    assert list(scan(build_index({k: k for k in keys}), text)) == brute_force_scan(keys, text)
+def test_spans_against_brute_force_on_key_starts(keys, text):
+    assert scan_keys(keys, text) == brute_force_scan(keys, text)
 
 
-def test_fuzz_scan_against_brute_force_on_non_bmp_text():
+def test_fuzz_spans_against_brute_force_on_non_bmp_text():
     # An alphanumeric (𝔸) and a non-alphanumeric (😀) code point outside the
     # BMP, and keys that begin or end with punctuation or a space.
     rng = random.Random(910)
@@ -197,13 +188,13 @@ def test_fuzz_scan_against_brute_force_on_non_bmp_text():
     for _ in range(600):
         keys = random_keys(rng, alphabet)
         text = "".join(rng.choice(keys + list(alphabet)) for _ in range(rng.randint(0, 20)))
-        matches = scan(build_index({k: k for k in keys}), text)
-        assert list(matches) == brute_force_scan(keys, text), (keys, text)
-        found += len(matches) // 2
+        matches = scan_keys(keys, text)
+        assert matches == brute_force_scan(keys, text), (keys, text)
+        found += len(matches)
     assert found > 600, found
 
 
-def test_scan_of_a_text_longer_than_a_block():
+def test_spans_of_a_text_longer_than_a_block():
     # longer than the mention table's block of characters, and than many
     # rows of the powers a scan hashes with
     rng = random.Random(911)
@@ -211,15 +202,16 @@ def test_scan_of_a_text_longer_than_a_block():
     words = keys + ["mi", "tan", "\U0001f600", "x"]
     text = " ".join(rng.choice(words) for _ in range(kgmod._SCAN_CHARS // 3))
     assert len(text) > kgmod._SCAN_CHARS
-    matches = scan(build_index({k: k for k in keys}), text)
-    assert list(matches) == brute_force_scan(keys, text)
-    assert len(matches) > 20_000
+    matches = scan_keys(keys, text)
+    assert matches == brute_force_scan(keys, text)
+    assert len(matches) > 10_000
 
 
 def test_hash_collisions_cost_time_never_a_match(monkeypatch):
     # With base 1 a span's hash is the sum of its code points, so "ab" and
     # "ba", or "a b" and "b a", collide, as do keys and unrelated spans;
-    # checking each hashed match against its key's text keeps the scan exact.
+    # checking each hashed match against its key's text keeps the matches,
+    # the rewrite and the found keys exact.
     keys = ["ab", "ba", "a b", "b a", "ab ba", "c"]
     text = "ab ba a b b a ab ba ba ab c b-a a-b ab  ba"
     rng = random.Random(912)
@@ -230,11 +222,15 @@ def test_hash_collisions_cost_time_never_a_match(monkeypatch):
     index = build_index({k: k for k in keys})
     assert (index.last - index.first).max() > 1  # distinct keys share a hash
     for case_keys, case_text in cases:
-        assert list(scan(build_index({k: k for k in case_keys}), case_text)) \
-            == brute_force_scan(case_keys, case_text), (case_keys, case_text)
+        mapping = {k: f"<{i}>" for i, k in enumerate(case_keys)}
+        index = build_index(mapping)
+        want = brute_force_scan(case_keys, case_text)
+        assert scanned(index, case_text) == want, (case_keys, case_text)
+        assert rewrite_text(index, case_text) == quadratic_rewrite(mapping, case_text)
+        assert find_keys(index, case_text) == {key for _, _, key in want}
 
 
-def test_scan_against_brute_force_on_long_texts_of_generated_names():
+def test_spans_against_brute_force_on_long_texts_of_generated_names():
     rng = random.Random(1234)
     syllables = ["ka", "lo", "mi", "re", "su", "tan", "vel", "é", "٣"]
     leads = ["", "", "", "(", "-", "_", "'", ".", "7"]
@@ -246,37 +242,38 @@ def test_scan_against_brute_force_on_long_texts_of_generated_names():
             for _ in range(rng.randint(1, 3))) for _ in range(60)})
         words = names + ["the", "ka", "of", "mire"]
         text = "".join(rng.choice(words) + rng.choice(glue) for _ in range(400))
-        matches = scan(build_index({name: name for name in names}), text)
-        assert list(matches) == brute_force_scan(names, text)
-        found += len(matches) // 2
+        matches = scan_keys(names, text)
+        assert matches == brute_force_scan(names, text)
+        found += len(matches)
     assert found > 2000, found
 
 
-def test_scan_returns_flat_matches():
-    index = build_index({"New York": "", "York": ""})
+def test_spans_return_key_numbers():
+    index = build_index({"New York": "NY", "York": "Y", "Yorkshire": "YS"})
+    assert index.keys == ("New York", "York", "Yorkshire")
+    assert index.values == ("NY", "Y", "YS")
+    starts, ends, keys = spans(index, "New York, York and Yorkshire")
+    assert (starts.tolist(), ends.tolist(), keys.tolist()) \
+        == ([0, 4, 10, 19], [8, 8, 14, 28], [0, 1, 1, 2])
+    assert all(not len(found) for found in spans(index, "no mention here"))
+    assert all(not len(found) for found in spans(build_index({}), "York"))
+
+
+def test_select_takes_the_longest_key_and_skips_nested_matches():
     text = "New York, York and Yorkshire"
-    assert list(scan(index, text)) == [0, 8, 4, 8, 10, 14]
-    assert not scan(index, "no mention here")
-    assert not scan(build_index({}), text)
-
-
-def test_scan_records_the_value_of_each_match():
-    index = build_index({"New York": 0, "York": 1, "Yorkshire": 2})
-    index.record = array("i")
-    assert list(scan(index, "New York, York and Yorkshire")) == [0, 8, 4, 8, 10, 14, 19, 28]
-    assert list(index.record) == [0, 1, 1, 2]
-
-
-def test_join_takes_the_longest_key_and_skips_nested_matches():
-    text = "New York, York and Yorkshire"
-    replace = {"New York": "NY", "York": "Y"}.__getitem__
-    assert join(text, [0, 8, 4, 8, 10, 14], replace) == "NY, Y and Yorkshire"
-    # greedy spans are valid input too
-    assert join(text, [0, 8, 10, 14], replace) == "NY, Y and Yorkshire"
-    assert join(text, [], replace) == text
+    index = build_index({"New York": "NY", "York": "Y"})
+    starts, ends, _ = spans(index, text)
+    assert list(select(starts.tolist(), ends.tolist())) == [1, 0, 1]
+    assert rewrite_text(index, text) == "NY, Y and Yorkshire"
+    # spans that already are a greedy selection are all taken
+    assert list(select([0, 10], [8, 14])) == [1, 1]
+    assert select([], []) == bytearray()
     # at one start the shorter key comes first; the longer one wins
-    assert join("aa aaa", [0, 2, 0, 6, 3, 6], {"aa": "1", "aa aaa": "2", "aaa": "3"}.__getitem__) \
-        == "2"
+    index = build_index({"aa": "1", "aa aaa": "2", "aaa": "3"})
+    starts, ends, _ = spans(index, "aa aaa")
+    assert (starts.tolist(), ends.tolist()) == ([0, 0, 3], [2, 6, 6])
+    assert list(select(starts.tolist(), ends.tolist())) == [0, 1, 0]
+    assert rewrite_text(index, "aa aaa") == "2"
 
 
 def test_fuzz_long_texts_against_reference():
@@ -289,22 +286,31 @@ def test_fuzz_long_texts_against_reference():
         assert rewrite_text(index, text) == quadratic_rewrite(mapping, text)
 
 
-def test_rewrite_descriptions_identity_map(family_kg):
+def rewrite_all(kg, mapping):
+    index = build_index(mapping)
+    return {eid: rewrite_text(index, text) for eid, text in kg.descriptions.items()}
+
+
+def test_identity_map_keeps_descriptions(family_kg):
     identity = {name: name for _, name in family_kg.entities}
-    assert rewrite_descriptions(family_kg, identity) == family_kg.descriptions
+    assert rewrite_all(family_kg, identity) == family_kg.descriptions
 
 
-def test_rewrite_descriptions_mentions_new_names(family_kg):
+def test_rewritten_descriptions_mention_new_names(family_kg):
     mapping = {"Johann Bernoulli": "Leonhard Euler", "Basel": "Zurich"}
-    rewritten = rewrite_descriptions(family_kg, mapping)
+    rewritten = rewrite_all(family_kg, mapping)
     assert rewritten["e2"] == "Daniel Bernoulli, son of Leonhard Euler, worked in Saint Petersburg."
     assert rewritten["e1"] == "Leonhard Euler was a mathematician born in Zurich."
     assert rewritten["e4"] == family_kg.descriptions["e4"]
+    assert rewritten == {eid: quadratic_rewrite(mapping, text)
+                         for eid, text in family_kg.descriptions.items()}
 
 
-def test_rewrite_descriptions_keeps_ids_and_order(family_kg):
-    rewritten = rewrite_descriptions(family_kg, {"Basel": "X"})
+def test_rewrite_changes_only_descriptions_mentioning_a_key(family_kg):
+    rewritten = rewrite_all(family_kg, {"Basel": "X"})
     assert list(rewritten) == list(family_kg.descriptions)
+    assert {eid for eid, text in rewritten.items() if text != family_kg.descriptions[eid]} \
+        == {eid for eid, text in family_kg.descriptions.items() if "Basel" in text}
 
 
 def test_single_pass_spans_never_overlap():
@@ -318,8 +324,8 @@ def test_single_pass_spans_never_overlap():
 def test_index_scales_to_many_keys():
     mapping = {f"entity number {i} name": str(i) for i in range(20000)}
     index = build_index(mapping)
-    assert index.lookup("entity number 19999 name") == "19999"
-    assert index.lookup("entity number 20000 name") is None
+    assert index.values[index.keys.index("entity number 19999 name")] == "19999"
+    assert find_keys(index, "entity number 20000 name") == set()
     text = "we saw entity number 137 name near entity number 9999 name today"
     assert rewrite_text(index, text) == "we saw 137 near 9999 today"
 
@@ -337,5 +343,5 @@ def test_index_memory_per_key_character():
         allocated, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert index.lookup("entity number 7 name") == "7"
+    assert rewrite_text(index, "entity number 7 name") == "7"
     assert allocated / chars < 25, allocated / chars

@@ -436,6 +436,14 @@ def test_probe_loss_equals_scalar_mean(norm):
             sum(losses) / n, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_probe_loss_rejects_a_batch_below_one(pattern_kg, batch_size):
+    # 0 was reported as an empty train split, and -3 as numpy's negative dimensions
+    model = init_model(pattern_kg, dim=4, seed=0)
+    with pytest.raises(ValueError, match=rf"^batch_size must be >= 1, got {batch_size}$"):
+        probe_loss(model, pattern_kg, batch_size=batch_size)
+
+
 # --- evaluation ---------------------------------------------------------------------
 
 def test_perfect_vectors_give_mrr_one():

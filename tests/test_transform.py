@@ -12,7 +12,6 @@ from kgsynth.transform import (
     RECIPES,
     SUITE_VARIANTS,
     TransformRecipe,
-    _rewrite_map,
     apply_recipe,
     generate_suite,
 )
@@ -382,7 +381,7 @@ REWRITING_VARIANTS = [(label, kind, targets) for label, kind, targets in SUITE_V
 
 
 def test_rewriting_variants_match_a_per_variant_rewrite():
-    # The suite joins over spans segmented once per graph; the oracle builds
+    # The suite splices into the graph's one mention table; the oracle builds
     # each variant's own index and rescans, and the quadratic reference too.
     assert [label for label, _, _ in REWRITING_VARIANTS] == ["vw-e", "vw-er", "anon-e", "anon-er"]
     rng = random.Random(31)
@@ -391,8 +390,14 @@ def test_rewriting_variants_match_a_per_variant_rewrite():
         kg = mention_kg(rng)
         for _, kind, targets in REWRITING_VARIANTS:
             out, mapping = apply_recipe(kg, kind, targets, seed=trial)
-            name_map = _rewrite_map(kg, [mapping.entity_map[eid] for eid in kg.entity_ids])
-            assert out.descriptions == rewriter.rewrite_descriptions(kg, name_map)
+            # one replacement per name: the new name of its first entity row
+            name_map = {}
+            for eid, name in kg.entities:
+                if name and name not in name_map:
+                    name_map[name] = mapping.entity_map[eid]
+            index = rewriter.build_index(name_map)
+            assert out.descriptions == {eid: rewriter.rewrite_text(index, text)
+                                        for eid, text in kg.descriptions.items()}
             assert out.descriptions == {eid: quadratic_rewrite(name_map, text)
                                         for eid, text in kg.descriptions.items()}
             changed += sum(out.descriptions[e] != kg.descriptions[e] for e in kg.entity_ids)
