@@ -17,13 +17,14 @@ A dataset directory holds six such files:
     relations.tsv                      relation_id<TAB>name
     descriptions.tsv                   entity_id<TAB>description
 
-Ids, names and descriptions must not contain tabs or newlines; such values
-are rejected rather than escaped so files stay greppable and round-trips stay
-byte-exact. A split must not list the same triple twice, since evaluation
-would rank and weight it twice. ``descriptions.tsv`` may omit entities
-(missing means empty). Entity and relation iteration order is file order;
-every seeded algorithm downstream indexes against this order, which is what
-makes runs reproducible.
+Ids, names and descriptions must not contain tabs, newlines or characters
+UTF-8 cannot encode (lone surrogates); such values are rejected rather than
+escaped so files stay greppable and round-trips stay byte-exact. A split
+must not list the same triple twice, since evaluation would rank and weight
+it twice. ``descriptions.tsv`` may omit entities (missing means empty).
+Entity and relation iteration order is file order; every seeded algorithm
+downstream indexes against this order, which is what makes runs
+reproducible.
 
 A graph holds each split as int32 ``(n, 3)`` rows of (head, relation, tail)
 into ``entity_ids`` and ``relation_ids`` (``split_rows``), 12 bytes a
@@ -32,7 +33,9 @@ triple. One builder maps a split's cells to rows a block at a time:
 files, ``from_triples`` in-memory ``(h, r, t)`` id tuples; given no id
 tables, it grows them from the splits. A graph's ``train``, ``valid``,
 ``test`` and ``all_triples`` are ``Triples``: read-only sequences that build
-each id tuple on demand. Split files are written from the rows.
+each id tuple on demand. A graph structure formats its split files from the
+rows once; later writes of it, by any graph that shares it, copy the file
+it wrote, checked against its recorded size and CRC-32 (``_Splits.write``).
 
 The builder checks ids and splits once per graph structure (a graph
 ``KnowledgeGraph.renamed`` derives shares its source's rows), and
@@ -40,30 +43,33 @@ The builder checks ids and splits once per graph structure (a graph
 and write; ``file_lines`` gives a breach on one row its file line.
 
 Memory contract: row files are read ``_BLOCK_CHARS`` characters at a time,
-split files are formatted ``_BLOCK_ROWS`` rows at a time, and names, ids and
-descriptions are checked ``_CHECK_CELLS`` cells at a time, so none of these
-passes allocates more than one block beyond what it returns; no reader
-builds a tuple per triple. Three passes over the triples still allocate over
-all of them: the builder joins a split's blocks (the split's rows twice, for
-a moment), the repeat check sorts one int64 key per triple in place, and
-``relation_pairs`` keys every triple. The mention table (``mentions``) holds
-about 12 bytes per entity and 13 per name match, in int arrays: no text piece
-and no joined copy of the descriptions. Its build joins about
-``_SCAN_CHARS`` characters of them at a time and scans each such block in
-about 20 bytes per character of the block beside its text (code points,
-boundary flags and positions, and one uint64 hash term per character: 1.2 MB
-at 64 Ki characters, under tracemalloc), plus up to 2.2 MB of code point
-tables for non-BMP text; no power table outlives a scan. It grows the match
-arrays it returns in place and holds one int64 per description beside them.
+split files are formatted ``_BLOCK_ROWS`` rows and copied ``_COPY_BYTES``
+bytes at a time, and names, ids and descriptions are checked
+``_CHECK_CELLS`` cells at a time, so none of these passes allocates more
+than one block beyond what it returns; no reader builds a tuple per triple.
+Three passes over the triples still allocate over all of them: the builder
+joins a split's blocks (the split's rows twice, for a moment), the repeat
+check sorts one int64 key per triple in place, and ``relation_pairs`` keys
+every triple. The mention table (``mentions``) holds about 12 bytes per
+entity and 13 per name match, in int arrays: no text piece and no joined
+copy of the descriptions. Its build joins about ``_SCAN_CHARS`` characters
+of them at a time and scans each such block in about 20 bytes per character
+of the block beside its text (code points, boundary flags and positions, and
+one uint64 hash term per character: 1.2 MB at 64 Ki characters, under
+tracemalloc), plus up to 2.2 MB of code point tables for non-BMP text; its
+four power tables of 2 KiB are made once, at import, and only a text of over
+64 Ki characters makes one more. It grows the match arrays it returns in
+place and holds one int64 per description beside them.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import zlib
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, cycle, filterfalse, islice, repeat
@@ -92,6 +98,8 @@ SPLITS = ("train", "valid", "test")
 # rows of a split turned into tuples or file bytes at once
 _BLOCK_CHARS = 1 << 16
 _BLOCK_ROWS = 1 << 14
+# bytes of a split file copied at once
+_COPY_BYTES = 1 << 16
 # names, ids or descriptions joined at once to look for a tab or newline
 _CHECK_CELLS = 1 << 10
 # characters of the descriptions, joined by newlines, scanned for mentions at once
@@ -354,6 +362,8 @@ class _Splits:
         self.entity_ids, self.relation_ids = ids
         self.entity_row, self.relation_row = tables
         self.rows = rows
+        # per split file written: its path, byte count and CRC-32 (``write``)
+        self._written: dict[str, tuple[str, int, int]] = {}
         self._check_repeats()
 
     def __eq__(self, other: object) -> bool:
@@ -403,19 +413,62 @@ class _Splits:
         return np.stack(np.divmod(_sorted_distinct(np.concatenate(shared)), n_relations), axis=1)
 
     def write(self, root: Path) -> None:
-        """Write each split file under ``root`` from the rows, laid out as
-        ``write_rows`` writes triples, a block of rows at a time."""
-        # one table of every cell text, a row's cells at its ids shifted per column
-        cells = np.array([eid + "\t" for eid in self.entity_ids]
-                         + [rid + "\t" for rid in self.relation_ids]
-                         + [eid + "\n" for eid in self.entity_ids], dtype=object)
-        shift = np.array([0, len(self.entity_ids), len(self.entity_ids) + len(self.relation_ids)],
-                         dtype=np.int32)
+        """Write each split file under ``root``, laid out as ``write_rows``
+        writes triples.
+
+        The first write of a split file formats it from the rows, a block of
+        rows at a time, and records its path, byte count and CRC-32. Every
+        later write copies the recorded file a block at a time and checks
+        its size and CRC as it goes; into the recorded file itself it only
+        reads it back and checks it. A recorded file that is gone, unreadable
+        or changed is written again from the rows, over what the copy wrote,
+        and recorded instead."""
+        cells = shift = None
         for split, rows in self.rows.items():
-            with open(root / f"{split}.tsv", "wb") as fh:
-                for start in range(0, len(rows), _BLOCK_ROWS):
-                    block = cells[(rows[start:start + _BLOCK_ROWS] + shift).ravel()]
-                    fh.write("".join(block.tolist()).encode("utf-8"))
+            path = os.path.abspath(root / f"{split}.tsv")
+            if self._copied(split, path):
+                continue
+            if cells is None:
+                # one table of every cell text, a row's cells at its ids shifted per column
+                cells = np.array([eid + "\t" for eid in self.entity_ids]
+                                 + [rid + "\t" for rid in self.relation_ids]
+                                 + [eid + "\n" for eid in self.entity_ids], dtype=object)
+                shift = np.array([0, len(self.entity_ids),
+                                  len(self.entity_ids) + len(self.relation_ids)], dtype=np.int32)
+            self._format(split, path, cells, shift)
+
+    def _format(self, split: str, path: str, cells: np.ndarray, shift: np.ndarray) -> None:
+        """Write one split file from its rows and record it."""
+        rows, size, crc = self.rows[split], 0, 0
+        with open(path, "wb") as fh:
+            for start in range(0, len(rows), _BLOCK_ROWS):
+                block = "".join(cells[(rows[start:start + _BLOCK_ROWS] + shift).ravel()].tolist())
+                data = block.encode("utf-8")
+                fh.write(data)
+                size, crc = size + len(data), zlib.crc32(data, crc)
+        self._written[split] = path, size, crc
+
+    def _copied(self, split: str, path: str) -> bool:
+        """Whether the recorded file of ``split`` was copied to ``path`` (or
+        is the file there) and read back with its recorded size and CRC."""
+        if split not in self._written:
+            return False
+        source, size, crc = self._written[split]
+        try:
+            with open(source, "rb") as src:
+                try:
+                    same = os.path.samestat(os.fstat(src.fileno()), os.stat(path))
+                except OSError:
+                    same = False
+                with nullcontext() if same else open(path, "wb") as out:
+                    got, check = 0, 0
+                    while (block := src.read(_COPY_BYTES)) and got + len(block) <= size:
+                        got, check = got + len(block), zlib.crc32(block, check)
+                        if out is not None:
+                            out.write(block)
+                    return not block and (got, check) == (size, crc)
+        except OSError:
+            return False
 
 
 @dataclass(frozen=True)
@@ -447,23 +500,39 @@ def _has_tab_or_newline(text: str) -> bool:
     return "\t" in text or "\n" in text or "\r" in text
 
 
-def _check_cells(table: str, cells: Iterable[str], what: str) -> None:
-    """A tab or newline in one of ``cells`` is an error at the first row that holds one.
+def _cell_fault(text: str) -> str | None:
+    """Why ``text`` cannot be a cell of a row file, or None if it can: it
+    holds a tab or newline, or a character UTF-8 cannot encode (a lone
+    surrogate). An ASCII text, the common case, is not encoded."""
+    if _has_tab_or_newline(text):
+        return "contains a tab or newline"
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            return "is not encodable as UTF-8"
+    return None
 
-    The cells are joined and searched ``_CHECK_CELLS`` at a time, so no copy
+
+def _check_cells(table: str, cells: Iterable[str], what: str) -> None:
+    """A cell of ``cells`` that cannot be written (``_cell_fault``) is an
+    error at the first row that holds one.
+
+    The cells are joined and checked ``_CHECK_CELLS`` at a time, so no copy
     of them all is made."""
     cells = iter(cells)
     start = 0
     while chunk := list(islice(cells, _CHECK_CELLS)):
-        if _has_tab_or_newline("".join(chunk)):
-            row = next(i for i, text in enumerate(chunk) if _has_tab_or_newline(text))
-            raise ValidationError(f"{what} contains a tab or newline: {chunk[row]!r}",
-                                  table, start + row)
+        if _cell_fault("".join(chunk)):
+            row, fault = next((row, fault) for row, fault in enumerate(map(_cell_fault, chunk))
+                              if fault)
+            raise ValidationError(f"{what} {fault}: {chunk[row]!r}", table, start + row)
         start += len(chunk)
 
 
 def _check_ids(table: str, ids: Sequence[str], rows: dict[str, int], what: str) -> None:
-    """A tab or newline in one of ``ids``, then a repeat, is an error at its first row."""
+    """An id that cannot be written (``_cell_fault``), then a repeat, is an
+    error at its first row."""
     _check_cells(table, ids, what)
     if len(rows) != len(ids):
         seen: set[str] = set()
@@ -533,20 +602,31 @@ def read_rows(path: str | os.PathLike, width: int | None = None) -> Iterator[tup
 def write_rows(path: str | os.PathLike, rows: Iterable[Sequence[str]]) -> None:
     """Write each row as its tab-joined cells plus LF, the layout ``read_rows``
     reads: one write per block of rows, a block ending at the first row that
-    brings it to ``_BLOCK_CHARS`` characters."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        block: list[str] = []
-        size = 0
-        for line in map("\t".join, rows):
-            block.append(line)
-            size += len(line) + 1
-            if size >= _BLOCK_CHARS:
+    brings it to ``_BLOCK_CHARS`` characters. A row UTF-8 cannot encode (a
+    lone surrogate) raises ValidationError at ``<file>:<line>``, the blocks
+    before its own written."""
+    written = 0  # rows
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            block: list[str] = []
+            size = 0
+            for line in map("\t".join, rows):
+                block.append(line)
+                size += len(line) + 1
+                if size >= _BLOCK_CHARS:
+                    block.append("")
+                    fh.write("\n".join(block))
+                    written += len(block) - 1
+                    block, size = [], 0
+            if block:
                 block.append("")
                 fh.write("\n".join(block))
-                block, size = [], 0
-        if block:
-            block.append("")
-            fh.write("\n".join(block))
+    except UnicodeEncodeError as exc:
+        text, at = exc.object, exc.start
+        start, end = text.rfind("\n", 0, at) + 1, text.find("\n", at)
+        lineno = written + text.count("\n", 0, start) + 1
+        raise ValidationError(f"{Path(path).name}:{lineno}: row is not encodable as UTF-8: "
+                              f"{text[start:end]!r}") from exc
 
 
 def float_cells(path: str | os.PathLike, lineno: int, cells: Iterable[str]) -> list[float]:
@@ -621,11 +701,11 @@ def _build(entities: tuple[tuple[str, str], ...] | None,
                                                    (relation_row, cells[1::3], "relation id", 1)):
                     new = list(dict.fromkeys(filterfalse(table.__contains__, keys)))
                     table.update(zip(new, range(len(table), len(table) + len(new))))
-                    if faults[what] is None and _has_tab_or_newline("".join(new)):
-                        bad = next(filter(_has_tab_or_newline, new))
+                    if faults[what] is None and _cell_fault("".join(new)):
+                        bad = next(filter(_cell_fault, new))
                         row = sum(map(len, blocks)) + keys.index(bad) // per_row
                         faults[what] = ValidationError(
-                            f"{what} contains a tab or newline: {bad!r}", split, row)
+                            f"{what} {_cell_fault(bad)}: {bad!r}", split, row)
             # each id's row, -1 for one in no table
             block = np.fromiter(map(dict.get, cycle((entity_row, relation_row, entity_row)),
                                     cells, repeat(-1)), dtype=np.int32, count=len(cells))
@@ -699,7 +779,12 @@ def load_dataset(directory: str | os.PathLike) -> KnowledgeGraph:
 
 
 def write_dataset(kg: KnowledgeGraph, directory: str | os.PathLike) -> None:
-    """Write ``kg`` into ``directory``; repeated writes are byte-identical."""
+    """Write ``kg`` into ``directory``; repeated writes are byte-identical.
+
+    The names and descriptions are checked first, so a graph that fails
+    ``validate`` writes nothing. The split files are formatted once per graph
+    structure and then copied from the first write's files, each checked
+    against its recorded size and CRC-32 (``_Splits.write``)."""
     kg.validate()
     root = Path(directory)
     try:

@@ -27,14 +27,15 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, compress, islice
 
 import numpy as np
 
 # The base of the span hashes: odd, so it has an inverse modulo 2^64.
 _HASH_BASE = 0x9E3779B97F4A7C15
-# A scan takes the power of the base at a text position from two tables, one
-# indexed by the position modulo _ROW (``_row_powers``).
+# A scan takes the power of the base, or of its inverse, at a text position
+# from two tables, one indexed by the position modulo _ROW (``_row_powers``).
 _ROW = 256
 
 
@@ -51,11 +52,30 @@ def _powers(base: int, n: int) -> np.ndarray:
     return np.cumprod(powers, out=powers)
 
 
-def _row_powers(base: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """``base ** m`` modulo 2^64 for ``m < rows * _ROW`` as the product of
-    ``low[m % _ROW]`` and ``high[m // _ROW]``: two short tables, so no power
-    table has an entry per character."""
-    return _powers(base, _ROW), _powers(pow(base, _ROW, 1 << 64), rows)
+@cache
+def _power_tables(base: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """For ``base`` and then its inverse modulo 2^64, read-only: the powers
+    ``k < _ROW`` of it and of its ``_ROW``-th power. Made once per base, and
+    for ``_HASH_BASE`` at import."""
+    tables = []
+    for b in (base, pow(base, -1, 1 << 64)):
+        low, high = _powers(b, _ROW), _powers(pow(b, _ROW, 1 << 64), _ROW)
+        low.flags.writeable = high.flags.writeable = False
+        tables.append((low, high))
+    return tuple(tables)
+
+
+_power_tables(_HASH_BASE)
+
+
+def _row_powers(tables: tuple[np.ndarray, np.ndarray],
+                rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The powers ``m < rows * _ROW`` of a base as the product of
+    ``low[m % _ROW]`` and ``high[m // _ROW]``, from its ``_power_tables``
+    entry: two short tables, so no power table has an entry per character.
+    Only a text of more than ``_ROW`` rows (64 Ki characters) makes a table."""
+    low, high = tables
+    return low, high[:rows] if rows <= _ROW else _powers(int(high[1]), rows)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -181,7 +201,8 @@ def spans(index: PatternIndex, text: str) -> tuple[np.ndarray, np.ndarray, np.nd
     # terms between boundaries; ``terms[m + 1]`` is ``codes[m]``'s term, zero
     # past the text, made a row of _ROW characters at a time
     rows = -(-n // _ROW)
-    low, high = _row_powers(_HASH_BASE, rows)
+    powers, inverse_powers = _power_tables(_HASH_BASE)
+    low, high = _row_powers(powers, rows)
     terms = np.zeros(rows * _ROW + 1, dtype=np.uint64)
     terms[1:n + 1] = codes
     block = terms[1:].reshape(rows, _ROW)
@@ -194,7 +215,7 @@ def spans(index: PatternIndex, text: str) -> tuple[np.ndarray, np.ndarray, np.nd
     # the hash of ``codes[at:ends[k]]`` is ``(sums[k] - base) * shift``
     base = np.append(np.uint64(0), sums[:-1])[starts] + terms[at]
     del terms
-    low, high = _row_powers(pow(_HASH_BASE, -1, 1 << 64), rows)
+    low, high = _row_powers(inverse_powers, rows)
     shift = low[at % _ROW] * high[at // _ROW]
     level = np.searchsorted(ends, at + 1)  # each start's first candidate end
     table, keyed, continues = index.table, index.keyed, index.continues

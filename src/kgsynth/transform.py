@@ -36,8 +36,10 @@ results are reproducible for a fixed seed.
 What the variants of one graph need alike is built once per graph, on first
 use, and cached on it: the mention table (``KnowledgeGraph.mentions``, the
 same scan the leakage statistic reads), the fitted unigram model
-(``unigram_model``) and the co-occurring relation rows (``relation_pairs``,
-shared with every graph renamed from the same source). So one suite call
+(``unigram_model``), and, shared with every graph renamed from the same
+source, the co-occurring relation rows (``relation_pairs``) and the split
+files, which every variant keeps: the first variant written formats them
+and the others copy its checked files (``write_dataset``). So one suite call
 and one call per variant do the same work.
 """
 

@@ -1,6 +1,8 @@
 import gc
+import os
 import random
 import re
+import shutil
 import tracemalloc
 from functools import partial
 
@@ -26,7 +28,7 @@ from kgsynth.kg import (
     write_rows,
 )
 from kgsynth.transe import TrainConfig, init_model, load_model, save_model, train
-from kgsynth.transform import generate_suite
+from kgsynth.transform import SUITE_VARIANTS, generate_suite
 
 from conftest import make_kg, random_kg
 from test_transform import nested_homonym_kg
@@ -562,6 +564,12 @@ def test_names_and_descriptions_are_checked_at_validate_and_write(family_kg, tmp
          "entities: name contains a tab or newline: 'Daniel\\tBernoulli'"),
         ({"descriptions": bad_description},
          "descriptions: description contains a tab or newline: 'Basel\\n'"),
+        ({"entities": (given["entities"][0], ("e2", "Bob\ud800"), *given["entities"][2:])},
+         "entities: name is not encodable as UTF-8: 'Bob\\ud800'"),
+        ({"relations": given["relations"][:3] + (("r4", "lived\udfffIn"),)},
+         "relations: name is not encodable as UTF-8: 'lived\\udfffIn'"),
+        ({"descriptions": {**given["descriptions"], "e3": "Basel \udc80 city"}},
+         "descriptions: description is not encodable as UTF-8: 'Basel \\udc80 city'"),
     ]:
         kg = from_triples(**_with(given, **changes))  # the build checks neither
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -867,3 +875,161 @@ def test_mention_table_is_exact_when_distinct_spans_share_a_hash(monkeypatch):
     for field in ("names", "offsets", "starts", "ends", "ids", "taken"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
     assert got.n_names == want.n_names and len(got.starts) > 40
+
+
+@pytest.fixture
+def formats(monkeypatch):
+    """Each split file written from its rows, as (split, directory name), in order."""
+    made = []
+    format_split = kgmod._Splits._format
+
+    def counted(self, split, path, *args):
+        made.append((split, os.path.basename(os.path.dirname(path))))
+        return format_split(self, split, path, *args)
+
+    monkeypatch.setattr(kgmod._Splits, "_format", counted)
+    return made
+
+
+def split_bytes(root):
+    return {split: (root / f"{split}.tsv").read_bytes() for split in SPLITS}
+
+
+def fresh_split_bytes(kg, root):
+    """The split files a graph of ``kg``'s structure that has written nothing writes."""
+    write_dataset(from_triples(kg.entities, kg.relations, kg.train, kg.valid, kg.test,
+                               kg.descriptions), root)
+    return split_bytes(root)
+
+
+@pytest.mark.parametrize("per_variant", [False, True], ids=["one-call", "call-per-variant"])
+def test_each_split_file_is_formatted_once_per_structure(family_kg, tmp_path, formats,
+                                                         per_variant):
+    # every variant keeps the input's rows, so the first one written formats
+    # its split files and the other twelve copy them, across calls too
+    if per_variant:
+        results = [result for variant in SUITE_VARIANTS
+                   for result in generate_suite(family_kg, 3, tmp_path / "suite",
+                                                variants=(variant,))]
+    else:
+        results = generate_suite(family_kg, 3, tmp_path / "suite")
+    assert len(results) == 13 and all(result.ok for result in results)
+    assert formats == [(split, "base") for split in SPLITS]
+    want = fresh_split_bytes(family_kg, tmp_path / "fresh")
+    for result in results:
+        assert split_bytes(result.path) == want, result.label
+
+
+def _edit_in_place(path):
+    """Other bytes of the same size, at the same modification time."""
+    stat = path.stat()
+    data = path.read_bytes()
+    with open(path, "r+b") as fh:
+        fh.write(data[::-1])
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.read_bytes() != data and path.stat().st_size == stat.st_size
+
+
+def _replace_by_rename(path):
+    other = path.with_name("other.tsv")
+    other.write_bytes(path.read_bytes()[::-1])
+    os.replace(other, path)
+
+
+RECORDED_FILE_CHANGES = {
+    "same-size-in-place": _edit_in_place,
+    "truncated": lambda path: os.truncate(path, path.stat().st_size // 2),
+    "deleted": lambda path: path.unlink(),
+    "replaced-by-rename": _replace_by_rename,
+    "directory-removed": lambda path: shutil.rmtree(path.parent),
+}
+
+
+@pytest.mark.parametrize("change", RECORDED_FILE_CHANGES)
+def test_a_changed_recorded_split_file_is_formatted_again(family_kg, tmp_path, formats, change):
+    write_dataset(family_kg, tmp_path / "first")
+    RECORDED_FILE_CHANGES[change](tmp_path / "first" / "train.tsv")
+    del formats[:]
+    write_dataset(family_kg, tmp_path / "second")
+    # the second write formatted train.tsv again, and a third copies that file
+    write_dataset(family_kg, tmp_path / "third")
+    again = SPLITS if change == "directory-removed" else ("train",)
+    assert formats == [(split, "second") for split in again]
+    want = fresh_split_bytes(family_kg, tmp_path / "fresh")
+    assert split_bytes(tmp_path / "second") == split_bytes(tmp_path / "third") == want
+
+
+def test_writing_one_graph_twice_into_a_directory_reads_its_split_files_back(
+        family_kg, tmp_path, formats):
+    write_dataset(family_kg, tmp_path)
+    first = split_bytes(tmp_path)
+    inodes = [(tmp_path / f"{split}.tsv").stat().st_ino for split in SPLITS]
+    write_dataset(family_kg, tmp_path)
+    assert formats == [(split, tmp_path.name) for split in SPLITS]
+    assert split_bytes(tmp_path) == first
+    assert [(tmp_path / f"{split}.tsv").stat().st_ino for split in SPLITS] == inodes
+    # a file changed under the record is written from the rows again
+    _edit_in_place(tmp_path / "valid.tsv")
+    write_dataset(family_kg, tmp_path)
+    assert formats[3:] == [("valid", tmp_path.name)]
+    assert split_bytes(tmp_path) == first
+
+
+def test_variants_after_a_failed_one_write_whole_splits(family_kg, tmp_path, formats):
+    # base writes its six dataset files, then fails at mapping.tsv, and its
+    # directory, with the recorded split files, is removed
+    (tmp_path / "base" / "mapping.tsv").mkdir(parents=True)
+    results = {result.label: result for result in generate_suite(family_kg, 5, tmp_path)}
+    assert "cannot write variant" in results["base"].error
+    assert not (tmp_path / "base").exists()
+    assert formats == [(split, label) for label in ("base", "vw-e") for split in SPLITS]
+    for label, result in results.items():
+        if label == "base":
+            continue
+        assert result.ok, label
+        loaded = load_dataset(result.path)
+        assert all(loaded.split(split) == family_kg.split(split) for split in SPLITS)
+
+
+def test_an_id_utf8_cannot_encode_is_rejected_at_build():
+    with pytest.raises(ValidationError,
+                       match=r"^entities: entity id is not encodable as UTF-8: 'e\\udc802'$"):
+        from_triples(entities=(("e1", "a"), ("e\udc802", "b")), relations=(("r1", "r"),),
+                     train=(("e1", "r1", "e\udc802"),), valid=(), test=(), descriptions={})
+
+
+def test_check_cells_names_the_first_cell_that_cannot_be_written():
+    chunk = kgmod._CHECK_CELLS
+    for at in (0, chunk - 1, chunk, 2 * chunk - 2):
+        for first, second, fault in [("x\ud800", "y\tz", "is not encodable as UTF-8"),
+                                     ("y\tz", "x\ud800", "contains a tab or newline")]:
+            cells = [f"cell {i}" for i in range(2 * chunk)]
+            cells[at:at + 2] = first, second
+            with pytest.raises(ValidationError, match=f"^names: name {fault}: ") as info:
+                kgmod._check_cells("names", cells, "name")
+            assert info.value.row == at
+
+
+def test_write_rows_names_the_line_utf8_cannot_encode(tmp_path, monkeypatch):
+    monkeypatch.setattr(kgmod, "_BLOCK_CHARS", 16)
+    rows = [("e1", "a b"), ("e2", "c"), ("e3", "d"), ("e4", "x\udc80y"), ("e5", "z")]
+    path = tmp_path / "rows.tsv"
+    with pytest.raises(ValidationError,
+                       match=r"^rows\.tsv:4: row is not encodable as UTF-8: 'e4\\tx\\udc80y'$"):
+        write_rows(path, rows)
+    assert path.read_text(encoding="utf-8") == "e1\ta b\ne2\tc\ne3\td\n"  # the blocks before
+
+
+def test_each_variant_of_text_utf8_cannot_encode_fails_alone(family_kg, tmp_path):
+    given = parts(family_kg)
+    kg = from_triples(**_with(given, descriptions={**given["descriptions"],
+                                                   "e3": "Basel \udc80 city"}))
+    results = generate_suite(kg, 7, tmp_path)
+    # a variant that keeps the text fails at its validate; one that draws
+    # every description anew writes the text into its mapping, and fails there
+    assert len(results) == 13
+    for result in results:
+        fails_at = "mapping.tsv:" if result.kind == "fully_anonymized" else "descriptions:"
+        assert result.error.startswith(fails_at), (result.label, result.error)
+        assert "is not encodable as UTF-8" in result.error
+        assert not (tmp_path / result.label).exists()
