@@ -2,11 +2,12 @@
 Pearson correlation, and IQR outlier detection.
 
 ``relation_distribution`` and ``description_leakage`` read the split rows
-(``KnowledgeGraph.split_rows``), whose ids and splits are checked once per
-graph structure, and build no tuple per triple; ``description_leakage``
-reads the (entity row, name id) pairs of the graph's cached mention table
-(``KnowledgeGraph.mentions``), built per graph, with no loop over entities or
-mentions.
+of the graph's structure (``kg.Structure.split_rows``), whose ids and splits
+are checked once per structure, and build no tuple per triple.
+``relation_distribution`` reads nothing else, so it is text-blind;
+``description_leakage`` reads the (entity row, name id) pairs of the graph's
+cached mention table (``KnowledgeGraph.mentions``), built per graph, with no
+loop over entities or mentions.
 """
 
 from __future__ import annotations
@@ -65,14 +66,14 @@ def relation_distribution(kg: KnowledgeGraph) -> RelationCountTable:
     splits', so what the call holds grows with the distinct pairs, not with
     the triples.
     """
-    n_relations = len(kg.relations)
+    n_relations = len(kg.relation_ids)
 
     def keys(rows: np.ndarray) -> Iterator[np.ndarray]:
         for start in range(0, len(rows), _BLOCK_ROWS):
             h, r, t = rows[start:start + _BLOCK_ROWS].astype(np.int64).T
             yield np.concatenate([h * n_relations + r, t * n_relations + r])
 
-    scopes = {split: _distinct(keys(rows)) for split, rows in kg.split_rows.items()}
+    scopes = {split: _distinct(keys(rows)) for split, rows in kg.structure.split_rows.items()}
     scopes["total"] = _distinct(scopes.values())
     percentages: dict[str, dict[str, float]] = {}
     for column, distinct in scopes.items():
@@ -135,7 +136,7 @@ def description_leakage(kg: KnowledgeGraph) -> LeakageTable:
         return int(np.count_nonzero(keys[at] == cases))
 
     found, cases = {}, {}
-    for split, rows in kg.split_rows.items():
+    for split, rows in kg.structure.split_rows.items():
         found[split] = hits(rows[:, 0], rows[:, 2]) + hits(rows[:, 2], rows[:, 0])
         cases[split] = 2 * len(rows)
     percentages = {

@@ -4,7 +4,8 @@ Every command is a ``RecordedCommand``: a run that writes files also writes a
 manifest (flat key<TAB>value) alongside them, recording the command, the tool
 version, every parameter as click parsed it, and the start and end times.
 Exit codes: 0 success, 1 usage error, 2 data, validation or I/O error,
-3 infeasibility (derangement/uniqueness/sampling), 4 internal error.
+3 infeasibility (derangement/uniqueness/sampling), 4 internal error; a
+``suite`` whose failed variants were all infeasible exits 3, else 2.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ from . import __version__, analysis, convert, evaluate, kg, transe, transform
 from .errors import InfeasibleError, KgsynthError, LoadError, ValidationError
 
 _RECIPE_NAMES = {kind.replace("_", "-"): kind for kind in transform.RECIPES if kind != "base"}
+
+
+class _VariantsNotWritten(LoadError):
+    """Suite variants that failed on their data or I/O, each alone; the others
+    were written, so the run is recorded."""
 
 
 def _now() -> str:
@@ -58,7 +64,7 @@ class RecordedCommand(click.Command):
     text is printed and, given ``--output``, written there.
     """
 
-    def __init__(self, *args, recorded_failure: type[Exception] | tuple[()] = (),
+    def __init__(self, *args, recorded_failure: tuple[type[Exception], ...] = (),
                  **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.recorded_failure = recorded_failure
@@ -149,7 +155,7 @@ def transform_cmd(input_dir: str, output_dir: str, recipe: str, targets: frozens
     click.echo(f"wrote variant to {out}")
 
 
-@cli.command(cls=RecordedCommand, recorded_failure=InfeasibleError)
+@cli.command(cls=RecordedCommand, recorded_failure=(InfeasibleError, _VariantsNotWritten))
 @click.option("--input", "input_dir", required=True, type=click.Path(exists=True, file_okay=False))
 @click.option("--output", "output_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -162,10 +168,12 @@ def suite(input_dir: str, output_dir: str, seed: int) -> None:
         if result.ok:
             click.echo(f"{result.label}: ok ({result.path})")
         else:
-            failed.append(result.label)
+            failed.append(result)
             click.echo(f"{result.label}: FAILED ({result.error})", err=True)
     if failed:
-        raise InfeasibleError(f"{len(failed)} variant(s) failed: {', '.join(failed)}")
+        infeasible = all(issubclass(result.error_type, InfeasibleError) for result in failed)
+        raise (InfeasibleError if infeasible else _VariantsNotWritten)(
+            f"{len(failed)} variant(s) failed: {', '.join(result.label for result in failed)}")
 
 
 @cli.command("relation-dist", cls=RecordedCommand)

@@ -10,10 +10,10 @@ positions whose value it may receive, excluding same-value pairs and any
 rearrangement. Both are deterministic for a fixed seed.
 
 ``build_removed_edges`` names the relation pairs to forbid. Which relation
-rows co-occur depends only on the graph's ids and splits, so
-``KnowledgeGraph.relation_pairs`` finds them once per graph structure (every
-graph renamed from one source shares them) and each call only maps those
-rows to the current names.
+rows co-occur depends only on the graph's ids and splits, so its structure's
+``relation_pairs`` (``kg.Structure``) finds them once per structure (every
+graph renamed from one source shares it) and each call only maps those rows
+to the current names.
 """
 
 from __future__ import annotations
@@ -205,11 +205,11 @@ def build_removed_edges(kg: KnowledgeGraph) -> RemovedEdges:
     relations anywhere in train/valid/test. Pairs are over surface names because
     that is what the derangement shuffles; both orders are inserted since the
     co-occurrence condition is symmetric. The co-occurring relation rows come
-    from the graph's cached ``relation_pairs``.
+    from the structure's cached ``relation_pairs``.
     """
     names = [name for _, name in kg.relations]
     removed: RemovedEdges = set()
-    for a, b in kg.relation_pairs.tolist():
+    for a, b in kg.structure.relation_pairs.tolist():
         if names[a] != names[b]:
             removed.update(((names[a], names[b]), (names[b], names[a])))
     return removed

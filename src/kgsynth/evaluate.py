@@ -75,9 +75,9 @@ def rank_metrics(ranks: np.ndarray, filtered: bool = True,
 
 
 def _split_rows(kg: KnowledgeGraph, split: str) -> np.ndarray:
-    if not kg.split(split):
+    if not len(rows := kg.split(split).rows):
         raise ValidationError(f"{split} split is empty: there is nothing to rank")
-    return kg.split_rows[split]
+    return rows
 
 
 def filter_rows(kg: KnowledgeGraph, triples: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -87,15 +87,15 @@ def filter_rows(kg: KnowledgeGraph, triples: np.ndarray) -> tuple[np.ndarray, ..
     Query 2i asks for the tail of row i, (h, r, ?), and query 2i + 1 for its
     head, (?, r, t). Returns ``(answers, starts, ends)``: query q's answers
     are ``answers[starts[q]:ends[q]]``, sorted. This is the row-space form
-    of ``answer_index``, built from ``kg.split_rows`` and covering only the
-    keys these queries use; a query's gold is among its answers whenever
-    its row is a fact.
+    of ``answer_index``, built from ``kg.structure.split_rows`` alone (no
+    name or description) and covering only the keys these queries use; a
+    query's gold is among its answers whenever its row is a fact.
 
     Each split is matched ``_BLOCK_ROWS`` rows at a time against the sorted
     distinct query keys, so beyond the answers it returns the call holds one
     block's keys and two flags per entity, never an array over every fact.
     """
-    n_entities, n_relations = len(kg.entities), len(kg.relations)
+    n_entities, n_relations = len(kg.entity_ids), len(kg.relation_ids)
     # key = (known entity * |R| + relation) * 2 + (0 for tail, 1 for head)
     query_keys = ((triples[:, [0, 2]].astype(np.int64) * n_relations + triples[:, 1:2]) * 2
                   + (0, 1)).ravel()
@@ -104,7 +104,7 @@ def filter_rows(kg: KnowledgeGraph, triples: np.ndarray) -> tuple[np.ndarray, ..
     known = np.zeros((2, n_entities), dtype=bool)
     known[wanted % 2, wanted // 2 // n_relations] = True
     found = [np.empty(0, dtype=np.int64)]
-    for rows in kg.split_rows.values():
+    for rows in kg.structure.split_rows.values():
         for start in range(0, len(rows), _BLOCK_ROWS):
             block = rows[start:start + _BLOCK_ROWS]
             # (known, answer) columns: (head, tail) for tail queries, then the reverse
@@ -190,7 +190,7 @@ def evaluate_predictions(kg: KnowledgeGraph, predictions_file: str | Path,
     ValidationError.
     """
     path = Path(predictions_file)
-    entity_row, relation_row = kg.entity_row, kg.relation_row
+    entity_row, relation_row = kg.structure.entity_row, kg.structure.relation_row
     n_entities, n_relations = len(entity_row), len(relation_row)
     h_rows, r_rows, t_rows = _split_rows(kg, "test").astype(np.int64).T
     # each test row by its (h, r, t) key; the graph holds no repeated triple

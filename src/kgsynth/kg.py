@@ -26,19 +26,22 @@ Entity and relation iteration order is file order; every seeded algorithm
 downstream indexes against this order, which is what makes runs
 reproducible.
 
-A graph holds each split as int32 ``(n, 3)`` rows of (head, relation, tail)
-into ``entity_ids`` and ``relation_ids`` (``split_rows``), 12 bytes a
-triple. One builder maps a split's cells to rows a block at a time:
+A graph is its names and descriptions over one ``Structure``
+(``KnowledgeGraph.structure``): the id tables, each id's row (``entity_row``,
+``relation_row``) and each split as int32 ``(n, 3)`` rows of (head,
+relation, tail) into them (``split_rows``), 12 bytes a triple. Text-blind
+code (training, ranking, filtering, relation counts, stats) reads only the
+structure. One builder maps a split's cells to rows a block at a time:
 ``read_graph`` (``load_dataset`` and both converters call it) feeds it split
 files, ``from_triples`` in-memory ``(h, r, t)`` id tuples; given no id
 tables, it grows them from the splits. A graph's ``train``, ``valid``,
 ``test`` and ``all_triples`` are ``Triples``: read-only sequences that build
-each id tuple on demand. A graph structure formats its split files from the
-rows once; later writes of it, by any graph that shares it, copy the file
-it wrote, checked against its recorded size and CRC-32 (``_Splits.write``).
+each id tuple on demand. A structure formats its split files from the rows
+once; later writes of it, by any graph that shares it, copy the file it
+wrote, checked against its recorded size and CRC-32 (``Structure.write``).
 
-The builder checks ids and splits once per graph structure (a graph
-``KnowledgeGraph.renamed`` derives shares its source's rows), and
+The builder checks ids and splits once per structure (a graph
+``KnowledgeGraph.renamed`` derives shares its source's), and
 ``KnowledgeGraph.validate`` names and descriptions at every load, conversion
 and write; ``file_lines`` gives a breach on one row its file line.
 
@@ -49,17 +52,18 @@ bytes at a time, and names, ids and descriptions are checked
 than one block beyond what it returns; no reader builds a tuple per triple.
 Three passes over the triples still allocate over all of them: the builder
 joins a split's blocks (the split's rows twice, for a moment), the repeat
-check sorts one int64 key per triple in place, and ``relation_pairs`` keys
-every triple. The mention table (``mentions``) holds about 12 bytes per
-entity and 13 per name match, in int arrays: no text piece and no joined
-copy of the descriptions. Its build joins about ``_SCAN_CHARS`` characters
-of them at a time and scans each such block in about 20 bytes per character
-of the block beside its text (code points, boundary flags and positions, and
-one uint64 hash term per character: 1.2 MB at 64 Ki characters, under
-tracemalloc), plus up to 2.2 MB of code point tables for non-BMP text; its
-four power tables of 2 KiB are made once, at import, and only a text of over
-64 Ki characters makes one more. It grows the match arrays it returns in
-place and holds one int64 per description beside them.
+check sorts one int64 key per triple in place, and
+``Structure.relation_pairs`` keys every triple. The mention table
+(``mentions``) holds about 12 bytes per entity and 13 per name match, in int
+arrays: no text piece and no joined copy of the descriptions. Its build
+joins about ``_SCAN_CHARS`` characters of them at a time and scans each such
+block in about 20 bytes per character of the block beside its text (code
+points, boundary flags and positions, and one uint64 hash term per
+character: 1.2 MB at 64 Ki characters, under tracemalloc), plus up to 2.2 MB
+of code point tables for non-BMP text; its four power tables of 2 KiB are
+made once, at import, and only a text of over 64 Ki characters makes one
+more. It grows the match arrays it returns in place and holds one int64 per
+description beside them.
 """
 
 from __future__ import annotations
@@ -228,22 +232,18 @@ class KnowledgeGraph:
     ``entities`` and ``relations`` are (id, name) pairs in file order;
     ``descriptions`` maps every entity id to a (possibly empty) string, the
     rows of ``descriptions.tsv`` in file order first, then the entities it omits.
-    Each split is ``Triples`` over its rows. Build one with ``read_graph`` or
-    ``from_triples``; two are equal if their tables, descriptions and triples are.
+    ``structure`` holds the ids and split rows, and each split is ``Triples``
+    over its rows. Build one with ``read_graph`` or ``from_triples``; two are
+    equal if their tables, descriptions and triples are.
     """
 
     entities: tuple[tuple[str, str], ...]
     relations: tuple[tuple[str, str], ...]
     descriptions: dict[str, str]
-    _splits: _Splits
+    structure: Structure
 
-    @property
-    def entity_ids(self) -> tuple[str, ...]:
-        return self._splits.entity_ids
-
-    @property
-    def relation_ids(self) -> tuple[str, ...]:
-        return self._splits.relation_ids
+    entity_ids = property(lambda self: self.structure.entity_ids)
+    relation_ids = property(lambda self: self.structure.relation_ids)
 
     @cached_property
     def entity_names(self) -> dict[str, str]:
@@ -252,20 +252,6 @@ class KnowledgeGraph:
     @cached_property
     def relation_names(self) -> dict[str, str]:
         return dict(self.relations)
-
-    @property
-    def entity_row(self) -> dict[str, int]:
-        return self._splits.entity_row
-
-    @property
-    def relation_row(self) -> dict[str, int]:
-        return self._splits.relation_row
-
-    @property
-    def split_rows(self) -> dict[str, np.ndarray]:
-        """Each split as a read-only int32 ``(n, 3)`` array of (head, relation,
-        tail) rows into ``entity_ids`` / ``relation_ids``."""
-        return self._splits.rows
 
     def renamed(self, entities: tuple[tuple[str, str], ...],
                 relations: tuple[tuple[str, str], ...],
@@ -276,14 +262,7 @@ class KnowledgeGraph:
         if (tuple(map(itemgetter(0), entities)) != self.entity_ids
                 or tuple(map(itemgetter(0), relations)) != self.relation_ids):
             raise ValueError("a renamed graph must keep the entity and relation ids in order")
-        return KnowledgeGraph(entities, relations, descriptions, self._splits)
-
-    @property
-    def relation_pairs(self) -> np.ndarray:
-        """The relation rows ``a < b`` that some (head, tail) pair carries
-        both of, in any split: an int64 ``(k, 2)`` array in ascending order,
-        built on first use once per graph structure (``_Splits``)."""
-        return self._splits.relation_pairs
+        return KnowledgeGraph(entities, relations, descriptions, self.structure)
 
     @cached_property
     def mentions(self) -> MentionTable:
@@ -311,7 +290,7 @@ class KnowledgeGraph:
     def split(self, name: str) -> Triples:
         if name not in SPLITS:
             raise ValueError(f"unknown split {name!r}, expected one of {SPLITS}")
-        return Triples(self._splits.rows[name], self.entity_ids, self.relation_ids)
+        return Triples(self.structure.split_rows[name], self.entity_ids, self.relation_ids)
 
     train = property(lambda self: self.split("train"))
     valid = property(lambda self: self.split("valid"))
@@ -320,7 +299,7 @@ class KnowledgeGraph:
     @cached_property
     def all_triples(self) -> Triples:
         """Train, then valid, then test, as one ``Triples``."""
-        return Triples(np.concatenate(list(self.split_rows.values())),
+        return Triples(np.concatenate(list(self.structure.split_rows.values())),
                        self.entity_ids, self.relation_ids)
 
     @cached_property
@@ -341,9 +320,10 @@ class KnowledgeGraph:
         at its table and row if it has one. The builder has checked the ids and splits."""
         _check_cells("entities", map(itemgetter(1), self.entities), "name")
         _check_cells("relations", map(itemgetter(1), self.relations), "name")
-        if self.descriptions.keys() != self.entity_row.keys():
-            extra = sorted(self.descriptions.keys() - self.entity_row.keys())
-            missing = sorted(self.entity_row.keys() - self.descriptions.keys())
+        entity_row = self.structure.entity_row
+        if self.descriptions.keys() != entity_row.keys():
+            extra = sorted(self.descriptions.keys() - entity_row.keys())
+            missing = sorted(entity_row.keys() - self.descriptions.keys())
             raise ValidationError(
                 f"descriptions out of sync with entities "
                 f"(unknown ids: {extra[:3]}, missing ids: {missing[:3]})"
@@ -351,32 +331,36 @@ class KnowledgeGraph:
         _check_cells("descriptions", self.descriptions.values(), "description")
 
 
-class _Splits:
-    """A graph's ids and split rows, checked as ``_build`` maps them and here
-    for repeats, and what is built from them alone; every graph ``renamed``
-    derives from one source shares the source's. Equal if ids and rows are."""
+class Structure:
+    """A graph's ids, each id's row and its split rows, checked as ``_build``
+    maps them and here for repeats, and what is built from them alone: no
+    name or description, so code that reads only this is text-blind. Every
+    graph ``renamed`` derives from one source shares the source's. Equal if
+    ids and rows are."""
 
     def __init__(self, ids: tuple[tuple[str, ...], tuple[str, ...]],
                  tables: tuple[dict[str, int], dict[str, int]],
-                 rows: dict[str, np.ndarray]) -> None:
+                 split_rows: dict[str, np.ndarray]) -> None:
         self.entity_ids, self.relation_ids = ids
         self.entity_row, self.relation_row = tables
-        self.rows = rows
+        # each split as a read-only int32 (n, 3) array of (head, relation, tail)
+        # rows into entity_ids / relation_ids
+        self.split_rows = split_rows
         # per split file written: its path, byte count and CRC-32 (``write``)
         self._written: dict[str, tuple[str, int, int]] = {}
         self._check_repeats()
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _Splits):
+        if not isinstance(other, Structure):
             return NotImplemented
         return ((self.entity_ids, self.relation_ids) == (other.entity_ids, other.relation_ids)
-                and all(np.array_equal(self.rows[split], other.rows[split]) for split in SPLITS))
+                and all(np.array_equal(self.split_rows[s], other.split_rows[s]) for s in SPLITS))
 
     def _check_repeats(self) -> None:
         """A triple listed twice is an error at its second row, in split order."""
         n_entities, n_relations = len(self.entity_ids), len(self.relation_ids)
-        keys, at = np.empty(sum(map(len, self.rows.values())), dtype=np.int64), 0
-        for rows in self.rows.values():  # each split's keys in place, so no copy of them all
+        keys, at = np.empty(sum(map(len, self.split_rows.values())), dtype=np.int64), 0
+        for rows in self.split_rows.values():  # each split's keys in place, so no copy of them all
             key = keys[at:at + len(rows)]
             np.multiply(rows[:, 0], n_relations, out=key, dtype=np.int64)
             key += rows[:, 1]
@@ -388,7 +372,7 @@ class _Splits:
             return
         # name the first triple, in split order, that its own split or an earlier one holds
         seen: dict[Triple, str] = {}
-        for split, rows in self.rows.items():
+        for split, rows in self.split_rows.items():
             for row, triple in enumerate(Triples(rows, self.entity_ids, self.relation_ids)):
                 if triple in seen:
                     raise ValidationError(f"duplicate triple {triple!r}", split, row,
@@ -397,12 +381,15 @@ class _Splits:
 
     @cached_property
     def relation_pairs(self) -> np.ndarray:
+        """The relation rows ``a < b`` that some (head, tail) pair carries
+        both of, in any split: an int64 ``(k, 2)`` array in ascending order,
+        built on first use."""
         n_entities, n_relations = len(self.entity_row), len(self.relation_row)
         # sorted (head, tail, relation) keys put each (head, tail) pair's relations
         # in one run: pair the entries d apart in a run, for d = 1, 2, ... while any are
         pair, rel = np.divmod(_sorted_distinct(np.concatenate([
             (rows[:, 0].astype(np.int64) * n_entities + rows[:, 2]) * n_relations + rows[:, 1]
-            for rows in self.rows.values()])), n_relations)
+            for rows in self.split_rows.values()])), n_relations)
         shared = [np.empty(0, dtype=np.int64)]
         at, d = np.flatnonzero(pair[1:] == pair[:-1]), 1
         while len(at):
@@ -424,7 +411,7 @@ class _Splits:
         or changed is written again from the rows, over what the copy wrote,
         and recorded instead."""
         cells = shift = None
-        for split, rows in self.rows.items():
+        for split, rows in self.split_rows.items():
             path = os.path.abspath(root / f"{split}.tsv")
             if self._copied(split, path):
                 continue
@@ -439,7 +426,7 @@ class _Splits:
 
     def _format(self, split: str, path: str, cells: np.ndarray, shift: np.ndarray) -> None:
         """Write one split file from its rows and record it."""
-        rows, size, crc = self.rows[split], 0, 0
+        rows, size, crc = self.split_rows[split], 0, 0
         with open(path, "wb") as fh:
             for start in range(0, len(rows), _BLOCK_ROWS):
                 block = "".join(cells[(rows[start:start + _BLOCK_ROWS] + shift).ravel()].tolist())
@@ -727,7 +714,7 @@ def _build(entities: tuple[tuple[str, str], ...] | None,
         raise fault
     if len(descriptions) != len(entity_row):
         descriptions.update((eid, "") for eid in ids[0] if eid not in descriptions)
-    return KnowledgeGraph(entities, relations, descriptions, _Splits(ids, tables, rows))
+    return KnowledgeGraph(entities, relations, descriptions, Structure(ids, tables, rows))
 
 
 def read_graph(entities: tuple[tuple[str, str], ...] | None,
@@ -784,7 +771,7 @@ def write_dataset(kg: KnowledgeGraph, directory: str | os.PathLike) -> None:
     The names and descriptions are checked first, so a graph that fails
     ``validate`` writes nothing. The split files are formatted once per graph
     structure and then copied from the first write's files, each checked
-    against its recorded size and CRC-32 (``_Splits.write``)."""
+    against its recorded size and CRC-32 (``Structure.write``)."""
     kg.validate()
     root = Path(directory)
     try:
@@ -793,19 +780,14 @@ def write_dataset(kg: KnowledgeGraph, directory: str | os.PathLike) -> None:
         write_rows(root / "relations.tsv", kg.relations)
         write_rows(root / "descriptions.tsv",
                    ((eid, kg.descriptions[eid]) for eid, _ in kg.entities))
-        kg._splits.write(root)
+        kg.structure.write(root)
     except OSError as exc:
         raise LoadError(f"cannot write dataset under {root}: {exc}") from exc
 
 
 def compute_stats(kg: KnowledgeGraph) -> DatasetStats:
-    return DatasetStats(
-        n_entities=len(kg.entities),
-        n_relations=len(kg.relations),
-        n_train=len(kg.train),
-        n_valid=len(kg.valid),
-        n_test=len(kg.test),
-    )
+    return DatasetStats(len(kg.entity_ids), len(kg.relation_ids),
+                        *(len(kg.structure.split_rows[split]) for split in SPLITS))
 
 
 def stream_stats(directory: str | os.PathLike) -> DatasetStats:

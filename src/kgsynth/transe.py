@@ -124,8 +124,8 @@ def init_model(kg: KnowledgeGraph, dim: int, seed: int, norm: str = "L1",
         raise ValueError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     bound = 6.0 / np.sqrt(dim)
-    entity_vectors = rng.uniform(-bound, bound, size=(len(kg.entities), dim))
-    relation_vectors = rng.uniform(-bound, bound, size=(len(kg.relations), dim))
+    entity_vectors = rng.uniform(-bound, bound, size=(len(kg.entity_ids), dim))
+    relation_vectors = rng.uniform(-bound, bound, size=(len(kg.relation_ids), dim))
     _normalize_rows(entity_vectors)
     _normalize_rows(relation_vectors)
     return EmbeddingModel(
@@ -212,7 +212,8 @@ def train(kg: KnowledgeGraph, config: TrainConfig = TrainConfig()) -> EmbeddingM
     Raises ValueError for an empty train split, a count below its minimum,
     a non-finite margin, or a learning rate that is negative or not finite.
     """
-    if not kg.train:
+    rows = kg.structure.split_rows["train"]
+    if not len(rows):
         raise ValueError("train split is empty")
     for name, low in (("negatives_per_positive", 1), ("batch_size", 1), ("epochs", 0)):
         if getattr(config, name) < low:
@@ -221,13 +222,11 @@ def train(kg: KnowledgeGraph, config: TrainConfig = TrainConfig()) -> EmbeddingM
         raise ValueError(f"margin must be finite, got {config.margin}")
     if not (math.isfinite(config.learning_rate) and config.learning_rate >= 0):
         raise ValueError(f"learning_rate must be finite and >= 0, got {config.learning_rate}")
-    model = init_model(kg, config.dim, config.seed, norm=config.norm, margin=config.margin)
     # init_model orders the model's rows as the graph's
-    rows = kg.split_rows["train"]
-
+    model = init_model(kg, config.dim, config.seed, norm=config.norm, margin=config.margin)
     entities = model.entity_vectors
     relations = model.relation_vectors
-    n_train = len(kg.train)
+    n_train = len(rows)
     n_entities = len(kg.entity_ids)
     repeats = config.negatives_per_positive
     n_pairs = n_train * repeats
@@ -296,7 +295,7 @@ class _Step:
         capacity = 4 * -(-capacity // 4)  # so a quarter of the pairs' steps fill one buffer
         # (capacity, dim) rows: the two residuals, then the active pairs'
         # gradients; the relation rows and the terms of a distance, then the
-        # active pairs' residuals (or, when all are active, their gradients)
+        # active pairs' residuals
         self.pos, self.neg, self.rel, self.terms = np.empty((4, capacity, dim))
         self.losses = np.empty((3, capacity))  # d_pos, d_neg and the hinge
         self.active = np.empty(capacity, dtype=bool)
@@ -332,18 +331,13 @@ class _Step:
         k = len(picked)
         if k == 0:
             return
+        pos = np.take(pos, picked, axis=0, out=self.terms[:k], mode="clip")
+        neg = np.take(neg, picked, axis=0, out=self.rel[:k], mode="clip")
+        d_pos, d_neg, r = d_pos[picked], d_neg[picked], r[picked]
         rows = self.rows[:k]
-        if k == n:
-            g_pos, g_neg, free = self.terms[:k], self.rel[:k], self.pos
-            for column, field in enumerate((h, t, h_neg, t_neg)):
-                rows[:, column] = field
-        else:
-            pos = np.take(pos, picked, axis=0, out=self.terms[:k], mode="clip")
-            neg = np.take(neg, picked, axis=0, out=self.rel[:k], mode="clip")
-            g_pos, g_neg, free = self.pos[:k], self.neg[:k], self.terms
-            d_pos, d_neg, r = d_pos[picked], d_neg[picked], r[picked]
-            for column, field in enumerate((h, t, h_neg, t_neg)):
-                rows[:, column] = field[picked]
+        for column, field in enumerate((h, t, h_neg, t_neg)):
+            rows[:, column] = field[picked]
+        g_pos, g_neg, free = self.pos[:k], self.neg[:k], self.terms
         # _distance_grad, from the distances the hinge took (a row's sum does
         # not depend on the other rows), each gradient into a buffer of its
         # own: numpy 2.4's sign takes twice as long in place
@@ -395,7 +389,8 @@ def probe_loss(model: EmbeddingModel, kg: KnowledgeGraph, seed: int = 0,
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    n = min(batch_size, len(kg.train))
+    rows = kg.structure.split_rows["train"]
+    n = min(batch_size, len(rows))
     if n == 0:
         raise ValueError("train split is empty")
     rng = np.random.default_rng([seed, 2])
@@ -403,7 +398,7 @@ def probe_loss(model: EmbeddingModel, kg: KnowledgeGraph, seed: int = 0,
     to_entity = _row_map(model.entity_ids, model.entity_row, kg.entity_ids, "entities")
     to_relation = _row_map(model.relation_ids, model.relation_row, kg.relation_ids, "relations")
     corrupt_with = to_entity[rng.integers(0, len(kg.entity_ids), size=n)]
-    h, r, t = kg.split_rows["train"][:n].T
+    h, r, t = rows[:n].T
     h, r, t = to_entity[h], to_relation[r], to_entity[t]
     h_neg = np.where(corrupt_tail, h, corrupt_with)
     t_neg = np.where(corrupt_tail, corrupt_with, t)
@@ -640,15 +635,23 @@ def save_model(model: EmbeddingModel, directory: str | Path) -> None:
 
 
 def load_model(directory: str | Path) -> EmbeddingModel:
-    """Read a ``save_model`` checkpoint; raise ValidationError if it is malformed."""
+    """Read a ``save_model`` checkpoint; raise ValidationError if it is
+    malformed or holds what ``train`` never writes: a dim below 1 or a margin
+    that is not finite."""
     root = Path(directory)
-    meta = dict(cells for _, cells in read_rows(root / "model.tsv", 2))
+    # each field's value and line
+    meta = {key: (value, lineno) for lineno, (key, value) in read_rows(root / "model.tsv", 2)}
     try:
-        dim, norm, margin = int(meta["dim"]), meta["norm"], float(meta["margin"])
+        dim, norm, margin = int(meta["dim"][0]), meta["norm"][0], float(meta["margin"][0])
     except (KeyError, ValueError) as exc:
         raise ValidationError(f"model.tsv: missing or malformed field: {exc}") from exc
     if norm not in NORMS:
         raise ValidationError(f"model.tsv: unknown norm {norm!r}, expected one of {NORMS}")
+    if dim < 1:
+        raise ValidationError(f"model.tsv:{meta['dim'][1]}: dim must be >= 1, got {dim}")
+    if not math.isfinite(margin):
+        raise ValidationError(f"model.tsv:{meta['margin'][1]}: non-finite margin "
+                              f"{meta['margin'][0]!r}")
     entity_ids, entity_vectors = _load_vectors(root / "entity_vectors.tsv", dim)
     relation_ids, relation_vectors = _load_vectors(root / "relation_vectors.tsv", dim)
     return EmbeddingModel(

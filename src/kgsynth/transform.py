@@ -35,12 +35,13 @@ results are reproducible for a fixed seed.
 
 What the variants of one graph need alike is built once per graph, on first
 use, and cached on it: the mention table (``KnowledgeGraph.mentions``, the
-same scan the leakage statistic reads), the fitted unigram model
-(``unigram_model``), and, shared with every graph renamed from the same
-source, the co-occurring relation rows (``relation_pairs``) and the split
-files, which every variant keeps: the first variant written formats them
-and the others copy its checked files (``write_dataset``). So one suite call
-and one call per variant do the same work.
+same scan the leakage statistic reads) and the fitted unigram model
+(``unigram_model``). Every variant keeps the graph's ``structure``, which
+every graph renamed from the same source shares, and with it the
+co-occurring relation rows (``Structure.relation_pairs``) and the split
+files: the first variant written formats them and the others copy its
+checked files (``write_dataset``). So one suite call and one call per
+variant do the same work.
 """
 
 from __future__ import annotations
@@ -264,6 +265,7 @@ class VariantResult:
     path: Path | None
     mapping: TransformMapping | None
     error: str | None = None
+    error_type: type[KgsynthError] | None = None  # the class of the error, if it failed
 
     @property
     def ok(self) -> bool:
@@ -337,7 +339,7 @@ def generate_suite(
             write_variant(kg, out_kg, mapping, label, root / label)
         except KgsynthError as exc:
             shutil.rmtree(root / label, ignore_errors=True)
-            results.append(VariantResult(label, kind, targets, None, None, str(exc)))
+            results.append(VariantResult(label, kind, targets, None, None, str(exc), type(exc)))
         else:
             results.append(VariantResult(label, kind, targets, root / label, mapping))
     return results

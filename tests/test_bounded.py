@@ -235,7 +235,7 @@ def reference_filter_rows(kg, triples):
     """Each query's answers from ``answer_index``, as sorted entity rows: the
     tail query of each triple row, then its head query."""
     entity, relation = kg.entity_ids, kg.relation_ids
-    return [np.array(sorted(kg.entity_row[e] for e in kg.answer_index.get(
+    return [np.array(sorted(kg.structure.entity_row[e] for e in kg.answer_index.get(
                 (direction, entity[known], relation[r]), ())), dtype=np.int64)
             for h, r, t in triples.tolist() for direction, known in (("tail", h), ("head", t))]
 
@@ -254,7 +254,8 @@ def test_filter_rows_matches_the_answer_index(monkeypatch, block):
         # the test and train rows, and a row (e, r, e) per entity and relation:
         # queries over every (entity, relation) key, most with no fact
         keys = [(e, r, e) for e in range(n_entities) for r in range(n_relations)]
-        triples = np.concatenate([kg.split_rows["test"], kg.split_rows["train"], keys])
+        rows = kg.structure.split_rows
+        triples = np.concatenate([rows["test"], rows["train"], keys])
         triples = triples[rng.sample(range(len(triples)), len(triples))]
         answers, starts, ends = filter_rows(kg, triples)
         want = reference_filter_rows(kg, triples)
@@ -269,7 +270,7 @@ def test_filter_rows_matches_the_answer_index(monkeypatch, block):
             seen["gold only"] += expected.tolist() == [gold]
         for column in (0, 2):  # known heads, then known tails
             places = {}
-            for split, rows in kg.split_rows.items():
+            for split, rows in kg.structure.split_rows.items():
                 for i, (e, r) in enumerate(rows[:, [column, 1]].tolist()):
                     places.setdefault((e, r), set()).add((split, i // block))
             seen["across splits"] += sum(len({s for s, _ in p}) > 1 for p in places.values())

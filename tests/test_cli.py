@@ -4,6 +4,7 @@ import pytest
 
 from kgsynth.cli import main
 from kgsynth.kg import compute_stats, from_triples, load_dataset, write_dataset
+from kgsynth.transform import SUITE_VARIANTS
 
 from conftest import make_kg
 
@@ -128,6 +129,28 @@ def test_suite_partial_failure_exit_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "vw-r: FAILED" in captured.err
     assert (tmp_path / "out" / "anon-er" / "entities.tsv").is_file()
+    assert (tmp_path / "out" / "manifest.tsv").is_file()
+
+
+def test_suite_variant_failing_on_io_is_a_data_error(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "suite"
+    out.mkdir()
+    (out / "vw-e").write_text("in the way\n", encoding="utf-8")  # blocks vw-e's directory
+    code = main(["suite", "--input", str(dataset_dir), "--output", str(out), "--seed", "5"])
+    assert code == 2
+    assert "1 variant(s) failed: vw-e" in capsys.readouterr().err
+    assert (out / "vw-e").read_text(encoding="utf-8") == "in the way\n"
+    assert sorted(p.name for p in out.iterdir() if p.is_dir()) == sorted(
+        label for label, _, _ in SUITE_VARIANTS if label != "vw-e")
+    assert (out / "manifest.tsv").is_file()
+
+
+def test_suite_input_that_fails_to_load_writes_no_manifest(dataset_dir, tmp_path, capsys):
+    (dataset_dir / "train.tsv").write_text("e1\tr1\tghost\n", encoding="utf-8")
+    out = tmp_path / "suite"
+    assert main(["suite", "--input", str(dataset_dir), "--output", str(out), "--seed", "5"]) == 2
+    assert "ghost" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_gold_first_predictions(dataset_dir, family_kg, tmp_path, capsys):

@@ -195,12 +195,13 @@ def test_rank_split_returns_one_int64_rank_per_query_in_row_order(monkeypatch):
                 assert ranks.shape == (2 * len(kg.split(split)),)
                 for i, (h, r, t) in enumerate(kg.split(split)):
                     for head, (known, gold) in enumerate(((h, t), (t, h))):
-                        scores = table(head, kg.entity_row[known], kg.relation_row[r])
+                        scores = table(head, kg.structure.entity_row[known],
+                                       kg.structure.relation_row[r])
                         query = Query((known, r), ("tail", "head")[head], gold)
                         want = rank_gold(dict(zip(kg.entity_ids, scores.tolist())), query, kg,
                                          filtered=filtered).gold_rank
                         assert ranks[2 * i + head] == want, (trial, split, filtered, i, head)
-                        tied += (scores == scores[kg.entity_row[gold]]).sum() > 1
+                        tied += (scores == scores[kg.structure.entity_row[gold]]).sum() > 1
     assert tied > 100, tied
 
 

@@ -179,9 +179,9 @@ def test_split_rows_equal_a_per_triple_oracle():
                                     n_relations=rng.randint(1, 5),
                                     n_train=rng.randint(0, 40), n_valid=n_valid, n_test=n_test))
     for kg in graphs:
-        entity_row, relation_row = kg.entity_row, kg.relation_row
+        entity_row, relation_row = kg.structure.entity_row, kg.structure.relation_row
         for name in ("train", "valid", "test"):
-            rows = kg.split_rows[name]
+            rows = kg.structure.split_rows[name]
             expected = [[entity_row[h], relation_row[r], entity_row[t]]
                         for h, r, t in kg.split(name)]
             assert rows.dtype == np.int32
@@ -202,11 +202,11 @@ def test_sorted_distinct_and_relation_pairs_equal_their_set_oracles():
         kg = random_kg(pyrng, n_entities=pyrng.randint(2, 6), n_relations=pyrng.randint(1, 5),
                        n_train=pyrng.randint(1, 30), n_valid=2, n_test=2)
         linking: dict[tuple[int, int], set[int]] = {}
-        for rows in kg.split_rows.values():
+        for rows in kg.structure.split_rows.values():
             for h, r, t in rows.tolist():
                 linking.setdefault((h, t), set()).add(r)
         want = sorted({(a, b) for rels in linking.values() for a in rels for b in rels if a < b})
-        assert kg.relation_pairs.tolist() == [list(pair) for pair in want]
+        assert kg.structure.relation_pairs.tolist() == [list(pair) for pair in want]
         found += len(want)
     assert found > 20, found
 
@@ -416,7 +416,7 @@ def test_loaded_splits_are_triples_over_the_rows(family_kg, tmp_path):
     kg = load_dataset(tmp_path)
     for name in ("train", "valid", "test"):
         triples = kg.split(name)
-        assert isinstance(triples, Triples) and triples.rows is kg.split_rows[name]
+        assert isinstance(triples, Triples) and triples.rows is kg.structure.split_rows[name]
         assert triples == family_kg.split(name) and family_kg.split(name) == triples
         assert tuple(triples) == tuple(family_kg.split(name))
         assert len(triples) == len(family_kg.split(name))
@@ -426,7 +426,7 @@ def test_loaded_splits_are_triples_over_the_rows(family_kg, tmp_path):
     assert kg.train[1:3] == (("e1", "r2", "e3"), ("e1", "r3", "e2"))
     assert isinstance(kg.train[1:3], tuple)
     # equal length, other order or other ids: unequal triple by triple
-    rows = kg.split_rows["train"]
+    rows = kg.structure.split_rows["train"]
     assert kg.train != Triples(rows[::-1], kg.entity_ids, kg.relation_ids)
     assert kg.train != Triples(rows, kg.entity_ids[::-1], kg.relation_ids)
     # a Triples equals no tuple or list, not even of its own triples
@@ -436,10 +436,10 @@ def test_loaded_splits_are_triples_over_the_rows(family_kg, tmp_path):
     assert kg.answer_index == family_kg.answer_index
     assert repr(kg.valid) == repr(family_kg.valid)
     with pytest.raises(ValueError, match="read-only"):
-        kg.split_rows["train"][0, 0] = 1
+        kg.structure.split_rows["train"][0, 0] = 1
     # a renamed graph passes the rows through
     out = kg.renamed(kg.entities, kg.relations, kg.descriptions)
-    assert all(out.split(name).rows is kg.split_rows[name] for name in ("train", "valid", "test"))
+    assert all(out.split(name).rows is kg.structure.split_rows[name] for name in SPLITS)
 
 
 # --- one builder: from_triples and read_graph ------------------------------------------
@@ -473,7 +473,7 @@ def test_from_triples_equals_the_load_of_its_own_write(tmp_path):
         write_dataset(built, tmp_path / str(trial))
         assert load_dataset(tmp_path / str(trial)) == built
         for name in SPLITS:
-            rows = built.split_rows[name]
+            rows = built.structure.split_rows[name]
             assert rows.dtype == np.int32 and rows.shape == (len(given[name]), 3)
             assert rows.tolist() == dict_rows(kg.entities, kg.relations, given[name])
             assert tuple(built.split(name)) == given[name]
@@ -483,7 +483,7 @@ def test_from_triples_equals_the_load_of_its_own_write(tmp_path):
 def test_graphs_are_equal_by_tables_descriptions_and_triples(family_kg):
     given = parts(family_kg)
     again = from_triples(**given)
-    assert again == family_kg and again._splits is not family_kg._splits
+    assert again == family_kg and again.structure is not family_kg.structure
     # one triple moved to another split, then the same triples in another order
     moved = {**given, "train": given["train"][:-1], "valid": given["valid"] + given["train"][-1:]}
     assert from_triples(**moved) != family_kg
@@ -753,7 +753,7 @@ def test_loader_matches_a_tuple_reference_on_random_files(tmp_path):
         assert list(kg.descriptions.items()) == list(expected.descriptions.items())
         for name in ("train", "valid", "test"):
             assert tuple(kg.split(name)) == tuple(expected.split(name))
-            assert np.array_equal(kg.split_rows[name], expected.split_rows[name])
+            assert np.array_equal(kg.split(name).rows, expected.split(name).rows)
         for table in ("entities", "relations", "descriptions", "train"):
             path = root / f"{table}.tsv"
             if path.is_file():
@@ -881,13 +881,13 @@ def test_mention_table_is_exact_when_distinct_spans_share_a_hash(monkeypatch):
 def formats(monkeypatch):
     """Each split file written from its rows, as (split, directory name), in order."""
     made = []
-    format_split = kgmod._Splits._format
+    format_split = kgmod.Structure._format
 
     def counted(self, split, path, *args):
         made.append((split, os.path.basename(os.path.dirname(path))))
         return format_split(self, split, path, *args)
 
-    monkeypatch.setattr(kgmod._Splits, "_format", counted)
+    monkeypatch.setattr(kgmod.Structure, "_format", counted)
     return made
 
 

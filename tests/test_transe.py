@@ -281,7 +281,7 @@ def _per_triple_reference(kg, config):
     """Per-triple SGD on the scalar margin_loss_and_grads, with train's draws."""
     model = init_model(kg, config.dim, config.seed, norm=config.norm, margin=config.margin)
     entities, relations = model.entity_vectors, model.relation_vectors
-    rows = kg.split_rows["train"]
+    rows = kg.structure.split_rows["train"]
     rng = np.random.default_rng([config.seed, 1])
     lr, k = config.learning_rate, config.negatives_per_positive
     for _ in range(config.epochs):
@@ -340,7 +340,7 @@ def _whole_epoch_reference(kg, config):
     of its own."""
     model = init_model(kg, config.dim, config.seed, norm=config.norm, margin=config.margin)
     entities, relations = model.entity_vectors, model.relation_vectors
-    rows = kg.split_rows["train"]
+    rows = kg.structure.split_rows["train"]
     rng = np.random.default_rng([config.seed, 1])
     lr, k = config.learning_rate, config.negatives_per_positive
     for _ in range(config.epochs):
@@ -773,6 +773,25 @@ def test_checkpoint_dim_must_match_the_vectors(tmp_path):
     _saved_l1_model(tmp_path)
     (tmp_path / "model.tsv").write_text("dim\t5\nnorm\tL1\nmargin\t1.0\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="entity_vectors.tsv:1: expected 5 components, got 4"):
+        load_model(tmp_path)
+
+
+@pytest.mark.parametrize("dim", ["-1", "0"])
+def test_checkpoint_dim_below_one_rejected(dim, tmp_path):
+    _saved_l1_model(tmp_path)
+    (tmp_path / "model.tsv").write_text(f"norm\tL1\ndim\t{dim}\nmargin\t1.0\n",
+                                        encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^model.tsv:2: dim must be >= 1, got {dim}$"):
+        load_model(tmp_path)
+
+
+@pytest.mark.parametrize("margin", ["nan", "inf", "-inf"])
+def test_checkpoint_non_finite_margin_rejected(margin, tmp_path):
+    _saved_l1_model(tmp_path)
+    (tmp_path / "model.tsv").write_text(f"dim\t4\nnorm\tL1\n\nmargin\t{margin}\n",
+                                        encoding="utf-8")
+    with pytest.raises(ValidationError,
+                       match=f"^model.tsv:4: non-finite margin '{re.escape(margin)}'$"):
         load_model(tmp_path)
 
 

@@ -458,7 +458,7 @@ def test_unigram_fit_and_relation_pairs_are_built_once_per_graph(
     kg = rebuilt(family_kg)  # a fresh copy, with nothing built yet
     fits, pair_builds = [], []
     fit = textgen.fit_unigram
-    pairs = kg_module._Splits.relation_pairs
+    pairs = kg_module.Structure.relation_pairs
     build_pairs = pairs.func
 
     def counting_fit(corpus):
@@ -530,16 +530,16 @@ def test_renamed_graph_cells_are_checked_on_every_write(family_kg, tmp_path, cha
 def test_suite_builds_and_checks_its_graph_structure_once(family_kg, tmp_path, monkeypatch):
     # the input's structure was built and checked with the graph: the suite builds none
     built = []
-    build = kg_module._Splits.__init__
+    build = kg_module.Structure.__init__
 
     def counted_build(self, *args):
         built.append(self)
         build(self, *args)
 
-    monkeypatch.setattr(kg_module._Splits, "__init__", counted_build)
+    monkeypatch.setattr(kg_module.Structure, "__init__", counted_build)
     assert all(r.ok for r in generate_suite(family_kg, 17, tmp_path))
     out, _ = apply_recipe(family_kg, "fully_anonymized", {"entities", "relations"}, 17)
-    assert built == [] and out._splits is family_kg._splits
+    assert built == [] and out.structure is family_kg.structure
 
 
 def test_renamed_graph_keeps_the_ids_in_order(family_kg):
