@@ -15,13 +15,17 @@ draws, 17 bytes per (triple, negative) pair, and builds the pairs
 ``_PAIR_BLOCK`` at a time, in whole batches; every batch's update works in
 buffers made once per call for one batch, so no batch allocates a table the
 batch's size. Ranking lays the entity vectors out once per call as a dim-major
-float32 copy and ranks a chunk of queries ``_ENTITY_BLOCK`` columns at a
-time; it holds the copy, a norm and a model row per entity and, per thread,
-one ``(dim, _ENTITY_BLOCK)`` float32 buffer (the chunk's comparison flags
-reuse it), one ``(QUERY_CHUNK, _ENTITY_BLOCK)`` float32 buffer of cheap
-distances and, for the exact re-score, at most a block of gathered rows and
-about ``QUERY_CHUNK + 1`` blocks of band entries: nothing per thread grows
-with |E|.
+float32 copy and holds the copy, a norm and a model row per entity. A table
+of at most ``_ENTITY_BLOCK`` columns ranks a chunk of queries one query at a
+time, in one ``(dim, _ENTITY_BLOCK)`` float32 buffer of terms and one
+``(QUERY_CHUNK, _ENTITY_BLOCK)`` float32 buffer of cheap distances per
+thread. A wider one ranks it over balanced blocks of at most
+``_WIDE_BLOCK`` columns, one dimension at a time, in two ``(QUERY_CHUNK,
+_WIDE_BLOCK)`` float32 buffers per thread, the terms and the distances.
+The chunk's comparison flags reuse the terms. For the exact re-score a
+thread holds at most ``_ENTITY_BLOCK`` gathered rows and about
+``QUERY_CHUNK + 1`` cheap-pass blocks of band entries: nothing per thread
+grows with |E|.
 """
 
 from __future__ import annotations
@@ -40,8 +44,15 @@ from .kg import KnowledgeGraph, float_cells, read_rows, write_rows
 
 _EPS = 1e-12
 NORMS = ("L1", "L2")
-# entity columns scored per step of rank_queries
+# entity columns scored per step of rank_queries, and rows gathered per exact pass
 _ENTITY_BLOCK = 4096
+# a table wider than one block takes its cheap distances a dimension at a
+# time, over balanced column blocks of at most _WIDE_BLOCK. At dim 50 on two
+# threads that was 16-23% slower on one block (three numpy calls a dimension
+# against three a query), 30-35% faster on a block and a short one, which a
+# query at a time takes slowly, and within 8% from 5,500 to 8,192 columns
+_WIDE_TABLE = _ENTITY_BLOCK + 1
+_WIDE_BLOCK = 12288
 # rows of a vector table renormalized at once
 _NORM_ROWS = 1 << 10
 # (triple, negative) pairs train builds at once, rounded to whole batches
@@ -466,18 +477,26 @@ def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
     Filter and verify: a rank counts the entities whose exact distance D_j
     is at most the gold's, D_g. Each call copies the entity vectors once
     into a float32 dim-major table in graph row order. Each thread ranks one
-    of ``rank_split``'s chunks of queries at a time, ``_ENTITY_BLOCK``
-    columns of the table at a time, blocks outer and queries inner: each
-    query's cheap distances d_j to the block (one subtract, one abs or
-    square, one ``sum(axis=0)``) go into one buffer for the chunk, which is
-    then compared with the chunk's bounds at once. For L2, d and D are sums
-    of squares before the root. If |d_j - D_j| <= eps for every entity, d_j
-    < lo = d_g - 2 eps surely counts and d_j > hi = d_g + 2 eps surely does
-    not. Only the band between, the gold and the rivals get exact distances,
-    from ``_distance`` on their float64 residual rows, in one pass per chunk
-    that gathers at most a block of rows at a time; a band that outgrows a
-    block is re-scored as it grows. The gold's cheap distance d_g comes from
-    its own column of the table and may be summed in another order than its
+    of ``rank_split``'s chunks of queries at a time, a block of the table's
+    columns at a time, and puts the chunk's cheap distances d_j to the block
+    into one buffer, which is then compared with the chunk's bounds at once.
+    The table's width picks the loop order inside a block. Below
+    ``_WIDE_TABLE`` columns, blocks of ``_ENTITY_BLOCK`` columns take a
+    query at a time: one subtract, one abs or square and one
+    ``sum(axis=0)`` over a ``(dim, block)`` buffer. From ``_WIDE_TABLE``
+    columns on, balanced blocks of at most ``_WIDE_BLOCK`` columns take a
+    dimension at a time: the chunk's offsets in that dimension less the
+    table's row, abs or square, added into the distances, so two ``(chunk,
+    block)`` buffers stay in cache. The two orders sum a distance's terms in
+    different orders, which the bound below allows, so both give the same
+    ranks. For L2, d and D are sums of squares before the root. If |d_j -
+    D_j| <= eps for every entity, d_j < lo = d_g - 2 eps surely counts and
+    d_j > hi = d_g + 2 eps surely does not. Only the band between, the gold
+    and the rivals get exact distances, from ``_distance`` on their float64
+    residual rows, in one pass per chunk that gathers at most
+    ``_ENTITY_BLOCK`` rows at a time; a band that outgrows that many pairs
+    is re-scored as it grows. The gold's cheap distance d_g comes from its
+    own column of the table and may be summed in another order than its
     block's; the bound below holds for any order.
 
     The bound. Let u = 2^-24 and v = 2^-53 (unit roundoffs), n = dim, k, r
@@ -519,6 +538,11 @@ def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
     entities, norm, dim = model.entity_vectors, model.norm, model.dim
     n_entities = len(to_entity)
     block = min(_ENTITY_BLOCK, n_entities) or 1
+    wide = n_entities >= _WIDE_TABLE
+    # the cheap pass's column blocks: their widest and, for a wide table,
+    # the balanced width that covers it in as few blocks
+    cap = min(_WIDE_BLOCK, n_entities) if wide else block
+    span = -(-n_entities // -(-n_entities // cap)) if wide else block
     power = 1 if norm == "L1" else 2
     # a model beyond float32's range overflows here; it then verifies every entity
     with np.errstate(over="ignore"):
@@ -563,14 +587,18 @@ def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
         if filtering:
             if getattr(buffers, "chunk", 0) < m:  # a thread's buffers, made for its largest chunk
                 buffers.chunk = m
-                # one buffer holds a query's float32 terms, then the chunk's two flag tables
-                buffers.terms = np.empty(max(dim, -(-m // 2)) * block, dtype=np.float32)
-                buffers.dists = np.empty(m * block, dtype=np.float32)
+                # one buffer holds the float32 terms (a query's, or the chunk's
+                # for one dimension), then the chunk's two flag tables
+                rows = m if wide else max(dim, -(-m // 2))
+                buffers.terms = np.empty(rows * cap, dtype=np.float32)
+                buffers.dists = np.empty(m * cap, dtype=np.float32)
             # the cheap terms are offset - c: exactly the residual of a tail,
             # (k + r) - c, and near the residual (c + r) - k of a head
-            columns = np.where(tail, ahead, known - rel).astype(np.float32)[:, :, None]
+            offsets = np.where(tail, ahead, known - rel).astype(np.float32)
+            # (m, dim, 1) for a query at a time, (dim, m, 1) for a dimension at a time
+            columns = (np.ascontiguousarray(offsets.T) if wide else offsets)[:, :, None]
             # the golds' cheap distances, from their own columns of the table
-            terms = columns[:, :, 0].T - table[:, gold]
+            terms = offsets.T - table[:, gold]
             cheap_gold = np.add.reduce(square(terms, out=terms), axis=0).astype(float)
             eps = (kappa * (sizes[k_rows] + relation_sizes[r_rows] + largest) ** power
                    + dim * 2.0 ** -148)
@@ -578,18 +606,28 @@ def rank_queries(model: EmbeddingModel, kg: KnowledgeGraph, split: str = "test",
                                             zeta * cheap_gold + (1 + zeta) * eps],
                                            dtype=np.float32), outward)[:, :, None]
         band_q, band_e, banded = [], [], 0
-        for start in range(0, n_entities, block):
-            width = min(block, n_entities - start)
+        for start in range(0, n_entities, span):
+            width = min(span, n_entities - start)
             if filtering:
                 # contiguous views, so numpy takes its fast path on a short last block
-                out = buffers.terms[:dim * width].reshape(dim, width)
                 dists = buffers.dists[:m * width].reshape(m, width)
-                below, band = buffers.terms.view(bool)[:2 * m * width].reshape(2, m, width)
                 part = table[:, start:start + width]
-                for i in range(m):
-                    np.subtract(columns[i], part, out=out)
-                    square(out, out=out)
-                    np.add.reduce(out, axis=0, out=dists[i])
+                if wide:
+                    # a dimension at a time into the chunk's distances: two
+                    # (m, width) buffers stay in cache where a query's (dim,
+                    # width) terms would not
+                    out = buffers.terms[:m * width].reshape(m, width)
+                    square(np.subtract(columns[0], part[0], out=dists), out=dists)
+                    for d in range(1, dim):
+                        np.subtract(columns[d], part[d], out=out)
+                        np.add(dists, square(out, out=out), out=dists)
+                else:
+                    out = buffers.terms[:dim * width].reshape(dim, width)
+                    for i in range(m):
+                        np.subtract(columns[i], part, out=out)
+                        square(out, out=out)
+                        np.add.reduce(out, axis=0, out=dists[i])
+                below, band = buffers.terms.view(bool)[:2 * m * width].reshape(2, m, width)
                 np.less(dists, lo, out=below)
                 ranks += [np.count_nonzero(row) for row in below]
                 # the band, lo <= d <= hi: d <= hi but not d < lo
@@ -636,11 +674,19 @@ def save_model(model: EmbeddingModel, directory: str | Path) -> None:
 
 def load_model(directory: str | Path) -> EmbeddingModel:
     """Read a ``save_model`` checkpoint; raise ValidationError if it is
-    malformed or holds what ``train`` never writes: a dim below 1 or a margin
-    that is not finite."""
+    malformed or holds what ``save_model`` and ``train`` never write: a field
+    other than ``dim``, ``norm`` and ``margin``, one of them twice, a dim
+    below 1 or a margin that is not finite."""
     root = Path(directory)
     # each field's value and line
-    meta = {key: (value, lineno) for lineno, (key, value) in read_rows(root / "model.tsv", 2)}
+    meta: dict[str, tuple[str, int]] = {}
+    for lineno, (key, value) in read_rows(root / "model.tsv", 2):
+        if key not in ("dim", "norm", "margin"):
+            raise ValidationError(f"model.tsv:{lineno}: unknown field {key!r}")
+        if key in meta:
+            raise ValidationError(f"model.tsv:{lineno}: repeated field {key!r}, "
+                                  f"first at line {meta[key][1]}")
+        meta[key] = value, lineno
     try:
         dim, norm, margin = int(meta["dim"][0]), meta["norm"][0], float(meta["margin"][0])
     except (KeyError, ValueError) as exc:

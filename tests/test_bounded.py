@@ -3,6 +3,7 @@ they return: memory tests that compare two inputs over the same tables, and
 equivalence tests that pin the block-wise passes to their one-shot forms."""
 
 import gc
+import math
 import random
 import tracemalloc
 from dataclasses import replace
@@ -184,43 +185,54 @@ def ranking_transient(kg, model):
 
 
 def test_ranking_holds_a_float32_table_and_a_block_per_worker(tmp_path, triples, monkeypatch):
-    # 50,000 and 100,000 entities, 100 queries and two workers. Ranking
+    # 50,000 and 100,000 entities, 100 queries and two workers; both tables
+    # are wide, so the cheap pass goes a dimension at a time. Ranking
     # allocates the float32 table, a float64 norm and a model row per entity
-    # and, per worker, one (dim, _ENTITY_BLOCK) float32 buffer (the chunk's
-    # comparison flags reuse it), one (QUERY_CHUNK, _ENTITY_BLOCK) float32
-    # buffer of cheap distances, numpy's 32 KiB buffer for a broadcast
-    # comparison, and the band's gathered rows. That is less than the |E|
-    # float32 distances and their flags per worker that ranking a query at a
-    # time held, and than the float64 (dim, |E|) table, the two (8,
-    # _ENTITY_BLOCK) float64 buffers and the |E| float64 distances per
-    # worker of the column kernel before it. Only the table, the norms and
-    # the model rows grow with |E|.
+    # and, per worker, two (QUERY_CHUNK, _WIDE_BLOCK) float32 buffers, the
+    # cheap terms (the chunk's comparison flags reuse it) and the cheap
+    # distances, numpy's 32 KiB buffer for a broadcast comparison, and the
+    # band's gathered rows. That is less than the float64 (dim, |E|) table,
+    # the two (8, _ENTITY_BLOCK) float64 buffers and the |E| float64
+    # distances per worker of the column kernel. Ranking a query at a time
+    # held a (dim, _ENTITY_BLOCK) float32 buffer and the |E| float32
+    # distances and their flags per worker: less than the two wide buffers
+    # below about 190,000 entities at dim 16, but 7 bytes per entity and
+    # worker more as |E| grows. Only the table, the norms and the model rows
+    # grow with |E|.
     dim, workers, chunk = 16, 2, evaluate.QUERY_CHUNK
     monkeypatch.setattr(evaluate, "_usable_cpus", lambda: workers)
-    held = {}
+    held, query_at_a_time = {}, {}
     for n in (50_000, 100_000):
+        assert n >= transe._WIDE_TABLE
         kg = load_dataset(write_graph(tmp_path / str(n), 2000, triples, n))
         held[n] = ranking_transient(kg, init_model(kg, dim, 0))
-        block = min(transe._ENTITY_BLOCK, n)
+        block, cap = min(transe._ENTITY_BLOCK, n), min(transe._WIDE_BLOCK, n)
         table = 4 * dim * n
-        allowed = (table + 16 * n + workers * (4 * dim * block + 4 * chunk * block + (32 << 10))
-                   + (64 << 10))
-        query_at_a_time = table + 16 * n + workers * (4 * dim * block + 7 * n) + (64 << 10)
+        allowed = table + 16 * n + workers * (2 * 4 * chunk * cap + (32 << 10)) + (64 << 10)
+        query_at_a_time[n] = table + 16 * n + workers * (4 * dim * block + 7 * n) + (64 << 10)
         column_kernel = 8 * dim * n + workers * (2 * 8 * 8 * block + 8 * n)
-        assert table <= held[n] <= allowed <= query_at_a_time < column_kernel, (n, held[n])
-    assert held[100_000] - held[50_000] <= (4 * dim + 16) * 50_000 + (64 << 10), held
+        assert table <= held[n] <= allowed < column_kernel, (n, held[n])
+    assert (held[100_000] - held[50_000] <= (4 * dim + 16) * 50_000 + (64 << 10)
+            < query_at_a_time[100_000] - query_at_a_time[50_000]), held
 
 
-def test_a_wide_band_is_re_scored_a_block_of_rows_at_a_time(tmp_path, triples, monkeypatch):
+@pytest.mark.parametrize("order", ["query", "dimension"])
+def test_a_wide_band_is_re_scored_a_block_of_rows_at_a_time(tmp_path, triples, monkeypatch,
+                                                            order):
     # An L2 model scaled by 2^-80: its float32 squares underflow, so every
     # entity falls in every query's band and gets an exact distance. The
     # band is re-scored as it grows, a block of gathered rows at a time, so
     # the transient still grows only by the table, the norms and the model
     # rows per entity; gathering each query's band at once grew it by
-    # several float64 rows per entity and worker.
+    # several float64 rows per entity and worker. A cheap-pass block adds
+    # up to QUERY_CHUNK entries per column to the band before it is
+    # re-scored, so both loop orders take blocks of at most 1,024 columns
+    # here, well below both graphs' widths.
     dim, workers = 16, 2
     monkeypatch.setattr(evaluate, "_usable_cpus", lambda: workers)
     monkeypatch.setattr(transe, "_ENTITY_BLOCK", 1024)
+    monkeypatch.setattr(transe, "_WIDE_TABLE", math.inf if order == "query" else 0)
+    monkeypatch.setattr(transe, "_WIDE_BLOCK", 1024)
     held = {}
     for n in (4000, 8000):
         kg = load_dataset(write_graph(tmp_path / str(n), 2000, triples, n))

@@ -611,16 +611,26 @@ def _adversarial_vectors(rng, n, dim, norm, profile):
     return vectors, relations
 
 
+def _force_order(monkeypatch, order, cap):
+    """Make ``rank_queries`` take its cheap distances a query at a time or,
+    over balanced blocks of at most ``cap`` columns, a dimension at a time,
+    whatever the table's width."""
+    monkeypatch.setattr(transe, "_WIDE_TABLE", math.inf if order == "query" else 0)
+    monkeypatch.setattr(transe, "_WIDE_BLOCK", cap)
+
+
+@pytest.mark.parametrize("order", ["query", "dimension"])
 @pytest.mark.parametrize("norm", ["L1", "L2"])
-def test_filter_and_verify_ranks_equal_brute_force(monkeypatch, norm):
+def test_filter_and_verify_ranks_equal_brute_force(monkeypatch, norm, order):
     # both directions come from every test triple; scales are powers of two
     # from about 1e-30 to 1e60, beyond float32's range, so that they keep
-    # the profiles' float32 roundings; a block of 7 columns leaves a short
-    # last block
+    # the profiles' float32 roundings; blocks of 7 columns leave a short
+    # last block (40 = 5 * 7 + 5) in either order
     kg = _adversarial_kg()
     rng = np.random.default_rng(3)
     for dim in (1, 2, 3, 8, 9, 50, 129, 300):
         monkeypatch.setattr(transe, "_ENTITY_BLOCK", 7 if dim % 2 else 1024)
+        _force_order(monkeypatch, order, 7 if dim % 2 else 1024)
         for profile in ("flat", "decades", "small query", "rounding"):
             vectors, relations = _adversarial_vectors(rng, len(kg.entities), dim, norm, profile)
             for exponent in (-100, -33, 0, 33, 100, 130, 200):
@@ -655,17 +665,21 @@ def _hub_kg():
     return make_kg(ids, ["r", "s"], train=rest[5:], valid=rest[:5], test=test)
 
 
+@pytest.mark.parametrize("order", ["query", "dimension"])
 @pytest.mark.parametrize("chunk", [1, 3, 16])
-def test_chunked_ranks_equal_brute_force(monkeypatch, chunk):
+def test_chunked_ranks_equal_brute_force(monkeypatch, chunk, order):
     # 50 queries leave a short last chunk of 3 and of 16; chunks of 3 start
-    # on tail and head queries alike. A block of 7 columns splits every cheap
-    # pass. L2 models scaled by 2^-80 or 2^-100 put every entity in the band
-    # (float32 squares underflow), which must then be re-scored exactly, a
-    # block of rows at a time; L1 models at those scales keep a narrow band.
+    # on tail and head queries alike. Blocks of 7 columns a query at a time,
+    # or of 8 a dimension at a time (60 = 7 * 8 + 4), split every cheap
+    # pass and leave a short last block. L2 models scaled by 2^-80 or 2^-100
+    # put every entity in the band (float32 squares underflow), which must
+    # then be re-scored exactly, a block of 7 rows at a time; L1 models at
+    # those scales keep a narrow band.
     monkeypatch.setattr(evaluate, "QUERY_CHUNK", chunk)
     monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 3)
     block = 7
     monkeypatch.setattr(transe, "_ENTITY_BLOCK", block)
+    _force_order(monkeypatch, order, 8)
     distance = transe._distance
     rows = []
 
@@ -697,6 +711,32 @@ def test_chunked_ranks_equal_brute_force(monkeypatch, chunk):
                 assert (sum(rows) >= queries * n) == wide, (norm, exponent, filtered)
                 assert got.tolist() == _ranks(_dict_path_records(model, kg, "test", filtered)), (
                     norm, exponent, filtered)
+
+
+@pytest.mark.parametrize("norm", ["L1", "L2"])
+def test_a_wide_table_ranks_alike_in_both_orders(monkeypatch, norm):
+    # one entity over the cap, so a dimension at a time takes two balanced
+    # blocks; forcing a query at a time must give the same ranks, and so
+    # must the brute force. Copies and float64 neighbours of the golds put
+    # exact ties and near-ties in the band.
+    n = transe._WIDE_BLOCK + 1
+    assert n >= transe._WIDE_TABLE
+    ids = [f"e{i}" for i in range(n)]
+    rng = random.Random(13)
+    facts = {(rng.choice(ids), rng.choice("rs"), rng.choice(ids)) for _ in range(300)}
+    facts = sorted(facts)
+    kg = make_kg(ids, ["r", "s"], train=facts[40:], valid=facts[:10], test=facts[10:40])
+    golds = sorted({kg.structure.entity_row[e] for h, _, t in facts[10:40] for e in (h, t)})
+    gen = np.random.default_rng(13)
+    vectors, relations = gen.normal(size=(n, 24)), gen.normal(size=(2, 24))
+    copies = gen.choice(n, size=(len(golds), 4), replace=False)
+    vectors[copies[:, :2]] = vectors[golds][:, None]
+    vectors[copies[:, 2:]] = np.nextafter(vectors[golds], np.inf)[:, None]
+    model = EmbeddingModel(kg.entity_ids, kg.relation_ids, vectors, relations, norm=norm)
+    wide = rank_queries(model, kg, "test", True)
+    _force_order(monkeypatch, "query", transe._WIDE_BLOCK)
+    assert rank_queries(model, kg, "test", True).tolist() == wide.tolist() == _ranks(
+        _dict_path_records(model, kg, "test", True))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -766,6 +806,24 @@ def test_checkpoint_with_missing_or_malformed_field_rejected(meta, tmp_path):
     _saved_l1_model(tmp_path)
     (tmp_path / "model.tsv").write_text(meta, encoding="utf-8")
     with pytest.raises(ValidationError, match="model.tsv: missing or malformed field"):
+        load_model(tmp_path)
+
+
+def test_checkpoint_with_a_repeated_field_rejected(tmp_path):
+    # the last norm and margin used to win, loading an L2 model with margin 5.0
+    _saved_l1_model(tmp_path)
+    (tmp_path / "model.tsv").write_text("dim\t4\nnorm\tL1\nmargin\t1.0\nnorm\tL2\nmargin\t5.0\n",
+                                        encoding="utf-8")
+    with pytest.raises(ValidationError,
+                       match="^model.tsv:4: repeated field 'norm', first at line 2$"):
+        load_model(tmp_path)
+
+
+def test_checkpoint_with_an_unknown_field_rejected(tmp_path):
+    _saved_l1_model(tmp_path)
+    path = tmp_path / "model.tsv"
+    path.write_text(path.read_text(encoding="utf-8") + "extra\tx\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="^model.tsv:4: unknown field 'extra'$"):
         load_model(tmp_path)
 
 
